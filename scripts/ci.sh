@@ -93,6 +93,13 @@ if ! git diff --exit-code -- DESIGN.md; then
     exit 1
 fi
 
+echo "=== Repo benchmark: fleet on the held-out seed ==="
+# The benchmark's own Release kbench on the checkpoint/reclaim-heavy
+# workload.  run.py exits non-zero when an operation fails, an output
+# check does not hold (served + lost == attempted, every tenant exits),
+# or two repetitions simulate different machines (stat digests differ).
+python3 benchmark/run.py --workload fleet --seed 2
+
 if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     echo "=== Perf-regression gate (Release fig5 vs baselines.json) ==="
     # Wall-clock regression check with prof.* attribution: a Release

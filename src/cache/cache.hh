@@ -73,6 +73,9 @@ class Cache : public MemSink
     /** Fraction of requests that hit (for tests/benches). */
     double hitRate() const;
 
+    /** Demand misses so far (the "misses" stat, without a lookup). */
+    double missCount() const { return misses.value(); }
+
   private:
     struct Line
     {

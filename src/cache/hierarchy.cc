@@ -107,8 +107,7 @@ Hierarchy::access(CpuId cpu, mem::MemCmd cmd, Addr paddr,
     ++accesses;
 
     AccessResult result;
-    const double llc_misses_before = llcCache->stats()
-                                         .scalarValue("misses");
+    const double llc_misses_before = llcCache->missCount();
 
     const bool is_write = cmd == mem::MemCmd::write ||
                           cmd == mem::MemCmd::bulkWrite;
@@ -128,7 +127,7 @@ Hierarchy::access(CpuId cpu, mem::MemCmd cmd, Addr paddr,
         line += lineSize;
     }
 
-    if (llcCache->stats().scalarValue("misses") > llc_misses_before) {
+    if (llcCache->missCount() > llc_misses_before) {
         result.llcMiss = true;
         ++llcMisses;
     }

@@ -202,10 +202,11 @@ HsccEngine::scanLeaves(
 {
     const std::uint64_t span =
         std::uint64_t(1) << (pageShift + level * cpu::ptIndexBits);
-    auto &mem = kernel.kmem().mem();
+    os::PageTableManager::TableEntries entries;
+    kernel.pageTables().readTable(table, entries);
     for (unsigned i = 0; i < cpu::ptEntriesPerPage; ++i) {
         const Addr entry_addr = table + i * cpu::ptEntrySize;
-        const Pte pte{mem.readT<std::uint64_t>(entry_addr)};
+        const Pte pte{entries[i]};
         if (!pte.present())
             continue;
         const Addr va = va_base + i * span;

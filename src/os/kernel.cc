@@ -726,6 +726,8 @@ Kernel::sysMunmap(Process &proc, Addr addr, std::uint64_t length)
     length = roundUp(length, pageSize);
     const AddrRange range(roundDown(addr, pageSize),
                           roundDown(addr, pageSize) + length);
+    for (auto *l : listeners)
+        l->onVmaChanging(proc);
     auto removed = proc.aspace.removeRange(range);
     for (const Vma &piece : removed) {
         unmapPages(proc, piece);
@@ -815,6 +817,8 @@ Kernel::sysMprotect(Process &proc, Addr addr, std::uint64_t length,
     length = roundUp(length, pageSize);
     const AddrRange range(roundDown(addr, pageSize),
                           roundDown(addr, pageSize) + length);
+    for (auto *l : listeners)
+        l->onVmaChanging(proc);
     auto affected = proc.aspace.protectRange(range, prot);
     for (const Vma &piece : affected) {
         // Update the writable bit of every mapped page.

@@ -294,17 +294,14 @@ class Kernel : public cpu::FaultHandler
     }
 
     /** Live (non-zombie) processes right now — the telemetry
-     *  sampler's tenant-population channel and the fleet driver's
-     *  respawn trigger. */
+     *  sampler's tenant-population channel, the fleet driver's
+     *  respawn trigger and the checkpoint's clean-skip count.  O(1):
+     *  exitProcess() is the only way into the zombie state and counts
+     *  each process once; reapExited() erases exactly the counted. */
     unsigned
     liveProcessCount() const
     {
-        unsigned n = 0;
-        for (const auto &proc : procs) {
-            if (proc->state != ProcState::zombie)
-                ++n;
-        }
-        return n;
+        return static_cast<unsigned>(procs.size()) - zombieCount;
     }
 
     /** User pages resident across all live processes right now. */
@@ -504,7 +501,8 @@ class Kernel : public cpu::FaultHandler
     /** pid → PCB for O(1) findProcess at fleet scale; zombies stay
      *  indexed until reaped, matching the linear scan's behaviour. */
     std::unordered_map<Pid, Process *> pidIndex;
-    /** Zombies awaiting an epoch-boundary reap (reapZombies mode). */
+    /** Zombies in `procs`: awaiting an epoch-boundary reap in
+     *  reapZombies mode, kept for good otherwise. */
     unsigned zombieCount = 0;
 
     std::vector<OsEventListener *> listeners;

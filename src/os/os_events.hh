@@ -43,6 +43,14 @@ class OsEventListener
         (void)vma;
     }
 
+    /**
+     * munmap or mprotect is about to change @p proc's VMAs.  Unlike
+     * the completion hooks above, this fires before the change, and so
+     * before the TLB shootdowns inside the syscall service the event
+     * queue (where, say, a checkpoint may run).
+     */
+    virtual void onVmaChanging(Process &proc) { (void)proc; }
+
     virtual void
     onFrameMapped(Process &proc, Addr vaddr, Addr frame, bool nvm)
     {

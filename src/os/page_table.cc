@@ -200,9 +200,11 @@ PageTableManager::walkRecurse(Addr table, unsigned level, Addr va_base,
     kmem.simulation().bump(kmem.mem().submit(
         {mem::MemCmd::bulkRead, table, pageSize},
         kmem.simulation().now()));
+    TableEntries entries;
+    readTable(table, entries);
     for (unsigned i = 0; i < ptEntriesPerPage; ++i) {
         const Addr entry_addr = table + i * ptEntrySize;
-        Pte pte{kmem.mem().readT<std::uint64_t>(entry_addr)};
+        const Pte pte{entries[i]};
         if (!pte.present())
             continue;
         const Addr va = va_base + i * span;
@@ -241,12 +243,33 @@ PageTableManager::teardown(Addr root)
 }
 
 void
+PageTableManager::readTable(Addr table, TableEntries &entries) const
+{
+    const mem::HybridMemory &memory = kmem.mem();
+    // ECC counts one demand read per load.  Keep one load per entry on
+    // a page with a faulty line, so its correction and damage counters
+    // tick exactly as entry-wise loads tick them.
+    bool faulty = false;
+    if (const mem::NvmMediaModel *media = memory.media()) {
+        media->forEachFaultyLine(AddrRange::withSize(table, pageSize),
+                                 [&](Addr, unsigned) { faulty = true; });
+    }
+    if (!faulty) {
+        memory.readData(table, entries.data(), pageSize);
+        return;
+    }
+    for (unsigned i = 0; i < ptEntriesPerPage; ++i)
+        entries[i] = memory.readT<std::uint64_t>(table + i * ptEntrySize);
+}
+
+void
 PageTableManager::adoptRecurse(Addr table, unsigned level)
 {
     unsigned present = 0;
+    TableEntries entries;
+    readTable(table, entries);
     for (unsigned i = 0; i < ptEntriesPerPage; ++i) {
-        const Pte pte{kmem.mem().readT<std::uint64_t>(
-            table + i * ptEntrySize)};
+        const Pte pte{entries[i]};
         if (!pte.present())
             continue;
         ++present;

@@ -16,6 +16,7 @@
 #ifndef KINDLE_OS_PAGE_TABLE_HH
 #define KINDLE_OS_PAGE_TABLE_HH
 
+#include <array>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -99,8 +100,20 @@ class PageTableManager
     using LeafVisitor =
         std::function<void(Addr, cpu::Pte, Addr)>;
 
-    /** Traverse every present leaf (software walk with timing). */
+    /** Traverse every present leaf (software walk with timing).  Each
+     *  table page is read once before its entries are visited, so @p fn
+     *  must not store to the tables being walked. */
     void forEachLeaf(Addr root, const LeafVisitor &fn);
+
+    /** The raw entries of one table page. */
+    using TableEntries = std::array<std::uint64_t, cpu::ptEntriesPerPage>;
+
+    /**
+     * Functional read of the whole table page at @p table (no timing):
+     * the values 512 single-entry loads would return, including
+     * not-yet-durable stores to NVM-hosted tables.
+     */
+    void readTable(Addr table, TableEntries &entries) const;
 
     /** Free every table frame reachable from @p root. */
     void teardown(Addr root);

@@ -1,5 +1,7 @@
 #include "persist/checkpoint.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "base/trace_flags.hh"
 #include "cpu/pagetable_defs.hh"
@@ -9,31 +11,6 @@
 
 namespace kindle::persist
 {
-
-namespace
-{
-
-/** Field-wise equality (SavedContext has padding; memcmp would read
- *  indeterminate bytes).  Only the populated VMA prefix matters. */
-bool
-sameContext(const SavedContext &a, const SavedContext &b)
-{
-    if (!(a.regs == b.regs) || a.vmaCount != b.vmaCount ||
-        a.faseActive != b.faseActive) {
-        return false;
-    }
-    for (std::uint32_t i = 0; i < a.vmaCount; ++i) {
-        const SerializedVma &x = a.vmas[i];
-        const SerializedVma &y = b.vmas[i];
-        if (x.start != y.start || x.end != y.end || x.prot != y.prot ||
-            x.nvm != y.nvm || x.areaId != y.areaId) {
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
 
 PersistDomain::PersistDomain(const PersistParams &params,
                              os::Kernel &kernel_arg)
@@ -56,6 +33,7 @@ PersistDomain::PersistDomain(const PersistParams &params,
     const os::NvmLayout &layout = kernel.nvmLayout();
     slots.resize(layout.procSlots);
     incState.resize(layout.procSlots);
+    listedPid.resize(layout.procSlots, 0);
     const std::uint64_t half = layout.redoLogBytes / 2;
     metaLog = std::make_unique<RedoLog>(kernel.kmem(), layout.redoLog,
                                         half, "redoLog");
@@ -103,10 +81,12 @@ PersistDomain::start()
     if (ptPolicy)
         kernel.setPtWritePolicy(ptPolicy.get());
 
-    // Adopt restored processes, initialize slots for fresh ones.
+    // Adopt restored processes, initialize slots for fresh ones.  None
+    // has been swept by this domain yet, so all start out dirty.
     for (const auto &proc : kernel.processes()) {
         if (proc->state == os::ProcState::zombie)
             continue;
+        markDirty(*proc);
         SavedStateSlot &slot = slotFor(*proc);
         if (proc->restored) {
             slot.readHeader();
@@ -216,8 +196,18 @@ PersistDomain::scheduleNext()
 }
 
 void
+PersistDomain::markDirty(const os::Process &proc)
+{
+    if (!_params.skipCleanProcesses || listedPid[proc.slot] == proc.pid)
+        return;
+    listedPid[proc.slot] = proc.pid;
+    dirtyPids.push_back(proc.pid);
+}
+
+void
 PersistDomain::onProcessCreated(os::Process &proc)
 {
+    markDirty(proc);
     incState[proc.slot].reset();
     SavedStateSlot &slot = slotFor(proc);
     slot.initialize(proc.pid, proc.name, _params.scheme);
@@ -245,6 +235,7 @@ PersistDomain::onProcessExit(os::Process &proc)
 void
 PersistDomain::onVmaAdded(os::Process &proc, const os::Vma &vma)
 {
+    markDirty(proc);
     RedoRecord rec;
     rec.type = RedoType::vmaAdded;
     rec.pid = proc.pid;
@@ -259,6 +250,7 @@ PersistDomain::onVmaAdded(os::Process &proc, const os::Vma &vma)
 void
 PersistDomain::onVmaRemoved(os::Process &proc, const os::Vma &vma)
 {
+    markDirty(proc);
     RedoRecord rec;
     rec.type = RedoType::vmaRemoved;
     rec.pid = proc.pid;
@@ -269,8 +261,15 @@ PersistDomain::onVmaRemoved(os::Process &proc, const os::Vma &vma)
 }
 
 void
+PersistDomain::onVmaChanging(os::Process &proc)
+{
+    markDirty(proc);
+}
+
+void
 PersistDomain::onFaseStart(os::Process &proc)
 {
+    markDirty(proc);
     RedoRecord rec;
     rec.type = RedoType::faseMark;
     rec.pid = proc.pid;
@@ -282,12 +281,24 @@ PersistDomain::onFaseStart(os::Process &proc)
 void
 PersistDomain::onFaseEnd(os::Process &proc)
 {
+    markDirty(proc);
     RedoRecord rec;
     rec.type = RedoType::faseMark;
     rec.pid = proc.pid;
     rec.a = 0;
     metaLog->append(rec);
     ++redoRecords;
+}
+
+void
+PersistDomain::onContextSwitch(os::Process *from, os::Process *to)
+{
+    // The incoming process is about to run.  The outgoing one is
+    // already listed: it was switched in since the last checkpoint, or
+    // it was resident when that checkpoint ended.
+    (void)from;
+    if (to)
+        markDirty(*to);
 }
 
 void
@@ -422,6 +433,7 @@ PersistDomain::onFrameMapped(os::Process &proc, Addr vaddr, Addr frame,
     // Clean-skip tracking is scheme-independent: reclaim can demote an
     // idle process's pages without its context ever changing, and the
     // next sweep must not skip it.
+    markDirty(proc);
     incState[proc.slot].mapDirty = true;
     if (_params.scheme != PtScheme::rebuild ||
         !_params.incrementalMappingList) {
@@ -438,6 +450,7 @@ PersistDomain::onFrameUnmapped(os::Process &proc, Addr vaddr,
     (void)frame;
     if (!nvm)
         return;
+    markDirty(proc);
     incState[proc.slot].mapDirty = true;
     if (_params.scheme != PtScheme::rebuild ||
         !_params.incrementalMappingList) {
@@ -465,6 +478,20 @@ PersistDomain::onFrameRetired(os::Process *proc, Addr vaddr,
 }
 
 void
+PersistDomain::addSweepItem(os::Process &proc)
+{
+    SweepItem &item = sweep.emplace_back();
+    item.proc = &proc;
+    item.ctx = SavedStateSlot::snapshot(proc, kernel.contextOf(proc));
+    item.clean = false;
+    if (_params.skipCleanProcesses) {
+        const IncState &st = incState[proc.slot];
+        item.clean = st.ctxValid && !st.mapDirty && st.pending.empty() &&
+                     sameContext(st.lastCtx, item.ctx);
+    }
+}
+
+void
 PersistDomain::checkpointNow()
 {
     KINDLE_PROF_SCOPE(ckpt);
@@ -486,34 +513,37 @@ PersistDomain::checkpointNow()
     // agreeing.
     KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt");
 
-    // Snapshot every live context once (host-side; the simulated cost
+    // Snapshot every swept context once (host-side; the simulated cost
     // is charged when the slot is written).  The clean-skip decision,
     // the CPU-state log and the per-process sweep all reuse it.  A
     // process is clean when its serialized context is bit-identical to
     // what its last sweep committed and no NVM mapping changed in the
     // interval — nothing about its durable image can differ, so both
     // the redo append and the slot sweep are pure media traffic.
-    struct SweepItem
-    {
-        os::Process *proc;
-        SavedContext ctx;
-        bool clean;
-    };
-    std::vector<SweepItem> sweep;
-    for (const auto &proc : kernel.processes()) {
-        if (proc->state == os::ProcState::zombie)
-            continue;
-        SweepItem item{proc.get(),
-                       SavedStateSlot::snapshot(
-                           *proc, kernel.contextOf(*proc)),
-                       false};
-        if (_params.skipCleanProcesses) {
-            const IncState &st = incState[proc->slot];
-            item.clean = st.ctxValid && !st.mapDirty &&
-                         st.pending.empty() &&
-                         sameContext(st.lastCtx, item.ctx);
+    sweep.clear();
+    if (_params.skipCleanProcesses) {
+        // Only listed processes can have changed; every other live
+        // process is clean by construction and is skipped unvisited.
+        // Pids are assigned in creation order and reaping is stable,
+        // so pid order is processes() order: records and slot writes
+        // land exactly as a full sweep would issue them.
+        std::sort(dirtyPids.begin(), dirtyPids.end());
+        for (const Pid pid : dirtyPids) {
+            os::Process *proc = kernel.findProcess(pid);
+            if (!proc)
+                continue;  // reaped; its stale mark never matches again
+            listedPid[proc->slot] = 0;
+            if (proc->state != os::ProcState::zombie)
+                addSweepItem(*proc);
         }
-        sweep.push_back(std::move(item));
+        dirtyPids.clear();
+        *cleanSkips += static_cast<double>(kernel.liveProcessCount() -
+                                           sweep.size());
+    } else {
+        for (const auto &proc : kernel.processes()) {
+            if (proc->state != os::ProcState::zombie)
+                addSweepItem(*proc);
+        }
     }
 
     // Log the CPU state of every swept process, then apply the full
@@ -545,6 +575,14 @@ PersistDomain::checkpointNow()
             continue;
         }
         checkpointProcess(*item.proc, item.ctx);
+    }
+
+    // A process resident on a core can keep executing past this
+    // checkpoint without another switch event (it is re-picked at
+    // slice end), so it is dirty for the next one.
+    for (CpuId c = 0; c < kernel.numCores(); ++c) {
+        if (const os::Process *occupant = kernel.runningOn(c))
+            markDirty(*occupant);
     }
 
     if (backpressure || compactNext) {

@@ -61,8 +61,17 @@ struct PersistParams
      * cores) the unconditional sweep writes O(population) NVM lines
      * per checkpoint and saturates the media with flush traffic; with
      * the skip the sweep cost tracks the set of processes that
-     * actually ran.  Off by default so default-config output stays
-     * byte-identical.
+     * actually ran.  The sweep does not even visit the rest: a dirty
+     * set lists every process a kernel hook touched (creation,
+     * switch-in, VMA add/remove and the munmap/mprotect pre-change
+     * hook, NVM map/unmap, FASE marks) plus every core's resident
+     * occupant at the end of each checkpoint, since an occupant can
+     * keep executing without another switch.  Soundness rule: a
+     * process changes only while it executes, or after a hook that
+     * lists it and before the next event-queue service point (where a
+     * checkpoint can run).  So a process outside the set cannot have
+     * changed, and a checkpoint costs O(dirty), not O(population).
+     * Off by default so default-config output stays byte-identical.
      */
     bool skipCleanProcesses = false;
 };
@@ -131,6 +140,7 @@ class PersistDomain : public os::OsEventListener
     void onProcessExit(os::Process &proc) override;
     void onVmaAdded(os::Process &proc, const os::Vma &vma) override;
     void onVmaRemoved(os::Process &proc, const os::Vma &vma) override;
+    void onVmaChanging(os::Process &proc) override;
     void onFrameMapped(os::Process &proc, Addr vaddr, Addr frame,
                        bool nvm) override;
     void onFrameUnmapped(os::Process &proc, Addr vaddr, Addr frame,
@@ -139,6 +149,7 @@ class PersistDomain : public os::OsEventListener
                         Addr new_frame) override;
     void onFaseStart(os::Process &proc) override;
     void onFaseEnd(os::Process &proc) override;
+    void onContextSwitch(os::Process *from, os::Process *to) override;
     /// @}
 
     statistics::StatGroup &stats() { return statGroup; }
@@ -194,9 +205,21 @@ class PersistDomain : public os::OsEventListener
         }
     };
 
+    /** One process visited by a checkpoint sweep. */
+    struct SweepItem
+    {
+        os::Process *proc;
+        SavedContext ctx;
+        bool clean;
+    };
+
     void scheduleNext();
     void armPressureStats();
     void compactSlots();
+    /** List @p proc in the dirty set (skipCleanProcesses only). */
+    void markDirty(const os::Process &proc);
+    /** Snapshot @p proc into the sweep buffer and classify it. */
+    void addSweepItem(os::Process &proc);
     SavedStateSlot &slotFor(const os::Process &proc);
     void checkpointProcess(os::Process &proc, const SavedContext &ctx);
     void updateMappingListFull(os::Process &proc,
@@ -213,6 +236,17 @@ class PersistDomain : public os::OsEventListener
      *  fleet-scale layout gets a fleet-scale slot table. */
     std::vector<std::optional<SavedStateSlot>> slots;
     std::vector<IncState> incState;
+
+    /** Dirty set: pids that may have changed since their last sweep,
+     *  each listed once.  Exited or reaped pids go stale in place and
+     *  are dropped when the next checkpoint looks them up. */
+    std::vector<Pid> dirtyPids;
+    /** Per slot: the pid listed from it, 0 for none.  Keyed by pid,
+     *  not by slot alone, so a slot reused by a new process is listed
+     *  afresh even while its exited predecessor is still listed. */
+    std::vector<Pid> listedPid;
+    /** Per-checkpoint sweep buffer, reused to keep its capacity. */
+    std::vector<SweepItem> sweep;
 
     CkptEvent event;
     bool started = false;

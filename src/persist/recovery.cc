@@ -35,10 +35,11 @@ collectPtFrames(os::Kernel &kernel, Addr table, unsigned level,
         ++dangling;
         return;
     }
-    auto &mem = kernel.kmem().mem();
+    const auto &mem = kernel.kmem().mem();
+    os::PageTableManager::TableEntries entries;
+    kernel.pageTables().readTable(table, entries);
     for (unsigned i = 0; i < cpu::ptEntriesPerPage; ++i) {
-        const cpu::Pte pte{mem.readT<std::uint64_t>(
-            table + i * cpu::ptEntrySize)};
+        const cpu::Pte pte{entries[i]};
         if (!pte.present())
             continue;
         if (level == 0) {

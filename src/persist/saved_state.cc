@@ -278,6 +278,24 @@ SavedStateSlot::readMappingList(const SlotHeader &hdr)
     return out;
 }
 
+bool
+sameContext(const SavedContext &a, const SavedContext &b)
+{
+    if (!(a.regs == b.regs) || a.vmaCount != b.vmaCount ||
+        a.faseActive != b.faseActive) {
+        return false;
+    }
+    for (std::uint32_t i = 0; i < a.vmaCount; ++i) {
+        const SerializedVma &x = a.vmas[i];
+        const SerializedVma &y = b.vmas[i];
+        if (x.start != y.start || x.end != y.end || x.prot != y.prot ||
+            x.nvm != y.nvm || x.areaId != y.areaId) {
+            return false;
+        }
+    }
+    return true;
+}
+
 SavedContext
 SavedStateSlot::snapshot(const os::Process &proc,
                          const cpu::CpuState &regs)

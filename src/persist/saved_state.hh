@@ -67,6 +67,11 @@ struct SavedContext
     std::array<SerializedVma, maxVmasPerContext> vmas{};
 };
 
+/** Field-wise equality of the serialized state: registers, FASE flag
+ *  and the populated VMA prefix (padding and the checksum field are
+ *  not compared; memcmp would read indeterminate bytes). */
+bool sameContext(const SavedContext &a, const SavedContext &b);
+
 /**
  * Slot header; one durable line.  checksum is FNV-1a over the header
  * with the checksum field zeroed; generation counts commits so an

@@ -20,6 +20,8 @@
 #include "base/stats.hh"
 #include "fleet/fleet.hh"
 #include "kindle/kindle.hh"
+#include "kindle/microbench.hh"
+#include "persist/saved_state.hh"
 #include "runner/fleet_scenario.hh"
 
 namespace kindle
@@ -218,6 +220,157 @@ TEST(FleetTest, PressuredFleetDrivesReclaimAndOomAcrossManySlots)
     // proportional to the tenants that actually progressed.
     EXPECT_GT(snap.getOr("persist.checkpoints", 0), 0.0);
     EXPECT_GT(snap.getOr("persist.cleanSkips", 0), 0.0);
+}
+
+/**
+ * Soundness audit of the clean-skip sweep, which visits only the
+ * processes a kernel hook listed plus core occupants.  At every
+ * completed checkpoint, each live process's durable context and
+ * mapping list must equal its live state, and every live process must
+ * have been either swept or skipped as clean.
+ */
+struct DurableImageAudit
+{
+    explicit DurableImageAudit(KindleSystem &sys_arg)
+        : sys(sys_arg),
+          skips(sys.persistence()->stats().scalarValue("cleanSkips")),
+          sweeps(sys.injector().hitsOf("ckpt.after_commit"))
+    {
+        sys.injector().setObserver(
+            [this](const std::string &name, std::uint64_t) {
+                if (name == "ckpt.complete")
+                    check();
+            });
+    }
+
+    void
+    check()
+    {
+        os::Kernel &kernel = sys.kernel();
+        const double now_skips =
+            sys.persistence()->stats().scalarValue("cleanSkips");
+        const std::uint64_t now_sweeps =
+            sys.injector().hitsOf("ckpt.after_commit");
+        EXPECT_EQ(static_cast<double>(now_sweeps - sweeps) +
+                      (now_skips - skips),
+                  static_cast<double>(kernel.liveProcessCount()));
+        skips = now_skips;
+        sweeps = now_sweeps;
+        for (const auto &proc : kernel.processes()) {
+            if (proc->state == os::ProcState::zombie)
+                continue;
+            persist::SavedStateSlot probe(kernel.kmem(),
+                                          kernel.nvmLayout(), proc->slot);
+            const persist::SlotHeader hdr = probe.readHeader();
+            ASSERT_EQ(hdr.pid, proc->pid);
+            persist::SavedContext durable;
+            ASSERT_EQ(probe.readConsistentContext(hdr, durable),
+                      persist::ImageStatus::ok);
+            EXPECT_TRUE(persist::sameContext(
+                durable, persist::SavedStateSlot::snapshot(
+                             *proc, kernel.contextOf(*proc))))
+                << "pid " << proc->pid << " checkpoint " << checked;
+
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> list,
+                walked;
+            for (const auto &m : probe.readMappingList(hdr))
+                list.emplace_back(m.vpn, m.pfn);
+            kernel.pageTables().forEachLeaf(
+                proc->ptRoot, [&](Addr va, cpu::Pte pte, Addr) {
+                    if (pte.nvmBacked())
+                        walked.emplace_back(cpu::vpnOf(va), pte.pfn());
+                });
+            std::sort(list.begin(), list.end());
+            EXPECT_EQ(list, walked) << "pid " << proc->pid;
+        }
+        ++checked;
+    }
+
+    KindleSystem &sys;
+    unsigned checked = 0;
+    double skips = 0;
+    std::uint64_t sweeps = 0;
+};
+
+TEST(FleetTest, DirtySetCheckpointsMatchEveryLiveProcess)
+{
+    // A churning, pressured 4-core fleet: switches, exits, OOM kills,
+    // reclaim demotions and respawns into reused slots all between
+    // checkpoints.
+    runner::FleetOptions opts;
+    opts.params.tenants = 48;
+    opts.params.churnSpawns = 16;
+    opts.params.requestsPerTenant = 64;
+    runner::Scenario sc =
+        runner::makeFleetScenario("t", {}, opts, 4);
+    ASSERT_TRUE(sc.config.persistence.has_value());
+    ASSERT_TRUE(sc.config.persistence->skipCleanProcesses);
+    ASSERT_TRUE(sc.config.pressure.has_value());
+    sc.config.pressure->dramZoneFrames = opts.params.tenants * 5;
+    sc.config.pressure->nvmZoneFrames = opts.params.tenants * 6;
+
+    KindleSystem sys(sc.config);
+    DurableImageAudit audit(sys);
+    statistics::StatSnapshot extra;
+    sc.drive(sys, extra);
+
+    EXPECT_GT(audit.checked, 10u);
+    EXPECT_GT(audit.skips, 0.0);
+    EXPECT_TRUE(sys.kernel().stats().hasScalar("oomKills"));
+}
+
+TEST(FleetTest, DirtySetSweepsOccupantThatIsNeverSwitchedOut)
+{
+    // A lone process is re-picked at every slice end, so after its
+    // first switch-in no hook ever fires for it again; only the
+    // resident-occupant rule keeps its checkpoints current.
+    KindleConfig cfg;
+    cfg.memory.dramBytes = 256 * oneMiB;
+    cfg.memory.nvmBytes = 256 * oneMiB;
+    cfg.persistence = persist::PersistParams{persist::PtScheme::rebuild,
+                                             oneMs};
+    cfg.persistence->skipCleanProcesses = true;
+    KindleSystem sys(cfg);
+    DurableImageAudit audit(sys);
+    micro::ScriptBuilder b;
+    b.mmapFixed(micro::scriptBase, 16 * pageSize, true);
+    for (int i = 0; i < 40; ++i) {
+        b.touchPages(micro::scriptBase, 16 * pageSize);
+        b.compute(500000);
+    }
+    b.exit();
+    sys.run(b.build(), "lone");
+
+    EXPECT_GT(audit.checked, 5u);
+    EXPECT_EQ(sys.kernel().stats().scalarValue("contextSwitches"), 1);
+}
+
+TEST(FleetTest, DirtySetCoversTeardownInterruptedByCheckpoint)
+{
+    // An OOM-style kill tears down a process that is not running.
+    // munmap removes its VMA first and then services the event queue
+    // in the TLB shootdown, before onVmaRemoved fires; a checkpoint
+    // due at that point must still see the process as dirty.
+    KindleConfig cfg;
+    cfg.numCores = 2;
+    cfg.memory.dramBytes = 256 * oneMiB;
+    cfg.memory.nvmBytes = 256 * oneMiB;
+    cfg.persistence = persist::PersistParams{persist::PtScheme::rebuild,
+                                             oneSec};
+    cfg.persistence->skipCleanProcesses = true;
+    KindleSystem sys(cfg);
+    os::Kernel &kernel = sys.kernel();
+    os::Process &victim = kernel.spawnShell("victim", 3);
+    kernel.sysMmap(victim, micro::scriptBase, 4 * pageSize, 0);
+    persist::PersistDomain &persist = *sys.persistence();
+    persist.checkpointNow();
+    persist.checkpointNow();
+    ASSERT_EQ(persist.stats().scalarValue("cleanSkips"), 1);
+
+    DurableImageAudit audit(sys);
+    persist.requestEarlyCheckpoint();
+    kernel.exitProcess(victim);
+    EXPECT_EQ(audit.checked, 1u);
 }
 
 } // namespace

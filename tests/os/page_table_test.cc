@@ -11,16 +11,23 @@ namespace
 
 struct Rig
 {
-    Rig()
-        : memory([] {
+    /** Tables in DRAM, or in NVM under @p media when @p nvm_tables. */
+    explicit Rig(bool nvm_tables = false,
+                 const fault::MediaFaultPlan &media = {})
+        : memory([&] {
               mem::HybridMemoryParams p;
               p.dramBytes = 128 * oneMiB;
               p.nvmBytes = 64 * oneMiB;
+              p.media = media;
               return p;
           }()),
           hier(cache::HierarchyParams{}, memory),
           kmem(sim, memory, hier),
-          alloc("tables", AddrRange(oneMiB, 64 * oneMiB), kmem),
+          alloc("tables",
+                nvm_tables ? AddrRange::withSize(memory.nvmRange().start(),
+                                                 32 * oneMiB)
+                           : AddrRange(oneMiB, 64 * oneMiB),
+                kmem),
           plain(kmem),
           mgr(kmem, alloc, plain)
     {}
@@ -114,6 +121,26 @@ TEST(PageTableTest, ForEachLeafVisitsAllMappings)
         seen[va] = pte.frameAddr();
     });
     EXPECT_EQ(seen, expect);
+}
+
+TEST(PageTableTest, TableReadCountsEccLikeEntryLoads)
+{
+    // A walk reads each table page once, but the NVM media counters
+    // must end where 512 entry loads left them: a correctable line
+    // counts one demand correction per entry read from it.
+    fault::MediaFaultPlan media;
+    media.writeEndurance = std::uint64_t(1) << 40;  // model on, no wear
+    Rig rig(/*nvm_tables=*/true, media);
+    const Addr root = rig.mgr.newRoot();
+    rig.mgr.map(root, 0, 0x1000, true, true);
+    // The root's last line holds only absent (durably zeroed) entries.
+    rig.memory.media()->injectError(root + pageSize - lineSize, 1);
+    unsigned leaves = 0;
+    rig.mgr.forEachLeaf(root, [&](Addr, cpu::Pte, Addr) { ++leaves; });
+    EXPECT_EQ(leaves, 1u);
+    EXPECT_EQ(rig.memory.media()->stats().scalarValue(
+                  "demandCorrections"),
+              lineSize / cpu::ptEntrySize);
 }
 
 TEST(PageTableTest, WriteLeafUpdatesInPlace)

@@ -232,5 +232,52 @@ TEST(PressureTest, ResidentPagesPeaksWhileMapped)
     EXPECT_EQ(rig.kernel.findProcess(pid)->residentPages, 8u);
 }
 
+TEST(PressureTest, LiveProcessCountMatchesScanAcrossExitOomAndReap)
+{
+    // liveProcessCount() is a counter; it must agree with a scan of
+    // the process table through normal exit, an external kill (twice:
+    // the second is a no-op), an OOM kill, and zombie reaping.
+    KernelParams kp = pressured(64, 16);
+    kp.reapZombies = true;
+    Rig rig(kp);
+    auto scanned = [&] {
+        unsigned n = 0;
+        for (const auto &p : rig.kernel.processes())
+            n += p->state != ProcState::zombie ? 1 : 0;
+        return n;
+    };
+    rig.kernel.spawn(makeSleeper(32), "sleeper");
+    rig.kernel.spawn(makeToucher(48), "toucher");
+    const Pid victim = rig.kernel.spawn(makeSleeper(4), "victim");
+    micro::ScriptBuilder quick;
+    quick.compute(1000);
+    quick.exit();
+    rig.kernel.spawn(quick.build(), "quick");
+    EXPECT_EQ(rig.kernel.liveProcessCount(), 4u);
+
+    bool saw_zombie = false;
+    bool saw_reap = false;
+    std::size_t table = rig.kernel.processes().size();
+    for (int step = 0; step < 100000 && rig.kernel.liveProcessCount() > 0;
+         ++step) {
+        rig.kernel.runUntil(rig.sim.now() + 20 * oneUs);
+        if (step == 3) {
+            Process &p = *rig.kernel.findProcess(victim);
+            rig.kernel.exitProcess(p);
+            rig.kernel.exitProcess(p);
+        }
+        ASSERT_EQ(rig.kernel.liveProcessCount(), scanned());
+        saw_zombie |= rig.kernel.processes().size() >
+                      rig.kernel.liveProcessCount();
+        saw_reap |= rig.kernel.processes().size() < table;
+        table = rig.kernel.processes().size();
+    }
+    EXPECT_EQ(rig.kernel.liveProcessCount(), 0u);
+    ASSERT_TRUE(rig.kernel.stats().hasScalar("oomKills"));
+    EXPECT_GE(rig.kernel.stats().scalarValue("oomKills"), 1);
+    EXPECT_TRUE(saw_zombie);
+    EXPECT_TRUE(saw_reap);
+}
+
 } // namespace
 } // namespace kindle::os

@@ -144,6 +144,71 @@ TEST(CheckpointTest, ManualCheckpointWorks)
     EXPECT_EQ(sys.persistence()->checkpointsTaken(), 1u);
 }
 
+TEST(CheckpointTest, DemotionListsIdleProcessForNextSweep)
+{
+    // A shell that never runs gets no context switch, so under
+    // skipCleanProcesses only the NVM map hook of a demotion can put
+    // it back in the sweep.  The sweep must then publish its new
+    // mapping instead of counting it as a clean skip.
+    KindleConfig cfg = configWith(PtScheme::rebuild, oneSec);
+    cfg.persistence->skipCleanProcesses = true;
+    KindleSystem sys(cfg);
+    os::Kernel &kernel = sys.kernel();
+    PersistDomain &persist = *sys.persistence();
+    os::Process &idle = kernel.spawnShell("idle", 3);
+    const Addr va = kernel.sysMmap(idle, micro::scriptBase, pageSize, 0);
+    kernel.pageTables().map(idle.ptRoot, va,
+                            kernel.dramAllocator().alloc(), true, false);
+    auto skips = [&] {
+        return persist.stats().scalarValue("cleanSkips");
+    };
+
+    persist.checkpointNow();  // first sweep of a new process
+    EXPECT_EQ(skips(), 0);
+    persist.checkpointNow();  // nothing changed since
+    EXPECT_EQ(skips(), 1);
+
+    ASSERT_TRUE(kernel.demotePage(idle, va));
+    persist.checkpointNow();
+    EXPECT_EQ(skips(), 1);
+    SavedStateSlot probe(kernel.kmem(), kernel.nvmLayout(), idle.slot);
+    const auto list = probe.readMappingList(probe.readHeader());
+    ASSERT_EQ(list.size(), 1u);
+    EXPECT_EQ(list[0].vpn, cpu::vpnOf(va));
+    EXPECT_EQ(list[0].pfn,
+              kernel.pageTables().readLeaf(idle.ptRoot, va).pfn());
+}
+
+TEST(CheckpointTest, PersistentSchemeWalkSeesStoredUnflushedPte)
+{
+    // Walks read each table page once.  Under the persistent scheme
+    // the tables live in NVM, so that read must return a PTE that was
+    // stored but not yet written back, as entry-wise loads did.
+    KindleSystem sys(configWith(PtScheme::persistent, oneSec));
+    os::Kernel &kernel = sys.kernel();
+    os::Process &proc = kernel.spawnShell("walker", 3);
+    const Addr va = micro::scriptBase;
+    const Addr frame = kernel.nvmAllocator().alloc();
+    bool seen_unflushed = false;
+    sys.injector().setObserver([&](const std::string &name,
+                                   std::uint64_t) {
+        if (name != "pt.after_store")
+            return;
+        kernel.pageTables().forEachLeaf(
+            proc.ptRoot, [&](Addr leaf_va, cpu::Pte pte, Addr entry) {
+                std::uint64_t durable = 0;
+                sys.memory().readNvmDurable(entry, &durable,
+                                            sizeof(durable));
+                if (leaf_va == va && pte.frameAddr() == frame &&
+                    durable == 0) {
+                    seen_unflushed = true;
+                }
+            });
+    });
+    kernel.pageTables().map(proc.ptRoot, va, frame, true, true);
+    EXPECT_TRUE(seen_unflushed);
+}
+
 TEST(CheckpointTest, SchemeMismatchIsFatal)
 {
     setErrorsThrow(true);
