@@ -122,7 +122,7 @@ main(int argc, char **argv)
     const auto results = pool.run(scenarios);
     requireAllOk(results);
 
-    runner::BenchReport report("fleet_storm", opts.jobs);
+    runner::BenchReport report("fleet_storm", pool.jobs());
     if (std::getenv("KINDLE_FLEET_ALLSTATS")) {
         report.keepStatPrefixes({""});  // debugging: keep everything
     } else {
@@ -156,6 +156,6 @@ main(int argc, char **argv)
     }
     table.print();
 
-    printJsonFooter(report.writeJsonFile(), opts.jobs);
+    printJsonFooter(report.writeJsonFile(), pool.jobs());
     return 0;
 }

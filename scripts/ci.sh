@@ -38,40 +38,28 @@ cmake -B build-asan -S . -G Ninja \
 cmake --build build-asan -j "${JOBS}"
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 
-echo "=== Crash-recovery fuzz smoke (ASan/UBSan) ==="
-# A reduced deterministic sweep of the crash-point fuzzer: enough
-# points to cover every named site under both schemes, small enough
-# for a CI gate.  The harness exits non-zero on any unexplained
-# recovery divergence.  Run once clean and once with the NVM media
-# error model + patrol scrubber armed underneath the protocols.
-run_fuzz ./build-asan/bench/fuzz_crash_recovery --points 64
-run_fuzz ./build-asan/bench/fuzz_crash_recovery --points 64 --media-faults
-# The same sweep on a 4-core system: background mutator processes on
-# the extra cores widen the crash interleavings (shootdown IPIs and
-# runqueue state in flight at the crash point).
-run_fuzz ./build-asan/bench/fuzz_crash_recovery --points 64 --cores 4
-rm -f BENCH_fuzz_crash_recovery.json
-
-echo "=== Memory-pressure fuzz smoke (ASan/UBSan) ==="
-# The exhaustion fuzzer: shrunken zones, injected allocation failures,
-# watermark reclaim, and the OOM killer underneath the same crash-point
-# sweep.  Exits non-zero on any recovery divergence, any
-# non-idempotent second recovery, or if the pressured golden run fails
-# to actually exercise reclaim and the OOM path (mistuning tripwire).
-run_fuzz ./build-asan/bench/fuzz_pressure --points 64
-run_fuzz ./build-asan/bench/fuzz_pressure --points 64 --media-faults
-rm -f BENCH_fuzz_pressure.json
-
-echo "=== Core-loss fuzz smoke (ASan/UBSan) ==="
-# The CPU-fault fuzzer: seeded fail-stop/stall core faults, the IPI
-# ack-timeout/retry protocol, watchdog offlining, and recovery on the
-# degraded machine underneath the crash-point sweep — 45 points split
-# over the nine fault × variant buckets per scheme.  Exits non-zero on
-# any divergence, any non-idempotent recovery, or if a golden run
-# fails to exercise its bucket's protocol (offline / retry / reclaim
-# tripwires).
-run_fuzz ./build-asan/bench/fuzz_core_loss --points 45
-rm -f BENCH_fuzz_core_loss.json
+echo "=== Crash-point fuzz smoke (ASan/UBSan) ==="
+# Reduced deterministic sweeps of the fuzz driver: enough points to
+# cover every named site under both schemes, small enough for a CI
+# gate.  The driver exits non-zero on any recovery divergence, any
+# non-idempotent second recovery, or a golden run that fails to
+# exercise its fault planes (mistuning tripwires).  The plain sweep
+# runs on 1 and 4 cores (background mutators on the extra cores widen
+# the interleavings: shootdown IPIs and runqueue state in flight at
+# the crash point), then under each fault plane: NVM media errors +
+# patrol scrubber; memory pressure (shrunken zones, injected
+# allocation failures, reclaim, OOM); seeded core faults (fail-stop
+# and stall specs, IPI retry, watchdog offlining, recovery on the
+# degraded machine).
+run_fuzz ./build-asan/bench/fuzz --points 64
+run_fuzz ./build-asan/bench/fuzz --points 64 --faults media
+run_fuzz ./build-asan/bench/fuzz --points 64 --cores 4
+run_fuzz ./build-asan/bench/fuzz --points 64 --faults pressure
+run_fuzz ./build-asan/bench/fuzz --points 64 --faults pressure,media
+for FAULTS in core core,media core,pressure pressure,media,core; do
+    run_fuzz ./build-asan/bench/fuzz --points 15 --faults "${FAULTS}"
+done
+rm -f BENCH_fuzz.json
 
 echo "=== Fleet-storm smoke (ASan/UBSan) ==="
 # A reduced multi-tenant fleet (DESIGN.md §13) swept on 1 and 4
@@ -135,8 +123,7 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
         -DCMAKE_CXX_FLAGS="-fsanitize=thread"
     cmake --build build-tsan -j "${JOBS}" \
         --target test_runner test_fault test_persist test_trace \
-        fig4a_seq_alloc ablation_multiprocess fuzz_pressure \
-        fuzz_core_loss fleet_storm
+        fig4a_seq_alloc ablation_multiprocess fuzz fleet_storm
     # The runner tests exercise every cross-thread path: the work
     # queue, result placement, and the shared trace-flag/error-mode
     # globals that concurrent KindleSystem instances touch.
@@ -193,18 +180,20 @@ PY
     # pressure subsystem sees.  Single simulation thread, but the
     # sweep shares injector routing and trace globals with any
     # concurrent system, so TSan must stay quiet here too.
-    run_fuzz env KINDLE_FUZZ_POINTS=32 \
-        ./build-tsan/bench/fuzz_pressure --cores 4
-    rm -f BENCH_fuzz_pressure.json
+    run_fuzz ./build-tsan/bench/fuzz --points 32 --cores 4 \
+        --faults pressure
+    rm -f BENCH_fuzz.json
 
     echo "=== 4-core core-loss sweep under TSan ==="
     # Cores dying mid-protocol: IPI retries against a fail-stopped
     # target, watchdog offlining with runqueue re-placement, private
     # cache flushes through the directory — all riding the same
     # shared-global routing the sweep workers use.
-    run_fuzz env KINDLE_FUZZ_POINTS=18 \
-        ./build-tsan/bench/fuzz_core_loss --cores 4
-    rm -f BENCH_fuzz_core_loss.json
+    for FAULTS in core core,media core,pressure; do
+        run_fuzz ./build-tsan/bench/fuzz --points 6 --cores 4 \
+            --faults "${FAULTS}"
+    done
+    rm -f BENCH_fuzz.json
 
     echo "=== 4-core fleet storm under TSan ==="
     # The fleet sweep's two points run in concurrent workers: clean-

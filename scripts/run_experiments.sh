@@ -46,8 +46,9 @@ run ablation_incremental_ckpt
 run ablation_hscc_dynamic
 
 # Robustness audit: deterministic crash-point exploration with the
-# recovery oracle (KINDLE_FUZZ_POINTS / KINDLE_FUZZ_SEED override).
-run fuzz_crash_recovery
+# recovery oracle (the plain sweep; --faults media,pressure,core adds
+# fault planes underneath when run by hand).
+run fuzz
 
 ./build/bench/micro_mem | tee outputs/micro_mem.txt
 ./build/bench/micro_cache | tee outputs/micro_cache.txt

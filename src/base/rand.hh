@@ -4,10 +4,10 @@
  *
  * Random (xorshift64*) and ZipfianGenerator give every stochastic
  * component a deterministic stream, but the code that *derives* seeds
- * for substreams had grown ad hoc: the fuzz harnesses seeded per-point
- * plans with `base + index` (adjacent xorshift states are correlated),
- * and workload generators xor'ed magic constants.  This header is the
- * one home for that plumbing:
+ * for substreams had grown ad hoc: per-point fuzz plans seeded with
+ * `base + index` (adjacent xorshift states are correlated), and
+ * workload generators xor'ed magic constants.  This header is the one
+ * home for that plumbing:
  *
  *  - splitmix64(): the Steele et al. finalizer, the standard way to
  *    turn a counter into a decorrelated 64-bit seed;
@@ -18,8 +18,9 @@
  *  - WeightedPicker: seeded draw from a small discrete distribution
  *    (tenant size classes, request type mixes).
  *
- * The fleet workload generator (src/fleet) and the fuzz harnesses
- * (bench/fuzz_common.hh) both build on these.
+ * The fleet workload generator (src/fleet) and the fuzz driver
+ * (bench/fuzz.cc: per-point plan seeds, per-core-spec seed lanes)
+ * both build on these.
  */
 
 #ifndef KINDLE_BASE_RAND_HH

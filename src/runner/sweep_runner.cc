@@ -46,6 +46,17 @@ sanitizeName(const std::string &name)
 
 } // namespace
 
+void
+applyMachineOverrides(const Options &opts, KindleConfig &config)
+{
+    if (opts.cores > 1)
+        config.numCores = opts.cores;
+    if (opts.coreFault && !config.coreFault)
+        config.coreFault = opts.coreFault;
+    if (opts.ipiTimeout != 0)
+        config.kernel.ipiAckTimeout = opts.ipiTimeout;
+}
+
 std::string
 SweepRunner::routeFile(const std::string &base, const std::string &name,
                        bool solo, const char *suffix)
@@ -87,12 +98,7 @@ SweepRunner::runRouted(const Scenario &scenario,
 
     // The routing knobs override the scenario's own trace config.
     KindleConfig config = scenario.config;
-    if (_opts.cores > 1)
-        config.numCores = _opts.cores;
-    if (_opts.coreFault && !config.coreFault)
-        config.coreFault = _opts.coreFault;
-    if (_opts.ipiTimeout != 0)
-        config.kernel.ipiAckTimeout = _opts.ipiTimeout;
+    applyMachineOverrides(_opts, config);
     if (!trace_path.empty())
         config.trace.spans = true;
     if (!_opts.traceFlags.empty())

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "default_tree.hh"
 #include "kindle/kindle.hh"
 #include "kindle/microbench.hh"
 #include "os/kernel.hh"
@@ -310,6 +311,11 @@ TEST(CoreFaultStatsTest, NoCoreFaultStatsWithoutAPlan)
     EXPECT_FALSE(snap.has("kernel.affinityBroken"));
     EXPECT_FALSE(snap.has("kernel.ipiRetries"));
     EXPECT_FALSE(snap.has("kernel.ipiTimeouts"));
+}
+
+TEST(CoreFaultStatsTest, DefaultFourCoreTreeIsZeroCost)
+{
+    test::expectZeroCostDefaultTree(4);
 }
 
 TEST(CoreFaultStatsTest, ConfigPlanFlowsThroughKindleSystem)

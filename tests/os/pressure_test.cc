@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "default_tree.hh"
 #include "kindle/microbench.hh"
 #include "os/kernel.hh"
 #include "os/reclaim.hh"
@@ -109,6 +110,11 @@ TEST(PressureTest, UnpressuredKernelHasNoPressureMachinery)
     EXPECT_FALSE(
         rig.kernel.stats().hasScalar("enomemFaults"));
     EXPECT_FALSE(rig.kernel.stats().hasScalar("oomKills"));
+}
+
+TEST(PressureTest, DefaultSingleCoreTreeIsZeroCost)
+{
+    test::expectZeroCostDefaultTree(1);
 }
 
 TEST(PressureTest, ReclaimDemotesOffCoreColdPages)

@@ -110,5 +110,33 @@ TEST(SweepRunnerTest, MoreJobsThanScenariosIsFine)
     EXPECT_TRUE(results[0].ok) << results[0].error;
 }
 
+TEST(SweepRunnerTest, MachineOverridesApplyOutsideTheRunner)
+{
+    Options opts;
+    opts.cores = 4;
+    opts.ipiTimeout = 5 * oneUs;
+    opts.coreFault = parseCoreFaultSpec("1@2000000", "test");
+
+    KindleConfig plain;
+    applyMachineOverrides(opts, plain);
+    EXPECT_EQ(plain.numCores, 4u);
+    EXPECT_EQ(plain.kernel.ipiAckTimeout, 5 * oneUs);
+    ASSERT_TRUE(plain.coreFault);
+    EXPECT_EQ(plain.coreFault->faults.at(0).cpu, 1u);
+
+    // A scenario's own core-fault plan wins over --core-fail.
+    KindleConfig own;
+    own.coreFault = parseCoreFaultSpec("2#3", "test");
+    applyMachineOverrides(opts, own);
+    EXPECT_EQ(own.coreFault->faults.at(0).cpu, 2u);
+
+    // Defaults leave the config alone.
+    KindleConfig untouched;
+    untouched.numCores = 2;
+    applyMachineOverrides(Options{}, untouched);
+    EXPECT_EQ(untouched.numCores, 2u);
+    EXPECT_FALSE(untouched.coreFault);
+}
+
 } // namespace
 } // namespace kindle::runner
