@@ -3,13 +3,8 @@
  * Shared helpers for the paper-reproduction bench binaries.
  *
  * Every bench prints the corresponding paper table/figure as text so
- * runs can be diffed against EXPERIMENTS.md.  Two environment knobs
- * control fidelity:
- *
- *   KINDLE_SCALE  divides the byte-sized workload dimensions
- *                 (default 8; set 1 for the paper's full sizes),
- *   KINDLE_OPS    trace length for the workload-driven studies
- *                 (default 200000; paper: 10000000).
+ * runs can be diffed against EXPERIMENTS.md.  KINDLE_SCALE and
+ * KINDLE_OPS set the fidelity (README's knob table).
  */
 
 #ifndef KINDLE_BENCH_BENCH_UTIL_HH
@@ -47,16 +42,15 @@ printJsonFooter(const std::string &path, unsigned jobs)
                 path.c_str(), jobs);
 }
 
-/** Workload scale divisor from the environment. */
+/** Workload scale divisor from KINDLE_SCALE (unset or empty:
+ *  @p fallback; garbage or zero is fatal). */
 inline std::uint64_t
 scaleFromEnv(std::uint64_t fallback = 8)
 {
-    if (const char *env = std::getenv("KINDLE_SCALE")) {
-        const auto v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
-    }
-    return fallback;
+    const char *env = std::getenv("KINDLE_SCALE");
+    return env && *env
+               ? parseNumber(env, "KINDLE_SCALE", 1, ~std::uint64_t(0))
+               : fallback;
 }
 
 /** Print a rule + centered header naming the reproduced artifact. */

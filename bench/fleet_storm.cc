@@ -13,14 +13,8 @@
  * degraded MAP_NVM faults, OOM kills) works against the fleet's
  * aggregate demand.
  *
- * Flags (besides the common runner set — see --help):
- *   --tenants N     fleet size, default 1024 (KINDLE_FLEET_TENANTS)
- *   --churn N       replacement spawns       (KINDLE_FLEET_CHURN)
- *   --zipf THETA    key-popularity skew      (KINDLE_FLEET_ZIPF)
- *   --arrival A     poisson | bursty         (KINDLE_FLEET_ARRIVAL)
- *   --fleet-seed N  master seed              (KINDLE_FLEET_SEED)
- *   --requests N    requests per tenant      (KINDLE_FLEET_REQUESTS)
- *   --no-pressure   drop the pressure plan (pure checkpoint storm)
+ * The fleet's own flags (runner::fleetFlags) sit next to the common
+ * runner set; --help lists both.
  *
  * Deterministic: the same seed produces byte-identical
  * BENCH_fleet_storm.json apart from the wall_ms fields (which the CI
@@ -29,7 +23,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -84,11 +77,9 @@ selfCheckDeterminism(const runner::FleetOptions &base)
 int
 main(int argc, char **argv)
 {
-    std::vector<char *> pass_argv;
-    runner::FleetOptions fo =
-        runner::parseFleetOptions(argc, argv, pass_argv);
-    const auto opts = runner::parseOptions(
-        static_cast<int>(pass_argv.size()), pass_argv.data());
+    runner::FleetOptions fo;
+    const auto opts =
+        runner::parseOptions(argc, argv, {runner::fleetFlags(fo)});
 
     printHeader(
         "Fleet storm",
@@ -123,17 +114,13 @@ main(int argc, char **argv)
     requireAllOk(results);
 
     runner::BenchReport report("fleet_storm", pool.jobs());
-    if (std::getenv("KINDLE_FLEET_ALLSTATS")) {
-        report.keepStatPrefixes({""});  // debugging: keep everything
-    } else {
-        report.keepStatPrefixes(
-            {"fleet.", "kernel.oomKills", "kernel.oomPagesFreed",
-             "kernel.enomemFaults", "kernel.reclaim.",
-             "kernel.nvmDegradedAllocs", "kernel.contextSwitches",
-             "kernel.dramAlloc.", "kernel.nvmAlloc.",
-             "persist.checkpoints", "persist.earlyCheckpoints",
-             "persist.cleanSkips", "persist.slotsCompacted", "prof."});
-    }
+    report.keepStatPrefixes(
+        {"fleet.", "kernel.oomKills", "kernel.oomPagesFreed",
+         "kernel.enomemFaults", "kernel.reclaim.",
+         "kernel.nvmDegradedAllocs", "kernel.contextSwitches",
+         "kernel.dramAlloc.", "kernel.nvmAlloc.", "persist.checkpoints",
+         "persist.earlyCheckpoints", "persist.cleanSkips",
+         "persist.slotsCompacted", "prof."});
     report.add(results);
 
     TablePrinter table({"Cores", "Spawned", "Churn", "PeakLive",

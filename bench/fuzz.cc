@@ -48,18 +48,12 @@
  * demotion or OOM kill under pressure, no offline or IPI retry where
  * its core spec promises one).
  *
- * Flags (besides the common runner set, whose --cores sizes the
- * machine: N-1 background mutators join the foreground):
- *   --points N          crash points per scheme (default 128), split
- *                       over the core specs when the core plane is set
- *   --seed N            sweep seed (default 12345)
- *   --faults LIST       fault planes: media,pressure,core
- *   --filter STR        run only points whose name contains STR
- *   --force-divergence  count every point as an oracle divergence — a
- *                       self-test of the failure path
- *
- * The core plane runs 4 cores unless --cores names another width of
- * at least 3 (the specs target cores 1 and 2).
+ * The driver's flags (--points, --seed, --faults, --filter,
+ * --force-divergence) sit next to the common runner set; --help lists
+ * both.  The runner's --cores sizes the machine: N-1 background
+ * mutators join the foreground.  The core plane runs 4 cores unless
+ * --cores names another width of at least 3 (the specs target cores 1
+ * and 2).
  *
  * Every FAILED point prints a one-line `repro:` command that re-runs
  * just that point single-threaded, and dumps the system's flight
@@ -70,8 +64,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
@@ -109,8 +101,7 @@ struct Golden
     Oracle committed;
 };
 
-/** Driver-local flags, pre-parsed before runner::parseOptions (which
- *  is fatal on anything it does not recognize). */
+/** The driver's own knobs, on top of the common runner set. */
 struct FuzzOptions
 {
     std::uint64_t points = 128;
@@ -522,57 +513,41 @@ makeScenario(const FuzzOptions &fz, const Bucket &bucket,
     return sc;
 }
 
-/** "--flag V": the value of a driver flag; fatal when missing. */
-const char *
-flagValue(int &i, int argc, char **argv)
+runner::FlagTable
+fuzzFlags(FuzzOptions &fz)
 {
-    if (i + 1 >= argc)
-        kindle_fatal("{} needs a value", argv[i]);
-    return argv[++i];
-}
-
-/**
- * Split driver flags from the common runner ones.  The runner parser
- * is fatal on unknown flags, so everything it must not see is
- * consumed here and the remainder handed down via @p pass_argv.
- */
-FuzzOptions
-parseFuzzOptions(int argc, char **argv, std::vector<char *> &pass_argv)
-{
-    FuzzOptions fz;
-    pass_argv.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--points") == 0) {
-            fz.points = std::strtoull(flagValue(i, argc, argv),
-                                      nullptr, 10);
-            if (fz.points == 0)
-                kindle_fatal("--points must be positive");
-        } else if (std::strcmp(arg, "--seed") == 0) {
-            fz.seed = std::strtoull(flagValue(i, argc, argv), nullptr,
-                                    10);
-        } else if (std::strcmp(arg, "--faults") == 0) {
-            fz.faults = flagValue(i, argc, argv);
-            for (const auto &plane : split(fz.faults, ',')) {
-                if (plane == "media")
-                    fz.media = true;
-                else if (plane == "pressure")
-                    fz.pressure = true;
-                else if (plane == "core")
-                    fz.core = true;
-                else
-                    kindle_fatal("--faults: unknown plane '{}' (want "
-                                 "media, pressure, core)", plane);
-            }
-        } else if (std::strcmp(arg, "--filter") == 0) {
-            fz.filter = flagValue(i, argc, argv);
-        } else if (std::strcmp(arg, "--force-divergence") == 0) {
-            fz.forceDivergence = true;
-        } else {
-            pass_argv.push_back(argv[i]);
-        }
-    }
-    return fz;
+    return {"fuzz flags", {
+        {"--points", nullptr, "N",
+         "crash points per PT scheme, split over the core specs under "
+         "--faults core (default 128)",
+         runner::setNumber(fz.points, 1, ~std::uint64_t(0))},
+        {"--seed", nullptr, "N", "sweep seed (default 12345)",
+         runner::setNumber(fz.seed, 0, ~std::uint64_t(0))},
+        {"--faults", nullptr, "L",
+         "comma list of fault planes: media, pressure, core "
+         "(default none)",
+         [&fz](const char *v, const char *origin) {
+             fz.faults = v;
+             for (const auto &plane : split(fz.faults, ',')) {
+                 if (plane == "media")
+                     fz.media = true;
+                 else if (plane == "pressure")
+                     fz.pressure = true;
+                 else if (plane == "core")
+                     fz.core = true;
+                 else
+                     kindle_fatal("{}: unknown plane '{}' (want media, "
+                                  "pressure, core)", origin, plane);
+             }
+         }},
+        {"--filter", nullptr, "S",
+         "run only points whose name contains S",
+         runner::setText(fz.filter)},
+        {"--force-divergence", nullptr, nullptr,
+         "count every point as an oracle divergence: a self-test of "
+         "the failure path",
+         runner::setSwitch(fz.forceDivergence)},
+    }};
 }
 
 /** The exact command line that re-runs one point alone. */
@@ -598,10 +573,8 @@ reproCommand(const char *argv0, const FuzzOptions &fz, unsigned cores,
 int
 main(int argc, char **argv)
 {
-    std::vector<char *> pass_argv;
-    const FuzzOptions fz = parseFuzzOptions(argc, argv, pass_argv);
-    const auto opts = runner::parseOptions(
-        static_cast<int>(pass_argv.size()), pass_argv.data());
+    FuzzOptions fz;
+    const auto opts = runner::parseOptions(argc, argv, {fuzzFlags(fz)});
 
     unsigned cores = opts.cores;
     if (fz.core) {

@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 JOBS=${JOBS:-$(nproc)}
 ARTIFACTS=${CI_ARTIFACTS:-ci-artifacts}
 
-# Run a fuzz harness; on failure, sweep its FLIGHT_*.json flight
+# Run a fuzz sweep; on failure, sweep its FLIGHT_*.json flight
 # recorder dumps into ${ARTIFACTS}/ so the divergence timeline
 # survives the CI run, then fail the gate.
 run_fuzz() {
@@ -36,30 +36,16 @@ cmake -B build-asan -S . -G Ninja \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build build-asan -j "${JOBS}"
-ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
-
-echo "=== Crash-point fuzz smoke (ASan/UBSan) ==="
-# Reduced deterministic sweeps of the fuzz driver: enough points to
-# cover every named site under both schemes, small enough for a CI
-# gate.  The driver exits non-zero on any recovery divergence, any
-# non-idempotent second recovery, or a golden run that fails to
-# exercise its fault planes (mistuning tripwires).  The plain sweep
-# runs on 1 and 4 cores (background mutators on the extra cores widen
-# the interleavings: shootdown IPIs and runqueue state in flight at
-# the crash point), then under each fault plane: NVM media errors +
-# patrol scrubber; memory pressure (shrunken zones, injected
-# allocation failures, reclaim, OOM); seeded core faults (fail-stop
-# and stall specs, IPI retry, watchdog offlining, recovery on the
-# degraded machine).
-run_fuzz ./build-asan/bench/fuzz --points 64
-run_fuzz ./build-asan/bench/fuzz --points 64 --faults media
-run_fuzz ./build-asan/bench/fuzz --points 64 --cores 4
-run_fuzz ./build-asan/bench/fuzz --points 64 --faults pressure
-run_fuzz ./build-asan/bench/fuzz --points 64 --faults pressure,media
-for FAULTS in core core,media core,pressure pressure,media,core; do
-    run_fuzz ./build-asan/bench/fuzz --points 15 --faults "${FAULTS}"
-done
-rm -f BENCH_fuzz.json
+# The suite includes one fuzz-driver sweep per fault-plane set (the
+# fuzz.* tests in bench/CMakeLists.txt).  On failure, keep the flight
+# recorder dumps its failed points left in their test directories.
+if ! ctest --test-dir build-asan --output-on-failure -j "${JOBS}"; then
+    mkdir -p "${ARTIFACTS}"
+    mv -f build-asan/bench/fuzz_tests/*/FLIGHT_*.json "${ARTIFACTS}/" \
+        2>/dev/null || true
+    echo "ASan suite FAILED (fuzz flight dumps in ${ARTIFACTS}/)" >&2
+    exit 1
+fi
 
 echo "=== Fleet-storm smoke (ASan/UBSan) ==="
 # A reduced multi-tenant fleet (DESIGN.md §13) swept on 1 and 4
@@ -71,13 +57,14 @@ echo "=== Fleet-storm smoke (ASan/UBSan) ==="
 ./build-asan/bench/fleet_storm --tenants 192 --churn 48
 rm -f BENCH_fleet_storm.json
 
-echo "=== DESIGN.md crash-site table drift check ==="
-# The table is generated from fault::crashSiteCatalog(); regenerate it
-# and fail if the committed DESIGN.md had gone stale.
+echo "=== DESIGN.md crash-site / README.md flag table drift check ==="
+# The tables are generated from fault::crashSiteCatalog() and the
+# binaries' --help; regenerate them and fail if the committed docs had
+# gone stale.
 scripts/gen_crash_site_table.sh build-asan/bench/fig4a_seq_alloc
-if ! git diff --exit-code -- DESIGN.md; then
-    echo "DESIGN.md crash-site table is stale: commit the" \
-         "regenerated table above" >&2
+if ! git diff --exit-code -- DESIGN.md README.md; then
+    echo "DESIGN.md / README.md tables are stale: commit the" \
+         "regenerated tables above" >&2
     exit 1
 fi
 

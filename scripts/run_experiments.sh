@@ -5,9 +5,9 @@
 #
 #   KINDLE_SCALE=1 KINDLE_OPS=10000000 scripts/run_experiments.sh
 #
-# runs at paper scale; the defaults finish in a few minutes.  Sweeps on
-# the runner-backed benches honour KINDLE_JOBS (or --jobs, forwarded
-# via BENCH_ARGS) for parallel execution.
+# runs at paper scale; the defaults finish in a few minutes.  The
+# runner-backed benches take their flags from the environment mirrors
+# (README's knob table), e.g. KINDLE_JOBS=4 for the sweep parallelism.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

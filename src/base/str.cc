@@ -1,8 +1,13 @@
 #include "base/str.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <iomanip>
+
+#include "base/logging.hh"
 
 namespace kindle
 {
@@ -68,6 +73,23 @@ fixed(double v, int precision)
     std::ostringstream os;
     os << std::fixed << std::setprecision(precision) << v;
     return os.str();
+}
+
+std::uint64_t
+parseNumber(const char *text, const char *origin, std::uint64_t lo,
+            std::uint64_t hi)
+{
+    // strtoull alone reads "12x" as 12 and "abc" as 0, and wraps "-1".
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        std::strchr(text, '-') != nullptr || v < lo || v > hi) {
+        kindle_fatal("{}: bad number '{}' (want {})", origin, text,
+                     hi == ~std::uint64_t(0) ? csprintf("{} or more", lo)
+                                             : csprintf("{}..{}", lo, hi));
+    }
+    return v;
 }
 
 } // namespace kindle

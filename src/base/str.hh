@@ -11,6 +11,7 @@
 #ifndef KINDLE_BASE_STR_HH
 #define KINDLE_BASE_STR_HH
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -70,6 +71,14 @@ std::string sizeToString(std::uint64_t bytes);
 
 /** Render a fixed-precision double (reporting helper). */
 std::string fixed(double v, int precision = 2);
+
+/**
+ * Parse @p text as a whole decimal number in [@p lo, @p hi].  Fatal,
+ * naming @p origin (the flag or environment variable), on an empty
+ * string, a sign, trailing characters or a value out of range.
+ */
+std::uint64_t parseNumber(const char *text, const char *origin,
+                          std::uint64_t lo, std::uint64_t hi);
 
 } // namespace kindle
 

@@ -54,12 +54,10 @@ maybeStackOp(Random &rng, unsigned threads, std::uint32_t first_id,
 std::uint64_t
 opsFromEnv(std::uint64_t fallback)
 {
-    if (const char *env = std::getenv("KINDLE_OPS")) {
-        const std::uint64_t v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
-    }
-    return fallback;
+    const char *env = std::getenv("KINDLE_OPS");
+    return env && *env
+               ? parseNumber(env, "KINDLE_OPS", 1, ~std::uint64_t(0))
+               : fallback;
 }
 
 const char *

@@ -45,7 +45,8 @@ struct WorkloadParams
     unsigned scaleDown = 1;
 };
 
-/** Read KINDLE_OPS from the environment (default @p fallback). */
+/** Read KINDLE_OPS from the environment (unset or empty: @p fallback;
+ *  garbage or zero is fatal). */
 std::uint64_t opsFromEnv(std::uint64_t fallback = 1000000);
 
 /** Identifier for the three standard benchmarks. */

@@ -13,146 +13,56 @@
 namespace kindle::runner
 {
 
-namespace
+FlagTable
+fleetFlags(FleetOptions &fo)
 {
-
-std::uint64_t
-fleetNumeric(const char *text, const char *origin)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
-        kindle_fatal("{}: bad number '{}'", origin, text);
-    return static_cast<std::uint64_t>(v);
-}
-
-double
-fleetReal(const char *text, const char *origin)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0')
-        kindle_fatal("{}: bad value '{}'", origin, text);
-    return v;
-}
-
-fleet::Arrival
-parseArrival(const char *text, const char *origin)
-{
-    if (std::strcmp(text, "poisson") == 0)
-        return fleet::Arrival::poisson;
-    if (std::strcmp(text, "bursty") == 0)
-        return fleet::Arrival::bursty;
-    kindle_fatal("{}: bad arrival '{}' (want poisson|bursty)", origin,
-                 text);
-}
-
-unsigned
-checkedTenants(std::uint64_t v, const char *origin)
-{
-    if (v < 1 || v > 65536)
-        kindle_fatal("{}: bad tenant count {} (want 1..65536)", origin,
-                     v);
-    return static_cast<unsigned>(v);
-}
-
-double
-checkedZipf(double v, const char *origin)
-{
-    if (!(v > 0.0) || !(v < 1.0))
-        kindle_fatal("{}: bad zipf theta {} (want (0,1))", origin, v);
-    return v;
-}
-
-/** "--name V" / "--name=V" matcher (mirrors runner/options.cc). */
-const char *
-valueOf(const char *arg, const char *name, int argc, char **argv,
-        int &i)
-{
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0)
-        return nullptr;
-    if (arg[len] == '=')
-        return arg + len + 1;
-    if (arg[len] != '\0')
-        return nullptr;
-    if (i + 1 >= argc)
-        kindle_fatal("{} needs a value", name);
-    return argv[++i];
-}
-
-} // namespace
-
-FleetOptions
-parseFleetOptions(int argc, char **argv, std::vector<char *> &pass_argv)
-{
-    FleetOptions fo;
-    if (const char *env = std::getenv("KINDLE_FLEET_TENANTS")) {
-        if (*env) {
-            fo.params.tenants = checkedTenants(
-                fleetNumeric(env, "KINDLE_FLEET_TENANTS"),
-                "KINDLE_FLEET_TENANTS");
-        }
-    }
-    if (const char *env = std::getenv("KINDLE_FLEET_CHURN")) {
-        if (*env) {
-            fo.params.churnSpawns = static_cast<unsigned>(
-                fleetNumeric(env, "KINDLE_FLEET_CHURN"));
-        }
-    }
-    if (const char *env = std::getenv("KINDLE_FLEET_ZIPF")) {
-        if (*env) {
-            fo.params.zipfTheta = checkedZipf(
-                fleetReal(env, "KINDLE_FLEET_ZIPF"),
-                "KINDLE_FLEET_ZIPF");
-        }
-    }
-    if (const char *env = std::getenv("KINDLE_FLEET_ARRIVAL")) {
-        if (*env)
-            fo.params.arrival = parseArrival(env, "KINDLE_FLEET_ARRIVAL");
-    }
-    if (const char *env = std::getenv("KINDLE_FLEET_SEED")) {
-        if (*env)
-            fo.params.seed = fleetNumeric(env, "KINDLE_FLEET_SEED");
-    }
-    if (const char *env = std::getenv("KINDLE_FLEET_REQUESTS")) {
-        if (*env) {
-            fo.params.requestsPerTenant = static_cast<unsigned>(
-                fleetNumeric(env, "KINDLE_FLEET_REQUESTS"));
-        }
-    }
-
-    pass_argv.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (const char *v = valueOf(arg, "--tenants", argc, argv, i)) {
-            fo.params.tenants = checkedTenants(
-                fleetNumeric(v, "--tenants"), "--tenants");
-        } else if (const char *v =
-                       valueOf(arg, "--churn", argc, argv, i)) {
-            fo.params.churnSpawns = static_cast<unsigned>(
-                fleetNumeric(v, "--churn"));
-        } else if (const char *v =
-                       valueOf(arg, "--zipf", argc, argv, i)) {
-            fo.params.zipfTheta =
-                checkedZipf(fleetReal(v, "--zipf"), "--zipf");
-        } else if (const char *v =
-                       valueOf(arg, "--arrival", argc, argv, i)) {
-            fo.params.arrival = parseArrival(v, "--arrival");
-        } else if (const char *v =
-                       valueOf(arg, "--fleet-seed", argc, argv, i)) {
-            fo.params.seed = fleetNumeric(v, "--fleet-seed");
-        } else if (const char *v =
-                       valueOf(arg, "--requests", argc, argv, i)) {
-            fo.params.requestsPerTenant = static_cast<unsigned>(
-                fleetNumeric(v, "--requests"));
-        } else if (std::strcmp(arg, "--no-pressure") == 0) {
-            fo.pressure = false;
-        } else {
-            pass_argv.push_back(argv[i]);
-        }
-    }
-    return fo;
+    fleet::FleetParams &fp = fo.params;
+    return {"fleet_storm flags", {
+        {"--tenants", "KINDLE_FLEET_TENANTS", "N",
+         "tenant processes alive at steady state, 1..65536 "
+         "(default 1024)",
+         setNumber(fp.tenants, 1, 65536)},
+        {"--churn", "KINDLE_FLEET_CHURN", "N",
+         "replacement spawns after exits and OOM kills; 0 = one "
+         "generation (default 0)",
+         setNumber(fp.churnSpawns, 0, ~0u)},
+        {"--zipf", "KINDLE_FLEET_ZIPF", "T",
+         "Zipfian skew of each tenant's key popularity, in (0,1) "
+         "(default 0.99)",
+         [&fp](const char *v, const char *origin) {
+             char *end = nullptr;
+             const double theta = std::strtod(v, &end);
+             if (end == v || *end != '\0' || !(theta > 0.0) ||
+                 !(theta < 1.0)) {
+                 kindle_fatal("{}: bad zipf theta '{}' (want (0,1))",
+                              origin, v);
+             }
+             fp.zipfTheta = theta;
+         }},
+        {"--arrival", "KINDLE_FLEET_ARRIVAL", "A",
+         "poisson or bursty inter-request think times "
+         "(default poisson)",
+         [&fp](const char *v, const char *origin) {
+             for (const auto a : {fleet::Arrival::poisson,
+                                  fleet::Arrival::bursty}) {
+                 if (std::strcmp(v, fleet::arrivalName(a)) == 0)
+                     return void(fp.arrival = a);
+             }
+             kindle_fatal("{}: bad arrival '{}' (want poisson|bursty)",
+                          origin, v);
+         }},
+        {"--fleet-seed", "KINDLE_FLEET_SEED", "N",
+         "master seed; tenant i is a pure function of (seed, i) "
+         "(default 42)",
+         setNumber(fp.seed, 0, ~std::uint64_t(0))},
+        {"--requests", "KINDLE_FLEET_REQUESTS", "N",
+         "requests each tenant serves before its crash-consistent "
+         "exit (default 24)",
+         setNumber(fp.requestsPerTenant, 0, ~0u)},
+        {"--no-pressure", nullptr, nullptr,
+         "drop the pressure plan: a pure checkpoint storm",
+         setSwitch(fo.pressure, false)},
+    }};
 }
 
 KindleConfig

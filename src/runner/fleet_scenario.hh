@@ -1,26 +1,24 @@
 /**
  * @file
- * Runner wiring for the multi-tenant fleet workload (src/fleet):
- * option parsing (--tenants/--churn/--zipf/--arrival and their
- * KINDLE_FLEET_* environment mirrors), the fleet system configuration
- * (thousands of saved-state slots, right-sized mapping lists, zombie
- * reaping, checkpoint storms, optional memory pressure), and the
- * churn-driving Scenario whose drive loop respawns exited tenants
- * through the crash-consistent spawn/exit paths.
+ * Runner wiring for the multi-tenant fleet workload (src/fleet): its
+ * flag table, the fleet system configuration (thousands of saved-state
+ * slots, right-sized mapping lists, zombie reaping, checkpoint storms,
+ * optional memory pressure), and the churn-driving Scenario whose
+ * drive loop respawns exited tenants through the crash-consistent
+ * spawn/exit paths.
  */
 
 #ifndef KINDLE_RUNNER_FLEET_SCENARIO_HH
 #define KINDLE_RUNNER_FLEET_SCENARIO_HH
 
-#include <vector>
-
 #include "fleet/fleet.hh"
+#include "runner/options.hh"
 #include "runner/scenario.hh"
 
 namespace kindle::runner
 {
 
-/** Fleet flags parsed on top of the common runner set. */
+/** The fleet_storm knobs, on top of the common runner set. */
 struct FleetOptions
 {
     fleet::FleetParams params;
@@ -33,23 +31,9 @@ struct FleetOptions
     Tick checkpointInterval = 2 * oneMs;
 };
 
-/**
- * Strip the fleet flags out of @p argv (unrecognized arguments are
- * forwarded through @p pass_argv to runner::parseOptions):
- *
- *   --tenants N     fleet size             (KINDLE_FLEET_TENANTS)
- *   --churn N       replacement spawns     (KINDLE_FLEET_CHURN)
- *   --zipf THETA    key-popularity skew    (KINDLE_FLEET_ZIPF)
- *   --arrival A     poisson | bursty       (KINDLE_FLEET_ARRIVAL)
- *   --fleet-seed N  master fleet seed      (KINDLE_FLEET_SEED)
- *   --requests N    requests per tenant    (KINDLE_FLEET_REQUESTS)
- *   --no-pressure   run without the pressure plan
- *
- * Environment mirrors follow the runner convention: the command line
- * wins over the environment over the default.
- */
-FleetOptions parseFleetOptions(int argc, char **argv,
-                               std::vector<char *> &pass_argv);
+/** The fleet_storm rows (--tenants, --churn, ...), writing into
+ *  @p opts; pass them to runner::parseOptions. */
+FlagTable fleetFlags(FleetOptions &opts);
 
 /**
  * A KindleConfig sized for the fleet: saved-state slots for every

@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
+#include <iostream>
+#include <string_view>
 
 #include "base/logging.hh"
 
@@ -12,282 +15,197 @@ namespace kindle::runner
 namespace
 {
 
-unsigned
-parseJobs(const char *text, const char *origin)
+/** Setter: a whole number of nanoseconds into @p field, in ticks. */
+FlagSetter
+setNanoseconds(Tick &field)
 {
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v > 4096)
-        kindle_fatal("{}: bad job count '{}'", origin, text);
-    return static_cast<unsigned>(v);
+    return [&field](const char *text, const char *origin) {
+        field = parseNumber(text, origin, 0, maxTick / oneNs) * oneNs;
+    };
 }
 
-unsigned
-parseCores(const char *text, const char *origin)
+const Flag *
+findFlag(const std::vector<FlagTable> &tables, std::string_view name)
 {
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v < 1 || v > 32)
-        kindle_fatal("{}: bad core count '{}' (want 1..32)", origin,
-                     text);
-    return static_cast<unsigned>(v);
+    for (const FlagTable &table : tables) {
+        for (const Flag &flag : table.flags) {
+            if (name == flag.name)
+                return &flag;
+        }
+    }
+    return nullptr;
 }
 
-std::size_t
-parseRing(const char *text, const char *origin)
+/** One pass over @p tables: every environment mirror, then @p argv. */
+void
+parseFlags(int argc, char **argv, const std::vector<FlagTable> &tables)
 {
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v > (1ul << 24))
-        kindle_fatal("{}: bad ring depth '{}'", origin, text);
-    return static_cast<std::size_t>(v);
-}
-
-/**
- * Match "--name V" / "--name=V" and return the value, advancing @p i
- * past a separate value argument.  Returns nullptr on no match.
- */
-const char *
-valueOf(const char *arg, const char *name, int argc, char **argv,
-        int &i)
-{
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0)
-        return nullptr;
-    if (arg[len] == '=')
-        return arg + len + 1;
-    if (arg[len] != '\0')
-        return nullptr;
-    if (i + 1 >= argc)
-        kindle_fatal("{} needs a value", name);
-    return argv[++i];
-}
-
-std::uint64_t
-parseUint(const char *text, const char **end_out, const char *origin)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text)
-        kindle_fatal("{}: expected a number at '{}'", origin, text);
-    *end_out = end;
-    return static_cast<std::uint64_t>(v);
-}
-
-Tick
-parseTimeoutNs(const char *text, const char *origin)
-{
-    const char *end = nullptr;
-    const std::uint64_t v = parseUint(text, &end, origin);
-    if (*end != '\0')
-        kindle_fatal("{}: bad timeout '{}' (want nanoseconds)",
-                     origin, text);
-    return static_cast<Tick>(v) * oneNs;
-}
-
-Tick
-parseIntervalNs(const char *text, const char *origin)
-{
-    const char *end = nullptr;
-    const std::uint64_t v = parseUint(text, &end, origin);
-    if (*end != '\0')
-        kindle_fatal("{}: bad interval '{}' (want nanoseconds)",
-                     origin, text);
-    return static_cast<Tick>(v) * oneNs;
+    for (const FlagTable &table : tables) {
+        for (const Flag &flag : table.flags) {
+            const char *env = flag.env ? std::getenv(flag.env) : nullptr;
+            if (!env || *env == '\0' ||
+                (!flag.value && std::strcmp(env, "0") == 0)) {
+                continue;
+            }
+            flag.set(flag.value ? env : "", flag.env);
+        }
+    }
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--help") {
+            printUsage(std::cout, argv[0], tables);
+            std::exit(0);
+        }
+        const std::size_t eq = arg.find('=');
+        const Flag *flag = findFlag(tables, arg.substr(0, eq));
+        if (!flag)
+            kindle_fatal("unknown argument '{}' (try --help)", arg);
+        if (!flag->value) {
+            if (eq != std::string_view::npos)
+                kindle_fatal("{} takes no value", flag->name);
+            flag->set("", flag->name);
+        } else if (eq != std::string_view::npos) {
+            flag->set(argv[i] + eq + 1, flag->name);
+        } else if (i + 1 < argc) {
+            flag->set(argv[++i], flag->name);
+        } else {
+            kindle_fatal("{} needs a value", flag->name);
+        }
+    }
 }
 
 } // namespace
+
+FlagSetter
+setText(std::string &field)
+{
+    return [&field](const char *text, const char *) { field = text; };
+}
+
+FlagSetter
+setSwitch(bool &field, bool value)
+{
+    return [&field, value](const char *, const char *) { field = value; };
+}
 
 fault::CoreFaultPlan
 parseCoreFaultSpec(const std::string &spec, const char *origin)
 {
     fault::CoreFaultPlan plan;
-    const char *p = spec.c_str();
-    while (*p != '\0') {
+    for (const std::string &entry : split(spec, ',')) {
+        const std::size_t at = entry.find_first_of("@#");
+        if (at == std::string::npos) {
+            kindle_fatal("{}: expected CPU@TICKNS or CPU#NTHIPI, got "
+                         "'{}' in '{}'", origin, entry, spec);
+        }
+        const std::size_t plus = entry.find('+', at);
+        const auto number = [&](std::size_t from, std::size_t to,
+                                std::uint64_t lo, std::uint64_t hi) {
+            return parseNumber(entry.substr(from, to - from).c_str(),
+                               origin, lo, hi);
+        };
+        const std::uint64_t max_ns = maxTick / oneNs;
         fault::CoreFault f;
-        const char *end = nullptr;
-        const std::uint64_t cpu = parseUint(p, &end, origin);
-        if (cpu >= 32)
-            kindle_fatal("{}: bad core id {} in '{}'", origin, cpu,
-                         spec);
-        f.cpu = static_cast<CpuId>(cpu);
-        if (*end == '@') {
-            f.atTick =
-                static_cast<Tick>(parseUint(end + 1, &end, origin)) *
-                oneNs;
-            if (f.atTick == 0)
-                kindle_fatal("{}: zero tick trigger in '{}'", origin,
-                             spec);
-        } else if (*end == '#') {
-            f.atNthIpi = parseUint(end + 1, &end, origin);
-            if (f.atNthIpi == 0)
-                kindle_fatal("{}: zero IPI trigger in '{}'", origin,
-                             spec);
-        } else {
-            kindle_fatal("{}: expected '@TICKNS' or '#NTHIPI' after "
-                         "core id in '{}'", origin, spec);
-        }
-        if (*end == '+') {
-            f.stallTicks =
-                static_cast<Tick>(parseUint(end + 1, &end, origin)) *
-                oneNs;
-            if (f.stallTicks == 0)
-                kindle_fatal("{}: zero stall in '{}'", origin, spec);
-        }
+        f.cpu = static_cast<CpuId>(number(0, at, 0, 31));
+        if (entry[at] == '@')
+            f.atTick = number(at + 1, plus, 1, max_ns) * oneNs;
+        else
+            f.atNthIpi = number(at + 1, plus, 1, ~std::uint64_t(0));
+        if (plus != std::string::npos)
+            f.stallTicks = number(plus + 1, entry.size(), 1, max_ns) * oneNs;
         plan.faults.push_back(f);
-        if (*end == ',') {
-            p = end + 1;
-        } else if (*end == '\0') {
-            break;
-        } else {
-            kindle_fatal("{}: trailing garbage '{}' in '{}'", origin,
-                         end, spec);
-        }
     }
-    if (plan.faults.empty())
-        kindle_fatal("{}: empty core-fault spec", origin);
     return plan;
 }
 
+FlagTable
+runnerFlags(Options &o)
+{
+    return {"runner flags (every runner-backed bench)", {
+        {"--jobs", "KINDLE_JOBS", "N",
+         "sweep worker threads; 0 = one per hardware thread (default 0)",
+         setNumber(o.jobs, 0, 4096)},
+        {"--cores", "KINDLE_CORES", "N",
+         "simulated CPU cores per system, 1..32 (default 1)",
+         setNumber(o.cores, 1, 32)},
+        {"--trace-out", "KINDLE_TRACE_OUT", "P",
+         "collect spans; write Chrome trace JSON per scenario "
+         "(default off)",
+         setText(o.traceOut)},
+        {"--trace-flags", "KINDLE_TRACE_FLAGS", "L",
+         "comma-separated span and ring categories, e.g. "
+         "checkpoint,redo (default all)",
+         setText(o.traceFlags)},
+        {"--trace-ring", "KINDLE_TRACE_RING", "N",
+         "flight-recorder depth in records; 0 disables the ring "
+         "(default 512)",
+         setNumber(o.traceRing, 0, 1u << 24)},
+        {"--flight-out", "KINDLE_FLIGHT_OUT", "P",
+         "flight-recorder dump destination on a power loss, recovery "
+         "errors or a fuzz divergence (default off)",
+         setText(o.flightOut)},
+        {"--core-fail", "KINDLE_CORE_FAIL", "S",
+         "seeded CPU-core faults, e.g. 1@2000000 or 2#2+3000 "
+         "(default off)",
+         [&o](const char *text, const char *origin) {
+             o.coreFault = parseCoreFaultSpec(text, origin);
+         }},
+        {"--ipi-timeout", "KINDLE_IPI_TIMEOUT", "NS",
+         "shootdown ack timeout before an IPI resend (default 2000)",
+         setNanoseconds(o.ipiTimeout)},
+        {"--sample-interval", "KINDLE_TELEMETRY", "NS",
+         "telemetry sampling period; 0 disables the sampler "
+         "(default off)",
+         setNanoseconds(o.sampleInterval)},
+        {"--telemetry-out", "KINDLE_TELEMETRY_OUT", "P",
+         "write per-scenario TELEM_* time-series here; implies a 1 ms "
+         "sampling period (default off)",
+         setText(o.telemetryOut)},
+        {"--prof", "KINDLE_PROF", nullptr,
+         "attach the host-side self-profiler: prof.* stats and a "
+         "category table (default off)",
+         setSwitch(o.prof)},
+        {"--list-crash-sites", nullptr, nullptr,
+         "print the crash-site inventory and exit",
+         [](const char *, const char *) {
+             for (const fault::CrashSiteInfo &info :
+                  fault::crashSiteCatalog()) {
+                 std::printf("%-28s %s\n", info.name, info.description);
+             }
+             std::exit(0);
+         }},
+    }};
+}
+
+void
+printUsage(std::ostream &os, const char *argv0,
+           const std::vector<FlagTable> &tables)
+{
+    const auto row = [&os](const std::string &flag, const char *help) {
+        os << "  " << std::left << std::setw(20) << flag << "  " << help;
+    };
+    os << "usage: " << argv0 << " [flag ...]\n";
+    row("--help", "print this text and exit\n");
+    for (const FlagTable &table : tables) {
+        os << "\n" << table.title << ":\n";
+        for (const Flag &flag : table.flags) {
+            row(flag.value ? csprintf("{} {}", flag.name, flag.value)
+                           : std::string(flag.name),
+                flag.help);
+            if (flag.env)
+                os << " (env " << flag.env << ")";
+            os << "\n";
+        }
+    }
+}
+
 Options
-parseOptions(int argc, char **argv)
+parseOptions(int argc, char **argv, const std::vector<FlagTable> &extra)
 {
     Options opts;
-    if (const char *env = std::getenv("KINDLE_JOBS")) {
-        if (*env)
-            opts.jobs = parseJobs(env, "KINDLE_JOBS");
-    }
-    if (const char *env = std::getenv("KINDLE_CORES")) {
-        if (*env)
-            opts.cores = parseCores(env, "KINDLE_CORES");
-    }
-    if (const char *env = std::getenv("KINDLE_TRACE_OUT"))
-        opts.traceOut = env;
-    if (const char *env = std::getenv("KINDLE_TRACE_FLAGS"))
-        opts.traceFlags = env;
-    if (const char *env = std::getenv("KINDLE_TRACE_RING")) {
-        if (*env)
-            opts.traceRing = parseRing(env, "KINDLE_TRACE_RING");
-    }
-    if (const char *env = std::getenv("KINDLE_FLIGHT_OUT"))
-        opts.flightOut = env;
-    if (const char *env = std::getenv("KINDLE_CORE_FAIL")) {
-        if (*env)
-            opts.coreFault = parseCoreFaultSpec(env, "KINDLE_CORE_FAIL");
-    }
-    if (const char *env = std::getenv("KINDLE_IPI_TIMEOUT")) {
-        if (*env)
-            opts.ipiTimeout = parseTimeoutNs(env, "KINDLE_IPI_TIMEOUT");
-    }
-    if (const char *env = std::getenv("KINDLE_TELEMETRY")) {
-        if (*env) {
-            opts.sampleInterval =
-                parseIntervalNs(env, "KINDLE_TELEMETRY");
-        }
-    }
-    if (const char *env = std::getenv("KINDLE_TELEMETRY_OUT"))
-        opts.telemetryOut = env;
-    if (const char *env = std::getenv("KINDLE_PROF")) {
-        if (*env && std::strcmp(env, "0") != 0)
-            opts.prof = true;
-    }
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0) {
-            std::printf(
-                "usage: %s [--jobs N] [--cores N] [--trace-out PATH]\n"
-                "          [--trace-flags LIST] [--trace-ring N]\n"
-                "          [--flight-out PATH]\n"
-                "  --jobs N          sweep worker threads "
-                "(default: hardware threads; env KINDLE_JOBS)\n"
-                "  --cores N         simulated CPU cores per system "
-                "(default 1; env KINDLE_CORES)\n"
-                "  --trace-out P     collect spans; write Chrome "
-                "trace JSON per scenario (env KINDLE_TRACE_OUT)\n"
-                "  --trace-flags L   comma-separated categories, "
-                "e.g. checkpoint,redo (env KINDLE_TRACE_FLAGS)\n"
-                "  --trace-ring N    flight-recorder depth; 0 "
-                "disables the ring (env KINDLE_TRACE_RING)\n"
-                "  --flight-out P    auto flight-recorder dump "
-                "destination (env KINDLE_FLIGHT_OUT)\n"
-                "  --core-fail S     seeded CPU-core faults, e.g. "
-                "1@2000000 or 2#2+3000 (env KINDLE_CORE_FAIL)\n"
-                "  --ipi-timeout NS  shootdown ack timeout before a "
-                "resend (env KINDLE_IPI_TIMEOUT)\n"
-                "  --sample-interval NS  telemetry sampling period; "
-                "0 disables (env KINDLE_TELEMETRY)\n"
-                "  --telemetry-out P per-scenario TELEM_* time-series "
-                "destination (env KINDLE_TELEMETRY_OUT)\n"
-                "  --prof            attach the self-profiler; prof.* "
-                "stats + category table (env KINDLE_PROF=1)\n"
-                "  --list-crash-sites  print the crash-site "
-                "inventory and exit\n",
-                argv[0]);
-            std::exit(0);
-        }
-        if (std::strcmp(arg, "--list-crash-sites") == 0) {
-            for (const fault::CrashSiteInfo &info :
-                 fault::crashSiteCatalog()) {
-                std::printf("%-28s %s\n", info.name,
-                            info.description);
-            }
-            std::exit(0);
-        }
-        if (const char *v = valueOf(arg, "--jobs", argc, argv, i)) {
-            opts.jobs = parseJobs(v, "--jobs");
-            continue;
-        }
-        if (const char *v = valueOf(arg, "--cores", argc, argv, i)) {
-            opts.cores = parseCores(v, "--cores");
-            continue;
-        }
-        if (const char *v = valueOf(arg, "--trace-out", argc, argv, i)) {
-            opts.traceOut = v;
-            continue;
-        }
-        if (const char *v =
-                valueOf(arg, "--trace-flags", argc, argv, i)) {
-            opts.traceFlags = v;
-            continue;
-        }
-        if (const char *v =
-                valueOf(arg, "--trace-ring", argc, argv, i)) {
-            opts.traceRing = parseRing(v, "--trace-ring");
-            continue;
-        }
-        if (const char *v =
-                valueOf(arg, "--flight-out", argc, argv, i)) {
-            opts.flightOut = v;
-            continue;
-        }
-        if (const char *v =
-                valueOf(arg, "--core-fail", argc, argv, i)) {
-            opts.coreFault = parseCoreFaultSpec(v, "--core-fail");
-            continue;
-        }
-        if (const char *v =
-                valueOf(arg, "--ipi-timeout", argc, argv, i)) {
-            opts.ipiTimeout = parseTimeoutNs(v, "--ipi-timeout");
-            continue;
-        }
-        if (const char *v =
-                valueOf(arg, "--sample-interval", argc, argv, i)) {
-            opts.sampleInterval =
-                parseIntervalNs(v, "--sample-interval");
-            continue;
-        }
-        if (const char *v =
-                valueOf(arg, "--telemetry-out", argc, argv, i)) {
-            opts.telemetryOut = v;
-            continue;
-        }
-        if (std::strcmp(arg, "--prof") == 0) {
-            opts.prof = true;
-            continue;
-        }
-        kindle_fatal("unknown argument '{}' (try --help)", arg);
-    }
+    std::vector<FlagTable> tables{runnerFlags(opts)};
+    tables.insert(tables.end(), extra.begin(), extra.end());
+    parseFlags(argc, argv, tables);
     // An export destination with no explicit period would record
     // nothing; default to one sample per simulated millisecond.
     if (!opts.telemetryOut.empty() && opts.sampleInterval == 0)

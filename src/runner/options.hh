@@ -1,36 +1,15 @@
 /**
  * @file
  * Command-line/environment options shared by every runner-driven
- * bench binary.
+ * bench binary, and the flag table that parses them.
  *
- *   --jobs N          worker threads for the sweep (also: KINDLE_JOBS)
- *   --cores N         simulated CPU cores per system (KINDLE_CORES)
- *   --trace-out P     enable span collection and write Chrome
- *                     trace-event JSON per scenario (KINDLE_TRACE_OUT)
- *   --trace-flags L   comma-separated trace categories, e.g.
- *                     "checkpoint,redo" (KINDLE_TRACE_FLAGS)
- *   --trace-ring N    flight-recorder depth in records; 0 disables
- *                     (KINDLE_TRACE_RING)
- *   --flight-out P    write flight-recorder dumps here on power loss /
- *                     recovery errors (KINDLE_FLIGHT_OUT)
- *   --core-fail S     arm seeded CPU-core faults (KINDLE_CORE_FAIL);
- *                     spec: comma-separated CPU@TICKNS or CPU#NTHIPI
- *                     entries, each with an optional +STALLNS suffix
- *                     (absent = fail-stop), e.g. "1@2000000,2#2+3000"
- *   --ipi-timeout NS  shootdown ack timeout before an IPI resend
- *                     (KINDLE_IPI_TIMEOUT; 0 keeps the kernel default)
- *   --sample-interval NS  telemetry sampling period in nanoseconds;
- *                     0 disables the sampler (KINDLE_TELEMETRY)
- *   --telemetry-out P write per-scenario TELEM_* time-series here; a
- *                     ".json"/".csv" path is used directly (and picks
- *                     the format), any other path is a directory of
- *                     "TELEM_<scenario>.json" files
- *                     (KINDLE_TELEMETRY_OUT)
- *   --prof            attach the host-side self-profiler: prof.*
- *                     stats in reports plus a sorted category table
- *                     on stderr per scenario (KINDLE_PROF=1)
- *   --list-crash-sites  print the crash-site inventory and exit
- *   --help            print usage for the common flags
+ * Every flag is one row: its name, its KINDLE_* environment mirror (if
+ * any), a value placeholder, one line of help and a setter.  A binary
+ * registers the runner table plus its own, and one parseOptions() pass
+ * applies the environment mirrors and then the command line, so the
+ * precedence is always command line over environment over default.
+ * `--help` prints every registered row; README's knob table is
+ * generated from that output (scripts/gen_crash_site_table.sh).
  *
  * Unrecognized arguments are fatal so a typo cannot silently fall
  * back to defaults in a long experiment campaign.
@@ -40,9 +19,13 @@
 #define KINDLE_RUNNER_OPTIONS_HH
 
 #include <cstddef>
+#include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
+#include <vector>
 
+#include "base/str.hh"
 #include "base/types.hh"
 #include "fault/fault.hh"
 
@@ -54,11 +37,8 @@ struct Options
     /** Sweep parallelism; 0 = one worker per hardware thread. */
     unsigned jobs = 0;
 
-    /**
-     * Simulated cores per KindleSystem.  1 (the default) reproduces
-     * the single-core seed behavior bit-for-bit; benches that honor
-     * the flag copy it into KindleConfig::numCores.
-     */
+    /** Simulated cores per KindleSystem; 1 reproduces the single-core
+     *  records bit-for-bit (see applyMachineOverrides). */
     unsigned cores = 1;
 
     /**
@@ -79,11 +59,7 @@ struct Options
     /** Automatic flight-dump destination (same routing as traceOut). */
     std::string flightOut;
 
-    /**
-     * Seeded CPU-core faults parsed from --core-fail /
-     * KINDLE_CORE_FAIL (unset = no plan armed; benches that honor the
-     * flag copy it into KindleConfig::coreFault).
-     */
+    /** Seeded CPU-core faults (unset = no plan armed). */
     std::optional<fault::CoreFaultPlan> coreFault;
 
     /** Shootdown ack timeout override in ticks (0 = kernel default). */
@@ -92,18 +68,65 @@ struct Options
     /** Telemetry sampling period in ticks (0 = sampler off). */
     Tick sampleInterval = 0;
 
-    /**
-     * When non-empty, each scenario's sampler series is exported.
-     * Routing matches traceOut: a ".json"/".csv" path is a single
-     * file (the extension picks the format), anything else a
-     * directory of "TELEM_<scenario>.json" files.  Implies a default
-     * sampleInterval when none was given.
-     */
+    /** Sampler series destination, routed like traceOut (a ".csv"
+     *  file picks CSV); implies a 1 ms sampleInterval if none given. */
     std::string telemetryOut;
 
     /** Attach the self-profiler (prof.* stats + category table). */
     bool prof = false;
 };
+
+/**
+ * Applies a flag's @p text (empty for a switch); @p origin names its
+ * source, the flag or the variable, for error messages.
+ */
+using FlagSetter = std::function<void(const char *text, const char *origin)>;
+
+/**
+ * One flag.  A row with a value placeholder takes "--name V" or
+ * "--name=V"; a row without one is a switch, whose environment mirror
+ * turns it on unless empty or "0".  An empty environment value leaves
+ * the default.  The help line ends in "(default X)" where the default
+ * is worth naming.
+ */
+struct Flag
+{
+    const char *name;   ///< "--jobs"
+    const char *env;    ///< "KINDLE_JOBS", or nullptr for no mirror
+    const char *value;  ///< placeholder such as "N"; nullptr: a switch
+    const char *help;
+    FlagSetter set;
+};
+
+/** The flags one layer registers, under a --help heading. */
+struct FlagTable
+{
+    const char *title;
+    std::vector<Flag> flags;
+};
+
+/** Setter: a whole number in [@p lo, @p hi] into @p field. */
+template <typename T>
+FlagSetter
+setNumber(T &field, std::uint64_t lo, std::uint64_t hi)
+{
+    return [&field, lo, hi](const char *text, const char *origin) {
+        field = static_cast<T>(parseNumber(text, origin, lo, hi));
+    };
+}
+
+/** Setter: the text itself into @p field. */
+FlagSetter setText(std::string &field);
+
+/** Setter for a switch: @p value into @p field. */
+FlagSetter setSwitch(bool &field, bool value = true);
+
+/** The runner's rows, writing into @p opts. */
+FlagTable runnerFlags(Options &opts);
+
+/** Print the usage text, one line per row of @p tables. */
+void printUsage(std::ostream &os, const char *argv0,
+                const std::vector<FlagTable> &tables);
 
 /**
  * Parse a --core-fail spec: comma-separated entries, each
@@ -116,11 +139,13 @@ fault::CoreFaultPlan parseCoreFaultSpec(const std::string &spec,
                                         const char *origin);
 
 /**
- * Parse @p argc / @p argv.  Precedence: command line over the
- * corresponding KINDLE_* environment variable over the default.
- * Calls std::exit(0) after printing usage for --help.
+ * Parse the runner flags, plus the binary's own @p extra tables: every
+ * row's environment mirror first, then @p argv.  `--help` prints the
+ * usage and exits 0; an unknown argument, a missing value or a
+ * malformed one is fatal.
  */
-Options parseOptions(int argc, char **argv);
+Options parseOptions(int argc, char **argv,
+                     const std::vector<FlagTable> &extra = {});
 
 } // namespace kindle::runner
 

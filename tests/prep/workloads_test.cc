@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <set>
 
+#include "base/logging.hh"
 #include "prep/workloads.hh"
 
 namespace kindle::prep
@@ -149,6 +150,14 @@ TEST(WorkloadsTest, OpsFromEnvParsesAndFallsBack)
     EXPECT_EQ(opsFromEnv(123), 123u);
     ::setenv("KINDLE_OPS", "4567", 1);
     EXPECT_EQ(opsFromEnv(123), 4567u);
+    ::setenv("KINDLE_OPS", "", 1);
+    EXPECT_EQ(opsFromEnv(123), 123u);
+    setErrorsThrow(true);
+    for (const char *bad : {"abc", "0", "12x"}) {
+        ::setenv("KINDLE_OPS", bad, 1);
+        EXPECT_THROW(opsFromEnv(123), SimError) << bad;
+    }
+    setErrorsThrow(false);
     ::unsetenv("KINDLE_OPS");
 }
 
