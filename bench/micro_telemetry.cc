@@ -16,10 +16,6 @@
  *   - Nested:     parent/child scopes, exercising the child-time
  *                 subtraction that makes category times exclusive.
  *
- * The compile-time kill switch is one level below all of these:
- * configuring with -DKINDLE_TELEMETRY=0 turns every probe macro into
- * ((void)0), so the probes vanish from the binary entirely.
- *
  * The sampler has no probe in any hot path — when --sample-interval
  * is 0 no event is ever scheduled, so its disabled cost is exactly
  * zero.  What matters instead is the per-sample cost, which is
@@ -32,7 +28,7 @@
 
 #include "base/stats.hh"
 #include "kindle/kindle.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 
 namespace
 {
@@ -42,12 +38,12 @@ using namespace kindle;
 void
 BM_ProfScopeNoProfiler(benchmark::State &state)
 {
-    // No ProfilerScope: the macro resolves currentProfiler() to null
-    // and skips the clock reads.  This is the cost paid by every
+    // No ProbeScope: the probe reads a null profiler from the thread's
+    // registration and skips the clock reads.  This is the cost paid by every
     // probe in an unprofiled run.
     std::uint64_t x = 0;
     for (auto _ : state) {
-        KINDLE_PROF_SCOPE(eventLoop);
+        KINDLE_PROF_SCOPE(event);
         benchmark::DoNotOptimize(++x);
     }
 }
@@ -56,11 +52,11 @@ BENCHMARK(BM_ProfScopeNoProfiler);
 void
 BM_ProfScopeActive(benchmark::State &state)
 {
-    telemetry::Profiler prof;
-    telemetry::ProfilerScope scope(&prof);
+    trace::Profiler prof;
+    trace::ProbeScope scope({.profiler = &prof});
     std::uint64_t x = 0;
     for (auto _ : state) {
-        KINDLE_PROF_SCOPE(eventLoop);
+        KINDLE_PROF_SCOPE(event);
         benchmark::DoNotOptimize(++x);
     }
 }
@@ -69,8 +65,8 @@ BENCHMARK(BM_ProfScopeActive);
 void
 BM_ProfScopeNested(benchmark::State &state)
 {
-    telemetry::Profiler prof;
-    telemetry::ProfilerScope scope(&prof);
+    trace::Profiler prof;
+    trace::ProbeScope scope({.profiler = &prof});
     std::uint64_t x = 0;
     for (auto _ : state) {
         KINDLE_PROF_SCOPE(sched);

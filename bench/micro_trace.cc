@@ -8,19 +8,14 @@
  * must not pay for them:
  *
  *   - NoSink:    no TraceSink registered on the thread (bench/test
- *                code outside a KindleSystem) — one thread-local load.
+ *                code outside a KindleSystem) — one thread-local load
+ *                and a branch, the same as a disarmed profiler probe.
  *   - MaskedOff: sink present but the category mask excludes the
  *                probe (--trace-flags narrowing).
  *   - RingOnly:  flight recorder armed, span export off — the default
  *                KindleSystem configuration.
  *   - FullSpans: span collection for Chrome export (keeps every
  *                record; the unbounded-growth mode).
- *
- * The compile-time kill switch is one level below all of these:
- * configuring with -DKINDLE_TRACE=0 turns every macro into ((void)0),
- * so the probes (and their argument evaluation) vanish from the
- * binary entirely — compare micro_mem numbers across the two builds
- * to verify the zero-overhead claim (see EXPERIMENTS.md).
  */
 
 #include <benchmark/benchmark.h>
@@ -45,12 +40,12 @@ paramsFor(bool spans, std::size_t ring, std::string categories = {})
 void
 BM_SpanNoSink(benchmark::State &state)
 {
-    // No SinkScope: the macro resolves currentSink() to null and does
-    // nothing else.  This is the cost paid by every probe in code not
-    // running under a KindleSystem.
+    // No ProbeScope: the probe reads a null sink from the thread's
+    // registration and does nothing else.  This is the cost paid by
+    // every probe in code not running under a KindleSystem.
     Tick clock = 0;
     for (auto _ : state) {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "bench.span");
+        KINDLE_TRACE_SPAN(checkpoint, "bench.span");
         benchmark::DoNotOptimize(++clock);
     }
 }
@@ -64,9 +59,9 @@ BM_SpanMaskedOff(benchmark::State &state)
     // rejected by the mask after the thread-local load.
     trace::TraceSink sink(paramsFor(false, 512, "redo"),
                           [&clock] { return clock; });
-    trace::SinkScope scope(&sink);
+    trace::ProbeScope scope({.sink = &sink});
     for (auto _ : state) {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "bench.span");
+        KINDLE_TRACE_SPAN(checkpoint, "bench.span");
         benchmark::DoNotOptimize(++clock);
     }
 }
@@ -78,9 +73,9 @@ BM_SpanRingOnly(benchmark::State &state)
     Tick clock = 0;
     trace::TraceSink sink(paramsFor(false, 512),
                           [&clock] { return clock; });
-    trace::SinkScope scope(&sink);
+    trace::ProbeScope scope({.sink = &sink});
     for (auto _ : state) {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "bench.span");
+        KINDLE_TRACE_SPAN(checkpoint, "bench.span");
         benchmark::DoNotOptimize(++clock);
     }
 }
@@ -96,10 +91,10 @@ BM_SpanFull(benchmark::State &state)
         state.PauseTiming();
         trace::TraceSink sink(paramsFor(true, 512),
                               [&clock] { return clock; });
-        trace::SinkScope scope(&sink);
+        trace::ProbeScope scope({.sink = &sink});
         state.ResumeTiming();
         for (int i = 0; i < 1024; ++i) {
-            KINDLE_TRACE_SPAN(checkpoint, ckpt, "bench.span");
+            KINDLE_TRACE_SPAN(checkpoint, "bench.span");
             benchmark::DoNotOptimize(++clock);
         }
     }
@@ -113,11 +108,11 @@ BM_SpanArgsMaskedOff(benchmark::State &state)
     Tick clock = 0;
     trace::TraceSink sink(paramsFor(false, 512, "redo"),
                           [&clock] { return clock; });
-    trace::SinkScope scope(&sink);
+    trace::ProbeScope scope({.sink = &sink});
     std::uint64_t pid = 0;
     // The payload csprintf must not run when the span is rejected.
     for (auto _ : state) {
-        KINDLE_TRACE_SPAN_ARGS(checkpoint, ckpt, "bench.span",
+        KINDLE_TRACE_SPAN_ARGS(checkpoint, "bench.span",
                                "pid={}", ++pid);
         benchmark::DoNotOptimize(++clock);
     }
@@ -130,9 +125,9 @@ BM_InstantRingOnly(benchmark::State &state)
     Tick clock = 0;
     trace::TraceSink sink(paramsFor(false, 512),
                           [&clock] { return clock; });
-    trace::SinkScope scope(&sink);
+    trace::ProbeScope scope({.sink = &sink});
     for (auto _ : state) {
-        KINDLE_TRACE_INSTANT(fault, fault, "bench.instant");
+        KINDLE_TRACE_INSTANT(fault, "bench.instant");
         benchmark::DoNotOptimize(++clock);
     }
 }

@@ -110,21 +110,23 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
         -DCMAKE_CXX_FLAGS="-fsanitize=thread"
     cmake --build build-tsan -j "${JOBS}" \
         --target test_runner test_fault test_persist test_trace \
-        fig4a_seq_alloc ablation_multiprocess fuzz fleet_storm
+        test_telemetry fig4a_seq_alloc ablation_multiprocess fuzz fleet_storm
     # The runner tests exercise every cross-thread path: the work
-    # queue, result placement, and the shared trace-flag/error-mode
-    # globals that concurrent KindleSystem instances touch.
+    # queue, result placement, and the shared error-mode global that
+    # concurrent KindleSystem instances touch.
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
         -R 'SweepRunner|SweepDeterminism|BenchReport'
     # The fault and persist suites drive crash/reboot/recovery (and
     # with media faults, scrubber-triggered retirement) through the
-    # same thread-local injector routing SweepRunner workers use —
+    # same thread-local probe registration SweepRunner workers use —
     # run them whole under TSan as well.
     ./build-tsan/tests/test_fault
     ./build-tsan/tests/test_persist
-    # The trace suite covers the thread-local sink routing the sweep
-    # workers rely on for interleaving-free per-scenario traces.
+    # The trace and telemetry suites cover that registration's sink
+    # and profiler targets, which the sweep workers rely on for
+    # interleaving-free per-scenario traces and prof.* stats.
     ./build-tsan/tests/test_trace
+    ./build-tsan/tests/test_telemetry
 
     echo "=== Traced sweep under TSan + JSON well-formedness smoke ==="
     # Two concurrent workers, tracing on: each scenario must land in
@@ -151,7 +153,7 @@ PY
     echo "=== Multi-core ablation sweep under TSan ==="
     # The SMP scheduler, MESI-lite directory, and shootdown IPIs all
     # run inside one simulation thread, but concurrent KindleSystem
-    # instances in sweep workers share trace/error-mode globals; a
+    # instances in sweep workers share the error-mode global; a
     # core-count sweep under TSan proves the multi-core paths add no
     # cross-thread hazard.  The bench itself fails if any core
     # retires no instructions.
@@ -165,8 +167,8 @@ PY
     # teardown, and early checkpoints all firing while the SMP
     # scheduler time-shares four cores — the densest interleaving the
     # pressure subsystem sees.  Single simulation thread, but the
-    # sweep shares injector routing and trace globals with any
-    # concurrent system, so TSan must stay quiet here too.
+    # sweep runs next to other systems' workers, so TSan must stay
+    # quiet here too.
     run_fuzz ./build-tsan/bench/fuzz --points 32 --cores 4 \
         --faults pressure
     rm -f BENCH_fuzz.json
@@ -175,7 +177,7 @@ PY
     # Cores dying mid-protocol: IPI retries against a fail-stopped
     # target, watchdog offlining with runqueue re-placement, private
     # cache flushes through the directory — all riding the same
-    # shared-global routing the sweep workers use.
+    # thread-local probe registration the sweep workers use.
     for FAULTS in core core,media core,pressure; do
         run_fuzz ./build-tsan/bench/fuzz --points 6 --cores 4 \
             --faults "${FAULTS}"
@@ -186,7 +188,7 @@ PY
     # The fleet sweep's two points run in concurrent workers: clean-
     # skipped checkpoint sweeps, throttled pressure relief, OOM
     # teardown and churn respawns on the 4-core scheduler, all sharing
-    # the trace/error-mode globals TSan watches.
+    # the error-mode global TSan watches.
     KINDLE_FLEET_TENANTS=96 KINDLE_FLEET_CHURN=24 \
         ./build-tsan/bench/fleet_storm
     rm -f BENCH_fleet_storm.json

@@ -5,7 +5,7 @@
 #include "base/intmath.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 
 namespace kindle::cache
 {

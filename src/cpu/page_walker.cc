@@ -1,7 +1,7 @@
 #include "cpu/page_walker.hh"
 
 #include "base/logging.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 
 namespace kindle::cpu
 {
@@ -23,7 +23,7 @@ PageWalker::walk(Addr ptbr, Addr vaddr, Tick now)
 {
     kindle_assert(ptbr != invalidAddr && ptbr != 0,
                   "walk with no page table loaded");
-    KINDLE_PROF_SCOPE(tlbWalk);
+    KINDLE_PROF_SCOPE(pwalk);
     ++walks;
 
     WalkResult result;

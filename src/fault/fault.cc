@@ -6,19 +6,6 @@
 namespace kindle::fault
 {
 
-namespace
-{
-
-/**
- * Routing stack: one entry per live KindleSystem on this thread, newest
- * last.  Entries carry the owning scope so destruction can remove its
- * own entry even when lifetimes are not LIFO-nested.
- */
-thread_local std::vector<std::pair<const InjectorScope *, CrashInjector *>>
-    tlsStack;
-
-} // namespace
-
 CrashInjector::CrashInjector(FaultPlan plan, std::function<Tick()> now_fn)
     : _plan(std::move(plan)),
       nowFn(std::move(now_fn)),
@@ -50,8 +37,7 @@ CrashInjector::fire(const std::string &name)
     _fired = true;
     _firedSite = name;
     ++crashesInjected;
-    KINDLE_TRACE_INSTANT_ARGS(fault, fault, "crash.fire", "site={}",
-                              name);
+    KINDLE_TRACE_INSTANT_ARGS(fault, "crash.fire", "site={}", name);
     throw PowerLoss(name, nowFn());
 }
 
@@ -62,7 +48,7 @@ CrashInjector::site(const char *name)
         return;
     // Every protocol probe doubles as a flight-recorder breadcrumb:
     // the ring's tail is the exact step sequence leading into a crash.
-    KINDLE_TRACE_INSTANT(fault, fault, name);
+    KINDLE_TRACE_INSTANT(fault, name);
     ++siteHits;
     const std::uint64_t count = ++hits[name];
     if (observer)
@@ -90,38 +76,17 @@ CrashInjector::durableWrite(Tick now)
         fire("nvm.durable_write#" + std::to_string(_durableWrites));
 }
 
-InjectorScope::InjectorScope(CrashInjector *injector) : injector(injector)
-{
-    tlsStack.emplace_back(this, injector);
-}
-
-InjectorScope::~InjectorScope()
-{
-    for (auto it = tlsStack.rbegin(); it != tlsStack.rend(); ++it) {
-        if (it->first == this) {
-            tlsStack.erase(std::next(it).base());
-            return;
-        }
-    }
-}
-
-CrashInjector *
-current()
-{
-    return tlsStack.empty() ? nullptr : tlsStack.back().second;
-}
-
 void
 crashSite(const char *name)
 {
-    if (CrashInjector *inj = current())
+    if (CrashInjector *inj = trace::probes().injector)
         inj->site(name);
 }
 
 void
 onDurableNvmWrite(Tick now)
 {
-    if (CrashInjector *inj = current())
+    if (CrashInjector *inj = trace::probes().injector)
         inj->durableWrite(now);
 }
 

@@ -13,10 +13,10 @@
  * crash() + reboot() exactly like the hand-written crash tests do — but
  * the crash lands *inside* the protocol rather than between operations.
  *
- * Probes are free-function calls (fault::crashSite) routed through a
- * thread-local registration stack so instrumented subsystems need no
- * plumbing; each KindleSystem registers its injector (or nullptr) for
- * the duration of its lifetime, and concurrent SweepRunner workers each
+ * Probes are free-function calls (fault::crashSite) routed through the
+ * thread's trace::Probes registration, so instrumented subsystems need
+ * no plumbing; each KindleSystem registers its injector for the
+ * duration of its lifetime, and concurrent SweepRunner workers each
  * see only their own system's injector.
  */
 
@@ -297,30 +297,8 @@ class CrashInjector
     statistics::Scalar &crashesInjected;
 };
 
-/**
- * RAII registration of a system's injector (may be null) on this
- * thread's routing stack.  The most recently constructed registration
- * wins, so probes fired while a KindleSystem is live route to *that*
- * system's injector — and a system without fault config shadows any
- * older injector instead of leaking probes to it.
- */
-class InjectorScope
-{
-  public:
-    explicit InjectorScope(CrashInjector *injector);
-    ~InjectorScope();
-
-    InjectorScope(const InjectorScope &) = delete;
-    InjectorScope &operator=(const InjectorScope &) = delete;
-
-  private:
-    CrashInjector *injector;
-};
-
-/** The injector probes route to on this thread (may be null). */
-CrashInjector *current();
-
-/** Probe entry points used by instrumented code. */
+/** Probe entry points used by instrumented code; they feed the
+ *  injector registered on this thread, if any. */
 void crashSite(const char *name);
 void onDurableNvmWrite(Tick now);
 

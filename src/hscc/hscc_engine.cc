@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "base/trace_flags.hh"
 #include "fault/fault.hh"
 #include "trace/trace.hh"
 
@@ -222,7 +221,7 @@ HsccEngine::migrate()
 {
     auto &sim = kernel.simulation();
     const Tick t0 = sim.now();
-    KINDLE_TRACE_SPAN(hscc, hscc, "hscc.migrate");
+    trace::TraceSpan span(trace::Flag::hscc, "hscc.migrate");
     ++intervals;
 
     // Interval start: refresh the pool's free/clean/dirty lists.  In
@@ -278,7 +277,7 @@ HsccEngine::migrate()
     for (const Candidate &c : candidates) {
         // --- Page selection ---------------------------------------
         const Tick sel0 = sim.now();
-        KINDLE_TRACE_SPAN_ARGS(hscc, hscc, "hscc.migratePage",
+        KINDLE_TRACE_SPAN_ARGS(hscc, "hscc.migratePage",
                                "vaddr={}", c.vaddr);
         Selection sel = dramPool.select();
         if (sel.displacedNvm != invalidAddr) {
@@ -367,9 +366,10 @@ HsccEngine::migrate()
     }
 
     migTicks += static_cast<double>(sim.now() - t0);
-    trace::dprintf(trace::Flag::hscc, sim.now(),
-                   "migration interval: {} candidates, {} total pages",
-                   candidates.size(), migrated.value());
+    if (span.active()) {
+        span.setArgs(csprintf("candidates={} migrated={}",
+                              candidates.size(), migrated.value()));
+    }
 }
 
 bool

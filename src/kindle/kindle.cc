@@ -5,7 +5,6 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "base/trace_flags.hh"
 #include "os/reclaim.hh"
 
 namespace kindle
@@ -29,16 +28,6 @@ KindleSystem::KindleSystem(const KindleConfig &config_arg)
       recoveryDuration(recoveryStats.addHistogram(
           "duration", "per-reboot recovery ticks"))
 {
-    trace::initFromEnv();
-
-    // The sink registers before any component exists, so spans and
-    // crash-site breadcrumbs emitted during construction, boot and
-    // teardown all land in this system's ring.
-    traceSink_ = std::make_unique<trace::TraceSink>(
-        config.trace, [this] { return sim.now(); });
-    traceScope_ =
-        std::make_unique<trace::SinkScope>(traceSink_.get());
-
     // The page-table home follows the persistence scheme.
     if (config.persistence) {
         config.kernel.ptInNvm =
@@ -65,24 +54,23 @@ KindleSystem::KindleSystem(const KindleConfig &config_arg)
         config.kernel.coreFaults = *config.coreFault;
 
     // The injector exists even when no fault is configured: an unarmed
-    // plan just counts probe hits (observe mode).  Registering it on
-    // the thread-local routing stack also shadows any outer system's
-    // injector for the lifetime of this one.
+    // plan just counts probe hits (observe mode).  The self-profiler
+    // exists only on request: prof.* stats are wall-clock derived and
+    // nondeterministic, and the BENCH JSON contract requires default
+    // stat dumps never to contain them.
+    traceSink_ = std::make_unique<trace::TraceSink>(
+        config.trace, [this] { return sim.now(); });
     injector_ = std::make_unique<fault::CrashInjector>(
         config.fault.value_or(fault::FaultPlan{}),
         [this] { return sim.now(); });
-    injectorScope_ =
-        std::make_unique<fault::InjectorScope>(injector_.get());
-
-    // The self-profiler exists only on request: prof.* stats are
-    // wall-clock derived and nondeterministic, and the BENCH JSON
-    // contract requires default stat dumps never to contain them.
-    // The scope registers even when null so this system shadows any
-    // outer profiled system on the thread (mirrors SinkScope).
     if (config.profiling)
-        profiler_ = std::make_unique<telemetry::Profiler>();
-    profilerScope_ =
-        std::make_unique<telemetry::ProfilerScope>(profiler_.get());
+        profiler_ = std::make_unique<trace::Profiler>();
+
+    // Register all three before any component exists, so probes fired
+    // during construction, boot and teardown land in this system.  A
+    // null profiler still shadows any outer system's on this thread.
+    probeScope_ = std::make_unique<trace::ProbeScope>(trace::Probes{
+        traceSink_.get(), profiler_.get(), injector_.get()});
 
     const unsigned n = std::max(1u, config.numCores);
     mem_ = std::make_unique<mem::HybridMemory>(config.memory);

@@ -39,8 +39,8 @@
 #include "persist/recovery.hh"
 #include "sim/simulation.hh"
 #include "ssp/ssp_engine.hh"
-#include "telemetry/profiler.hh"
 #include "telemetry/telemetry.hh"
+#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace kindle
@@ -178,7 +178,7 @@ class KindleSystem
     telemetry::Sampler *sampler() { return sampler_.get(); }
 
     /** The self-profiler (null unless config.profiling). */
-    telemetry::Profiler *profiler() { return profiler_.get(); }
+    trace::Profiler *profiler() { return profiler_.get(); }
     /// @}
 
     /** Current simulated time. */
@@ -286,16 +286,14 @@ class KindleSystem
 
     sim::Simulation sim;
 
-    // The trace sink, the injector and their thread-local
-    // registrations outlive every component that can fire a probe or
-    // emit a span (members destroy in reverse order, so the scopes
-    // unregister only after the OS layer is gone).
+    // The probe targets and their thread-local registration outlive
+    // every component that can fire a probe (members destroy in
+    // reverse order, so the scope unregisters only after the OS layer
+    // is gone).
     std::unique_ptr<trace::TraceSink> traceSink_;
-    std::unique_ptr<trace::SinkScope> traceScope_;
     std::unique_ptr<fault::CrashInjector> injector_;
-    std::unique_ptr<fault::InjectorScope> injectorScope_;
-    std::unique_ptr<telemetry::Profiler> profiler_;
-    std::unique_ptr<telemetry::ProfilerScope> profilerScope_;
+    std::unique_ptr<trace::Profiler> profiler_;
+    std::unique_ptr<trace::ProbeScope> probeScope_;
 
     std::unique_ptr<mem::HybridMemory> mem_;
     std::unique_ptr<mem::PatrolScrubber> scrubber_;

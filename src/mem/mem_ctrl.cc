@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 
 namespace kindle::mem
 {
@@ -62,7 +62,7 @@ MemCtrl::submit(const MemRequest &req, Tick now)
 {
     kindle_assert(_range.contains(req.paddr),
                   "request routed to wrong controller");
-    KINDLE_PROF_SCOPE(memCtrl);
+    KINDLE_PROF_SCOPE(mem);
 
     switch (req.cmd) {
       case MemCmd::read: {

@@ -12,7 +12,7 @@
 #include "base/logging.hh"
 #include "base/str.hh"
 #include "mem/hybrid_memory.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace kindle::mem
@@ -82,7 +82,7 @@ PatrolScrubber::patrol()
     const std::uint64_t chunk = std::min(_params.chunkBytes, nvm.size());
     const Addr begin = nvm.start() + cursor;
     const Addr end = std::min<Addr>(begin + chunk, nvm.end());
-    KINDLE_TRACE_SPAN_ARGS(scrub, scrub, "scrub.patrol",
+    KINDLE_TRACE_SPAN_ARGS(scrub, "scrub.patrol",
                            "begin={} bytes={}", begin, end - begin);
 
     // Snapshot the faulty lines in this window first: rewriting during

@@ -5,10 +5,9 @@
 #include "base/intmath.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "base/trace_flags.hh"
 #include "os/bad_frames.hh"
 #include "os/reclaim.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace kindle::os
@@ -421,9 +420,9 @@ Kernel::stealWork(CpuId thief)
             p->lastCpu = thief;
             if (migrations)
                 ++*migrations;
-            trace::dprintf(trace::Flag::sched, sim.now(),
-                           "cpu{} stole pid {} from cpu{}", thief,
-                           p->pid, donor);
+            KINDLE_TRACE_INSTANT_ARGS(sched, "sched.steal",
+                                      "cpu={} pid={} from=cpu{}", thief,
+                                      p->pid, donor);
             return p;
         }
     }
@@ -489,9 +488,9 @@ Kernel::runUntil(Tick deadline)
         // and runs one timeslice of its runqueue; the global clock
         // then advances to the latest per-core finish time.  On one
         // core the warps are no-ops and this is the classic loop.
-        // The sched probe is the profiler's catch-all: it covers the
-        // whole epoch, and nested probes (cache, event loop, ...)
-        // subtract themselves, leaving scheduling/execution overhead.
+        // The sched probe covers the epoch's own work (watchdog,
+        // reaping, picking and switching); runSlice's op loop is
+        // charged to exec, and nested probes subtract themselves.
         KINDLE_PROF_SCOPE(sched);
         if (coreFaultArmed_)
             watchdogPass();
@@ -544,6 +543,7 @@ Kernel::runUntil(Tick deadline)
 void
 Kernel::runSlice(CpuId cpu, Process &proc, Tick slice_end)
 {
+    KINDLE_PROF_SCOPE(exec);
     cpu::Op op;
     while (sim.now() < slice_end &&
            proc.state == ProcState::running) {
@@ -677,9 +677,8 @@ Kernel::sysMmap(Process &proc, Addr hint, std::uint64_t length,
     vma.prot = cpu::protRead | cpu::protWrite;
     vma.nvm = (flags & cpu::mapNvm) != 0;
     proc.aspace.insert(vma);
-    trace::dprintf(trace::Flag::vma, sim.now(),
-                   "pid {} mmap [{}, {}) nvm={}", proc.pid, start,
-                   start + length, vma.nvm);
+    KINDLE_TRACE_INSTANT_ARGS(vma, "os.mmap", "pid={} [{}, {}) nvm={}",
+                              proc.pid, start, start + length, vma.nvm);
     for (auto *l : listeners)
         l->onVmaAdded(proc, vma);
     return start;
@@ -924,9 +923,8 @@ Kernel::deliverTlbIpi(CpuId cpu)
             // The doorbell rang but nobody answered: the batch stays
             // pending for the initiator's retry (or dies with the
             // core when the watchdog offlines it).
-            trace::dprintf(trace::Flag::sched, sim.now(),
-                           "cpu{} unresponsive to shootdown IPI",
-                           cpu);
+            KINDLE_TRACE_INSTANT_ARGS(sched, "ipi.unanswered", "cpu={}",
+                                      cpu);
             return;
         }
     }
@@ -947,9 +945,6 @@ Kernel::deliverTlbIpi(CpuId cpu)
     }
     ++*tlbShootdownIpis;
     sim.bump(_params.ipiHandlerCost);
-    trace::dprintf(trace::Flag::sched, sim.now(),
-                   "cpu{} serviced shootdown IPI ({} requests)", cpu,
-                   reqs.size());
 }
 
 bool
@@ -977,7 +972,7 @@ Kernel::evalCoreFaults(CpuId cpu)
             cpus[cpu].failStopped = true;
             warn("cpu{}: fail-stop fault injected", cpu);
         }
-        KINDLE_TRACE_INSTANT_ARGS(sched, os, "core.fault",
+        KINDLE_TRACE_INSTANT_ARGS(sched, "core.fault",
                                   "cpu={} stall={}", cpu,
                                   f.stallTicks);
         fired = true;
@@ -1038,7 +1033,7 @@ Kernel::offlineCore(CpuId dead)
     slot.online = false;
     ++lazyScalar(coresOfflined, "coresOfflined",
                  "cores declared dead and hotplug-offlined");
-    KINDLE_TRACE_INSTANT_ARGS(sched, os, "core.offline", "cpu={}",
+    KINDLE_TRACE_INSTANT_ARGS(sched, "core.offline", "cpu={}",
                               dead);
 
     // The teardown itself executes on a surviving core.
@@ -1156,11 +1151,10 @@ Kernel::handlePageFault(cpu::Core &core, Addr vaddr, bool is_write)
             frame_nvm = false;
             if (frame != invalidAddr) {
                 ++nvmDegradedAllocs;
-                trace::dprintf(trace::Flag::syscall, sim.now(),
-                               "pid {} MAP_NVM fault at {} degraded "
-                               "to DRAM ({} NVM frames free)",
-                               proc->pid, vaddr,
-                               nvmAlloc->freeFrames());
+                KINDLE_TRACE_INSTANT_ARGS(
+                    syscall, "fault.nvmDegraded",
+                    "pid={} vaddr={} nvmFree={}", proc->pid, vaddr,
+                    nvmAlloc->freeFrames());
             }
         }
     } else {
@@ -1169,9 +1163,8 @@ Kernel::handlePageFault(cpu::Core &core, Addr vaddr, bool is_write)
     if (frame == invalidAddr) {
         // ENOMEM: surfaced to the dispatcher as a failed access — the
         // faulting process dies, the machine survives.
-        trace::dprintf(trace::Flag::syscall, sim.now(),
-                       "pid {} fault at {}: out of memory",
-                       proc->pid, vaddr);
+        KINDLE_TRACE_INSTANT_ARGS(syscall, "fault.enomem",
+                                  "pid={} vaddr={}", proc->pid, vaddr);
         return false;
     }
     // Demand-zero the fresh frame (a streaming device write; NVM
@@ -1184,9 +1177,6 @@ Kernel::handlePageFault(cpu::Core &core, Addr vaddr, bool is_write)
     ++proc->residentPages;
     for (auto *l : listeners)
         l->onFrameMapped(*proc, page, frame, frame_nvm);
-    trace::dprintf(trace::Flag::syscall, sim.now(),
-                   "pid {} fault at {} -> frame {}", proc->pid, vaddr,
-                   frame);
     return true;
 }
 
@@ -1268,7 +1258,7 @@ Kernel::oomKill(Process *requester)
         static_cast<double>(victim->residentPages);
     warn("oom: killing pid {} ({}, {} resident pages)", victim->pid,
          victim->name, victim->residentPages);
-    KINDLE_TRACE_INSTANT_ARGS(vma, os, "oom.kill", "pid={} rss={}",
+    KINDLE_TRACE_INSTANT_ARGS(vma, "oom.kill", "pid={} rss={}",
                               victim->pid, victim->residentPages);
     // exitProcess is the crash-consistent teardown: every durable
     // structure (mapping list, saved-state slot) is invalidated
@@ -1305,9 +1295,6 @@ Kernel::demotePage(Process &proc, Addr vaddr)
         l->onFrameMapped(proc, page, repl, true);
     shootdownPage(proc.pid, page);
     dramAlloc->free(dram);
-    trace::dprintf(trace::Flag::vma, sim.now(),
-                   "pid {} page {} demoted {} -> {}", proc.pid, page,
-                   dram, repl);
     return true;
 }
 
@@ -1319,11 +1306,9 @@ Kernel::retireNvmFrame(Addr frame, const char *reason)
                   "retiring non-NVM frame {}", bad);
     if (!badFrames_->retire(bad))
         return;  // already retired; migration already happened
-    KINDLE_TRACE_SPAN_ARGS(vma, os, "os.retireFrame",
+    KINDLE_TRACE_SPAN_ARGS(vma, "os.retireFrame",
                            "frame={} reason={}", bad, reason);
     ++nvmFramesRetired;
-    trace::dprintf(trace::Flag::vma, sim.now(),
-                   "retiring NVM frame {} ({})", bad, reason);
 
     // Anything outside the user pool (metadata regions, PT frames in
     // the persistent scheme) cannot be migrated here; the durable bit
@@ -1400,10 +1385,9 @@ Kernel::retireNvmFrame(Addr frame, const char *reason)
             l->onFrameRetired(v.proc, v.vaddr, bad, repl);
         shootdownPage(v.proc->pid, v.vaddr);
         ++nvmPagesMigrated;
-        trace::dprintf(trace::Flag::vma, sim.now(),
-                       "pid {} page {} migrated off bad frame {} -> "
-                       "{} ({})", v.proc->pid, v.vaddr, bad, repl,
-                       repl_nvm ? "nvm" : "dram");
+        KINDLE_TRACE_INSTANT_ARGS(vma, "os.migrateOffBad",
+                                  "pid={} vaddr={} to={} nvm={}",
+                                  v.proc->pid, v.vaddr, repl, repl_nvm);
     }
 
     if (victims.empty()) {

@@ -4,9 +4,8 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "base/trace_flags.hh"
 #include "os/kernel.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace kindle::os
@@ -173,9 +172,9 @@ ReclaimEngine::demoteBatch(unsigned budget)
         cursor = proc->pid;
     }
     if (demoted > 0) {
-        trace::dprintf(trace::Flag::vma, kernel.simulation().now(),
-                       "reclaim demoted {} pages ({} DRAM frames free)",
-                       demoted, dram.freeFrames());
+        KINDLE_TRACE_INSTANT_ARGS(reclaim, "reclaim.demote",
+                                  "pages={} dramFree={}", demoted,
+                                  dram.freeFrames());
     }
     return demoted;
 }

@@ -3,10 +3,9 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "base/trace_flags.hh"
 #include "cpu/pagetable_defs.hh"
 #include "fault/fault.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace kindle::persist
@@ -149,9 +148,8 @@ PersistDomain::requestEarlyCheckpoint()
     ++*earlyCheckpoints;
     compactNext = true;
     sim::Simulation &sim = kernel.simulation();
-    trace::dprintf(trace::Flag::checkpoint, sim.now(),
-                   "redo log at high water ({} pending): checkpoint "
-                   "pulled forward", metaLog->pending());
+    KINDLE_TRACE_INSTANT_ARGS(checkpoint, "ckpt.early", "pending={}",
+                              metaLog->pending());
     // Re-arm the periodic event for "now": it fires at the kernel's
     // next event-queue service point, i.e. between instructions rather
     // than in the middle of whatever protocol did the append.
@@ -305,19 +303,19 @@ void
 PersistDomain::checkpointProcess(os::Process &proc,
                                  const SavedContext &ctx)
 {
-    KINDLE_TRACE_SPAN_ARGS(checkpoint, ckpt, "ckpt.process", "pid={}",
+    KINDLE_TRACE_SPAN_ARGS(checkpoint, "ckpt.process", "pid={}",
                            proc.pid);
     SavedStateSlot &slot = slotFor(proc);
 
     // Durably write the working copy of the serialized context.
     {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt.workingWrite");
+        KINDLE_TRACE_SPAN(checkpoint, "ckpt.workingWrite");
         slot.writeWorkingContext(ctx);
     }
     KINDLE_CRASH_SITE("ckpt.after_working_write");
 
     {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt.ptWalk");
+        KINDLE_TRACE_SPAN(checkpoint, "ckpt.ptWalk");
         if (_params.scheme == PtScheme::rebuild) {
             if (_params.incrementalMappingList)
                 updateMappingListIncremental(proc, slot);
@@ -331,7 +329,7 @@ PersistDomain::checkpointProcess(os::Process &proc,
 
     // Publish: flip the consistent index.
     {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt.commit");
+        KINDLE_TRACE_SPAN(checkpoint, "ckpt.commit");
         slot.commit();
     }
     KINDLE_CRASH_SITE("ckpt.after_commit");
@@ -494,7 +492,7 @@ PersistDomain::addSweepItem(os::Process &proc)
 void
 PersistDomain::checkpointNow()
 {
-    KINDLE_PROF_SCOPE(ckpt);
+    KINDLE_PROF_SCOPE(checkpoint);
     sim::Simulation &sim = kernel.simulation();
     const Tick t0 = sim.now();
 
@@ -511,7 +509,7 @@ PersistDomain::checkpointNow()
     // The enclosing span covers every tick ckptTicks attributes to
     // checkpointing: the trace decomposition tests rely on the two
     // agreeing.
-    KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt");
+    KINDLE_TRACE_SPAN(checkpoint, "ckpt");
 
     // Snapshot every swept context once (host-side; the simulated cost
     // is charged when the slot is written).  The clean-skip decision,
@@ -550,7 +548,7 @@ PersistDomain::checkpointNow()
     // redo log once (the working copies absorb all interval changes).
     KINDLE_CRASH_SITE("ckpt.before_cpu_log");
     {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt.cpuLog");
+        KINDLE_TRACE_SPAN(checkpoint, "ckpt.cpuLog");
         for (const SweepItem &item : sweep) {
             if (item.clean)
                 continue;
@@ -564,7 +562,7 @@ PersistDomain::checkpointNow()
     }
     KINDLE_CRASH_SITE("ckpt.after_log_append");
     {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt.replay");
+        KINDLE_TRACE_SPAN(checkpoint, "ckpt.replay");
         metaLog->replay([](const RedoRecord &) {});
     }
     KINDLE_CRASH_SITE("ckpt.after_replay");
@@ -591,7 +589,7 @@ PersistDomain::checkpointNow()
     }
 
     {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt.logReset");
+        KINDLE_TRACE_SPAN(checkpoint, "ckpt.logReset");
         metaLog->reset();
         if (ptPolicy)
             ptPolicy->retireAll();
@@ -600,9 +598,6 @@ PersistDomain::checkpointNow()
     KINDLE_CRASH_SITE("ckpt.complete");
     ckptTicks.sample(static_cast<double>(sim.now() - t0));
     ckptDuration.sample(static_cast<double>(sim.now() - t0));
-    trace::dprintf(trace::Flag::checkpoint, sim.now(),
-                   "checkpoint complete in {} us",
-                   ticksToUs(sim.now() - t0));
 }
 
 } // namespace kindle::persist

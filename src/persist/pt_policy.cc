@@ -73,7 +73,7 @@ ConsistentPtWrite::retireAll()
 void
 ConsistentPtWrite::writeEntry(Addr entry_addr, std::uint64_t value)
 {
-    KINDLE_TRACE_SPAN_ARGS(pt, pt, "pt.wrappedStore", "entry={}",
+    KINDLE_TRACE_SPAN_ARGS(pt, "pt.wrappedStore", "entry={}",
                            entry_addr);
     ++stores;
 

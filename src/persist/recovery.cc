@@ -4,13 +4,12 @@
 
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "base/trace_flags.hh"
 #include "cpu/pagetable_defs.hh"
 #include "fault/fault.hh"
 #include "os/bad_frames.hh"
 #include "persist/pt_policy.hh"
 #include "persist/redo_log.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace kindle::persist
@@ -94,7 +93,7 @@ recover(os::Kernel &kernel, PtScheme scheme)
     const Tick t0 = sim.now();
     constexpr unsigned noSlot = ~0u;
     KINDLE_PROF_SCOPE(recovery);
-    KINDLE_TRACE_SPAN(recovery, recovery, "recover");
+    KINDLE_TRACE_SPAN(recovery, "recover");
 
     const auto fail = [&report](RecoveryErrorCode code, unsigned slot,
                                 std::string detail) {
@@ -109,7 +108,7 @@ recover(os::Kernel &kernel, PtScheme scheme)
     os::BadFrameTable &bad = kernel.badFrameTable();
     std::unordered_set<Addr> allocated;
     {
-        KINDLE_TRACE_SPAN(recovery, recovery, "recover.bitmap");
+        KINDLE_TRACE_SPAN(recovery, "recover.bitmap");
         bad.loadFromNvm();
         report.retiredFrames = bad.retiredCount();
 
@@ -124,7 +123,7 @@ recover(os::Kernel &kernel, PtScheme scheme)
     //     checkpoint copies make replay unnecessary, but a torn tail
     //     or unreadable header is damage worth classifying.
     {
-        KINDLE_TRACE_SPAN(recovery, recovery, "recover.logAudit");
+        KINDLE_TRACE_SPAN(recovery, "recover.logAudit");
         const os::NvmLayout &layout = kernel.nvmLayout();
         const RedoScan scan = RedoLog::audit(
             kernel.kmem(), layout.redoLog, layout.redoLogBytes / 2);
@@ -143,7 +142,7 @@ recover(os::Kernel &kernel, PtScheme scheme)
     // 1b. Persistent scheme: repair any wrapped page-table store the
     //     crash tore mid-writeback, before the tables are trusted.
     if (scheme == PtScheme::persistent) {
-        KINDLE_TRACE_SPAN(recovery, recovery, "recover.ptRollback");
+        KINDLE_TRACE_SPAN(recovery, "recover.ptRollback");
         const os::NvmLayout &layout = kernel.nvmLayout();
         const std::uint64_t half = layout.redoLogBytes / 2;
         const PtUndoReport undo = recoverPtUndoLog(
@@ -157,7 +156,7 @@ recover(os::Kernel &kernel, PtScheme scheme)
     // 2-3. Scan the directory in salvage mode: validate every durable
     // byte of a slot before acting on it; quarantine what fails.
     for (unsigned idx = 0; idx < kernel.nvmLayout().procSlots; ++idx) {
-        KINDLE_TRACE_SPAN_ARGS(recovery, recovery, "recover.slot",
+        KINDLE_TRACE_SPAN_ARGS(recovery, "recover.slot",
                                "slot={}", idx);
         SavedStateSlot slot(kernel.kmem(), kernel.nvmLayout(), idx);
         const SlotHeader hdr = slot.readHeader();
@@ -302,9 +301,9 @@ recover(os::Kernel &kernel, PtScheme scheme)
 
         proc.state = os::ProcState::ready;
         ++report.processesRecovered;
-        trace::dprintf(trace::Flag::recovery, sim.now(),
-                       "recovered pid {} ({} VMAs)", proc.pid,
-                       ctx.vmaCount);
+        KINDLE_TRACE_INSTANT_ARGS(recovery, "recover.restored",
+                                  "pid={} vmas={}", proc.pid,
+                                  ctx.vmaCount);
         KINDLE_CRASH_SITE("recover.after_slot_restore");
     }
 
@@ -314,7 +313,7 @@ recover(os::Kernel &kernel, PtScheme scheme)
     //    longer reachable and return to the allocator.
     KINDLE_CRASH_SITE("recover.before_reclaim");
     {
-        KINDLE_TRACE_SPAN(recovery, recovery, "recover.reclaim");
+        KINDLE_TRACE_SPAN(recovery, "recover.reclaim");
         std::vector<Addr> leaked;
         kernel.nvmAllocator().forEachAllocated([&](Addr frame) {
             if (!live_frames.count(frame))

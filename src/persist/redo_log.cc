@@ -4,7 +4,7 @@
 #include "base/logging.hh"
 #include "base/str.hh"
 #include "fault/fault.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace kindle::persist
@@ -86,7 +86,7 @@ RedoLog::append(RedoRecord rec)
                 "wrapDestroyed",
                 "un-replayed records destroyed by in-epoch wraps");
         }
-        KINDLE_TRACE_INSTANT_ARGS(redo, redo, "redo.wrap",
+        KINDLE_TRACE_INSTANT_ARGS(redo, "redo.wrap",
                                   "capacity={} destroyedSoFar={}",
                                   maxRecords, wrapDestroyedCount);
         seq = 0;
@@ -102,7 +102,7 @@ RedoLog::append(RedoRecord rec)
     rec.checksum = recordChecksum(rec);
     kmem.writeBufDurable(recordAddr(seq), &rec, sizeof(rec),
                          "redo.append_pre_fence");
-    KINDLE_TRACE_INSTANT_ARGS(redo, redo, "redo.append",
+    KINDLE_TRACE_INSTANT_ARGS(redo, "redo.append",
                               "type={} seq={}",
                               static_cast<std::uint32_t>(rec.type),
                               seq);

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "base/logging.hh"
+#include "trace/trace.hh"
 
 namespace kindle::runner
 {
@@ -135,7 +136,10 @@ runnerFlags(Options &o)
         {"--trace-flags", "KINDLE_TRACE_FLAGS", "L",
          "comma-separated span and ring categories, e.g. "
          "checkpoint,redo (default all)",
-         setText(o.traceFlags)},
+         [&o](const char *text, const char *origin) {
+             trace::parseCategories(text, origin);  // fatal on a typo
+             o.traceFlags = text;
+         }},
         {"--trace-ring", "KINDLE_TRACE_RING", "N",
          "flight-recorder depth in records; 0 disables the ring "
          "(default 512)",

@@ -8,7 +8,7 @@
 
 #include "base/types.hh"
 #include "sim/event.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 
 namespace kindle::sim
 {
@@ -67,13 +67,13 @@ class Simulation
     {
         // Probe only when something is actually due: service() is
         // called on every memory access, and the empty case must stay
-        // a couple of loads.  The eventLoop category then charges for
+        // a couple of loads.  The event category then charges for
         // dispatch itself; handler bodies carry their own probes, so
         // their time lands in their subsystem categories.
         Event *ev = queue.popDue(curTick);
         if (!ev)
             return;
-        KINDLE_PROF_SCOPE(eventLoop);
+        KINDLE_PROF_SCOPE(event);
         do {
             ev->process();
         } while ((ev = queue.popDue(curTick)));

@@ -2,7 +2,7 @@
 
 #include "base/bitfield.hh"
 #include "base/logging.hh"
-#include "base/trace_flags.hh"
+#include "trace/trace.hh"
 
 namespace kindle::ssp
 {
@@ -313,8 +313,7 @@ SspEngine::commitInterval()
 
     linesFlushed += static_cast<double>(flushed);
     commitTicks += static_cast<double>(sim.now() - t0);
-    trace::dprintf(trace::Flag::ssp, sim.now(),
-                   "interval commit: {} lines flushed", flushed);
+    KINDLE_TRACE_INSTANT_ARGS(ssp, "ssp.commit", "flushed={}", flushed);
 }
 
 void

@@ -4,24 +4,19 @@
  * event dispatch loop and the major subsystem entry points, feeding a
  * `prof.*` stat group of per-category self-time and call counts.
  *
- * The ROADMAP's throughput item needs attribution, not just totals:
- * fig5 points cost ~112 ms each, but *where* does host time go —
- * event dispatch, cache lookups, page walks, checkpoints?  Each
- * KINDLE_PROF_SCOPE(cat) probe times the rest of its enclosing block
- * and charges the category with its **exclusive (self) time**: the
- * elapsed wall time minus whatever nested probes already claimed.
+ * Each KINDLE_PROF_SCOPE(cat) probe times the rest of its enclosing
+ * block and charges the category with its **exclusive (self) time**:
+ * the elapsed wall time minus whatever nested probes already claimed.
  * Self times therefore partition the run, and their sum approximates
  * total measured wall time — the property the CI perf gate and the
- * --prof table rely on.
+ * --prof table rely on.  Categories are trace::Flag values; the ones
+ * that carry a probe are listed in profiledFlags.
  *
  * Everything here is header-only and `inline`, so instrumented
- * headers (sim/simulation.hh's event loop) need no link dependency on
- * the telemetry library.  Routing mirrors trace::SinkScope /
- * fault::InjectorScope: a thread-local Profiler pointer, registered
- * (possibly as null, to shadow an outer system) for the lifetime of a
- * ProfilerScope.  A probe on a thread with no registered profiler is
- * one thread-local load and a branch; compiled with
- * -DKINDLE_TELEMETRY=0 it vanishes entirely.
+ * headers (sim/simulation.hh's event loop) need no link dependency.
+ * Probes find their Profiler through the thread's trace::Probes
+ * registration; with none registered a probe is one thread-local load
+ * and a branch.
  *
  * prof.* stats are wall-clock derived and thus nondeterministic, so a
  * Profiler must only be attached when profiling was explicitly
@@ -30,8 +25,8 @@
  * containing them.
  */
 
-#ifndef KINDLE_TELEMETRY_PROFILER_HH
-#define KINDLE_TELEMETRY_PROFILER_HH
+#ifndef KINDLE_TRACE_PROFILER_HH
+#define KINDLE_TRACE_PROFILER_HH
 
 #include <algorithm>
 #include <array>
@@ -42,42 +37,24 @@
 #include <string>
 
 #include "base/stats.hh"
+#include "trace/trace.hh"
 
-#ifndef KINDLE_TELEMETRY
-#define KINDLE_TELEMETRY 1
-#endif
-
-namespace kindle::telemetry
+namespace kindle::trace
 {
 
-/** Profiled host-time categories, one per major subsystem path. */
-enum class ProfCat : unsigned
-{
-    eventLoop, ///< event queue dispatch (outside any handler's probe)
-    sched,     ///< scheduler epochs: dispatch, slices, runqueues
-    cache,     ///< cache-hierarchy access path
-    tlbWalk,   ///< page-table walks on TLB misses
-    memCtrl,   ///< memory-controller request service
-    ckpt,      ///< checkpoint construction and commit
-    redo,      ///< redo-log append and replay
-    recovery,  ///< post-crash recovery pipeline
-    scrub,     ///< NVM patrol scrubber passes
-    reclaim,   ///< watermark reclaim patrol + emergency passes
-    numCats,
+/** The categories that carry a KINDLE_PROF_SCOPE probe, in stat order. */
+inline constexpr std::array profiledFlags = {
+    Flag::event,    Flag::sched, Flag::exec,    Flag::cache,
+    Flag::pwalk,    Flag::mem,   Flag::checkpoint, Flag::redo,
+    Flag::recovery, Flag::scrub, Flag::reclaim,
 };
 
-inline constexpr unsigned numProfCats =
-    static_cast<unsigned>(ProfCat::numCats);
-
-/** Canonical short name of @p cat (stat names derive from it). */
-inline const char *
-profCatName(ProfCat cat)
+/** Does @p f own prof.* stats? */
+constexpr bool
+isProfiled(Flag f)
 {
-    static constexpr std::array<const char *, numProfCats> names = {
-        "eventLoop", "sched",     "cache", "tlbWalk", "memCtrl",
-        "ckpt",      "redo",      "recovery", "scrub", "reclaim",
-    };
-    return names[static_cast<unsigned>(cat)];
+    return std::find(profiledFlags.begin(), profiledFlags.end(), f) !=
+           profiledFlags.end();
 }
 
 /** Monotonic host clock, in nanoseconds. */
@@ -106,8 +83,9 @@ class Profiler
                 "host-side self-profiler (exclusive wall ns and "
                 "calls per category; nondeterministic)")
     {
-        for (unsigned i = 0; i < numProfCats; ++i) {
-            const std::string base = profCatName(ProfCat(i));
+        for (Flag f : profiledFlags) {
+            const std::string base = flagName(f);
+            const unsigned i = static_cast<unsigned>(f);
             selfNs[i] = &group.addScalar(
                 base + "Ns",
                 "exclusive host wall ns spent in " + base);
@@ -119,13 +97,13 @@ class Profiler
     statistics::StatGroup &stats() { return group; }
 
     double
-    categoryNs(ProfCat cat) const
+    categoryNs(Flag cat) const
     {
         return selfNs[static_cast<unsigned>(cat)]->value();
     }
 
     double
-    categoryCalls(ProfCat cat) const
+    categoryCalls(Flag cat) const
     {
         return calls[static_cast<unsigned>(cat)]->value();
     }
@@ -135,8 +113,8 @@ class Profiler
     totalNs() const
     {
         double total = 0;
-        for (unsigned i = 0; i < numProfCats; ++i)
-            total += selfNs[i]->value();
+        for (Flag f : profiledFlags)
+            total += categoryNs(f);
         return total;
     }
 
@@ -155,10 +133,10 @@ class Profiler
             double calls;
             double ns;
         };
-        std::array<Row, numProfCats> rows;
-        for (unsigned i = 0; i < numProfCats; ++i) {
-            rows[i] = {profCatName(ProfCat(i)), calls[i]->value(),
-                       selfNs[i]->value()};
+        std::array<Row, profiledFlags.size()> rows;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            const Flag f = profiledFlags[i];
+            rows[i] = {flagName(f), categoryCalls(f), categoryNs(f)};
         }
         std::sort(rows.begin(), rows.end(),
                   [](const Row &a, const Row &b) { return a.ns > b.ns; });
@@ -186,7 +164,7 @@ class Profiler
     friend class ProfScope;
 
     void
-    record(ProfCat cat, std::uint64_t self_ns)
+    record(Flag cat, std::uint64_t self_ns)
     {
         *selfNs[static_cast<unsigned>(cat)] +=
             static_cast<double>(self_ns);
@@ -194,48 +172,12 @@ class Profiler
     }
 
     statistics::StatGroup group;
-    std::array<statistics::Scalar *, numProfCats> selfNs{};
-    std::array<statistics::Scalar *, numProfCats> calls{};
+    // Indexed by Flag; null for categories without a probe.
+    std::array<statistics::Scalar *, numFlags> selfNs{};
+    std::array<statistics::Scalar *, numFlags> calls{};
 
     /** Innermost live ProfScope on the registered thread. */
     ProfScope *top = nullptr;
-};
-
-namespace detail
-{
-/** The profiler probes feed on this thread (usually none). */
-inline thread_local Profiler *currentProfiler = nullptr;
-} // namespace detail
-
-/** The profiler registered on this thread, or nullptr. */
-inline Profiler *
-currentProfiler()
-{
-    return detail::currentProfiler;
-}
-
-/**
- * RAII registration of a system's profiler (may be null) on this
- * thread; mirrors trace::SinkScope.  The most recent registration
- * wins, so an unprofiled system shadows any outer profiled one
- * instead of leaking its probe time into foreign stats.
- */
-class ProfilerScope
-{
-  public:
-    explicit ProfilerScope(Profiler *prof)
-        : saved(detail::currentProfiler)
-    {
-        detail::currentProfiler = prof;
-    }
-
-    ~ProfilerScope() { detail::currentProfiler = saved; }
-
-    ProfilerScope(const ProfilerScope &) = delete;
-    ProfilerScope &operator=(const ProfilerScope &) = delete;
-
-  private:
-    Profiler *saved;
 };
 
 /**
@@ -248,8 +190,8 @@ class ProfilerScope
 class ProfScope
 {
   public:
-    explicit ProfScope(ProfCat cat)
-        : prof(detail::currentProfiler), cat(cat)
+    explicit ProfScope(Flag cat)
+        : prof(detail::probes.profiler), cat(cat)
     {
         if (!prof)
             return;
@@ -280,33 +222,27 @@ class ProfScope
   private:
     Profiler *prof;
     ProfScope *parent;
-    ProfCat cat;
+    Flag cat;
     std::uint64_t start;
     std::uint64_t childNs;
 };
 
-} // namespace kindle::telemetry
+} // namespace kindle::trace
 
 /**
  * Self-profiler probe macro: times the rest of the enclosing block
- * under the given category.  Vanishes with -DKINDLE_TELEMETRY=0.
+ * under the given category, which must be one of profiledFlags.
  *
  *   KINDLE_PROF_SCOPE(cache);
  */
 #define KINDLE_PROF_CAT2_(a, b) a##b
 #define KINDLE_PROF_CAT_(a, b) KINDLE_PROF_CAT2_(a, b)
 
-#if KINDLE_TELEMETRY
-
 #define KINDLE_PROF_SCOPE(cat)                                          \
-    ::kindle::telemetry::ProfScope KINDLE_PROF_CAT_(kindleProf_,        \
-                                                    __LINE__)(          \
-        ::kindle::telemetry::ProfCat::cat)
+    static_assert(::kindle::trace::isProfiled(                          \
+                      ::kindle::trace::Flag::cat),                      \
+                  "no prof.* stats for this category");                 \
+    ::kindle::trace::ProfScope KINDLE_PROF_CAT_(kindleProf_, __LINE__)( \
+        ::kindle::trace::Flag::cat)
 
-#else // !KINDLE_TELEMETRY
-
-#define KINDLE_PROF_SCOPE(cat) ((void)0)
-
-#endif // KINDLE_TELEMETRY
-
-#endif // KINDLE_TELEMETRY_PROFILER_HH
+#endif // KINDLE_TRACE_PROFILER_HH

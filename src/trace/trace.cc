@@ -9,35 +9,36 @@
 namespace kindle::trace
 {
 
-namespace
+FlagMask
+parseCategories(std::string_view names, const char *origin)
 {
-
-constexpr std::array<const char *,
-                     static_cast<unsigned>(Lane::numLanes)>
-    laneNames = {
-        "sim",  "cpu",      "mem",  "scrub", "ckpt", "pt",
-        "redo", "recovery", "hscc", "ssp",   "os",   "fault",
-};
-
-// Sink routing stack, one per thread (mirrors the fault injector's).
-// A vector, not a single pointer, so nested system lifetimes (a test
-// constructing a scratch system inside another's scope) unwind
-// correctly.
-thread_local std::vector<TraceSink *> sinkStack;
-
-} // namespace
-
-const char *
-laneName(Lane lane)
-{
-    return laneNames[static_cast<unsigned>(lane)];
+    FlagMask mask{};
+    bool any = false;
+    for (const auto &name : split(names, ',')) {
+        const std::string wanted = trim(name);
+        if (wanted.empty())
+            continue;
+        unsigned i = 0;
+        while (i < numFlags && wanted != flagNames[i])
+            ++i;
+        if (i == numFlags) {
+            std::string known;
+            for (const char *n : flagNames)
+                known += csprintf(" {}", n);
+            kindle_fatal("{}: unknown trace category '{}' (known:{})",
+                         origin, wanted, known);
+        }
+        mask[i] = any = true;
+    }
+    if (!any)
+        mask.fill(true);
+    return mask;
 }
 
 TraceSink::TraceSink(TraceParams params, std::function<Tick()> now_fn)
     : _params(std::move(params)), nowFn(std::move(now_fn))
 {
     kindle_assert(nowFn != nullptr, "TraceSink needs a clock");
-    capturing = _params.spans || _params.ringDepth > 0;
     if (_params.ringDepth > 0)
         ring.resize(_params.ringDepth);
     setCategories(_params.categories);
@@ -46,21 +47,10 @@ TraceSink::TraceSink(TraceParams params, std::function<Tick()> now_fn)
 void
 TraceSink::setCategories(std::string_view names)
 {
-    if (trim(names).empty()) {
-        mask.fill(true);
-        return;
-    }
-    mask.fill(false);
-    for (const auto &name : split(names, ',')) {
-        const std::string wanted = trim(name);
-        if (wanted.empty())
-            continue;
-        Flag f;
-        if (flagFromName(wanted, f))
-            mask[static_cast<unsigned>(f)] = true;
-        else
-            warn("unknown trace category '{}'", wanted);
-    }
+    mask = parseCategories(names, "trace categories");
+    // With nothing kept, reject every probe at its first check.
+    if (!_params.spans && _params.ringDepth == 0)
+        mask.fill(false);
 }
 
 void
@@ -76,27 +66,24 @@ TraceSink::push(TraceRecord &&rec)
 }
 
 void
-TraceSink::complete(Flag cat, Lane lane, const char *name, Tick start,
-                    Tick end, std::string args)
+TraceSink::complete(Flag cat, const char *name, Tick start, Tick end,
+                    std::string args)
 {
     TraceRecord rec;
     rec.start = start;
     rec.dur = end >= start ? end - start : 0;
     rec.cat = cat;
-    rec.lane = lane;
     rec.name = name;
     rec.args = std::move(args);
     push(std::move(rec));
 }
 
 void
-TraceSink::instant(Flag cat, Lane lane, const char *name,
-                   std::string args)
+TraceSink::instant(Flag cat, const char *name, std::string args)
 {
     TraceRecord rec;
     rec.start = nowFn();
     rec.cat = cat;
-    rec.lane = lane;
     rec.name = name;
     rec.args = std::move(args);
     rec.instant = true;
@@ -165,9 +152,9 @@ TraceSink::writeChromeJson(std::ostream &os) const
                   return a->seq < b->seq;
               });
 
-    std::array<bool, static_cast<unsigned>(Lane::numLanes)> laneUsed{};
+    FlagMask laneUsed{};
     for (const auto *rec : sorted)
-        laneUsed[static_cast<unsigned>(rec->lane)] = true;
+        laneUsed[static_cast<unsigned>(rec->cat)] = true;
 
     json::Writer w(os);
     w.beginObject();
@@ -175,8 +162,8 @@ TraceSink::writeChromeJson(std::ostream &os) const
     w.key("traceEvents");
     w.beginArray();
 
-    // Metadata: name the process and each used lane; sort lanes in
-    // enum (display) order.
+    // Metadata: name the process and one lane per used category,
+    // sorted in enum order.
     w.beginObject();
     w.keyValue("name", "process_name");
     w.keyValue("ph", "M");
@@ -187,8 +174,7 @@ TraceSink::writeChromeJson(std::ostream &os) const
     w.keyValue("name", "kindle");
     w.endObject();
     w.endObject();
-    for (unsigned lane = 0;
-         lane < static_cast<unsigned>(Lane::numLanes); ++lane) {
+    for (unsigned lane = 0; lane < numFlags; ++lane) {
         if (!laneUsed[lane])
             continue;
         w.beginObject();
@@ -198,7 +184,7 @@ TraceSink::writeChromeJson(std::ostream &os) const
         w.keyValue("tid", lane);
         w.key("args");
         w.beginObject();
-        w.keyValue("name", laneNames[lane]);
+        w.keyValue("name", flagNames[lane]);
         w.endObject();
         w.endObject();
         w.beginObject();
@@ -224,7 +210,7 @@ TraceSink::writeChromeJson(std::ostream &os) const
         else
             w.keyValue("s", "t");
         w.keyValue("pid", 1);
-        w.keyValue("tid", static_cast<unsigned>(rec->lane));
+        w.keyValue("tid", static_cast<unsigned>(rec->cat));
         writeEventArgs(w, *rec);
         w.endObject();
     }
@@ -259,7 +245,6 @@ TraceSink::writeFlightRecorder(std::ostream &os,
         w.keyValue("tick", static_cast<std::uint64_t>(rec.start));
         if (!rec.instant)
             w.keyValue("dur", static_cast<std::uint64_t>(rec.dur));
-        w.keyValue("lane", laneName(rec.lane));
         w.keyValue("cat", flagName(rec.cat));
         w.keyValue("name", rec.name);
         if (!rec.args.empty())
@@ -271,24 +256,6 @@ TraceSink::writeFlightRecorder(std::ostream &os,
     os << '\n';
     kindle_assert(w.balanced(),
                   "flight-recorder dump left unbalanced JSON");
-}
-
-SinkScope::SinkScope(TraceSink *sink) : sink(sink)
-{
-    sinkStack.push_back(sink);
-}
-
-SinkScope::~SinkScope()
-{
-    kindle_assert(!sinkStack.empty() && sinkStack.back() == sink,
-                  "trace sink scopes must unwind LIFO");
-    sinkStack.pop_back();
-}
-
-TraceSink *
-currentSink()
-{
-    return sinkStack.empty() ? nullptr : sinkStack.back();
 }
 
 } // namespace kindle::trace

@@ -1,21 +1,26 @@
 /**
  * @file
- * Tick-accurate tracing: protocol spans and the crash flight recorder.
+ * The probe vocabulary and its routing, plus tick-accurate tracing:
+ * protocol spans and the crash flight recorder.
  *
- * Every KindleSystem owns one TraceSink.  Instrumented code does not
- * hold a sink pointer: like the fault layer's crash-site probes, spans
- * route through a thread-local registration stack (SinkScope), so the
- * checkpoint pipeline, the recovery phases, the scrubber and friends
- * emit into whichever system is live on the current thread — and
- * concurrent SweepRunner workers each record into their own system's
- * sink with no sharing.
+ * One category enum (Flag) names every probe in the tree — trace
+ * spans and instants here, KINDLE_PROF_SCOPE self-profiler probes
+ * (trace/profiler.hh) — and one name table drives --trace-flags, the
+ * Chrome lanes, the flight dump and the prof.* stat names.
+ *
+ * Instrumented code holds no pointers: every probe routes through one
+ * thread-local registration (Probes) naming the live system's trace
+ * sink, self-profiler and crash injector.  Each KindleSystem installs
+ * it once (ProbeScope) for its lifetime, so concurrent SweepRunner
+ * workers each feed their own system with no sharing.  A probe with
+ * no target is one thread-local load and a branch.
  *
  * Two capture modes, independently enabled:
  *
  *  - Span collection (TraceParams::spans): every record is kept and
  *    can be exported as Chrome trace-event JSON (writeChromeJson),
  *    loadable in Perfetto / chrome://tracing.  One "thread" lane per
- *    simulated component (Lane), nesting by time containment.
+ *    category, nesting by time containment.
  *
  *  - Flight recorder (TraceParams::ringDepth): a fixed ring of the
  *    last N records, cheap enough to leave on for every run.  When a
@@ -24,18 +29,10 @@
  *    fault plan and crash site into a self-contained JSON timeline of
  *    the moments before the failure.
  *
- * Records are gated on the base/trace_flags categories (Flag): the
- * sink carries a category mask over the same flag names the
- * KINDLE_DEBUG stderr tracing uses, defaulting to all-on, so
- * "--trace-flags=checkpoint,redo" narrows a trace the same way
- * KINDLE_DEBUG narrows dprintf output — without coupling record
- * capture to the stderr spew.
- *
- * Compile-time kill switch: building with -DKINDLE_TRACE=0 turns the
- * instrumentation macros into no-ops, removing every probe (and its
- * argument evaluation) from the binary.  Timestamps are simulated
- * ticks (picoseconds) end to end; the Chrome export converts to
- * microseconds only at serialization.
+ * The sink carries a category mask (default all-on), so
+ * "--trace-flags=checkpoint,redo" narrows capture to those probes.
+ * Timestamps are simulated ticks (picoseconds) end to end; the Chrome
+ * export converts to microseconds only at serialization.
  */
 
 #ifndef KINDLE_TRACE_TRACE_HH
@@ -44,44 +41,130 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "base/trace_flags.hh"
+#include "base/logging.hh"
+#include "base/str.hh"
 #include "base/types.hh"
 
-#ifndef KINDLE_TRACE
-#define KINDLE_TRACE 1
-#endif
+namespace kindle::fault
+{
+class CrashInjector;
+} // namespace kindle::fault
 
 namespace kindle::trace
 {
 
-/**
- * Timeline lane a record renders into — one per simulated component,
- * mapped to a Chrome trace "thread".  Enum order is display order.
- */
-enum class Lane : std::uint8_t
+/** Instrumentation categories.  Enum order is Chrome lane order. */
+enum class Flag : unsigned
 {
-    sim = 0,
-    cpu,
+    event = 0,
     mem,
-    scrub,
-    ckpt,
+    cache,
+    pwalk,
+    vma,
+    syscall,
+    checkpoint,
+    recovery,
+    ssp,
+    hscc,
     pt,
     redo,
-    recovery,
-    hscc,
-    ssp,
-    os,
+    scrub,
     fault,
-    numLanes
+    sched,
+    reclaim,
+    exec,
+    numFlags
 };
 
-/** Printable lane name ("ckpt", "recovery", ...). */
-const char *laneName(Lane lane);
+inline constexpr unsigned numFlags = static_cast<unsigned>(Flag::numFlags);
+
+inline constexpr std::array<const char *, numFlags> flagNames = {
+    "event", "mem", "cache", "pwalk", "vma", "syscall",
+    "checkpoint", "recovery", "ssp", "hscc", "pt", "redo",
+    "scrub", "fault", "sched", "reclaim", "exec",
+};
+
+/** Printable name of @p f ("checkpoint", "redo", ...). */
+inline const char *
+flagName(Flag f)
+{
+    return flagNames[static_cast<unsigned>(f)];
+}
+
+/** One bit per category. */
+using FlagMask = std::array<bool, numFlags>;
+
+/**
+ * Parse a comma-separated category list ("checkpoint, redo") into a
+ * mask; a list naming no category means all of them.  An unknown
+ * name is fatal, reported against @p origin (the flag or config
+ * field it came from).
+ */
+FlagMask parseCategories(std::string_view names, const char *origin);
+
+class TraceSink;
+class Profiler;
+
+/**
+ * Where this thread's probes go: the live system's trace sink,
+ * self-profiler and crash injector.  Any of them may be null.
+ */
+struct Probes
+{
+    TraceSink *sink = nullptr;
+    Profiler *profiler = nullptr;
+    fault::CrashInjector *injector = nullptr;
+
+    bool operator==(const Probes &) const = default;
+};
+
+namespace detail
+{
+inline constinit thread_local Probes probes{};
+} // namespace detail
+
+/** This thread's registration (all null outside any system). */
+inline const Probes &
+probes()
+{
+    return detail::probes;
+}
+
+/**
+ * RAII registration of one system's probe targets on this thread.
+ * The newest registration wins outright: a null target shadows an
+ * outer system's instead of leaking probes into it.  Destruction
+ * restores the registration it replaced, so scopes unwind LIFO.
+ */
+class ProbeScope
+{
+  public:
+    explicit ProbeScope(const Probes &targets)
+        : saved(detail::probes), installed(targets)
+    {
+        detail::probes = targets;
+    }
+
+    ~ProbeScope()
+    {
+        kindle_assert(detail::probes == installed,
+                      "probe scopes must unwind LIFO");
+        detail::probes = saved;
+    }
+
+    ProbeScope(const ProbeScope &) = delete;
+    ProbeScope &operator=(const ProbeScope &) = delete;
+
+  private:
+    Probes saved;
+    Probes installed;
+};
 
 /** One captured span or instant. */
 struct TraceRecord
@@ -89,7 +172,6 @@ struct TraceRecord
     Tick start = 0;
     Tick dur = 0;
     Flag cat = Flag::event;
-    Lane lane = Lane::sim;
     /** Static-duration string (macro call sites pass literals). */
     const char *name = "";
     /** Optional preformatted "k=v" payload. */
@@ -109,8 +191,8 @@ struct TraceParams
     std::size_t ringDepth = 512;
 
     /**
-     * Comma-separated category names (base/trace_flags vocabulary,
-     * e.g. "checkpoint,redo,fault"); empty means all categories.
+     * Comma-separated category names (Flag vocabulary, e.g.
+     * "checkpoint,redo,fault"); empty means all categories.
      */
     std::string categories;
 
@@ -146,11 +228,7 @@ class TraceSink
     TraceSink(TraceParams params, std::function<Tick()> now_fn);
 
     /** Would a record in @p cat be captured at all right now? */
-    bool
-    wants(Flag cat) const
-    {
-        return capturing && mask[static_cast<unsigned>(cat)];
-    }
+    bool wants(Flag cat) const { return mask[static_cast<unsigned>(cat)]; }
 
     Tick now() const { return nowFn(); }
 
@@ -158,12 +236,11 @@ class TraceSink
     void setCategories(std::string_view names);
 
     /** Record a completed span [@p start, @p end). */
-    void complete(Flag cat, Lane lane, const char *name, Tick start,
-                  Tick end, std::string args);
+    void complete(Flag cat, const char *name, Tick start, Tick end,
+                  std::string args);
 
     /** Record an instantaneous event at the current tick. */
-    void instant(Flag cat, Lane lane, const char *name,
-                 std::string args = {});
+    void instant(Flag cat, const char *name, std::string args = {});
 
     const TraceParams &params() const { return _params; }
 
@@ -181,9 +258,9 @@ class TraceSink
 
     /**
      * Export collected spans as Chrome trace-event JSON: metadata
-     * names the process and one thread per used lane, then complete
-     * ("X") and instant ("i") events sorted chronologically (ties
-     * broken longest-duration-first so nested spans stay inside
+     * names the process and one thread per used category, then
+     * complete ("X") and instant ("i") events sorted chronologically
+     * (ties broken longest-duration-first so nested spans stay inside
      * their parents).
      */
     void writeChromeJson(std::ostream &os) const;
@@ -198,8 +275,8 @@ class TraceSink
     TraceParams _params;
     std::function<Tick()> nowFn;
 
-    bool capturing = false;
-    std::array<bool, static_cast<unsigned>(Flag::numFlags)> mask{};
+    /** Categories captured; all clear when neither mode is on. */
+    FlagMask mask{};
 
     std::vector<TraceRecord> _records;
     std::vector<TraceRecord> ring;
@@ -207,55 +284,45 @@ class TraceSink
     std::uint64_t totalSeen = 0;
 };
 
-/**
- * RAII registration of a system's sink (may be null) on this thread's
- * routing stack; mirrors fault::InjectorScope.  The most recent
- * registration wins, so a sink-less system shadows any older sink
- * instead of leaking records to it.
- */
-class SinkScope
+/** The sink that would capture a @p cat record now, or null. */
+inline TraceSink *
+sinkFor(Flag cat)
 {
-  public:
-    explicit SinkScope(TraceSink *sink);
-    ~SinkScope();
-
-    SinkScope(const SinkScope &) = delete;
-    SinkScope &operator=(const SinkScope &) = delete;
-
-  private:
-    TraceSink *sink;
-};
-
-/** The sink records route to on this thread (may be null). */
-TraceSink *currentSink();
+    TraceSink *s = detail::probes.sink;
+    return s && s->wants(cat) ? s : nullptr;
+}
 
 /**
  * RAII protocol span: captures the start tick at construction and
- * emits one complete record at destruction.  When tracing is off (no
- * sink, or the category is masked) construction is one thread-local
- * load plus two branches and the destructor does nothing.
+ * emits one complete record at destruction.  With no sink registered
+ * construction is one thread-local load and a branch (one more when a
+ * sink's mask rejects the category), and the destructor does nothing.
  */
 class TraceSpan
 {
   public:
-    TraceSpan(Flag cat, Lane lane, const char *name)
+    TraceSpan(Flag cat, const char *name) : sink(detail::probes.sink)
     {
-        TraceSink *s = currentSink();
-        if (s && s->wants(cat)) {
-            sink = s;
-            this->cat = cat;
-            this->lane = lane;
-            this->name = name;
-            start = s->now();
+        if (!sink)
+            return;
+        if (!sink->wants(cat)) {
+            sink = nullptr;
+            return;
         }
+        // The rest is set up only on the armed path, so a disarmed
+        // span costs what a disarmed profiler probe does.
+        this->cat = cat;
+        this->name = name;
+        start = sink->now();
+        new (&args) std::string();
     }
 
     ~TraceSpan()
     {
-        if (sink) {
-            sink->complete(cat, lane, name, start, sink->now(),
-                           std::move(args));
-        }
+        if (!sink)
+            return;
+        sink->complete(cat, name, start, sink->now(), std::move(args));
+        args.~basic_string();
     }
 
     TraceSpan(const TraceSpan &) = delete;
@@ -264,85 +331,59 @@ class TraceSpan
     /** True when this span will be recorded (guard arg formatting). */
     bool active() const { return sink != nullptr; }
 
-    /** Attach a preformatted "k=v" payload to the record. */
+    /** Attach a preformatted "k=v" payload (only while active()). */
     void setArgs(std::string a) { args = std::move(a); }
 
   private:
-    TraceSink *sink = nullptr;
-    Tick start = 0;
-    Flag cat = Flag::event;
-    Lane lane = Lane::sim;
-    const char *name = "";
-    std::string args;
+    TraceSink *sink;
+    Flag cat;
+    const char *name;
+    Tick start;
+    union
+    {
+        std::string args;  ///< alive only while sink is non-null
+    };
 };
-
-/** Free-function instant probe (mirrors fault::crashSite). */
-inline void
-emitInstant(Flag cat, Lane lane, const char *name,
-            std::string args = {})
-{
-    TraceSink *s = currentSink();
-    if (s && s->wants(cat))
-        s->instant(cat, lane, name, std::move(args));
-}
 
 } // namespace kindle::trace
 
 /**
- * Instrumentation macros.  All of them vanish (including argument
- * evaluation) when compiled with -DKINDLE_TRACE=0.
+ * Instrumentation macros:
  *
- *   KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt.ptWalk");
- *   KINDLE_TRACE_SPAN_ARGS(checkpoint, ckpt, "ckpt.process",
- *                          "pid={}", pid);
- *   KINDLE_TRACE_INSTANT(redo, redo, "redo.append");
+ *   KINDLE_TRACE_SPAN(checkpoint, "ckpt.ptWalk");
+ *   KINDLE_TRACE_SPAN_ARGS(checkpoint, "ckpt.process", "pid={}", pid);
+ *   KINDLE_TRACE_INSTANT(redo, "redo.append");
  *
  * The first two declare an anonymous RAII span covering the rest of
- * the enclosing block; the _ARGS form formats its payload only when
- * the span is actually being recorded.
+ * the enclosing block; the _ARGS forms format their payload only when
+ * the record is actually captured.
  */
 #define KINDLE_TRACE_CAT2_(a, b) a##b
 #define KINDLE_TRACE_CAT_(a, b) KINDLE_TRACE_CAT2_(a, b)
 
-#if KINDLE_TRACE
+#define KINDLE_TRACE_SPAN(cat, name)                                    \
+    ::kindle::trace::TraceSpan KINDLE_TRACE_CAT_(kindleSpan_, __LINE__)( \
+        ::kindle::trace::Flag::cat, name)
 
-#define KINDLE_TRACE_SPAN(cat, lane, name)                              \
-    ::kindle::trace::TraceSpan KINDLE_TRACE_CAT_(kindleSpan_,           \
-                                                 __LINE__)(             \
-        ::kindle::trace::Flag::cat, ::kindle::trace::Lane::lane, name)
-
-#define KINDLE_TRACE_SPAN_ARGS(cat, lane, name, ...)                    \
-    ::kindle::trace::TraceSpan KINDLE_TRACE_CAT_(kindleSpan_,           \
-                                                 __LINE__)(             \
-        ::kindle::trace::Flag::cat, ::kindle::trace::Lane::lane,        \
-        name);                                                          \
+#define KINDLE_TRACE_SPAN_ARGS(cat, name, ...)                          \
+    KINDLE_TRACE_SPAN(cat, name);                                       \
     if (KINDLE_TRACE_CAT_(kindleSpan_, __LINE__).active())              \
         KINDLE_TRACE_CAT_(kindleSpan_, __LINE__)                        \
             .setArgs(::kindle::csprintf(__VA_ARGS__))
 
-#define KINDLE_TRACE_INSTANT(cat, lane, name)                           \
-    ::kindle::trace::emitInstant(::kindle::trace::Flag::cat,            \
-                                 ::kindle::trace::Lane::lane, name)
-
-#define KINDLE_TRACE_INSTANT_ARGS(cat, lane, name, ...)                 \
+#define KINDLE_TRACE_INSTANT(cat, name)                                 \
     do {                                                                \
-        ::kindle::trace::TraceSink *kindleSink_ =                       \
-            ::kindle::trace::currentSink();                             \
-        if (kindleSink_ &&                                              \
-            kindleSink_->wants(::kindle::trace::Flag::cat)) {           \
-            kindleSink_->instant(::kindle::trace::Flag::cat,            \
-                                 ::kindle::trace::Lane::lane, name,     \
-                                 ::kindle::csprintf(__VA_ARGS__));      \
-        }                                                               \
+        if (::kindle::trace::TraceSink *kindleSink_ =                   \
+                ::kindle::trace::sinkFor(::kindle::trace::Flag::cat))   \
+            kindleSink_->instant(::kindle::trace::Flag::cat, name);     \
     } while (0)
 
-#else // !KINDLE_TRACE
-
-#define KINDLE_TRACE_SPAN(cat, lane, name) ((void)0)
-#define KINDLE_TRACE_SPAN_ARGS(cat, lane, name, ...) ((void)0)
-#define KINDLE_TRACE_INSTANT(cat, lane, name) ((void)0)
-#define KINDLE_TRACE_INSTANT_ARGS(cat, lane, name, ...) ((void)0)
-
-#endif // KINDLE_TRACE
+#define KINDLE_TRACE_INSTANT_ARGS(cat, name, ...)                       \
+    do {                                                                \
+        if (::kindle::trace::TraceSink *kindleSink_ =                   \
+                ::kindle::trace::sinkFor(::kindle::trace::Flag::cat))   \
+            kindleSink_->instant(::kindle::trace::Flag::cat, name,      \
+                                 ::kindle::csprintf(__VA_ARGS__));      \
+    } while (0)
 
 #endif // KINDLE_TRACE_TRACE_HH

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the crash-point fault injector: plan arming, trigger
- * semantics, observe-only counting, and the thread-local routing
- * stack probes are dispatched through.
+ * semantics, observe-only counting, and probe dispatch through the
+ * thread-local registration.
  */
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault.hh"
+#include "trace/trace.hh"
 
 namespace kindle::fault
 {
@@ -131,17 +132,17 @@ TEST(FaultInjectionTest, ObserverSeesEveryHitIncludingTheFatalOne)
 
 TEST(FaultRoutingTest, ScopeRoutesProbesAndUnwinds)
 {
-    EXPECT_EQ(current(), nullptr);
+    EXPECT_EQ(trace::probes().injector, nullptr);
     crashSite("free.floating");  // probes without a scope are no-ops
 
     auto inj = makeInjector(FaultPlan{});
     {
-        InjectorScope scope(inj.get());
-        EXPECT_EQ(current(), inj.get());
+        trace::ProbeScope scope({.injector = inj.get()});
+        EXPECT_EQ(trace::probes().injector, inj.get());
         crashSite("a.site");
         onDurableNvmWrite(7);
     }
-    EXPECT_EQ(current(), nullptr);
+    EXPECT_EQ(trace::probes().injector, nullptr);
     EXPECT_EQ(inj->hitsOf("a.site"), 1u);
     EXPECT_EQ(inj->durableWrites(), 1u);
 }
@@ -150,18 +151,18 @@ TEST(FaultRoutingTest, NewestScopeWinsAndNullShadows)
 {
     auto outer = makeInjector(FaultPlan{});
     auto inner = makeInjector(FaultPlan{});
-    InjectorScope outer_scope(outer.get());
+    trace::ProbeScope outer_scope({.injector = outer.get()});
     {
-        InjectorScope inner_scope(inner.get());
+        trace::ProbeScope inner_scope({.injector = inner.get()});
         crashSite("s");
-        EXPECT_EQ(current(), inner.get());
+        EXPECT_EQ(trace::probes().injector, inner.get());
     }
     {
-        // A system without fault config registers nullptr, shadowing
-        // the outer injector instead of leaking probes to it.
-        InjectorScope null_scope(nullptr);
+        // A system without fault config registers no injector,
+        // shadowing the outer one instead of leaking probes to it.
+        trace::ProbeScope null_scope({});
         crashSite("s");
-        EXPECT_EQ(current(), nullptr);
+        EXPECT_EQ(trace::probes().injector, nullptr);
     }
     crashSite("s");
     EXPECT_EQ(outer->hitsOf("s"), 1u);

@@ -3,6 +3,7 @@
 #include "fault/fault.hh"
 #include "os/nvm_layout.hh"
 #include "persist/redo_log.hh"
+#include "trace/trace.hh"
 
 namespace kindle::persist
 {
@@ -227,7 +228,7 @@ TEST(RedoLogTest, CrashAtPreWrapSalvagesTheFullConsistentPrefix)
     plan.site = "redo.pre_wrap";
     fault::CrashInjector injector(
         plan, [&rig] { return rig.sim.now(); });
-    fault::InjectorScope scope(&injector);
+    trace::ProbeScope scope({.injector = &injector});
     injector.activate();
 
     {

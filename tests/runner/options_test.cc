@@ -131,6 +131,8 @@ TEST_F(OptionsTest, MalformedNumbersAreFatal)
              {"--jobs", "-1"},
              {"--cores", "33"},
              {"--trace-ring", ""},
+             {"--trace-flags", "checkpoint,redoo"},
+             {"--trace-flags", "ckpt"},
              {"--ipi-timeout", "2us"},
          }) {
         EXPECT_THROW(parse(args, {fleetFlags(fo)}), SimError)
@@ -138,6 +140,14 @@ TEST_F(OptionsTest, MalformedNumbersAreFatal)
     }
     ::setenv("KINDLE_JOBS", "abc", 1);
     EXPECT_THROW(parse({}), SimError);
+    ::unsetenv("KINDLE_JOBS");
+    // Trace categories are checked at parse time, not left to each
+    // system to warn about; a valid list passes through verbatim.
+    ::setenv("KINDLE_TRACE_FLAGS", "redo,typo", 1);
+    EXPECT_THROW(parse({}), SimError);
+    ::unsetenv("KINDLE_TRACE_FLAGS");
+    EXPECT_EQ(parse({"--trace-flags", " redo, fault"}).traceFlags,
+              " redo, fault");
 }
 
 TEST_F(OptionsTest, ScaleFromEnvIsStrict)

@@ -12,9 +12,9 @@
 
 #include "kindle/kindle.hh"
 #include "kindle/microbench.hh"
-#include "telemetry/profiler.hh"
+#include "trace/profiler.hh"
 
-namespace kindle::telemetry
+namespace kindle::trace
 {
 namespace
 {
@@ -30,19 +30,19 @@ spinFor(std::uint64_t ns)
 
 TEST(ProfilerTest, ProbeWithoutProfilerIsInert)
 {
-    ASSERT_EQ(currentProfiler(), nullptr);
+    ASSERT_EQ(probes().profiler, nullptr);
     // Must not crash or register anywhere; this is the default state
     // of every probe in the tree.
     for (int i = 0; i < 1000; ++i) {
         KINDLE_PROF_SCOPE(cache);
     }
-    EXPECT_EQ(currentProfiler(), nullptr);
+    EXPECT_EQ(probes().profiler, nullptr);
 }
 
 TEST(ProfilerTest, RecordsCallsAndTimePerCategory)
 {
     Profiler prof;
-    ProfilerScope scope(&prof);
+    ProbeScope scope({.profiler = &prof});
     for (int i = 0; i < 100; ++i) {
         KINDLE_PROF_SCOPE(cache);
     }
@@ -50,18 +50,18 @@ TEST(ProfilerTest, RecordsCallsAndTimePerCategory)
         KINDLE_PROF_SCOPE(redo);
         spinFor(100000);
     }
-    EXPECT_EQ(prof.categoryCalls(ProfCat::cache), 100);
-    EXPECT_EQ(prof.categoryCalls(ProfCat::redo), 1);
-    EXPECT_GE(prof.categoryNs(ProfCat::redo), 100000);
-    EXPECT_EQ(prof.categoryCalls(ProfCat::sched), 0);
-    EXPECT_EQ(prof.totalNs(), prof.categoryNs(ProfCat::cache) +
-                                  prof.categoryNs(ProfCat::redo));
+    EXPECT_EQ(prof.categoryCalls(Flag::cache), 100);
+    EXPECT_EQ(prof.categoryCalls(Flag::redo), 1);
+    EXPECT_GE(prof.categoryNs(Flag::redo), 100000);
+    EXPECT_EQ(prof.categoryCalls(Flag::sched), 0);
+    EXPECT_EQ(prof.totalNs(), prof.categoryNs(Flag::cache) +
+                                  prof.categoryNs(Flag::redo));
 }
 
 TEST(ProfilerTest, NestedScopesChargeExclusiveTime)
 {
     Profiler prof;
-    ProfilerScope scope(&prof);
+    ProbeScope scope({.profiler = &prof});
     {
         KINDLE_PROF_SCOPE(sched);
         {
@@ -71,40 +71,40 @@ TEST(ProfilerTest, NestedScopesChargeExclusiveTime)
         // The outer scope does almost nothing itself: its self time
         // must exclude the child's 2 ms, not absorb it.
     }
-    EXPECT_GE(prof.categoryNs(ProfCat::cache), 2000000);
-    EXPECT_LT(prof.categoryNs(ProfCat::sched),
-              prof.categoryNs(ProfCat::cache));
+    EXPECT_GE(prof.categoryNs(Flag::cache), 2000000);
+    EXPECT_LT(prof.categoryNs(Flag::sched),
+              prof.categoryNs(Flag::cache));
 }
 
 TEST(ProfilerTest, NullRegistrationShadowsOuterProfiler)
 {
     Profiler prof;
-    ProfilerScope outer(&prof);
+    ProbeScope outer({.profiler = &prof});
     {
         // An unprofiled system on the same thread must not leak its
         // probe time into the outer system's stats.
-        ProfilerScope inner(nullptr);
+        ProbeScope inner({});
         KINDLE_PROF_SCOPE(cache);
     }
-    EXPECT_EQ(prof.categoryCalls(ProfCat::cache), 0);
+    EXPECT_EQ(prof.categoryCalls(Flag::cache), 0);
     {
         KINDLE_PROF_SCOPE(cache);
     }
-    EXPECT_EQ(prof.categoryCalls(ProfCat::cache), 1);
+    EXPECT_EQ(prof.categoryCalls(Flag::cache), 1);
 }
 
 TEST(ProfilerTest, PrintTableListsActiveCategoriesAndTotal)
 {
     Profiler prof;
-    ProfilerScope scope(&prof);
+    ProbeScope scope({.profiler = &prof});
     {
-        KINDLE_PROF_SCOPE(ckpt);
+        KINDLE_PROF_SCOPE(checkpoint);
         spinFor(50000);
     }
     std::ostringstream os;
     prof.printTable(os);
     const std::string table = os.str();
-    EXPECT_NE(table.find("prof: ckpt"), std::string::npos);
+    EXPECT_NE(table.find("prof: checkpoint"), std::string::npos);
     EXPECT_NE(table.find("prof: total"), std::string::npos);
     // Never-entered categories are suppressed, not printed as zeros.
     EXPECT_EQ(table.find("prof: scrub"), std::string::npos);
@@ -126,18 +126,40 @@ TEST(ProfilerTest, ProfStatsExistOnlyWhenProfilingRequested)
     };
 
     const auto plain = snapshot(false);
-    EXPECT_FALSE(plain.has("prof.eventLoopNs"));
+    EXPECT_FALSE(plain.has("prof.eventNs"));
     EXPECT_FALSE(plain.has("prof.schedCalls"));
 
     const auto profiled = snapshot(true);
-    ASSERT_TRUE(profiled.has("prof.eventLoopNs"));
+    ASSERT_TRUE(profiled.has("prof.eventNs"));
     ASSERT_TRUE(profiled.has("prof.schedCalls"));
     // The run dispatched events and scheduler epochs, so the probes
     // must have fired.
-    EXPECT_GT(profiled.get("prof.eventLoopCalls"), 0);
+    EXPECT_GT(profiled.get("prof.eventCalls"), 0);
     EXPECT_GT(profiled.get("prof.schedCalls"), 0);
     EXPECT_GT(profiled.get("prof.cacheCalls"), 0);
 }
 
+TEST(ProfilerTest, OpLoopIsChargedToExecNotSched)
+{
+    // A short op-heavy run on one core: runSlice's op interpretation
+    // is exec, and sched keeps only picking, switching and reaping.
+    KindleConfig cfg;
+    cfg.memory.dramBytes = 128 * oneMiB;
+    cfg.memory.nvmBytes = 128 * oneMiB;
+    cfg.profiling = true;
+    KindleSystem sys(cfg);
+    micro::ScriptBuilder b;
+    b.mmapFixed(micro::scriptBase, 64 * pageSize, /*nvm=*/false);
+    for (int pass = 0; pass < 20; ++pass)
+        b.touchPages(micro::scriptBase, 64 * pageSize);
+    b.exit();
+    sys.run(b.build(), "exec");
+
+    const Profiler &prof = *sys.profiler();
+    EXPECT_GT(prof.categoryCalls(Flag::exec), 0);
+    EXPECT_GT(prof.categoryCalls(Flag::sched), 0);
+    EXPECT_GT(prof.categoryNs(Flag::exec), prof.categoryNs(Flag::sched));
+}
+
 } // namespace
-} // namespace kindle::telemetry
+} // namespace kindle::trace

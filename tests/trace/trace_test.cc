@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the tracing substrate: span capture and nesting, category
- * masking, sink routing, the flight-recorder ring, Chrome-JSON export
- * shape, and the checkpoint-decomposition guarantee on a live system.
+ * masking, probe routing, the flight-recorder ring, Chrome-JSON export
+ * shape, converted instants on a live system, and the
+ * checkpoint-decomposition guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +15,11 @@
 #include <vector>
 
 #include "base/json.hh"
+#include "fault/fault.hh"
 #include "kindle/kindle.hh"
 #include "kindle/microbench.hh"
 #include "persist/checkpoint.hh"
+#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace kindle::trace
@@ -38,9 +41,9 @@ TEST(TraceTest, SpanCapturesStartDurationAndIdentity)
 {
     Tick clock = 1000;
     TraceSink sink(paramsFor(true, 0), [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "t.span");
+        KINDLE_TRACE_SPAN(checkpoint, "t.span");
         clock += 250;
     }
     ASSERT_EQ(sink.records().size(), 1u);
@@ -49,7 +52,6 @@ TEST(TraceTest, SpanCapturesStartDurationAndIdentity)
     EXPECT_EQ(rec.dur, 250u);
     EXPECT_STREQ(rec.name, "t.span");
     EXPECT_EQ(rec.cat, Flag::checkpoint);
-    EXPECT_EQ(rec.lane, Lane::ckpt);
     EXPECT_FALSE(rec.instant);
 }
 
@@ -57,12 +59,12 @@ TEST(TraceTest, NestedSpansCompleteInnerFirstButExportOuterFirst)
 {
     Tick clock = 0;
     TraceSink sink(paramsFor(true, 0), [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     {
-        KINDLE_TRACE_SPAN(checkpoint, ckpt, "outer");
+        KINDLE_TRACE_SPAN(checkpoint, "outer");
         clock += 10;
         {
-            KINDLE_TRACE_SPAN(checkpoint, ckpt, "inner");
+            KINDLE_TRACE_SPAN(checkpoint, "inner");
             clock += 30;
         }
         clock += 60;
@@ -97,13 +99,13 @@ TEST(TraceTest, CategoryMaskRejectsUnlistedFlags)
     Tick clock = 0;
     TraceSink sink(paramsFor(true, 0, "redo,fault"),
                    [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     EXPECT_TRUE(sink.wants(Flag::redo));
     EXPECT_TRUE(sink.wants(Flag::fault));
     EXPECT_FALSE(sink.wants(Flag::checkpoint));
 
-    KINDLE_TRACE_INSTANT(checkpoint, ckpt, "masked.out");
-    KINDLE_TRACE_INSTANT(redo, redo, "kept");
+    KINDLE_TRACE_INSTANT(checkpoint, "masked.out");
+    KINDLE_TRACE_INSTANT(redo, "kept");
     ASSERT_EQ(sink.records().size(), 1u);
     EXPECT_STREQ(sink.records()[0].name, "kept");
 
@@ -117,14 +119,14 @@ TEST(TraceTest, MaskedSpanSkipsArgumentFormatting)
     Tick clock = 0;
     TraceSink sink(paramsFor(true, 0, "redo"),
                    [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     bool evaluated = false;
     auto touch = [&evaluated] {
         evaluated = true;
         return 42;
     };
     {
-        KINDLE_TRACE_SPAN_ARGS(checkpoint, ckpt, "masked",
+        KINDLE_TRACE_SPAN_ARGS(checkpoint, "masked",
                                "v={}", touch());
     }
     EXPECT_FALSE(evaluated);
@@ -135,31 +137,92 @@ TEST(TraceTest, NoSinkAndNullScopeAreInert)
 {
     // Bare probe with no registration: must not crash, must be
     // inactive.
-    TraceSpan orphan(Flag::checkpoint, Lane::ckpt, "orphan");
+    TraceSpan orphan(Flag::checkpoint, "orphan");
     EXPECT_FALSE(orphan.active());
 
-    // A null registration shadows an outer sink — a sink-less system
-    // must not leak records into an older system's sink.
+    // A registration without a sink shadows an outer sink: a sink-less
+    // system must not leak records into an older system's sink.
     Tick clock = 0;
     TraceSink sink(paramsFor(true, 0), [&clock] { return clock; });
-    SinkScope outer(&sink);
+    ProbeScope outer({.sink = &sink});
     {
-        SinkScope inner(nullptr);
-        EXPECT_EQ(currentSink(), nullptr);
-        KINDLE_TRACE_INSTANT(checkpoint, ckpt, "shadowed");
+        ProbeScope inner({});
+        EXPECT_EQ(probes().sink, nullptr);
+        KINDLE_TRACE_INSTANT(checkpoint, "shadowed");
     }
-    EXPECT_EQ(currentSink(), &sink);
+    EXPECT_EQ(probes().sink, &sink);
     EXPECT_TRUE(sink.records().empty());
+}
+
+TEST(ProbeRoutingTest, NewestRegistrationWinsNullShadowsUnwindRestores)
+{
+    // Outside any registration every kind of probe is inert.
+    {
+        TraceSpan orphan(Flag::checkpoint, "orphan");
+        EXPECT_FALSE(orphan.active());
+        KINDLE_PROF_SCOPE(cache);
+        fault::crashSite("free.floating");
+    }
+
+    Tick clock = 0;
+    const auto now = [&clock] { return clock; };
+    // The sinks keep only "redo", so the injector's own fault-category
+    // breadcrumbs stay out of the counts below.
+    TraceSink outer_sink(paramsFor(true, 0, "redo"), now);
+    TraceSink inner_sink(paramsFor(true, 0, "redo"), now);
+    Profiler outer_prof;
+    Profiler inner_prof;
+    fault::CrashInjector outer_inj(fault::FaultPlan{}, now);
+    fault::CrashInjector inner_inj(fault::FaultPlan{}, now);
+    outer_inj.activate();
+    inner_inj.activate();
+    const Probes outer{&outer_sink, &outer_prof, &outer_inj};
+    const Probes inner{&inner_sink, &inner_prof, &inner_inj};
+
+    // One probe of each kind.
+    const auto fire = [] {
+        KINDLE_TRACE_INSTANT(redo, "probe");
+        KINDLE_PROF_SCOPE(cache);
+        fault::crashSite("probe.site");
+    };
+    const auto counts = [](const Probes &p) {
+        return std::vector<double>{
+            static_cast<double>(p.sink->records().size()),
+            p.profiler->categoryCalls(Flag::cache),
+            static_cast<double>(p.injector->hitsOf("probe.site"))};
+    };
+
+    ProbeScope outer_scope(outer);
+    {
+        // The newest registration wins...
+        ProbeScope inner_scope(inner);
+        fire();
+        {
+            // ...and a system without targets shadows the outer ones
+            // instead of leaking probes into them.
+            ProbeScope none({});
+            EXPECT_EQ(probes(), Probes{});
+            fire();
+        }
+        // Unwinding restores the registration each scope replaced.
+        EXPECT_EQ(probes(), inner);
+        fire();
+    }
+    EXPECT_EQ(probes(), outer);
+    fire();
+
+    EXPECT_EQ(counts(inner), (std::vector<double>{2, 2, 2}));
+    EXPECT_EQ(counts(outer), (std::vector<double>{1, 1, 1}));
 }
 
 TEST(TraceTest, RingKeepsLastNRecordsOldestFirst)
 {
     Tick clock = 0;
     TraceSink sink(paramsFor(false, 4), [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     for (int i = 0; i < 10; ++i) {
         clock = 100 * (i + 1);
-        KINDLE_TRACE_INSTANT(fault, fault, "probe");
+        KINDLE_TRACE_INSTANT(fault, "probe");
     }
 
     // Span collection is off: nothing accumulates unbounded.
@@ -177,14 +240,14 @@ TEST(TraceTest, RingShallowerThanTrafficStillChronological)
 {
     Tick clock = 0;
     TraceSink sink(paramsFor(false, 3), [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     // Mixed spans and instants, enough to wrap several times.
     for (int i = 0; i < 17; ++i) {
         {
-            KINDLE_TRACE_SPAN(checkpoint, ckpt, "w");
+            KINDLE_TRACE_SPAN(checkpoint, "w");
             clock += 5;
         }
-        KINDLE_TRACE_INSTANT(redo, redo, "i");
+        KINDLE_TRACE_INSTANT(redo, "i");
     }
     EXPECT_EQ(sink.totalRecorded(), 34u);
     ASSERT_EQ(sink.ringSize(), 3u);
@@ -198,10 +261,10 @@ TEST(TraceTest, FlightDumpIsSelfContainedJson)
 {
     Tick clock = 0;
     TraceSink sink(paramsFor(false, 4), [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     for (int i = 0; i < 10; ++i) {
         clock += 50;
-        KINDLE_TRACE_INSTANT(fault, fault, "breadcrumb");
+        KINDLE_TRACE_INSTANT(fault, "breadcrumb");
     }
 
     FlightContext ctx;
@@ -227,7 +290,6 @@ TEST(TraceTest, FlightDumpIsSelfContainedJson)
     double prev = -1;
     for (const auto &rec : records) {
         EXPECT_EQ(rec.find("name")->asString(), "breadcrumb");
-        EXPECT_EQ(rec.find("lane")->asString(), "fault");
         EXPECT_EQ(rec.find("cat")->asString(), "fault");
         const double tick = rec.find("tick")->asNumber();
         EXPECT_GT(tick, prev);
@@ -342,6 +404,62 @@ TEST(TraceTest, SystemFlightDumpNamesTheCrashSite)
     EXPECT_EQ(doc->find("reason")->asString(), "unit-test");
     EXPECT_EQ(doc->find("ringDepth")->asNumber(), 512);
     EXPECT_GT(doc->find("records")->items().size(), 0u);
+}
+
+TEST(TraceTest, ConvertedInstantLandsInTheRingUnderItsCategory)
+{
+    // An NVM zone capped below the mapping: the MAP_NVM faults past
+    // the cap degrade to DRAM, and each degrade is a syscall instant.
+    const auto run = [](const std::string &categories) {
+        KindleConfig cfg;
+        cfg.memory.dramBytes = 128 * oneMiB;
+        cfg.memory.nvmBytes = 128 * oneMiB;
+        cfg.pressure = fault::PressurePlan{};
+        cfg.pressure->nvmZoneFrames = 8;
+        cfg.trace.categories = categories;
+        auto sys = std::make_unique<KindleSystem>(cfg);
+        micro::ScriptBuilder b;
+        b.mmapFixed(micro::scriptBase, 32 * pageSize, /*nvm=*/true);
+        b.touchPages(micro::scriptBase, 32 * pageSize);
+        b.exit();
+        sys->run(b.build(), "degrade");
+        return sys;
+    };
+    const auto degrades = [](const TraceSink &sink) {
+        std::size_t n = 0;
+        for (std::size_t i = 0; i < sink.ringSize(); ++i) {
+            const TraceRecord &rec = sink.ringAt(i);
+            if (std::strcmp(rec.name, "fault.nvmDegraded") == 0) {
+                EXPECT_EQ(rec.cat, Flag::syscall);
+                EXPECT_TRUE(rec.instant);
+                EXPECT_NE(rec.args.find("pid="), std::string::npos);
+                ++n;
+            }
+        }
+        return n;
+    };
+
+    const auto traced = run("");
+    const double degraded =
+        traced->kernel().stats().scalarValue("nvmDegradedAllocs");
+    ASSERT_GT(degraded, 0);
+    EXPECT_EQ(degrades(traced->traceSink()), degraded);
+
+    // Masked out, the same run records none, and a probe routed to the
+    // live system's sink never formats its payload.
+    const auto masked = run("checkpoint");
+    EXPECT_EQ(masked->kernel().stats().scalarValue("nvmDegradedAllocs"),
+              degraded);
+    EXPECT_EQ(degrades(masked->traceSink()), 0u);
+    bool evaluated = false;
+    auto touch = [&evaluated] {
+        evaluated = true;
+        return 42;
+    };
+    KINDLE_TRACE_INSTANT_ARGS(syscall, "masked", "v={}", touch());
+    EXPECT_FALSE(evaluated);
+    KINDLE_TRACE_INSTANT_ARGS(checkpoint, "kept", "v={}", touch());
+    EXPECT_TRUE(evaluated);
 }
 
 } // namespace
