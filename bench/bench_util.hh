@@ -1,10 +1,8 @@
 /**
  * @file
- * Shared helpers for the paper-reproduction bench binaries.
- *
- * Every bench prints the corresponding paper table/figure as text so
- * runs can be diffed against EXPERIMENTS.md.  KINDLE_SCALE and
- * KINDLE_OPS set the fidelity (README's knob table).
+ * Shared helpers for the bench drivers (experiments, fuzz,
+ * fleet_storm): text tables, headers and the JSON footer.  KINDLE_SCALE
+ * and KINDLE_OPS set the fidelity (README's knob table).
  */
 
 #ifndef KINDLE_BENCH_BENCH_UTIL_HH
@@ -64,50 +62,33 @@ printHeader(const std::string &artifact, const std::string &desc)
                 "===========\n");
 }
 
-/** Simple fixed-width table printer. */
-class TablePrinter
+/** Print a fixed-width table: @p columns, a rule, then @p rows. */
+inline void
+printTable(const std::vector<std::string> &columns,
+           const std::vector<std::vector<std::string>> &rows)
 {
-  public:
-    explicit TablePrinter(std::vector<std::string> headers)
-        : columns(std::move(headers))
-    {}
+    std::vector<std::size_t> widths(columns.size());
+    for (std::size_t c = 0; c < columns.size(); ++c)
+        widths[c] = columns[c].size();
+    for (const auto &row : rows)
+        for (std::size_t c = 0; c < row.size(); ++c)
+            widths[c] = std::max(widths[c], row[c].size());
 
-    void
-    addRow(std::vector<std::string> row)
-    {
-        rows.push_back(std::move(row));
-    }
-
-    void
-    print() const
-    {
-        std::vector<std::size_t> widths(columns.size());
-        for (std::size_t c = 0; c < columns.size(); ++c)
-            widths[c] = columns[c].size();
-        for (const auto &row : rows)
-            for (std::size_t c = 0; c < row.size(); ++c)
-                widths[c] = std::max(widths[c], row[c].size());
-
-        auto print_row = [&](const std::vector<std::string> &row) {
-            std::printf("  ");
-            for (std::size_t c = 0; c < row.size(); ++c)
-                std::printf("%-*s  ", static_cast<int>(widths[c]),
-                            row[c].c_str());
-            std::printf("\n");
-        };
-        print_row(columns);
-        std::vector<std::string> rule;
-        for (const auto w : widths)
-            rule.push_back(std::string(w, '-'));
-        print_row(rule);
-        for (const auto &row : rows)
-            print_row(row);
-    }
-
-  private:
-    std::vector<std::string> columns;
-    std::vector<std::vector<std::string>> rows;
-};
+    auto print_row = [&](const std::vector<std::string> &row) {
+        std::printf("  ");
+        for (std::size_t c = 0; c < row.size(); ++c)
+            std::printf("%-*s  ", static_cast<int>(widths[c]),
+                        row[c].c_str());
+        std::printf("\n");
+    };
+    print_row(columns);
+    std::vector<std::string> rule;
+    for (const auto w : widths)
+        rule.push_back(std::string(w, '-'));
+    print_row(rule);
+    for (const auto &row : rows)
+        print_row(row);
+}
 
 /** Format ticks as milliseconds with 3 decimals. */
 inline std::string

@@ -123,25 +123,26 @@ main(int argc, char **argv)
          "persist.slotsCompacted", "prof."});
     report.add(results);
 
-    TablePrinter table({"Cores", "Spawned", "Churn", "PeakLive",
-                        "Requests", "Ckpts", "OomKills", "Demotions"});
+    std::vector<std::vector<std::string>> rows;
     for (const auto &r : results) {
         // getOr: reclaim/OOM stats register lazily and persistence
         // may be off, so absent paths read as zero here.
         const auto stat = [&](const char *path) {
             return static_cast<std::uint64_t>(r.stats.getOr(path, 0));
         };
-        table.addRow({r.name,
-                      std::to_string(stat("fleet.spawned")),
-                      std::to_string(stat("fleet.churnSpawns")),
-                      std::to_string(stat("fleet.peakLive")),
-                      std::to_string(stat("fleet.requests")),
-                      std::to_string(stat("persist.checkpoints")),
-                      std::to_string(stat("kernel.oomKills")),
-                      std::to_string(
-                          stat("kernel.reclaim.pagesDemoted"))});
+        rows.push_back({r.name,
+                        std::to_string(stat("fleet.spawned")),
+                        std::to_string(stat("fleet.churnSpawns")),
+                        std::to_string(stat("fleet.peakLive")),
+                        std::to_string(stat("fleet.requests")),
+                        std::to_string(stat("persist.checkpoints")),
+                        std::to_string(stat("kernel.oomKills")),
+                        std::to_string(
+                            stat("kernel.reclaim.pagesDemoted"))});
     }
-    table.print();
+    printTable({"Cores", "Spawned", "Churn", "PeakLive", "Requests",
+                "Ckpts", "OomKills", "Demotions"},
+               rows);
 
     printJsonFooter(report.writeJsonFile(), pool.jobs());
     return 0;

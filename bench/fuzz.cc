@@ -661,9 +661,7 @@ main(int argc, char **argv)
     requireAllOk(results);
     report.add(results);
 
-    TablePrinter table({"Bucket", "Points", "Fired", "Clean",
-                        "Salvaged", "Failed", "IdemBreaks",
-                        "Torn PT undone"});
+    std::vector<std::vector<std::string>> rows;
     bool any_failed = false;
     for (const auto &r : results) {
         if (r.stats.get("fuzz.failed") > 0) {
@@ -682,15 +680,17 @@ main(int argc, char **argv)
             }
             return std::to_string(sum);
         };
-        table.addRow({buckets[b].name,
-                      std::to_string(bucket_end[b] - begin),
-                      total("fuzz.fired"), total("fuzz.clean"),
-                      total("fuzz.salvaged"), total("fuzz.failed"),
-                      total("fuzz.idempotenceBreaks"),
-                      total("fuzz.tornPtStoresRolledBack")});
+        rows.push_back({buckets[b].name,
+                        std::to_string(bucket_end[b] - begin),
+                        total("fuzz.fired"), total("fuzz.clean"),
+                        total("fuzz.salvaged"), total("fuzz.failed"),
+                        total("fuzz.idempotenceBreaks"),
+                        total("fuzz.tornPtStoresRolledBack")});
         begin = bucket_end[b];
     }
-    table.print();
+    printTable({"Bucket", "Points", "Fired", "Clean", "Salvaged", "Failed",
+                "IdemBreaks", "Torn PT undone"},
+               rows);
 
     printJsonFooter(report.writeJsonFile(), pool.jobs());
     if (any_failed)

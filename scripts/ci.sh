@@ -61,7 +61,7 @@ echo "=== DESIGN.md crash-site / README.md flag table drift check ==="
 # The tables are generated from fault::crashSiteCatalog() and the
 # binaries' --help; regenerate them and fail if the committed docs had
 # gone stale.
-scripts/gen_crash_site_table.sh build-asan/bench/fig4a_seq_alloc
+scripts/gen_crash_site_table.sh build-asan/bench/experiments
 if ! git diff --exit-code -- DESIGN.md README.md; then
     echo "DESIGN.md / README.md tables are stale: commit the" \
          "regenerated tables above" >&2
@@ -84,11 +84,12 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     # --jobs 1 keeps the wall numbers free of scheduling noise.
     cmake -B build-perf -S . -G Ninja -DCMAKE_BUILD_TYPE=Release
     cmake --build build-perf -j "${JOBS}" \
-        --target fig5_ssp_interval fleet_storm
+        --target experiments fleet_storm
     PERF_DIR=$(mktemp -d)
     REPO=$(pwd)
     (cd "${PERF_DIR}" &&
-        "${REPO}/build-perf/bench/fig5_ssp_interval" --jobs 1 --prof)
+        "${REPO}/build-perf/bench/experiments" \
+            --experiment fig5_ssp_interval --jobs 1 --prof)
     python3 scripts/perf_gate.py check \
         "${PERF_DIR}/BENCH_fig5_ssp_interval.json"
     # The fleet storm gates the scale axis: 1024 churning tenants on 1
@@ -110,7 +111,7 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
         -DCMAKE_CXX_FLAGS="-fsanitize=thread"
     cmake --build build-tsan -j "${JOBS}" \
         --target test_runner test_fault test_persist test_trace \
-        test_telemetry fig4a_seq_alloc ablation_multiprocess fuzz fleet_storm
+        test_telemetry experiments fuzz fleet_storm
     # The runner tests exercise every cross-thread path: the work
     # queue, result placement, and the shared error-mode global that
     # concurrent KindleSystem instances touch.
@@ -133,8 +134,8 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     # its own file, every file must be valid Chrome trace JSON, and
     # payload events must be chronologically sorted.
     TRACE_DIR=$(mktemp -d)
-    KINDLE_SCALE=4 ./build-tsan/bench/fig4a_seq_alloc --jobs 2 \
-        --trace-out "${TRACE_DIR}"
+    KINDLE_SCALE=4 ./build-tsan/bench/experiments \
+        --experiment fig4a_seq_alloc --jobs 2 --trace-out "${TRACE_DIR}"
     python3 - "${TRACE_DIR}" <<'PY'
 import json, pathlib, sys
 d = pathlib.Path(sys.argv[1])
@@ -155,12 +156,13 @@ PY
     # run inside one simulation thread, but concurrent KindleSystem
     # instances in sweep workers share the error-mode global; a
     # core-count sweep under TSan proves the multi-core paths add no
-    # cross-thread hazard.  The bench itself fails if any core
-    # retires no instructions.
+    # cross-thread hazard.  The row itself fails if any core retires
+    # no instructions.
     for CORES in 1 2 4; do
-        KINDLE_OPS=20000 ./build-tsan/bench/ablation_multiprocess \
-            --cores "${CORES}"
+        KINDLE_OPS=20000 ./build-tsan/bench/experiments \
+            --experiment ablation_multiprocess --cores "${CORES}"
     done
+    rm -f BENCH_ablation_multiprocess.json
 
     echo "=== 4-core pressure sweep under TSan ==="
     # Reclaim demotions, TLB shootdowns for demoted mappings, OOM

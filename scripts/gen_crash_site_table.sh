@@ -3,10 +3,10 @@
 #
 #   - DESIGN.md's crash-site inventory, from --list-crash-sites
 #     (fault::crashSiteCatalog(), the single source of truth);
-#   - README.md's flag table, from the --help of fleet_storm and fuzz,
-#     which between them print every flag row (runner, fleet, fuzz).
+#   - README.md's flag table, from the --help of experiments, fleet_storm
+#     and fuzz, which between them print every flag row.
 #
-#   scripts/gen_crash_site_table.sh [path-to-any-bench-binary]
+#   scripts/gen_crash_site_table.sh [path-to-experiments]
 #
 # fleet_storm and fuzz are taken from the same directory.  Run after
 # adding a crash site or editing a flag; scripts/ci.sh regenerates both
@@ -15,14 +15,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BIN=${1:-build/bench/fig4a_seq_alloc}
+BIN=${1:-build/bench/experiments}
 DIR=$(dirname "${BIN}")
 for b in "${BIN}" "${DIR}/fleet_storm" "${DIR}/fuzz"; do
     [[ -x "${b}" ]] || { echo "no such binary: ${b}" >&2; exit 1; }
 done
 
 SITES=$("${BIN}" --list-crash-sites) \
-HELP=$("${DIR}/fleet_storm" --help && "${DIR}/fuzz" --help) \
+HELP=$("${BIN}" --help && "${DIR}/fleet_storm" --help && "${DIR}/fuzz" --help) \
 python3 - <<'PY'
 import os
 import pathlib

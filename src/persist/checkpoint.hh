@@ -48,7 +48,7 @@ struct PersistParams
      * events instead of re-traversing the page table every
      * checkpoint.  Removes the size-proportional checkpoint cost that
      * dominates Figure 4a / Table IV (see
-     * bench/ablation_incremental_ckpt).
+     * the ablation_incremental_ckpt experiment).
      */
     bool incrementalMappingList = false;
 
