@@ -4,6 +4,12 @@
  * hit/miss latencies per level and host-side simulation throughput
  * (how many simulated accesses per host second the framework
  * sustains — the "lightweight" claim of the paper).
+ *
+ * The hit, miss and clwb cases take the machine's core count as their
+ * argument (1 and 4): with more than one core every access also goes
+ * through the MESI directory, so /4 minus /1 is its host cost.  The
+ * ping-pong case bounces one dirty line between two cores, which
+ * makes every access a directory transition with coherence messages.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,14 +23,18 @@ using namespace kindle;
 
 struct Rig
 {
-    Rig()
+    explicit Rig(unsigned cores = 1)
         : memory([] {
               mem::HybridMemoryParams p;
               p.dramBytes = 256 * oneMiB;
               p.nvmBytes = 256 * oneMiB;
               return p;
           }()),
-          hier(cache::HierarchyParams{}, memory)
+          hier(cache::HierarchyParams{}, memory, cores)
+    {}
+
+    explicit Rig(const benchmark::State &state)
+        : Rig(static_cast<unsigned>(state.range(0)))
     {}
 
     mem::HybridMemory memory;
@@ -34,7 +44,7 @@ struct Rig
 void
 BM_L1HitPath(benchmark::State &state)
 {
-    Rig rig;
+    Rig rig(state);
     Tick now = 0;
     rig.hier.access(mem::MemCmd::read, 0x1000, 8, now);
     Tick total = 0;
@@ -50,12 +60,12 @@ BM_L1HitPath(benchmark::State &state)
         ticksToNs(total) / static_cast<double>(n);
     state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_L1HitPath);
+BENCHMARK(BM_L1HitPath)->Arg(1)->Arg(4);
 
 void
 BM_LlcMissToDram(benchmark::State &state)
 {
-    Rig rig;
+    Rig rig(state);
     Tick now = 0;
     Addr addr = 0;
     Tick total = 0;
@@ -74,12 +84,12 @@ BM_LlcMissToDram(benchmark::State &state)
         ticksToNs(total) / static_cast<double>(n);
     state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_LlcMissToDram);
+BENCHMARK(BM_LlcMissToDram)->Arg(1)->Arg(4);
 
 void
 BM_LlcMissToNvm(benchmark::State &state)
 {
-    Rig rig;
+    Rig rig(state);
     const Addr base = rig.memory.nvmRange().start();
     Tick now = 0;
     Addr addr = 0;
@@ -99,12 +109,12 @@ BM_LlcMissToNvm(benchmark::State &state)
         ticksToNs(total) / static_cast<double>(n);
     state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_LlcMissToNvm);
+BENCHMARK(BM_LlcMissToNvm)->Arg(1)->Arg(4);
 
 void
 BM_ClwbDirtyLine(benchmark::State &state)
 {
-    Rig rig;
+    Rig rig(state);
     const Addr base = rig.memory.nvmRange().start();
     Tick now = 0;
     for (auto _ : state) {
@@ -114,7 +124,30 @@ BM_ClwbDirtyLine(benchmark::State &state)
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ClwbDirtyLine);
+BENCHMARK(BM_ClwbDirtyLine)->Arg(1)->Arg(4);
+
+void
+BM_SharedLinePingPong(benchmark::State &state)
+{
+    // Cores 0 and 1 take turns writing one line: each write finds the
+    // other core's modified copy and invalidates it.
+    Rig rig(2);
+    Tick now = 0;
+    Tick total = 0;
+    std::uint64_t n = 0;
+    for (auto _ : state) {
+        const auto res = rig.hier.access(static_cast<CpuId>(n & 1),
+                                         mem::MemCmd::write, 0x2000, 8,
+                                         now);
+        now += res.latency;
+        total += res.latency;
+        ++n;
+    }
+    state.counters["simNsPerAccess"] =
+        ticksToNs(total) / static_cast<double>(n);
+    state.SetItemsProcessed(static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_SharedLinePingPong);
 
 void
 BM_SimulationThroughputMixed(benchmark::State &state)

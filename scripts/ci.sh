@@ -84,7 +84,11 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     # --jobs 1 keeps the wall numbers free of scheduling noise.
     cmake -B build-perf -S . -G Ninja -DCMAKE_BUILD_TYPE=Release
     cmake --build build-perf -j "${JOBS}" \
-        --target experiments fleet_storm
+        --target experiments fleet_storm micro_cache
+    # A short micro_cache smoke keeps the substrate microbenchmark
+    # building and running, its 4-core and ping-pong cases included
+    # (those drive the MESI directory on every access).
+    ./build-perf/bench/micro_cache --benchmark_min_time=0.01
     PERF_DIR=$(mktemp -d)
     REPO=$(pwd)
     (cd "${PERF_DIR}" &&

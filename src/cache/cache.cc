@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "base/intmath.hh"
 #include "base/logging.hh"
 
@@ -10,7 +12,10 @@ Cache::Cache(const CacheParams &params, MemSink &downstream)
     : _params(params),
       below(downstream),
       numSets(params.sizeBytes / (lineSize * params.associativity)),
-      lines(numSets * params.associativity),
+      tagShift(lineShift + floorLog2(numSets)),
+      keys(numSets * params.associativity),
+      stamps(numSets * params.associativity),
+      dirty(numSets * params.associativity),
       statGroup(params.name, "set-associative write-back cache"),
       hits(statGroup.addScalar("hits", "demand hits")),
       misses(statGroup.addScalar("misses", "demand misses")),
@@ -24,56 +29,30 @@ Cache::Cache(const CacheParams &params, MemSink &downstream)
                   "{}: set count must be a power of two", params.name);
 }
 
-std::uint64_t
-Cache::setIndex(Addr line_addr) const
+std::size_t
+Cache::find(Addr line_addr) const
 {
-    return (line_addr >> lineShift) & (numSets - 1);
-}
-
-std::uint64_t
-Cache::tagOf(Addr line_addr) const
-{
-    return line_addr >> (lineShift + floorLog2(numSets));
-}
-
-Addr
-Cache::rebuildAddr(std::uint64_t tag, std::uint64_t set) const
-{
-    return (tag << (lineShift + floorLog2(numSets))) |
-           (set << lineShift);
-}
-
-Cache::Line *
-Cache::lookup(Addr line_addr)
-{
-    const std::uint64_t set = setIndex(line_addr);
-    const std::uint64_t tag = tagOf(line_addr);
-    Line *base = &lines[set * _params.associativity];
+    const std::uint64_t key = keyOf(line_addr);
+    const std::size_t base = setIndex(line_addr) * _params.associativity;
     for (unsigned w = 0; w < _params.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
+        if (keys[base + w] == key)
+            return base + w;
     }
-    return nullptr;
+    return noWay;
 }
 
-const Cache::Line *
-Cache::lookup(Addr line_addr) const
+std::size_t
+Cache::victimIn(std::uint64_t set) const
 {
-    return const_cast<Cache *>(this)->lookup(line_addr);
-}
-
-Cache::Line &
-Cache::victimIn(std::uint64_t set)
-{
-    Line *base = &lines[set * _params.associativity];
-    Line *victim = base;
-    for (unsigned w = 0; w < _params.associativity; ++w) {
-        if (!base[w].valid)
-            return base[w];
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
+    const std::size_t base = set * _params.associativity;
+    std::size_t victim = base;
+    for (std::size_t i = base; i < base + _params.associativity; ++i) {
+        if (keys[i] == 0)
+            return i;
+        if (stamps[i] < stamps[victim])
+            victim = i;
     }
-    return *victim;
+    return victim;
 }
 
 Tick
@@ -83,11 +62,11 @@ Cache::request(mem::MemCmd cmd, Addr line_addr, Tick now)
                   "{}: unaligned line request", _params.name);
     const bool is_write = mem::isWriteCmd(cmd);
 
-    if (Line *line = lookup(line_addr)) {
+    if (const std::size_t hit = find(line_addr); hit != noWay) {
         ++hits;
-        line->lru = ++useStamp;
+        stamps[hit] = ++useStamp;
         if (is_write)
-            line->dirty = true;
+            dirty[hit] = 1;
         return _params.hitLatency;
     }
 
@@ -103,21 +82,20 @@ Cache::request(mem::MemCmd cmd, Addr line_addr, Tick now)
     }
 
     const std::uint64_t set = setIndex(line_addr);
-    Line &victim = victimIn(set);
-    if (victim.valid) {
+    const std::size_t victim = victimIn(set);
+    if (keys[victim] != 0) {
         ++evictions;
-        if (victim.dirty) {
+        if (dirty[victim]) {
             ++writebacks;
-            const Addr victim_addr = rebuildAddr(victim.tag, set);
             latency += below.request(mem::MemCmd::writeback,
-                                     victim_addr, now + latency);
+                                     addrOf(keys[victim], set),
+                                     now + latency);
         }
     }
 
-    victim.valid = true;
-    victim.tag = tagOf(line_addr);
-    victim.dirty = is_write;
-    victim.lru = ++useStamp;
+    keys[victim] = keyOf(line_addr);
+    dirty[victim] = is_write;
+    stamps[victim] = ++useStamp;
 
     return latency + _params.hitLatency;
 }
@@ -126,12 +104,12 @@ Tick
 Cache::flushLine(Addr line_addr, Tick now, bool &was_dirty)
 {
     Tick latency = _params.lookupLatency;
-    Line *line = lookup(line_addr);
-    if (line && line->dirty) {
+    const std::size_t way = find(line_addr);
+    if (way != noWay && dirty[way]) {
         was_dirty = true;
         ++flushes;
         ++writebacks;
-        line->dirty = false;
+        dirty[way] = 0;
         latency += below.request(mem::MemCmd::writeback, line_addr,
                                  now + latency);
     }
@@ -142,14 +120,14 @@ Tick
 Cache::invalidateLine(Addr line_addr, Tick now)
 {
     Tick latency = _params.lookupLatency;
-    if (Line *line = lookup(line_addr)) {
-        if (line->dirty) {
+    if (const std::size_t way = find(line_addr); way != noWay) {
+        if (dirty[way]) {
             ++writebacks;
             latency += below.request(mem::MemCmd::writeback, line_addr,
                                      now + latency);
         }
-        line->valid = false;
-        line->dirty = false;
+        keys[way] = 0;
+        dirty[way] = 0;
     }
     return latency;
 }
@@ -158,43 +136,36 @@ Tick
 Cache::flushAll(Tick now)
 {
     Tick latency = 0;
-    for (std::uint64_t set = 0; set < numSets; ++set) {
-        Line *base = &lines[set * _params.associativity];
-        for (unsigned w = 0; w < _params.associativity; ++w) {
-            Line &line = base[w];
-            if (line.valid && line.dirty) {
-                ++writebacks;
-                latency += below.request(mem::MemCmd::writeback,
-                                         rebuildAddr(line.tag, set),
-                                         now + latency);
-            }
-            line.valid = false;
-            line.dirty = false;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (keys[i] != 0 && dirty[i]) {
+            ++writebacks;
+            const std::uint64_t set = i / _params.associativity;
+            latency += below.request(mem::MemCmd::writeback,
+                                     addrOf(keys[i], set), now + latency);
         }
     }
+    invalidateAll();
     return latency;
 }
 
 void
 Cache::invalidateAll()
 {
-    for (auto &line : lines) {
-        line.valid = false;
-        line.dirty = false;
-    }
+    std::fill(keys.begin(), keys.end(), 0);
+    std::fill(dirty.begin(), dirty.end(), 0);
 }
 
 bool
 Cache::contains(Addr line_addr) const
 {
-    return lookup(line_addr) != nullptr;
+    return find(line_addr) != noWay;
 }
 
 bool
 Cache::isDirty(Addr line_addr) const
 {
-    const Line *line = lookup(line_addr);
-    return line != nullptr && line->dirty;
+    const std::size_t way = find(line_addr);
+    return way != noWay && dirty[way];
 }
 
 double

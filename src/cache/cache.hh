@@ -77,30 +77,45 @@ class Cache : public MemSink
     double missCount() const { return misses.value(); }
 
   private:
-    struct Line
+    /** Way index meaning "not resident". */
+    static constexpr std::size_t noWay = ~std::size_t{0};
+
+    std::uint64_t
+    setIndex(Addr line_addr) const
     {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lru = 0;  ///< last-use stamp; larger = newer
-    };
+        return (line_addr >> lineShift) & (numSets - 1);
+    }
 
-    std::uint64_t setIndex(Addr line_addr) const;
-    std::uint64_t tagOf(Addr line_addr) const;
-    Addr rebuildAddr(std::uint64_t tag, std::uint64_t set) const;
+    /** Tag key of a line: (tag << 1) | 1, so 0 never names a line. */
+    std::uint64_t
+    keyOf(Addr line_addr) const
+    {
+        return ((line_addr >> tagShift) << 1) | 1;
+    }
 
-    /** Find the way holding @p line_addr, or nullptr. */
-    Line *lookup(Addr line_addr);
-    const Line *lookup(Addr line_addr) const;
+    Addr
+    addrOf(std::uint64_t key, std::uint64_t set) const
+    {
+        return ((key >> 1) << tagShift) | (set << lineShift);
+    }
 
-    /** Pick the LRU way in a set. */
-    Line &victimIn(std::uint64_t set);
+    /** Way index holding @p line_addr, or noWay. */
+    std::size_t find(Addr line_addr) const;
+
+    /** The first empty way of a set, else its least recently used. */
+    std::size_t victimIn(std::uint64_t set) const;
 
     CacheParams _params;
     MemSink &below;
 
     std::uint64_t numSets;
-    std::vector<Line> lines;  ///< numSets * associativity, row-major
+    unsigned tagShift;  ///< lineShift + log2(numSets)
+
+    // Tag state as parallel arrays of numSets * associativity,
+    // row-major, so a lookup reads only one set's keys.
+    std::vector<std::uint64_t> keys;    ///< 0 marks an empty way
+    std::vector<std::uint64_t> stamps;  ///< last use; larger = newer
+    std::vector<std::uint8_t> dirty;
     std::uint64_t useStamp = 0;
 
     statistics::StatGroup statGroup;

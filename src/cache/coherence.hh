@@ -17,7 +17,10 @@
  *
  *  - The directory is conservative: a silent eviction from a private
  *    cache leaves the sharer bit set, costing at worst a spurious
- *    invalidation message later.
+ *    invalidation message later.  Entries therefore outlive their
+ *    cached copies, and the directory tracks every line the cores
+ *    have touched since the last reset, not just what the LLC holds.
+ *    Its table grows with that footprint.
  *
  * The state machine itself is a pure function (apply()) so the unit
  * tests can enumerate every transition without building caches.
@@ -26,8 +29,9 @@
 #ifndef KINDLE_CACHE_COHERENCE_HH
 #define KINDLE_CACHE_COHERENCE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "base/stats.hh"
 #include "base/types.hh"
@@ -46,12 +50,12 @@ enum class MesiState : std::uint8_t
 
 const char *mesiStateName(MesiState s);
 
-/** Directory bookkeeping for one line. */
+/** Directory bookkeeping for one line (8 bytes). */
 struct DirEntry
 {
     MesiState state = MesiState::invalid;
+    std::uint8_t owner = 0;    ///< meaningful in exclusive/modified
     std::uint32_t sharers = 0; ///< bitmask of cores holding a copy
-    CpuId owner = 0;           ///< meaningful in exclusive/modified
 };
 
 /**
@@ -66,7 +70,11 @@ struct CoherenceActions
     bool upgrade = false;            ///< S->M upgrade by a sharer
 };
 
-/** Per-line MESI-lite directory over the private caches. */
+/**
+ * Per-line MESI-lite directory over the private caches: an
+ * open-addressed, linear-probing table keyed by line address, with
+ * backward-shift deletion and doubling at half load.
+ */
 class MesiDirectory
 {
   public:
@@ -107,11 +115,46 @@ class MesiDirectory
     /** Directory view of @p line_addr (invalid entry if untracked). */
     DirEntry lookup(Addr line_addr) const;
 
+    /** Lines currently tracked. */
+    std::size_t trackedLines() const { return used; }
+
+    /** Slots in the table (a power of two; grows, never shrinks). */
+    std::size_t capacity() const { return slots.size(); }
+
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
+    /** Key of an empty slot; no line address is unaligned like this. */
+    static constexpr Addr emptyKey = ~Addr{0};
+
+    struct Slot
+    {
+        Addr line = emptyKey;
+        DirEntry entry;
+    };
+
+    /** Preferred slot of @p line_addr. */
+    std::size_t
+    home(Addr line_addr) const
+    {
+        return static_cast<std::size_t>(
+            ((line_addr >> lineShift) * 0x9e3779b97f4a7c15ULL) >>
+            hashShift);
+    }
+
+    /** Slot holding @p line_addr, or the empty slot ending its chain. */
+    std::size_t probe(Addr line_addr) const;
+
+    /** Empty slot @p hole, pulling later chain members back into it. */
+    void erase(std::size_t hole);
+
+    /** Double the table and reinsert every entry. */
+    void grow();
+
     unsigned numCores;
-    std::unordered_map<Addr, DirEntry> lines;
+    std::vector<Slot> slots;
+    unsigned hashShift;  ///< 64 - log2(slots.size())
+    std::size_t used = 0;
 
     statistics::StatGroup statGroup;
     statistics::Scalar &invalidationsSent;

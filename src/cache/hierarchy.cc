@@ -68,6 +68,8 @@ Tick
 Hierarchy::deliverCoherence(const CoherenceActions &act, CpuId cpu,
                             Addr line_addr, Tick now)
 {
+    if ((act.invalidate | act.writebackFrom) == 0)
+        return 0;
     Tick latency = 0;
     for (CpuId c = 0; c < nCores; ++c) {
         const std::uint32_t bit = 1u << c;

@@ -55,7 +55,6 @@ Core::translateToEntry(Addr vaddr, bool is_write, Tick &latency)
         walkLatency.sample(static_cast<double>(res.latency));
         if (!res.fault) {
             TlbEntry entry;
-            entry.valid = true;
             entry.pid = curPid;
             entry.vpn = vpn;
             entry.pfn = res.leaf.pfn();

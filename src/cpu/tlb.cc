@@ -1,5 +1,7 @@
 #include "cpu/tlb.hh"
 
+#include <algorithm>
+
 #include "base/intmath.hh"
 #include "base/logging.hh"
 
@@ -14,10 +16,44 @@ constexpr unsigned l2Ways = 12;
 
 } // namespace
 
+Tlb::Level::Level(unsigned size, unsigned ways_per_set)
+    : ways(ways_per_set),
+      setMask(size / ways_per_set - 1),
+      keys(size),
+      stamps(size),
+      entries(size)
+{}
+
+std::size_t
+Tlb::Level::find(Pid pid, std::uint64_t vpn) const
+{
+    const Key key = keyOf(pid, vpn);
+    const std::size_t base = setBase(vpn);
+    for (std::size_t i = base; i < base + ways; ++i) {
+        if (keys[i] == key)
+            return i;
+    }
+    return none;
+}
+
+std::size_t
+Tlb::Level::victim(std::uint64_t vpn) const
+{
+    const std::size_t base = setBase(vpn);
+    std::size_t v = base;
+    for (std::size_t i = base; i < base + ways; ++i) {
+        if (!keys[i].valid())
+            return i;
+        if (stamps[i] < stamps[v])
+            v = i;
+    }
+    return v;
+}
+
 Tlb::Tlb(const TlbParams &params)
     : _params(params),
-      l1(params.l1Entries),
-      l2(params.l2Entries),
+      l1(params.l1Entries, params.l1Entries),
+      l2(params.l2Entries, l2Ways),
       statGroup("tlb", "two-level TLB"),
       l1Hits(statGroup.addScalar("l1Hits", "L1 TLB hits")),
       l2Hits(statGroup.addScalar("l2Hits", "L2 TLB hits")),
@@ -32,132 +68,78 @@ Tlb::Tlb(const TlbParams &params)
                   "L2 TLB set count must be a power of two");
 }
 
-TlbEntry *
-Tlb::find(std::vector<TlbEntry> &arr, Pid pid, std::uint64_t vpn)
-{
-    for (auto &e : arr) {
-        if (e.valid && e.pid == pid && e.vpn == vpn)
-            return &e;
-    }
-    return nullptr;
-}
-
-TlbEntry &
-Tlb::victim(std::vector<TlbEntry> &arr)
-{
-    TlbEntry *v = &arr[0];
-    for (auto &e : arr) {
-        if (!e.valid)
-            return e;
-        if (e.lru < v->lru)
-            v = &e;
-    }
-    return *v;
-}
-
-TlbEntry &
-Tlb::l2VictimIn(std::uint64_t set)
-{
-    TlbEntry *base = &l2[set * l2Ways];
-    TlbEntry *v = base;
-    for (unsigned w = 0; w < l2Ways; ++w) {
-        if (!base[w].valid)
-            return base[w];
-        if (base[w].lru < v->lru)
-            v = &base[w];
-    }
-    return *v;
-}
-
 void
-Tlb::demoteToL2(const TlbEntry &entry)
+Tlb::demoteToL2(const TlbEntry &entry, std::uint64_t stamp)
 {
-    const unsigned sets = _params.l2Entries / l2Ways;
-    const std::uint64_t set = entry.vpn & (sets - 1);
-    TlbEntry &slot = l2VictimIn(set);
-    if (slot.valid) {
+    const std::size_t slot = l2.victim(entry.vpn);
+    if (l2.keys[slot].valid()) {
         ++evictCount;
-        fireEvict(slot);
+        fireEvict(l2.entries[slot]);
     }
-    slot = entry;
+    l2.keys[slot] = keyOf(entry.pid, entry.vpn);
+    l2.stamps[slot] = stamp;
+    l2.entries[slot] = entry;
+}
+
+TlbEntry &
+Tlb::fill(const TlbEntry &entry)
+{
+    const std::size_t slot = l1.victim(entry.vpn);
+    if (l1.keys[slot].valid())
+        demoteToL2(l1.entries[slot], l1.stamps[slot]);
+    l1.keys[slot] = keyOf(entry.pid, entry.vpn);
+    l1.stamps[slot] = ++useStamp;
+    l1.entries[slot] = entry;
+    return l1.entries[slot];
 }
 
 TlbEntry *
 Tlb::lookup(Pid pid, std::uint64_t vpn, Tick &extra_latency)
 {
     extra_latency = 0;
-    if (TlbEntry *e = find(l1, pid, vpn)) {
+    if (const std::size_t i = l1.find(pid, vpn); i != Level::none) {
         ++l1Hits;
-        e->lru = ++useStamp;
-        return e;
+        l1.stamps[i] = ++useStamp;
+        return &l1.entries[i];
     }
 
     // L2 is set-associative on the VPN; the two levels are exclusive,
     // so an L2 hit swaps the entry up into L1.
-    const unsigned sets = _params.l2Entries / l2Ways;
-    const std::uint64_t set = vpn & (sets - 1);
-    TlbEntry *base = &l2[set * l2Ways];
-    for (unsigned w = 0; w < l2Ways; ++w) {
-        TlbEntry &e = base[w];
-        if (e.valid && e.pid == pid && e.vpn == vpn) {
-            ++l2Hits;
-            extra_latency = _params.l2HitLatency;
-            TlbEntry promoted = e;
-            e.valid = false;
-            TlbEntry &l1_slot = victim(l1);
-            if (l1_slot.valid)
-                demoteToL2(l1_slot);
-            l1_slot = promoted;
-            l1_slot.lru = ++useStamp;
-            return &l1_slot;
-        }
+    if (const std::size_t i = l2.find(pid, vpn); i != Level::none) {
+        ++l2Hits;
+        extra_latency = _params.l2HitLatency;
+        const TlbEntry promoted = l2.entries[i];
+        l2.keys[i] = Key{};
+        return &fill(promoted);
     }
 
     ++missCount;
     return nullptr;
 }
 
-TlbEntry &
-Tlb::fill(const TlbEntry &entry)
-{
-    TlbEntry &slot = victim(l1);
-    if (slot.valid)
-        demoteToL2(slot);
-    slot = entry;
-    slot.valid = true;
-    slot.lru = ++useStamp;
-    return slot;
-}
-
 void
 Tlb::invalidate(Pid pid, std::uint64_t vpn)
 {
-    if (TlbEntry *e = find(l1, pid, vpn))
-        e->valid = false;
-    const unsigned sets = _params.l2Entries / l2Ways;
-    const std::uint64_t set = vpn & (sets - 1);
-    TlbEntry *base = &l2[set * l2Ways];
-    for (unsigned w = 0; w < l2Ways; ++w) {
-        if (base[w].valid && base[w].pid == pid && base[w].vpn == vpn)
-            base[w].valid = false;
+    if (const std::size_t i = l1.find(pid, vpn); i != Level::none)
+        l1.keys[i] = Key{};
+    const Key key = keyOf(pid, vpn);
+    const std::size_t base = l2.setBase(vpn);
+    for (std::size_t i = base; i < base + l2.ways; ++i) {
+        if (l2.keys[i] == key)
+            l2.keys[i] = Key{};
     }
 }
 
 void
 Tlb::flushAll()
 {
-    for (auto &e : l1) {
-        if (e.valid) {
-            ++evictCount;
-            fireEvict(e);
-            e.valid = false;
-        }
-    }
-    for (auto &e : l2) {
-        if (e.valid) {
-            ++evictCount;
-            fireEvict(e);
-            e.valid = false;
+    for (Level *level : {&l1, &l2}) {
+        for (std::size_t i = 0; i < level->keys.size(); ++i) {
+            if (level->keys[i].valid()) {
+                ++evictCount;
+                fireEvict(level->entries[i]);
+                level->keys[i] = Key{};
+            }
         }
     }
 }
@@ -179,21 +161,19 @@ Tlb::removeEvictHook(std::size_t handle)
 void
 Tlb::reset()
 {
-    for (auto &e : l1)
-        e.valid = false;
-    for (auto &e : l2)
-        e.valid = false;
+    std::fill(l1.keys.begin(), l1.keys.end(), Key{});
+    std::fill(l2.keys.begin(), l2.keys.end(), Key{});
 }
 
 void
 Tlb::forEachValid(const std::function<void(TlbEntry &)> &fn)
 {
-    for (auto &e : l1)
-        if (e.valid)
-            fn(e);
-    for (auto &e : l2)
-        if (e.valid)
-            fn(e);
+    for (Level *level : {&l1, &l2}) {
+        for (std::size_t i = 0; i < level->keys.size(); ++i) {
+            if (level->keys[i].valid())
+                fn(level->entries[i]);
+        }
+    }
 }
 
 } // namespace kindle::cpu

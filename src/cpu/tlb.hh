@@ -30,13 +30,11 @@ namespace kindle::cpu
 /** A cached translation plus prototype-extension metadata. */
 struct TlbEntry
 {
-    bool valid = false;
     Pid pid = 0;
     std::uint64_t vpn = 0;
     std::uint64_t pfn = 0;
     bool writable = false;
     bool nvmBacked = false;
-    std::uint64_t lru = 0;
 
     /** Physical address of the backing leaf PTE (for hardware
      *  write-back of HSCC access counts). */
@@ -114,15 +112,57 @@ class Tlb
     const statistics::StatGroup &stats() const { return statGroup; }
 
   private:
-    TlbEntry *find(std::vector<TlbEntry> &arr, Pid pid,
-                   std::uint64_t vpn);
-    TlbEntry &victim(std::vector<TlbEntry> &arr);
-    TlbEntry &l2VictimIn(std::uint64_t set);
-    void demoteToL2(const TlbEntry &entry);
+    /** Packed tag of one slot; a zero vpnKey marks it empty. */
+    struct Key
+    {
+        std::uint64_t vpnKey = 0;  ///< (vpn << 1) | 1
+        Pid pid = 0;
+
+        bool valid() const { return vpnKey != 0; }
+        bool operator==(const Key &) const = default;
+    };
+
+    static Key
+    keyOf(Pid pid, std::uint64_t vpn)
+    {
+        return {(vpn << 1) | 1, pid};
+    }
+
+    /**
+     * One level as sets of ways: the keys and LRU stamps a scan reads,
+     * apart from the payload entries it returns.  L1 is one set.
+     */
+    struct Level
+    {
+        Level(unsigned size, unsigned ways_per_set);
+
+        static constexpr std::size_t none = ~std::size_t{0};
+
+        /** First slot of @p vpn's set. */
+        std::size_t
+        setBase(std::uint64_t vpn) const
+        {
+            return (vpn & setMask) * ways;
+        }
+
+        /** Slot holding (pid, vpn), or none. */
+        std::size_t find(Pid pid, std::uint64_t vpn) const;
+
+        /** First empty slot of @p vpn's set, else its LRU slot. */
+        std::size_t victim(std::uint64_t vpn) const;
+
+        unsigned ways;
+        std::uint64_t setMask;
+        std::vector<Key> keys;
+        std::vector<std::uint64_t> stamps;  ///< larger = newer
+        std::vector<TlbEntry> entries;
+    };
+
+    void demoteToL2(const TlbEntry &entry, std::uint64_t stamp);
 
     TlbParams _params;
-    std::vector<TlbEntry> l1;
-    std::vector<TlbEntry> l2;
+    Level l1;
+    Level l2;
     std::uint64_t useStamp = 0;
     std::vector<EvictHook> evictHooks;
 

@@ -9,32 +9,51 @@
 namespace kindle::mem
 {
 
-BackingStore::Frame *
-BackingStore::frameFor(Addr addr, bool allocate)
+BackingStore::BackingStore(AddrRange range)
+    : _range(range),
+      leaves(divCeil(divCeil(range.size(), pageSize), leafFrames))
+{}
+
+std::uint64_t
+BackingStore::frameIndex(Addr addr) const
 {
     kindle_assert(_range.contains(addr),
                   "backing-store access at {} outside range", addr);
-    const std::uint64_t fn = (addr - _range.start()) >> pageShift;
-    auto it = frames.find(fn);
-    if (it != frames.end())
-        return it->second.get();
-    if (!allocate)
-        return nullptr;
-    auto frame = std::make_unique<Frame>();
-    frame->fill(0);
-    Frame *raw = frame.get();
-    frames.emplace(fn, std::move(frame));
-    return raw;
+    return (addr - _range.start()) >> pageShift;
+}
+
+BackingStore::Frame *
+BackingStore::frameFor(Addr addr, bool allocate)
+{
+    const std::uint64_t fn = frameIndex(addr);
+    std::unique_ptr<Leaf> &leaf = leaves[fn / leafFrames];
+    if (!leaf) {
+        if (!allocate)
+            return nullptr;
+        leaf = std::make_unique<Leaf>();
+    }
+    std::unique_ptr<Frame> &frame = (*leaf)[fn % leafFrames];
+    if (!frame && allocate) {
+        frame = std::make_unique<Frame>();  // zero-filled
+        ++allocated;
+    }
+    return frame.get();
 }
 
 const BackingStore::Frame *
 BackingStore::frameFor(Addr addr) const
 {
-    kindle_assert(_range.contains(addr),
-                  "backing-store access at {} outside range", addr);
-    const std::uint64_t fn = (addr - _range.start()) >> pageShift;
-    const auto it = frames.find(fn);
-    return it == frames.end() ? nullptr : it->second.get();
+    const std::uint64_t fn = frameIndex(addr);
+    const Leaf *leaf = leaves[fn / leafFrames].get();
+    return leaf ? (*leaf)[fn % leafFrames].get() : nullptr;
+}
+
+void
+BackingStore::clear()
+{
+    for (auto &leaf : leaves)
+        leaf.reset();
+    allocated = 0;
 }
 
 void

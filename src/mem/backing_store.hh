@@ -4,8 +4,8 @@
  *
  * Two flavours exist:
  *
- *  - BackingStore: a plain sparse frame map.  DRAM uses one directly;
- *    its contents vanish on crash.
+ *  - BackingStore: a plain sparse frame table.  DRAM uses one
+ *    directly; its contents vanish on crash.
  *  - DurableStore: an NVM store with a *pending-line overlay* and an
  *    *in-flight controller stage*.  Writes land in the overlay first
  *    (they are architecturally in volatile CPU caches); when the cache
@@ -29,6 +29,7 @@
 #include <cstring>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "base/addr_range.hh"
 #include "base/intmath.hh"
@@ -40,11 +41,15 @@ namespace kindle::mem
 
 class NvmMediaModel;
 
-/** A sparse, frame-granular byte store over an address range. */
+/**
+ * A sparse, frame-granular byte store over an address range: a
+ * two-level radix table whose leaves of leafFrames frame pointers,
+ * like the frames themselves, are allocated on first write.
+ */
 class BackingStore
 {
   public:
-    explicit BackingStore(AddrRange range) : _range(range) {}
+    explicit BackingStore(AddrRange range);
 
     const AddrRange &range() const { return _range; }
 
@@ -73,19 +78,27 @@ class BackingStore
     }
 
     /** Drop every frame (volatile contents lost). */
-    void clear() { frames.clear(); }
+    void clear();
 
     /** Number of frames currently materialized. */
-    std::size_t framesAllocated() const { return frames.size(); }
+    std::size_t framesAllocated() const { return allocated; }
+
+    /** Frames covered by one radix leaf. */
+    static constexpr std::uint64_t leafFrames = 512;
 
   private:
     using Frame = std::array<std::uint8_t, pageSize>;
+    using Leaf = std::array<std::unique_ptr<Frame>, leafFrames>;
+
+    /** Frame number of @p addr within the range. */
+    std::uint64_t frameIndex(Addr addr) const;
 
     Frame *frameFor(Addr addr, bool allocate);
     const Frame *frameFor(Addr addr) const;
 
     AddrRange _range;
-    std::unordered_map<std::uint64_t, std::unique_ptr<Frame>> frames;
+    std::vector<std::unique_ptr<Leaf>> leaves;
+    std::size_t allocated = 0;
 };
 
 /** What a power failure does to writes still in the controller. */

@@ -135,6 +135,7 @@ makeFleetScenario(std::string name, Axes axes, const FleetOptions &opts,
     sc.name = std::move(name);
     sc.axes = std::move(axes);
     sc.config = makeFleetConfig(opts, cores);
+    sc.ownsCores = true;
     sc.drive = [params = opts.params](
                    KindleSystem &sys,
                    statistics::StatSnapshot &extra) -> Tick {

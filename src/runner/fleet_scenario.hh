@@ -50,7 +50,8 @@ KindleConfig makeFleetConfig(const FleetOptions &opts, unsigned cores);
  * scheduler-epoch slices, replacing exited tenants with fresh-ordinal
  * respawns until the churn budget drains and the fleet empties.
  * Exports fleet.* stats (spawns, churn spawns, peak live population,
- * request/read/write counts) through the extra snapshot.
+ * request/read/write counts) through the extra snapshot.  The point
+ * owns its core count: it runs on @p cores whatever --cores says.
  */
 Scenario makeFleetScenario(std::string name, Axes axes,
                            const FleetOptions &opts, unsigned cores);

@@ -41,6 +41,12 @@ struct Scenario
     KindleConfig config;
 
     /**
+     * The point sets config.numCores itself (a core-count sweep axis),
+     * so the runner's --cores override leaves it alone.
+     */
+    bool ownsCores = false;
+
+    /**
      * Builds the workload each time the scenario runs.  A factory
      * (not a stream) because OpStreams are consumed by a run and a
      * scenario may be executed more than once (e.g. --jobs 1 vs

@@ -99,6 +99,8 @@ SweepRunner::runRouted(const Scenario &scenario,
     // The routing knobs override the scenario's own trace config.
     KindleConfig config = scenario.config;
     applyMachineOverrides(_opts, config);
+    if (scenario.ownsCores)
+        config.numCores = scenario.config.numCores;
     if (!trace_path.empty())
         config.trace.spans = true;
     if (!_opts.traceFlags.empty())

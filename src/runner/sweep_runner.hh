@@ -66,8 +66,10 @@ struct RunResult
 /**
  * Apply the machine overrides of @p opts (--cores, --core-fail,
  * --ipi-timeout) to @p config.  SweepRunner applies them to every
- * scenario; a bench that also builds systems outside the runner (a
- * golden run, a self-check) calls this so both see one machine.
+ * scenario, except --cores to one that owns its core count
+ * (Scenario::ownsCores); a bench that also builds systems outside the
+ * runner (a golden run, a self-check) calls this so both see one
+ * machine.
  */
 void applyMachineOverrides(const Options &opts, KindleConfig &config);
 

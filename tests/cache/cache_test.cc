@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <tuple>
 #include <vector>
 
+#include "base/random.hh"
 #include "cache/cache.hh"
 
 namespace kindle::cache
@@ -194,6 +198,248 @@ TEST(CacheTest, UnalignedRequestPanics)
     EXPECT_THROW(cache.request(mem::MemCmd::read, 0x1001, 0),
                  SimError);
     setErrorsThrow(false);
+}
+
+// ---- Differential test against a per-set LRU list ----------------
+
+/**
+ * Records every request with its issue tick; latency depends on the
+ * address so a misordered or misaddressed request changes the sum.
+ */
+class TimedSink : public MemSink
+{
+  public:
+    using Req = std::tuple<mem::MemCmd, Addr, Tick>;
+
+    Tick
+    request(mem::MemCmd cmd, Addr line_addr, Tick now) override
+    {
+        reqs.emplace_back(cmd, line_addr, now);
+        return (10 + (line_addr >> lineShift) % 7) * oneNs;
+    }
+
+    std::vector<Req> reqs;
+};
+
+/**
+ * The reference: per set, a most-recent-first list of (line, dirty),
+ * evicting from the back once the set holds `associativity` lines.
+ */
+class RefCache
+{
+  public:
+    RefCache(const CacheParams &params, MemSink &below)
+        : p(params), below(below),
+          sets(params.sizeBytes / (lineSize * params.associativity))
+    {}
+
+    Tick
+    request(mem::MemCmd cmd, Addr line, Tick now)
+    {
+        auto &set = setOf(line);
+        if (auto it = find(line); it != set.end()) {
+            ++hits;
+            it->dirty |= mem::isWriteCmd(cmd);
+            set.splice(set.begin(), set, it);
+            return p.hitLatency;
+        }
+        ++misses;
+        Tick latency = p.lookupLatency;
+        if (cmd != mem::MemCmd::writeback)
+            latency += below.request(mem::MemCmd::read, line,
+                                     now + latency);
+        if (set.size() == p.associativity) {
+            ++evictions;
+            if (set.back().dirty) {
+                ++writebacks;
+                latency += below.request(mem::MemCmd::writeback,
+                                         set.back().line, now + latency);
+            }
+            set.pop_back();
+        }
+        set.push_front({line, mem::isWriteCmd(cmd)});
+        return latency + p.hitLatency;
+    }
+
+    Tick
+    flushLine(Addr line, Tick now, bool &was_dirty)
+    {
+        Tick latency = p.lookupLatency;
+        auto it = find(line);
+        if (it != setOf(line).end() && it->dirty) {
+            was_dirty = true;
+            ++flushes;
+            ++writebacks;
+            it->dirty = false;
+            latency += below.request(mem::MemCmd::writeback, line,
+                                     now + latency);
+        }
+        return latency;
+    }
+
+    Tick
+    invalidateLine(Addr line, Tick now)
+    {
+        Tick latency = p.lookupLatency;
+        auto it = find(line);
+        if (it != setOf(line).end()) {
+            if (it->dirty) {
+                ++writebacks;
+                latency += below.request(mem::MemCmd::writeback, line,
+                                         now + latency);
+            }
+            setOf(line).erase(it);
+        }
+        return latency;
+    }
+
+    Tick
+    flushAll(Tick now)
+    {
+        Tick latency = 0;
+        for (auto &set : sets) {
+            for (const auto &l : set) {
+                if (l.dirty) {
+                    ++writebacks;
+                    latency += below.request(mem::MemCmd::writeback,
+                                             l.line, now + latency);
+                }
+            }
+        }
+        invalidateAll();
+        return latency;
+    }
+
+    void
+    invalidateAll()
+    {
+        for (auto &set : sets)
+            set.clear();
+    }
+
+    bool contains(Addr line) { return find(line) != setOf(line).end(); }
+
+    bool
+    isDirty(Addr line)
+    {
+        auto it = find(line);
+        return it != setOf(line).end() && it->dirty;
+    }
+
+    double hits = 0, misses = 0, evictions = 0, writebacks = 0,
+           flushes = 0;
+
+  private:
+    struct Line
+    {
+        Addr line;
+        bool dirty;
+    };
+
+    std::list<Line> &
+    setOf(Addr line)
+    {
+        return sets[(line >> lineShift) % sets.size()];
+    }
+
+    std::list<Line>::iterator
+    find(Addr line)
+    {
+        auto &set = setOf(line);
+        return std::find_if(set.begin(), set.end(),
+                            [&](const Line &l) { return l.line == line; });
+    }
+
+    CacheParams p;
+    MemSink &below;
+    std::vector<std::list<Line>> sets;
+};
+
+/** flushAll's order within a set is way order, not LRU order. */
+std::vector<std::pair<mem::MemCmd, Addr>>
+unordered(const std::vector<TimedSink::Req> &reqs)
+{
+    std::vector<std::pair<mem::MemCmd, Addr>> out;
+    for (const auto &[cmd, addr, now] : reqs)
+        out.emplace_back(cmd, addr);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+void
+runCacheDifferential(const CacheParams &params, unsigned pool_size,
+                     std::uint64_t seed)
+{
+    TimedSink sink, ref_sink;
+    Cache cache(params, sink);
+    RefCache ref(params, ref_sink);
+
+    Random rng(seed);
+    std::vector<Addr> pool = {0};
+    while (pool.size() < pool_size)
+        pool.push_back(rng.uniform(Addr(1) << 40) & ~Addr(lineSize - 1));
+
+    Tick now = 0;
+    for (int op = 0; op < 40000; ++op) {
+        const Addr line = pool[rng.uniform(pool.size())];
+        const unsigned kind = rng.uniform(4000);
+        sink.reqs.clear();
+        ref_sink.reqs.clear();
+        Tick got = 0, want = 0;
+        if (kind < 1600) {
+            got = cache.request(mem::MemCmd::read, line, now);
+            want = ref.request(mem::MemCmd::read, line, now);
+        } else if (kind < 2800) {
+            got = cache.request(mem::MemCmd::write, line, now);
+            want = ref.request(mem::MemCmd::write, line, now);
+        } else if (kind < 3000) {
+            got = cache.request(mem::MemCmd::writeback, line, now);
+            want = ref.request(mem::MemCmd::writeback, line, now);
+        } else if (kind < 3400) {
+            bool got_dirty = false, want_dirty = false;
+            got = cache.flushLine(line, now, got_dirty);
+            want = ref.flushLine(line, now, want_dirty);
+            ASSERT_EQ(got_dirty, want_dirty) << "op " << op;
+        } else if (kind < 3998) {
+            got = cache.invalidateLine(line, now);
+            want = ref.invalidateLine(line, now);
+        } else if (kind < 3999) {
+            got = cache.flushAll(now);
+            want = ref.flushAll(now);
+            ASSERT_EQ(unordered(sink.reqs), unordered(ref_sink.reqs))
+                << "op " << op;
+            ref_sink.reqs = sink.reqs;
+        } else {
+            cache.invalidateAll();
+            ref.invalidateAll();
+        }
+        ASSERT_EQ(got, want) << "op " << op;
+        ASSERT_EQ(sink.reqs, ref_sink.reqs) << "op " << op;
+        const Addr other = pool[rng.uniform(pool.size())];
+        for (const Addr a : {line, other}) {
+            ASSERT_EQ(cache.contains(a), ref.contains(a)) << "op " << op;
+            ASSERT_EQ(cache.isDirty(a), ref.isDirty(a)) << "op " << op;
+        }
+        now += got;
+    }
+    const auto &st = cache.stats();
+    EXPECT_EQ(st.scalarValue("hits"), ref.hits);
+    EXPECT_EQ(st.scalarValue("misses"), ref.misses);
+    EXPECT_EQ(st.scalarValue("evictions"), ref.evictions);
+    EXPECT_EQ(st.scalarValue("writebacks"), ref.writebacks);
+    EXPECT_EQ(st.scalarValue("flushes"), ref.flushes);
+    EXPECT_GT(ref.evictions, 1000);
+}
+
+TEST(CacheDifferentialTest, TwoWayMatchesLruListModel)
+{
+    runCacheDifferential(smallCache(), 200, 11);
+}
+
+TEST(CacheDifferentialTest, SixteenWayMatchesLruListModel)
+{
+    runCacheDifferential({"wide", 16 * oneKiB, 16, oneNs, 3 * oneNs},
+                         600, 12);
 }
 
 } // namespace

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "base/bitfield.hh"
+#include "base/random.hh"
 #include "cache/coherence.hh"
 #include "cache/hierarchy.hh"
 
@@ -252,6 +257,125 @@ TEST(MesiDirectoryTest, StateNamesAreStable)
     EXPECT_STREQ(mesiStateName(MesiState::shared), "S");
     EXPECT_STREQ(mesiStateName(MesiState::exclusive), "E");
     EXPECT_STREQ(mesiStateName(MesiState::modified), "M");
+}
+
+TEST(MesiDirectoryTest, EntryPacksToEightBytes)
+{
+    EXPECT_EQ(sizeof(DirEntry), 8u);
+}
+
+// ---- Differential test against a std::map directory ------------
+
+bool
+sameEntry(const DirEntry &a, const DirEntry &b)
+{
+    return a.state == b.state && a.owner == b.owner &&
+           a.sharers == b.sharers;
+}
+
+/**
+ * The open-addressed directory against a std::map of entries driven
+ * by the same (already exhaustively tested) transition function: every
+ * action, every entry and every stat must agree through inserts,
+ * growths, erases inside probe chains, offlineCore and reset.
+ */
+TEST(MesiDirectoryDifferentialTest, MatchesMapModel)
+{
+    constexpr unsigned cores = 4;
+    MesiDirectory dir(cores);
+    std::map<Addr, DirEntry> ref;
+    double invalidations = 0, forced = 0, upgrades = 0, fills = 0;
+
+    Random rng(17);
+    // Line 0 plus scattered lines and a dense run, so chains form
+    // both from hash collisions and from neighbouring homes.
+    std::vector<Addr> pool = {0};
+    for (Addr a = lineSize; pool.size() < 2000; a += lineSize)
+        pool.push_back(a);
+    while (pool.size() < 7000)
+        pool.push_back(rng.uniform(Addr(1) << 44) & ~Addr(lineSize - 1));
+
+    const auto checkAll = [&](int op) {
+        ASSERT_EQ(dir.trackedLines(), ref.size()) << "op " << op;
+        for (const auto &[line, entry] : ref)
+            ASSERT_TRUE(sameEntry(dir.lookup(line), entry))
+                << "op " << op << " line " << line;
+    };
+
+    std::size_t capacity = dir.capacity();
+    unsigned growths = 0;
+    bool was_reset = false;
+    for (int op = 0; op < 60000; ++op) {
+        // The first half only grows the table; the second half erases
+        // about as often as it inserts.
+        const unsigned kind = rng.uniform(op < 30000 ? 80 : 100);
+        const Addr line = pool[rng.uniform(pool.size())];
+        if (kind < 70) {
+            const CpuId cpu = static_cast<CpuId>(rng.uniform(cores));
+            const bool is_write = rng.uniform(3) == 0;
+            DirEntry &want = ref[line];
+            if (!is_write && want.state != MesiState::invalid &&
+                !(want.sharers & (1u << cpu))) {
+                ++fills;
+            }
+            const CoherenceActions expect =
+                MesiDirectory::apply(want, cpu, is_write);
+            const CoherenceActions got = dir.access(line, cpu, is_write);
+            ASSERT_EQ(got.invalidate, expect.invalidate) << "op " << op;
+            ASSERT_EQ(got.writebackFrom, expect.writebackFrom)
+                << "op " << op;
+            ASSERT_EQ(got.upgrade, expect.upgrade) << "op " << op;
+            invalidations += popCount(expect.invalidate);
+            forced += popCount(expect.writebackFrom);
+            upgrades += expect.upgrade;
+        } else if (kind < 80) {
+            dir.cleanLine(line);
+            if (auto it = ref.find(line); it != ref.end() &&
+                it->second.state == MesiState::modified) {
+                it->second.state = MesiState::exclusive;
+            }
+        } else {
+            dir.dropLine(line);
+            ref.erase(line);
+        }
+        ASSERT_TRUE(sameEntry(dir.lookup(line),
+                              ref.count(line) ? ref[line] : DirEntry{}))
+            << "op " << op;
+
+        if (dir.capacity() != capacity) {
+            ++growths;
+            capacity = dir.capacity();
+            checkAll(op);
+        }
+        if (op % 5000 == 4999) {
+            const CpuId cpu = static_cast<CpuId>(rng.uniform(cores));
+            dir.offlineCore(cpu);
+            for (auto it = ref.begin(); it != ref.end();) {
+                DirEntry &e = it->second;
+                const bool owned = (e.state == MesiState::exclusive ||
+                                    e.state == MesiState::modified) &&
+                                   e.owner == cpu;
+                e.sharers &= ~(1u << cpu);
+                it = owned || e.sharers == 0 ? ref.erase(it)
+                                             : std::next(it);
+            }
+            checkAll(op);
+        }
+        if (op == 45000) {
+            ASSERT_GE(growths, 3u);
+            dir.reset();
+            ref.clear();
+            was_reset = true;
+            checkAll(op);
+        }
+    }
+    checkAll(-1);
+    EXPECT_TRUE(was_reset);
+    auto &st = dir.stats();
+    EXPECT_EQ(st.scalarValue("invalidations"), invalidations);
+    EXPECT_EQ(st.scalarValue("writebacksForced"), forced);
+    EXPECT_EQ(st.scalarValue("upgrades"), upgrades);
+    EXPECT_EQ(st.scalarValue("sharedFills"), fills);
 }
 
 // ---- Hierarchy integration -------------------------------------

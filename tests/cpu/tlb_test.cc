@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
+#include <vector>
 
+#include "base/random.hh"
 #include "cpu/tlb.hh"
 
 namespace kindle::cpu
@@ -13,7 +17,6 @@ TlbEntry
 makeEntry(Pid pid, std::uint64_t vpn, std::uint64_t pfn = 0)
 {
     TlbEntry e;
-    e.valid = true;
     e.pid = pid;
     e.vpn = vpn;
     e.pfn = pfn ? pfn : vpn + 1000;
@@ -170,6 +173,225 @@ TEST(TlbTest, ForEachValidVisitsBothLevels)
     std::set<std::uint64_t> seen;
     tlb.forEachValid([&](TlbEntry &e) { seen.insert(e.vpn); });
     EXPECT_EQ(seen.size(), 10u);
+}
+
+// ---- Differential test against a linear-scan TLB ----------------
+
+/** What an observer can see of an entry: its tag and its payload. */
+using Seen = std::tuple<Pid, std::uint64_t, std::uint64_t, unsigned>;
+
+Seen
+seen(const TlbEntry &e)
+{
+    return {e.pid, e.vpn, e.pfn, e.accessCount};
+}
+
+/**
+ * The reference: arrays of whole entries searched linearly, L1 fully
+ * associative, L2 by VPN set, LRU by stamp with empty slots first.
+ */
+class RefTlb
+{
+  public:
+    explicit RefTlb(const TlbParams &p)
+        : params(p), l1(p.l1Entries), l2(p.l2Entries),
+          sets(p.l2Entries / 12)
+    {}
+
+    TlbEntry *
+    lookup(Pid pid, std::uint64_t vpn, Tick &extra)
+    {
+        extra = 0;
+        if (Slot *s = find(l1, pid, vpn)) {
+            ++l1Hits;
+            s->lru = ++stamp;
+            return &s->e;
+        }
+        if (Slot *s = find(l2, pid, vpn)) {
+            ++l2Hits;
+            extra = params.l2HitLatency;
+            const TlbEntry promoted = s->e;
+            s->valid = false;
+            return &install(promoted);
+        }
+        ++misses;
+        return nullptr;
+    }
+
+    TlbEntry &fill(const TlbEntry &e) { return install(e); }
+
+    void
+    invalidate(Pid pid, std::uint64_t vpn)
+    {
+        if (Slot *s = find(l1, pid, vpn))
+            s->valid = false;
+        if (Slot *s = find(l2, pid, vpn))
+            s->valid = false;
+    }
+
+    void
+    flushAll()
+    {
+        for (auto *arr : {&l1, &l2}) {
+            for (auto &s : *arr) {
+                if (s.valid) {
+                    ++evictions;
+                    evicted.push_back(seen(s.e));
+                    s.valid = false;
+                }
+            }
+        }
+    }
+
+    void
+    reset()
+    {
+        for (auto *arr : {&l1, &l2})
+            for (auto &s : *arr)
+                s.valid = false;
+    }
+
+    std::vector<Seen>
+    valid() const
+    {
+        std::vector<Seen> out;
+        for (const auto *arr : {&l1, &l2})
+            for (const auto &s : *arr)
+                if (s.valid)
+                    out.push_back(seen(s.e));
+        return out;
+    }
+
+    std::vector<Seen> evicted;
+    double l1Hits = 0, l2Hits = 0, misses = 0, evictions = 0;
+
+  private:
+    struct Slot
+    {
+        bool valid = false;
+        std::uint64_t lru = 0;
+        TlbEntry e;
+    };
+
+    static Slot *
+    find(std::vector<Slot> &arr, Pid pid, std::uint64_t vpn)
+    {
+        for (auto &s : arr)
+            if (s.valid && s.e.pid == pid && s.e.vpn == vpn)
+                return &s;
+        return nullptr;
+    }
+
+    static Slot &
+    victim(Slot *base, std::size_t n)
+    {
+        Slot *v = base;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!base[i].valid)
+                return base[i];
+            if (base[i].lru < v->lru)
+                v = &base[i];
+        }
+        return *v;
+    }
+
+    TlbEntry &
+    install(const TlbEntry &e)
+    {
+        Slot &slot = victim(l1.data(), l1.size());
+        if (slot.valid) {
+            Slot &down = victim(&l2[(slot.e.vpn % sets) * 12], 12);
+            if (down.valid) {
+                ++evictions;
+                evicted.push_back(seen(down.e));
+            }
+            down = slot;
+        }
+        slot = {true, ++stamp, e};
+        return slot.e;
+    }
+
+    TlbParams params;
+    std::vector<Slot> l1, l2;
+    std::uint64_t sets;
+    std::uint64_t stamp = 0;
+};
+
+void
+runTlbDifferential(const TlbParams &params, unsigned vpns,
+                   std::uint64_t seed)
+{
+    Tlb tlb(params);
+    RefTlb ref(params);
+    std::vector<Seen> evicted;
+    tlb.addEvictHook([&](const TlbEntry &e) { evicted.push_back(seen(e)); });
+
+    const auto sorted = [](std::vector<Seen> v) {
+        std::sort(v.begin(), v.end());
+        return v;
+    };
+
+    Random rng(seed);
+    for (int op = 0; op < 60000; ++op) {
+        const Pid pid = static_cast<Pid>(1 + rng.uniform(3));
+        const std::uint64_t vpn = rng.uniform(vpns) * 3;
+        const unsigned kind = rng.uniform(1000);
+        if (kind < 940) {
+            // The core's pattern: look up, fill on a miss, then let
+            // the HSCC hook bump the count through the pointer.
+            Tick got_extra = 7, want_extra = 9;
+            TlbEntry *got = tlb.lookup(pid, vpn, got_extra);
+            TlbEntry *want = ref.lookup(pid, vpn, want_extra);
+            ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op;
+            ASSERT_EQ(got_extra, want_extra) << "op " << op;
+            if (!got) {
+                TlbEntry e;
+                e.pid = pid;
+                e.vpn = vpn;
+                e.pfn = rng.next() >> 20;
+                got = &tlb.fill(e);
+                want = &ref.fill(e);
+            }
+            ASSERT_EQ(seen(*got), seen(*want)) << "op " << op;
+            ++got->accessCount;
+            ++want->accessCount;
+        } else if (kind < 995) {
+            tlb.invalidate(pid, vpn);
+            ref.invalidate(pid, vpn);
+        } else if (kind < 998) {
+            tlb.flushAll();
+            ref.flushAll();
+        } else {
+            tlb.reset();
+            ref.reset();
+        }
+        ASSERT_EQ(evicted, ref.evicted) << "op " << op;
+        evicted.clear();
+        ref.evicted.clear();
+        if (op % 1000 == 0) {
+            std::vector<Seen> live;
+            tlb.forEachValid(
+                [&](TlbEntry &e) { live.push_back(seen(e)); });
+            ASSERT_EQ(sorted(live), sorted(ref.valid())) << "op " << op;
+        }
+    }
+    const auto &st = tlb.stats();
+    EXPECT_EQ(st.scalarValue("l1Hits"), ref.l1Hits);
+    EXPECT_EQ(st.scalarValue("l2Hits"), ref.l2Hits);
+    EXPECT_EQ(st.scalarValue("misses"), ref.misses);
+    EXPECT_EQ(st.scalarValue("evictions"), ref.evictions);
+    EXPECT_GT(ref.l2Hits, 1000);
+    EXPECT_GT(ref.evictions, 1000);
+}
+
+TEST(TlbDifferentialTest, SmallTlbMatchesLinearScan)
+{
+    runTlbDifferential(smallTlb(), 40, 21);
+}
+
+TEST(TlbDifferentialTest, DefaultTlbMatchesLinearScan)
+{
+    runTlbDifferential(TlbParams{}, 1200, 22);
 }
 
 } // namespace

@@ -44,6 +44,39 @@ TEST(BackingStoreTest, ClearForgetsEverything)
     EXPECT_EQ(store.readT<std::uint32_t>(0x2000), 0u);
 }
 
+TEST(BackingStoreTest, FramesInSeparateRadixLeaves)
+{
+    // 1025 frames: two full leaves plus a one-frame third leaf, and a
+    // range that starts away from zero.
+    constexpr std::uint64_t leaf = BackingStore::leafFrames;
+    const Addr base = 3 * oneGiB;
+    BackingStore store(AddrRange::withSize(base, (2 * leaf + 1) * pageSize));
+    const std::vector<std::uint64_t> frames = {0, leaf - 1, leaf,
+                                               2 * leaf};
+    for (const std::uint64_t f : frames)
+        store.writeT<std::uint64_t>(base + f * pageSize + 8, f + 1);
+    // A second write to a materialized frame allocates nothing.
+    store.writeT<std::uint64_t>(base + leaf * pageSize + 16, 5);
+    EXPECT_EQ(store.framesAllocated(), frames.size());
+    for (const std::uint64_t f : frames)
+        EXPECT_EQ(store.readT<std::uint64_t>(base + f * pageSize + 8), f + 1);
+    // Reads of untouched frames, in touched and untouched leaves,
+    // materialize nothing.
+    EXPECT_EQ(store.readT<std::uint64_t>(base + pageSize), 0u);
+    EXPECT_EQ(store.readT<std::uint64_t>(base + (leaf + 7) * pageSize),
+              0u);
+    EXPECT_EQ(store.framesAllocated(), frames.size());
+
+    store.clear();
+    EXPECT_EQ(store.framesAllocated(), 0u);
+    for (const std::uint64_t f : frames)
+        EXPECT_EQ(store.readT<std::uint64_t>(base + f * pageSize + 8), 0u);
+    store.writeT<std::uint8_t>(base + (2 * leaf + 1) * pageSize - 1, 9);
+    EXPECT_EQ(store.framesAllocated(), 1u);
+    EXPECT_EQ(
+        store.readT<std::uint8_t>(base + (2 * leaf + 1) * pageSize - 1), 9);
+}
+
 TEST(BackingStoreTest, NonZeroBaseRange)
 {
     BackingStore store(AddrRange::withSize(3 * oneGiB, oneMiB));

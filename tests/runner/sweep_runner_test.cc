@@ -138,5 +138,35 @@ TEST(SweepRunnerTest, MachineOverridesApplyOutsideTheRunner)
     EXPECT_FALSE(untouched.coreFault);
 }
 
+TEST(SweepRunnerTest, CoresOverrideSparesPointsThatOwnTheirCoreCount)
+{
+    // A core-count sweep (fleet_storm's c1/c4 rows) must keep each
+    // point's machine under --cores; other points still take it.
+    const auto probe = [](std::string name, unsigned cores, bool owns) {
+        Scenario sc = smallPersistScenario(persist::PtScheme::rebuild,
+                                           oneMiB, std::move(name));
+        sc.config.numCores = cores;
+        sc.ownsCores = owns;
+        sc.drive = [](KindleSystem &sys, statistics::StatSnapshot &extra) {
+            extra.set("probe.cores", sys.numCores());
+            return Tick{0};
+        };
+        return sc;
+    };
+    Options opts;
+    opts.jobs = 1;
+    opts.cores = 4;
+    SweepRunner pool(opts);
+    const auto results = pool.run({probe("c1", 1, true),
+                                   probe("c2", 2, true),
+                                   probe("free", 1, false)});
+    ASSERT_EQ(results.size(), 3u);
+    for (const auto &r : results)
+        ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(results[0].stats.get("probe.cores"), 1.0);
+    EXPECT_EQ(results[1].stats.get("probe.cores"), 2.0);
+    EXPECT_EQ(results[2].stats.get("probe.cores"), 4.0);
+}
+
 } // namespace
 } // namespace kindle::runner
