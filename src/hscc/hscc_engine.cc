@@ -5,6 +5,7 @@
 #include "base/logging.hh"
 #include "base/str.hh"
 #include "fault/fault.hh"
+#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace kindle::hscc
@@ -12,24 +13,14 @@ namespace kindle::hscc
 
 using cpu::Pte;
 
-void
-HsccEngine::MigrateEvent::process()
-{
-    engine.migrate();
-    if (engine.started) {
-        engine.kernel.simulation().eventq().schedule(
-            this, engine.kernel.simulation().now() +
-                      engine._params.migrationInterval);
-    }
-}
-
 HsccEngine::HsccEngine(const HsccParams &params, os::Kernel &kernel_arg)
     : _params(params),
       kernel(kernel_arg),
       dramPool(params.dramPoolPages, kernel_arg.dramAllocator()),
       mapTable(params.dramPoolPages, kernel_arg.kmem(),
                kernel_arg.dramAllocator()),
-      migrateEvent(*this),
+      migrateTimer("hsccMigrate", sim::Event::Priority::migration,
+                   kernel_arg.simulation(), [this] { migrate(); }),
       statGroup("hscc",
                 "HW/SW cooperative DRAM caching engine"),
       migrated(statGroup.addScalar("pagesMigrated",
@@ -67,9 +58,8 @@ HsccEngine::~HsccEngine()
 void
 HsccEngine::start()
 {
-    if (started)
+    if (migrateTimer.running())
         return;
-    started = true;
     // Access counting happens in every core's translation hardware.
     for (CpuId c = 0; c < kernel.numCores(); ++c) {
         cpu::Core &core = kernel.core(c);
@@ -79,17 +69,14 @@ HsccEngine::start()
         core.msrs().write(cpu::MsrId::hsccEnable, 1);
     }
     kernel.addListener(this);
-    auto &sim = kernel.simulation();
-    sim.eventq().schedule(&migrateEvent,
-                          sim.now() + _params.migrationInterval);
+    migrateTimer.start(_params.migrationInterval);
 }
 
 void
 HsccEngine::stop()
 {
-    if (!started)
+    if (!migrateTimer.running())
         return;
-    started = false;
     for (CpuId c = 0; c < kernel.numCores(); ++c) {
         cpu::Core &core = kernel.core(c);
         core.removeHooks(this);
@@ -98,7 +85,7 @@ HsccEngine::stop()
     }
     evictHookHandles.clear();
     kernel.removeListener(this);
-    kernel.simulation().eventq().deschedule(&migrateEvent);
+    migrateTimer.stop();
 }
 
 Pte
@@ -219,6 +206,7 @@ HsccEngine::scanLeaves(
 void
 HsccEngine::migrate()
 {
+    KINDLE_PROF_SCOPE(hscc);
     auto &sim = kernel.simulation();
     const Tick t0 = sim.now();
     trace::TraceSpan span(trace::Flag::hscc, "hscc.migrate");

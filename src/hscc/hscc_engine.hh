@@ -113,18 +113,6 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
-    class MigrateEvent : public sim::Event
-    {
-      public:
-        explicit MigrateEvent(HsccEngine &e)
-            : Event("hsccMigrate", Priority::migration), engine(e)
-        {}
-        void process() override;
-
-      private:
-        HsccEngine &engine;
-    };
-
     /** Where a cached NVM page is mapped (for reverts). */
     struct CachedAt
     {
@@ -158,8 +146,8 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
     DramPool dramPool;
     MappingTable mapTable;
 
-    MigrateEvent migrateEvent;
-    bool started = false;
+    /** The migration interval; running() doubles as "attached". */
+    sim::PeriodicEvent migrateTimer;
     /** Per-core TLB evict-hook handles (index == CpuId). */
     std::vector<std::size_t> evictHookHandles;
     unsigned curThreshold = 0;

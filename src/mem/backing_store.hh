@@ -186,17 +186,6 @@ class DurableStore
      */
     CrashOutcome crash(Tick now, const PowerLossModel &model);
 
-    /**
-     * Legacy wholesale crash: the controller buffer is treated as
-     * drained (pre-buffer-model behaviour); only overlay lines die.
-     */
-    void
-    crash()
-    {
-        drainTo(~Tick{0});
-        pending.clear();
-    }
-
     /** Typed helpers. */
     template <typename T>
     T

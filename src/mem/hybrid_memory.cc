@@ -125,14 +125,4 @@ HybridMemory::crash(Tick now, const PowerLossModel &loss)
     return out;
 }
 
-void
-HybridMemory::crash()
-{
-    ++crashes;
-    dramStore.clear();
-    nvmStore.crash();
-    _dramCtrl->reset();
-    _nvmCtrl->reset();
-}
-
 } // namespace kindle::mem

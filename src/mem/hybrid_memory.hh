@@ -118,9 +118,6 @@ class HybridMemory
      */
     CrashOutcome crash(Tick now, const PowerLossModel &loss);
 
-    /** Legacy wholesale crash: write buffer treated as drained. */
-    void crash();
-
     /** The media reliability model, or null when not configured. */
     NvmMediaModel *media() { return _media.get(); }
     const NvmMediaModel *media() const { return _media.get(); }

@@ -23,7 +23,8 @@ PatrolScrubber::PatrolScrubber(sim::Simulation &sim, HybridMemory &memory,
     : sim(sim),
       memory(memory),
       _params(params),
-      event(*this),
+      timer("nvm-scrub", sim::Event::Priority::scrub, sim,
+            [this] { patrol(); }),
       statGroup("scrubber", "NVM patrol scrubber"),
       patrolChunks(statGroup.addScalar("patrolChunks",
                                        "patrol chunks inspected")),
@@ -46,27 +47,13 @@ PatrolScrubber::~PatrolScrubber() = default;
 void
 PatrolScrubber::start()
 {
-    if (started)
-        return;
-    started = true;
-    scheduleNext();
+    timer.start(_params.interval);
 }
 
 void
 PatrolScrubber::stop()
 {
-    if (!started)
-        return;
-    started = false;
-    sim.eventq().deschedule(&event);
-}
-
-void
-PatrolScrubber::scheduleNext()
-{
-    if (!started)
-        return;
-    sim.eventq().schedule(&event, sim.now() + _params.interval);
+    timer.stop();
 }
 
 void

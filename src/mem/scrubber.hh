@@ -62,41 +62,21 @@ class PatrolScrubber
 
     void start();
     void stop();
-    bool running() const { return started; }
+    bool running() const { return timer.running(); }
 
     const ScrubParams &params() const { return _params; }
 
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
-    class ScrubEvent : public sim::Event
-    {
-      public:
-        explicit ScrubEvent(PatrolScrubber &scrubber)
-            : Event("nvm-scrub", Priority::scrub), scrubber(scrubber)
-        {}
-
-        void
-        process() override
-        {
-            scrubber.patrol();
-            scrubber.scheduleNext();
-        }
-
-      private:
-        PatrolScrubber &scrubber;
-    };
-
     void patrol();
-    void scheduleNext();
 
     sim::Simulation &sim;
     HybridMemory &memory;
     ScrubParams _params;
     BadFrameFn handler;
 
-    ScrubEvent event;
-    bool started = false;
+    sim::PeriodicEvent timer;
     /** Next patrol position (offset into the NVM range). */
     std::uint64_t cursor = 0;
 

@@ -172,13 +172,6 @@ Kernel::Kernel(const KernelParams &params, sim::Simulation &sim_arg,
     }
 }
 
-Kernel::Kernel(const KernelParams &params, sim::Simulation &sim_arg,
-               mem::HybridMemory &memory_arg,
-               cache::Hierarchy &caches_arg, cpu::Core &core_arg)
-    : Kernel(params, sim_arg, memory_arg, caches_arg,
-             std::vector<cpu::Core *>{&core_arg})
-{}
-
 Kernel::~Kernel()
 {
     for (cpu::Core *core : cores_)

@@ -118,11 +118,6 @@ class Kernel : public cpu::FaultHandler
            mem::HybridMemory &memory, cache::Hierarchy &caches,
            std::vector<cpu::Core *> cores);
 
-    /** Single-core convenience overload (uniprocessor test rigs). */
-    Kernel(const KernelParams &params, sim::Simulation &sim,
-           mem::HybridMemory &memory, cache::Hierarchy &caches,
-           cpu::Core &core);
-
     ~Kernel() override;
 
     Kernel(const Kernel &) = delete;

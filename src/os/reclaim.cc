@@ -14,7 +14,8 @@ namespace kindle::os
 ReclaimEngine::ReclaimEngine(Kernel &kernel_arg, ReclaimParams params)
     : kernel(kernel_arg),
       _params(params),
-      event(*this),
+      timer("reclaim", sim::Event::Priority::scrub,
+            kernel_arg.simulation(), [this] { patrol(); }),
       statGroup("reclaim", "watermark-driven memory reclaim"),
       passes(statGroup.addScalar("passes", "patrol passes run")),
       emergencyPasses(statGroup.addScalar(
@@ -40,28 +41,13 @@ ReclaimEngine::~ReclaimEngine()
 void
 ReclaimEngine::start()
 {
-    if (started)
-        return;
-    started = true;
-    scheduleNext();
+    timer.start(_params.interval);
 }
 
 void
 ReclaimEngine::stop()
 {
-    if (!started)
-        return;
-    started = false;
-    kernel.simulation().eventq().deschedule(&event);
-}
-
-void
-ReclaimEngine::scheduleNext()
-{
-    if (!started)
-        return;
-    kernel.simulation().eventq().schedule(
-        &event, kernel.simulation().now() + _params.interval);
+    timer.stop();
 }
 
 void

@@ -68,7 +68,7 @@ class ReclaimEngine
 
     void start();
     void stop();
-    bool running() const { return started; }
+    bool running() const { return timer.running(); }
 
     /**
      * Route NVM-pressure relief to the persistence domain (may be
@@ -89,26 +89,7 @@ class ReclaimEngine
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
-    class PatrolEvent : public sim::Event
-    {
-      public:
-        explicit PatrolEvent(ReclaimEngine &engine)
-            : Event("reclaim", Priority::scrub), engine(engine)
-        {}
-
-        void
-        process() override
-        {
-            engine.patrol();
-            engine.scheduleNext();
-        }
-
-      private:
-        ReclaimEngine &engine;
-    };
-
     void patrol();
-    void scheduleNext();
 
     /** Fire the early-checkpoint hook, honoring checkpointMinGap. */
     void maybeRequestCheckpoint();
@@ -120,8 +101,7 @@ class ReclaimEngine
     ReclaimParams _params;
     std::function<void()> checkpointHook;
 
-    PatrolEvent event;
-    bool started = false;
+    sim::PeriodicEvent timer;
     /** Round-robin fairness cursor over victim pids. */
     Pid cursor = 0;
     /** Tick of the last honored checkpoint request. */

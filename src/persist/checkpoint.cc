@@ -15,7 +15,8 @@ PersistDomain::PersistDomain(const PersistParams &params,
                              os::Kernel &kernel_arg)
     : _params(params),
       kernel(kernel_arg),
-      event(*this),
+      timer("checkpoint", sim::Event::Priority::ckpt,
+            kernel_arg.simulation(), [this] { checkpointNow(); }),
       statGroup("persist",
                 "process-persistence domain (periodic checkpointing)"),
       checkpoints(statGroup.addScalar("checkpoints",
@@ -48,11 +49,6 @@ PersistDomain::PersistDomain(const PersistParams &params,
                       "rebuild scheme hosts page tables in DRAM");
     }
     statGroup.addChild(metaLog->stats());
-    if (_params.skipCleanProcesses) {
-        cleanSkips = &statGroup.addScalar(
-            "cleanSkips",
-            "checkpoint sweeps skipped for unchanged processes");
-    }
 }
 
 PersistDomain::~PersistDomain()
@@ -73,9 +69,8 @@ PersistDomain::slotFor(const os::Process &proc)
 void
 PersistDomain::start()
 {
-    if (started)
+    if (timer.running())
         return;
-    started = true;
 
     if (ptPolicy)
         kernel.setPtWritePolicy(ptPolicy.get());
@@ -97,18 +92,17 @@ PersistDomain::start()
     }
 
     kernel.addListener(this);
-    scheduleNext();
+    timer.start(_params.checkpointInterval);
 }
 
 void
 PersistDomain::stop()
 {
-    if (!started)
+    if (!timer.running())
         return;
-    started = false;
+    timer.stop();
     kernel.removeListener(this);
     kernel.setPtWritePolicy(nullptr);
-    kernel.simulation().eventq().deschedule(&event);
 }
 
 void
@@ -142,20 +136,17 @@ PersistDomain::armPressureStats()
 void
 PersistDomain::requestEarlyCheckpoint()
 {
-    if (!started || inCheckpoint)
+    if (!timer.running() || inCheckpoint)
         return;
     armPressureStats();
     ++*earlyCheckpoints;
     compactNext = true;
-    sim::Simulation &sim = kernel.simulation();
     KINDLE_TRACE_INSTANT_ARGS(checkpoint, "ckpt.early", "pending={}",
                               metaLog->pending());
     // Re-arm the periodic event for "now": it fires at the kernel's
     // next event-queue service point, i.e. between instructions rather
     // than in the middle of whatever protocol did the append.
-    if (event.scheduled())
-        sim.eventq().deschedule(&event);
-    sim.eventq().schedule(&event, sim.now());
+    timer.fireNow();
 }
 
 void
@@ -181,22 +172,24 @@ PersistDomain::compactSlots()
 }
 
 void
-PersistDomain::scheduleNext()
+PersistDomain::countCleanSkips(std::uint64_t n)
 {
-    if (!started) {
-        kindle_fatal("arming the checkpoint timer on a stopped "
-                     "persistence domain — the system crashed (or the "
-                     "domain was stopped) without a reboot()");
+    // Registered lazily, like the pressure stats: a run whose sweeps
+    // never skip exports no cleanSkips stat.
+    if (n == 0)
+        return;
+    if (!cleanSkips) {
+        cleanSkips = &statGroup.addScalar(
+            "cleanSkips",
+            "checkpoint sweeps skipped for unchanged processes");
     }
-    kernel.simulation().eventq().schedule(
-        &event,
-        kernel.simulation().now() + _params.checkpointInterval);
+    *cleanSkips += static_cast<double>(n);
 }
 
 void
 PersistDomain::markDirty(const os::Process &proc)
 {
-    if (!_params.skipCleanProcesses || listedPid[proc.slot] == proc.pid)
+    if (listedPid[proc.slot] == proc.pid)
         return;
     listedPid[proc.slot] = proc.pid;
     dirtyPids.push_back(proc.pid);
@@ -334,12 +327,10 @@ PersistDomain::checkpointProcess(os::Process &proc,
     }
     KINDLE_CRASH_SITE("ckpt.after_commit");
 
-    if (_params.skipCleanProcesses) {
-        IncState &st = incState[proc.slot];
-        st.lastCtx = ctx;
-        st.ctxValid = true;
-        st.mapDirty = false;
-    }
+    IncState &st = incState[proc.slot];
+    st.lastCtx = ctx;
+    st.ctxValid = true;
+    st.mapDirty = false;
 }
 
 void
@@ -481,12 +472,9 @@ PersistDomain::addSweepItem(os::Process &proc)
     SweepItem &item = sweep.emplace_back();
     item.proc = &proc;
     item.ctx = SavedStateSlot::snapshot(proc, kernel.contextOf(proc));
-    item.clean = false;
-    if (_params.skipCleanProcesses) {
-        const IncState &st = incState[proc.slot];
-        item.clean = st.ctxValid && !st.mapDirty && st.pending.empty() &&
-                     sameContext(st.lastCtx, item.ctx);
-    }
+    const IncState &st = incState[proc.slot];
+    item.clean = st.ctxValid && !st.mapDirty && st.pending.empty() &&
+                 sameContext(st.lastCtx, item.ctx);
 }
 
 void
@@ -518,31 +506,23 @@ PersistDomain::checkpointNow()
     // what its last sweep committed and no NVM mapping changed in the
     // interval — nothing about its durable image can differ, so both
     // the redo append and the slot sweep are pure media traffic.
+    // Only listed processes can have changed; every other live
+    // process is clean by construction and is skipped unvisited.  Pids
+    // are assigned in creation order and reaping is stable, so pid
+    // order is processes() order: records and slot writes land
+    // exactly as a full sweep would issue them.
     sweep.clear();
-    if (_params.skipCleanProcesses) {
-        // Only listed processes can have changed; every other live
-        // process is clean by construction and is skipped unvisited.
-        // Pids are assigned in creation order and reaping is stable,
-        // so pid order is processes() order: records and slot writes
-        // land exactly as a full sweep would issue them.
-        std::sort(dirtyPids.begin(), dirtyPids.end());
-        for (const Pid pid : dirtyPids) {
-            os::Process *proc = kernel.findProcess(pid);
-            if (!proc)
-                continue;  // reaped; its stale mark never matches again
-            listedPid[proc->slot] = 0;
-            if (proc->state != os::ProcState::zombie)
-                addSweepItem(*proc);
-        }
-        dirtyPids.clear();
-        *cleanSkips += static_cast<double>(kernel.liveProcessCount() -
-                                           sweep.size());
-    } else {
-        for (const auto &proc : kernel.processes()) {
-            if (proc->state != os::ProcState::zombie)
-                addSweepItem(*proc);
-        }
+    std::sort(dirtyPids.begin(), dirtyPids.end());
+    for (const Pid pid : dirtyPids) {
+        os::Process *proc = kernel.findProcess(pid);
+        if (!proc)
+            continue;  // reaped; its stale mark never matches again
+        listedPid[proc->slot] = 0;
+        if (proc->state != os::ProcState::zombie)
+            addSweepItem(*proc);
     }
+    dirtyPids.clear();
+    countCleanSkips(kernel.liveProcessCount() - sweep.size());
 
     // Log the CPU state of every swept process, then apply the full
     // redo log once (the working copies absorb all interval changes).
@@ -569,7 +549,7 @@ PersistDomain::checkpointNow()
 
     for (const SweepItem &item : sweep) {
         if (item.clean) {
-            ++*cleanSkips;
+            countCleanSkips(1);
             continue;
         }
         checkpointProcess(*item.proc, item.ctx);

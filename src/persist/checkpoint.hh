@@ -51,29 +51,6 @@ struct PersistParams
      * the ablation_incremental_ckpt experiment).
      */
     bool incrementalMappingList = false;
-
-    /**
-     * Skip the per-process slot sweep (and the CPU-state redo append)
-     * for processes whose durable image cannot have changed since
-     * their last committed checkpoint: serialized context
-     * bit-identical and no NVM mapping mutations in the interval.  At
-     * fleet scale (1k+ mostly-idle tenants time-shared on a few
-     * cores) the unconditional sweep writes O(population) NVM lines
-     * per checkpoint and saturates the media with flush traffic; with
-     * the skip the sweep cost tracks the set of processes that
-     * actually ran.  The sweep does not even visit the rest: a dirty
-     * set lists every process a kernel hook touched (creation,
-     * switch-in, VMA add/remove and the munmap/mprotect pre-change
-     * hook, NVM map/unmap, FASE marks) plus every core's resident
-     * occupant at the end of each checkpoint, since an occupant can
-     * keep executing without another switch.  Soundness rule: a
-     * process changes only while it executes, or after a hook that
-     * lists it and before the next event-queue service point (where a
-     * checkpoint can run).  So a process outside the set cannot have
-     * changed, and a checkpoint costs O(dirty), not O(population).
-     * Off by default so default-config output stays byte-identical.
-     */
-    bool skipCleanProcesses = false;
 };
 
 /** The domain. */
@@ -155,24 +132,6 @@ class PersistDomain : public os::OsEventListener
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
-    class CkptEvent : public sim::Event
-    {
-      public:
-        explicit CkptEvent(PersistDomain &domain)
-            : Event("checkpoint", Priority::ckpt), domain(domain)
-        {}
-
-        void
-        process() override
-        {
-            domain.checkpointNow();
-            domain.scheduleNext();
-        }
-
-      private:
-        PersistDomain &domain;
-    };
-
     /** Incremental-mode bookkeeping for one process slot. */
     struct IncState
     {
@@ -184,11 +143,11 @@ class PersistDomain : public os::OsEventListener
         /** Mapping mutations since the last checkpoint, in order. */
         std::vector<std::pair<bool, MappingEntry>> pending;
 
-        /** Clean-skip bookkeeping (skipCleanProcesses): the context
-         *  committed by this process's last sweep, and whether any NVM
-         *  mapping changed since — tracked for every scheme, because
-         *  reclaim can demote an idle process's pages without its
-         *  context ever changing. */
+        /** Clean-skip bookkeeping: the context committed by this
+         *  process's last sweep, and whether any NVM mapping changed
+         *  since — tracked for every scheme, because reclaim can
+         *  demote an idle process's pages without its context ever
+         *  changing. */
         bool ctxValid = false;
         bool mapDirty = false;
         SavedContext lastCtx{};
@@ -213,10 +172,11 @@ class PersistDomain : public os::OsEventListener
         bool clean;
     };
 
-    void scheduleNext();
     void armPressureStats();
+    /** Count @p n clean skips (the stat appears with the first). */
+    void countCleanSkips(std::uint64_t n);
     void compactSlots();
-    /** List @p proc in the dirty set (skipCleanProcesses only). */
+    /** List @p proc in the dirty set. */
     void markDirty(const os::Process &proc);
     /** Snapshot @p proc into the sweep buffer and classify it. */
     void addSweepItem(os::Process &proc);
@@ -238,8 +198,18 @@ class PersistDomain : public os::OsEventListener
     std::vector<IncState> incState;
 
     /** Dirty set: pids that may have changed since their last sweep,
-     *  each listed once.  Exited or reaped pids go stale in place and
-     *  are dropped when the next checkpoint looks them up. */
+     *  each listed once.  A checkpoint sweeps only these, so its cost
+     *  tracks the processes that ran rather than the population (at
+     *  fleet scale, mostly-idle tenants).  Hooks list a process on
+     *  creation, switch-in, VMA add/remove and the munmap/mprotect
+     *  pre-change hook, NVM map/unmap and FASE marks; each core's
+     *  occupant is listed at the end of every checkpoint, since it
+     *  can keep executing without another switch.  Soundness rule: a
+     *  process changes only while it executes, or after a hook that
+     *  lists it and before the next event-queue service point, so an
+     *  unlisted process cannot have changed.  Exited or reaped pids
+     *  go stale in place and are dropped when the next checkpoint
+     *  looks them up. */
     std::vector<Pid> dirtyPids;
     /** Per slot: the pid listed from it, 0 for none.  Keyed by pid,
      *  not by slot alone, so a slot reused by a new process is listed
@@ -248,8 +218,8 @@ class PersistDomain : public os::OsEventListener
     /** Per-checkpoint sweep buffer, reused to keep its capacity. */
     std::vector<SweepItem> sweep;
 
-    CkptEvent event;
-    bool started = false;
+    /** The periodic checkpoint; running() doubles as "attached". */
+    sim::PeriodicEvent timer;
     bool backpressure = false;
     /** Re-entrancy guard: appends made *during* a checkpoint must not
      *  pull the timer forward (the checkpoint resets the log itself). */
@@ -267,7 +237,7 @@ class PersistDomain : public os::OsEventListener
     /** Backpressure stats; registered only by enableBackpressure(). */
     statistics::Scalar *earlyCheckpoints = nullptr;
     statistics::Scalar *slotsCompacted = nullptr;
-    /** Registered only when skipCleanProcesses is configured. */
+    /** Registered by the first clean skip. */
     statistics::Scalar *cleanSkips = nullptr;
 };
 

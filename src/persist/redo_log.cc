@@ -191,15 +191,6 @@ RedoLog::recoverScan()
     return scan;
 }
 
-std::vector<RedoRecord>
-RedoLog::recoverRecords()
-{
-    RedoScan scan = recoverScan();
-    kindle_assert(!scan.headerCorrupt,
-                  "redo log header corrupt after crash");
-    return std::move(scan.records);
-}
-
 RedoScan
 RedoLog::audit(os::KernelMem &kmem, Addr base, std::uint64_t capacity)
 {

@@ -132,9 +132,6 @@ class RedoLog
      */
     RedoScan recoverScan();
 
-    /** Legacy wrapper: fatal on a corrupt header, records only. */
-    std::vector<RedoRecord> recoverRecords();
-
     /**
      * Read-only audit of a durable log region (no repair, no epoch
      * adoption) — what recovery uses to classify the surviving log

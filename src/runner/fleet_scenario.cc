@@ -98,10 +98,6 @@ makeFleetConfig(const FleetOptions &opts, unsigned cores)
         cfg.persistence = persist::PersistParams{
             persist::PtScheme::rebuild, opts.checkpointInterval};
         cfg.persistence->incrementalMappingList = true;
-        // Sweep cost must track the set of tenants that ran, not the
-        // population: an unconditional sweep writes O(tenants) NVM
-        // lines per checkpoint and saturates the media.
-        cfg.persistence->skipCleanProcesses = true;
     }
 
     if (opts.pressure) {

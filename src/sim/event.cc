@@ -1,6 +1,7 @@
 #include "sim/event.hh"
 
 #include "base/logging.hh"
+#include "sim/simulation.hh"
 
 namespace kindle::sim
 {
@@ -9,6 +10,54 @@ Event::~Event()
 {
     if (_scheduled && _queue)
         _queue->deschedule(this);
+}
+
+PeriodicEvent::PeriodicEvent(std::string name, Priority prio,
+                             Simulation &sim, std::function<void()> body)
+    : Event(std::move(name), prio), sim(sim), body(std::move(body))
+{}
+
+void
+PeriodicEvent::start(Tick first_period)
+{
+    if (_running)
+        return;
+    setPeriod(first_period);
+    _running = true;
+    sim.eventq().schedule(this, sim.now() + period);
+}
+
+void
+PeriodicEvent::stop()
+{
+    if (!_running)
+        return;
+    _running = false;
+    sim.eventq().deschedule(this);
+}
+
+void
+PeriodicEvent::fireNow()
+{
+    kindle_assert(_running, "arming stopped timer '{}'", name());
+    sim.eventq().deschedule(this);
+    sim.eventq().schedule(this, sim.now());
+}
+
+void
+PeriodicEvent::setPeriod(Tick new_period)
+{
+    kindle_assert(new_period > 0, "timer '{}' needs a non-zero period",
+                  name());
+    period = new_period;
+}
+
+void
+PeriodicEvent::process()
+{
+    body();
+    if (_running)
+        sim.eventq().schedule(this, sim.now() + period);
 }
 
 void

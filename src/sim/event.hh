@@ -27,10 +27,12 @@ namespace kindle::sim
 {
 
 class EventQueue;
+class Simulation;
 
 /**
  * An occurrence scheduled on the EventQueue.  Subclass and implement
- * process(), or use CallbackEvent for one-off lambdas.
+ * process(), or use CallbackEvent for one-off lambdas and
+ * PeriodicEvent for timers.
  */
 class Event
 {
@@ -96,6 +98,43 @@ class CallbackEvent : public Event
 
   private:
     std::function<void()> callback;
+};
+
+/**
+ * A periodic timer: each firing runs the body and then, if the timer
+ * is still running, re-arms itself one period later.  The period is
+ * measured from the body's *end*, so time the body bumps delays the
+ * next firing (a checkpoint longer than its interval cannot
+ * re-trigger itself), and a body that stops the timer or throws
+ * (PowerLoss from a crash site) leaves it unarmed.
+ */
+class PeriodicEvent : public Event
+{
+  public:
+    PeriodicEvent(std::string name, Priority prio, Simulation &sim,
+                  std::function<void()> body);
+
+    /** Arm the first firing at now + @p period; no-op while running. */
+    void start(Tick period);
+
+    /** Disarm; no-op while stopped. */
+    void stop();
+
+    bool running() const { return _running; }
+
+    /** Replace the pending firing with one due now (must be running). */
+    void fireNow();
+
+    /** Period used from the next re-arm on. */
+    void setPeriod(Tick period);
+
+    void process() override;
+
+  private:
+    Simulation &sim;
+    std::function<void()> body;
+    Tick period = 0;
+    bool _running = false;
 };
 
 /**

@@ -2,39 +2,20 @@
 
 #include "base/bitfield.hh"
 #include "base/logging.hh"
+#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace kindle::ssp
 {
 
-void
-SspEngine::IntervalEvent::process()
-{
-    engine.commitInterval();
-    if (engine.started) {
-        engine.kernel.simulation().eventq().schedule(
-            this, engine.kernel.simulation().now() +
-                      engine._params.consistencyInterval);
-    }
-}
-
-void
-SspEngine::ConsolidateEvent::process()
-{
-    engine.consolidate();
-    if (engine.started) {
-        engine.kernel.simulation().eventq().schedule(
-            this, engine.kernel.simulation().now() +
-                      engine._params.consolidationInterval);
-    }
-}
-
 SspEngine::SspEngine(const SspParams &params, os::Kernel &kernel_arg)
     : _params(params),
       kernel(kernel_arg),
       sspCache(kernel_arg.kmem(), kernel_arg.nvmLayout()),
-      intervalEvent(*this),
-      consolidateEvent(*this),
+      intervalTimer("sspInterval", sim::Event::Priority::ckpt,
+                    kernel_arg.simulation(), [this] { commitInterval(); }),
+      consolidateTimer("sspConsolidate", sim::Event::Priority::consolidate,
+                       kernel_arg.simulation(), [this] { consolidate(); }),
       statGroup("ssp", "shadow sub-paging engine"),
       shadowAllocs(statGroup.addScalar("shadowPages",
                                        "shadow pages allocated")),
@@ -67,9 +48,8 @@ SspEngine::~SspEngine()
 void
 SspEngine::start()
 {
-    if (started)
+    if (intervalTimer.running())
         return;
-    started = true;
     // Every core's translation hardware participates: hooks, evict
     // callbacks and the SSP MSRs are replicated per core.
     for (CpuId c = 0; c < kernel.numCores(); ++c) {
@@ -79,11 +59,8 @@ SspEngine::start()
             [this](const cpu::TlbEntry &e) { handleTlbEvict(e); }));
     }
     kernel.addListener(this);
-    auto &sim = kernel.simulation();
-    sim.eventq().schedule(&intervalEvent,
-                          sim.now() + _params.consistencyInterval);
-    sim.eventq().schedule(&consolidateEvent,
-                          sim.now() + _params.consolidationInterval);
+    intervalTimer.start(_params.consistencyInterval);
+    consolidateTimer.start(_params.consolidationInterval);
     // Publish the SSP cache base to the translation hardware.
     for (CpuId c = 0; c < kernel.numCores(); ++c) {
         kernel.core(c).msrs().write(cpu::MsrId::sspCacheBase,
@@ -94,9 +71,8 @@ SspEngine::start()
 void
 SspEngine::stop()
 {
-    if (!started)
+    if (!intervalTimer.running())
         return;
-    started = false;
     armed = false;
     for (CpuId c = 0; c < kernel.numCores(); ++c) {
         kernel.core(c).removeHooks(this);
@@ -104,9 +80,8 @@ SspEngine::stop()
     }
     evictHookHandles.clear();
     kernel.removeListener(this);
-    auto &eq = kernel.simulation().eventq();
-    eq.deschedule(&intervalEvent);
-    eq.deschedule(&consolidateEvent);
+    intervalTimer.stop();
+    consolidateTimer.stop();
 }
 
 bool
@@ -252,6 +227,7 @@ SspEngine::handleTlbEvict(const cpu::TlbEntry &entry)
 void
 SspEngine::commitInterval()
 {
+    KINDLE_PROF_SCOPE(ssp);
     auto &sim = kernel.simulation();
     const Tick t0 = sim.now();
     ++intervalCommits;
@@ -319,6 +295,7 @@ SspEngine::commitInterval()
 void
 SspEngine::consolidate()
 {
+    KINDLE_PROF_SCOPE(ssp);
     auto &sim = kernel.simulation();
     const Tick t0 = sim.now();
     ++consolidations;

@@ -81,30 +81,6 @@ class SspEngine : public cpu::CoreHooks, public os::OsEventListener
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
-    class IntervalEvent : public sim::Event
-    {
-      public:
-        explicit IntervalEvent(SspEngine &e)
-            : Event("sspInterval", Priority::ckpt), engine(e)
-        {}
-        void process() override;
-
-      private:
-        SspEngine &engine;
-    };
-
-    class ConsolidateEvent : public sim::Event
-    {
-      public:
-        explicit ConsolidateEvent(SspEngine &e)
-            : Event("sspConsolidate", Priority::consolidate), engine(e)
-        {}
-        void process() override;
-
-      private:
-        SspEngine &engine;
-    };
-
     /** Is @p vaddr inside the MSR-programmed tracked range? */
     bool inTrackedRange(Pid pid, Addr vaddr) const;
 
@@ -117,9 +93,9 @@ class SspEngine : public cpu::CoreHooks, public os::OsEventListener
     os::Kernel &kernel;
     SspCache sspCache;
 
-    IntervalEvent intervalEvent;
-    ConsolidateEvent consolidateEvent;
-    bool started = false;
+    /** Interval commits; running() doubles as "attached". */
+    sim::PeriodicEvent intervalTimer;
+    sim::PeriodicEvent consolidateTimer;
     bool armed = false;
     Pid armedPid = 0;
     /** Per-core TLB evict-hook handles (index == CpuId). */

@@ -8,7 +8,9 @@ namespace kindle::telemetry
 
 Sampler::Sampler(sim::Simulation &sim, const TelemetryParams &params,
                  SnapshotFn snapshot_fn)
-    : sim::Event("telemetry.sample", Priority::telemetry), sim(sim),
+    : sim(sim),
+      timer("telemetry.sample", sim::Event::Priority::telemetry, sim,
+            [this] { sampleOnce(); }),
       snapshotFn(std::move(snapshot_fn)),
       interval(params.sampleInterval),
       maxSamples(std::max<std::size_t>(params.maxSamples & ~1ull, 2))
@@ -53,28 +55,20 @@ Sampler::start()
 {
     if (interval == 0 || channels.empty())
         return;
-    if (scheduled())
-        sim.eventq().deschedule(this);
+    timer.stop();
     // Prime the rate baselines without recording a sample: the first
     // recorded delta then covers exactly [start, start + interval],
     // and the series' deltas sum to "total activity since start()".
     const statistics::StatSnapshot snap = snapshotFn();
     for (Channel &ch : channels)
         ch.prevRaw = rawValue(ch, snap);
-    scheduleNext();
+    timer.start(effectiveInterval());
 }
 
 void
 Sampler::stop()
 {
-    if (scheduled())
-        sim.eventq().deschedule(this);
-}
-
-void
-Sampler::scheduleNext()
-{
-    sim.eventq().schedule(this, sim.now() + interval * stride);
+    timer.stop();
 }
 
 void
@@ -126,13 +120,7 @@ Sampler::decimate()
     }
     series = std::move(merged);
     stride *= 2;
-}
-
-void
-Sampler::process()
-{
-    sampleOnce();
-    scheduleNext();
+    timer.setPeriod(effectiveInterval());
 }
 
 std::vector<std::string>

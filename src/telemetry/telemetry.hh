@@ -72,7 +72,7 @@ struct TelemetryParams
  * calls start(); crash handling clears the event queue, after which
  * restart() re-primes the rate baselines and resumes.
  */
-class Sampler : public sim::Event
+class Sampler
 {
   public:
     enum class Kind
@@ -120,8 +120,6 @@ class Sampler : public sim::Event
 
     bool enabled() const { return interval != 0; }
 
-    void process() override;
-
     const std::vector<Sample> &samples() const { return series; }
 
     /** Channel names, in registration (= Sample::values) order. */
@@ -156,9 +154,8 @@ class Sampler : public sim::Event
     /** Halve the series by merging adjacent pairs; double stride. */
     void decimate();
 
-    void scheduleNext();
-
     sim::Simulation &sim;
+    sim::PeriodicEvent timer;
     SnapshotFn snapshotFn;
     Tick interval;
     std::size_t maxSamples;

@@ -46,7 +46,8 @@ namespace kindle::trace
 inline constexpr std::array profiledFlags = {
     Flag::event,    Flag::sched, Flag::exec,    Flag::cache,
     Flag::pwalk,    Flag::mem,   Flag::checkpoint, Flag::redo,
-    Flag::recovery, Flag::scrub, Flag::reclaim,
+    Flag::recovery, Flag::scrub, Flag::reclaim, Flag::ssp,
+    Flag::hscc,
 };
 
 /** Does @p f own prof.* stats? */

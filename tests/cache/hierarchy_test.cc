@@ -152,7 +152,8 @@ TEST(HierarchyTest, InvalidateAllLosesDirtyData)
     rig.hier.access(mem::MemCmd::write, nvm, 8, 0);
     rig.hier.invalidateAll();  // power loss
     EXPECT_EQ(rig.memory.nvmPendingLines(), 1u);  // still pending
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(0, {});
     std::uint64_t v = 1;
     rig.memory.readNvmDurable(nvm, &v, 8);
     EXPECT_EQ(v, 0u);  // the store never became durable

@@ -222,6 +222,14 @@ TEST(FleetTest, PressuredFleetDrivesReclaimAndOomAcrossManySlots)
     EXPECT_GT(snap.getOr("persist.cleanSkips", 0), 0.0);
 }
 
+/** persist.cleanSkips, which appears with the first skip. */
+double
+cleanSkips(KindleSystem &sys)
+{
+    const statistics::StatGroup &g = sys.persistence()->stats();
+    return g.hasScalar("cleanSkips") ? g.scalarValue("cleanSkips") : 0;
+}
+
 /**
  * Soundness audit of the clean-skip sweep, which visits only the
  * processes a kernel hook listed plus core occupants.  At every
@@ -233,7 +241,7 @@ struct DurableImageAudit
 {
     explicit DurableImageAudit(KindleSystem &sys_arg)
         : sys(sys_arg),
-          skips(sys.persistence()->stats().scalarValue("cleanSkips")),
+          skips(cleanSkips(sys)),
           sweeps(sys.injector().hitsOf("ckpt.after_commit"))
     {
         sys.injector().setObserver(
@@ -247,8 +255,7 @@ struct DurableImageAudit
     check()
     {
         os::Kernel &kernel = sys.kernel();
-        const double now_skips =
-            sys.persistence()->stats().scalarValue("cleanSkips");
+        const double now_skips = cleanSkips(sys);
         const std::uint64_t now_sweeps =
             sys.injector().hitsOf("ckpt.after_commit");
         EXPECT_EQ(static_cast<double>(now_sweeps - sweeps) +
@@ -304,7 +311,6 @@ TEST(FleetTest, DirtySetCheckpointsMatchEveryLiveProcess)
     runner::Scenario sc =
         runner::makeFleetScenario("t", {}, opts, 4);
     ASSERT_TRUE(sc.config.persistence.has_value());
-    ASSERT_TRUE(sc.config.persistence->skipCleanProcesses);
     ASSERT_TRUE(sc.config.pressure.has_value());
     sc.config.pressure->dramZoneFrames = opts.params.tenants * 5;
     sc.config.pressure->nvmZoneFrames = opts.params.tenants * 6;
@@ -329,7 +335,6 @@ TEST(FleetTest, DirtySetSweepsOccupantThatIsNeverSwitchedOut)
     cfg.memory.nvmBytes = 256 * oneMiB;
     cfg.persistence = persist::PersistParams{persist::PtScheme::rebuild,
                                              oneMs};
-    cfg.persistence->skipCleanProcesses = true;
     KindleSystem sys(cfg);
     DurableImageAudit audit(sys);
     micro::ScriptBuilder b;
@@ -357,7 +362,6 @@ TEST(FleetTest, DirtySetCoversTeardownInterruptedByCheckpoint)
     cfg.memory.nvmBytes = 256 * oneMiB;
     cfg.persistence = persist::PersistParams{persist::PtScheme::rebuild,
                                              oneSec};
-    cfg.persistence->skipCleanProcesses = true;
     KindleSystem sys(cfg);
     os::Kernel &kernel = sys.kernel();
     os::Process &victim = kernel.spawnShell("victim", 3);
@@ -365,7 +369,7 @@ TEST(FleetTest, DirtySetCoversTeardownInterruptedByCheckpoint)
     persist::PersistDomain &persist = *sys.persistence();
     persist.checkpointNow();
     persist.checkpointNow();
-    ASSERT_EQ(persist.stats().scalarValue("cleanSkips"), 1);
+    ASSERT_EQ(cleanSkips(sys), 1);
 
     DurableImageAudit audit(sys);
     persist.requestEarlyCheckpoint();

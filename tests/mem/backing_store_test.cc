@@ -123,7 +123,8 @@ TEST(DurableStoreTest, CrashDropsPendingOnly)
     store.writeVolatileT<std::uint64_t>(0x100, 2);  // newer, pending
     store.writeVolatileT<std::uint64_t>(0x200, 3);  // pending only
 
-    store.crash();
+    store.drainTo(maxTick);
+    store.crash(0, {});
 
     EXPECT_EQ(store.readT<std::uint64_t>(0x100), 1u);  // old survives
     EXPECT_EQ(store.readT<std::uint64_t>(0x200), 0u);  // lost

@@ -84,7 +84,8 @@ TEST(HybridMemoryTest, DramContentsVanishOnCrash)
     HybridMemory mem(smallParams());
     mem.writeT<std::uint64_t>(0x3000, 123);
     EXPECT_EQ(mem.readT<std::uint64_t>(0x3000), 123u);
-    mem.crash();
+    mem.drainWrites(maxTick);
+    mem.crash(0, {});
     EXPECT_EQ(mem.readT<std::uint64_t>(0x3000), 0u);
 }
 
@@ -95,7 +96,8 @@ TEST(HybridMemoryTest, DurableNvmSurvivesCrash)
     mem.writeDataDurable(nvm_addr, "persist", 8);
     mem.writeT<std::uint64_t>(nvm_addr + 64, 5);  // volatile overlay
 
-    mem.crash();
+    mem.drainWrites(maxTick);
+    mem.crash(0, {});
 
     char buf[8] = {};
     mem.readData(nvm_addr, buf, 8);

@@ -185,7 +185,8 @@ TEST(NvmMediaModel, MediaStateSurvivesPowerLoss)
     const Addr line = nvmBase;
     ASSERT_EQ(mem.media()->health(line), LineHealth::uncorrectable);
 
-    mem.crash();
+    mem.drainWrites(maxTick);
+    mem.crash(0, {});
 
     // The faults are in the cells, not in any volatile buffer.
     EXPECT_EQ(mem.media()->health(line), LineHealth::uncorrectable);

@@ -111,7 +111,8 @@ TEST(FrameAllocTest, BitmapSurvivesCrashAndRecovers)
     }
 
     // Power loss: volatile structures are gone, the bitmap is not.
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
 
     FrameAllocator fresh("t", zone, rig.kmem,
                          rig.layout.allocBitmap);
@@ -144,7 +145,8 @@ TEST(FrameAllocTest, RecoveryAllocationOrderMatchesFullScan)
             alloc.alloc();
         for (const std::uint64_t h : holes)
             alloc.free(zone.start() + h * pageSize);
-        rig.memory.crash();
+        rig.memory.drainWrites(maxTick);
+        rig.memory.crash(rig.sim.now(), {});
         return zone;
     };
     const auto drain = [](FrameAllocator &alloc) {
@@ -271,7 +273,8 @@ TEST(FrameAllocTest, BitmapRecoveryRespectsRetirements)
         ASSERT_TRUE(bad.retire(unallocated_bad));
     }
 
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
 
     BadFrameTable bad2(rig.memory.nvmRange(), rig.kmem,
                        rig.layout.badFrameBitmap);
@@ -336,7 +339,8 @@ TEST(FrameAllocTest, FullySetBadFrameBitmapRecovery)
             ASSERT_TRUE(bad.retire(zone.start() + i * pageSize));
     }
 
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
 
     // A reboot over a fully-retired zone must come up empty-handed
     // but alive: adoption, recovery and allocation all stay graceful.

@@ -72,7 +72,8 @@ TEST(KernelMemTest, WriteBufDurableSurvivesCrash)
     Rig rig;
     const std::uint64_t v = 0x600d600d;
     rig.kmem.writeBufDurable(rig.nvm(0x100), &v, sizeof(v));
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     std::uint64_t out = 0;
     rig.memory.readNvmDurable(rig.nvm(0x100), &out, sizeof(out));
     EXPECT_EQ(out, v);
@@ -82,7 +83,8 @@ TEST(KernelMemTest, PlainWriteToNvmDoesNotSurviveCrash)
 {
     Rig rig;
     rig.kmem.write64(rig.nvm(0x200), 0xbad);
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     std::uint64_t out = 1;
     rig.memory.readNvmDurable(rig.nvm(0x200), &out, sizeof(out));
     EXPECT_EQ(out, 0u);
@@ -116,7 +118,8 @@ TEST(KernelMemTest, CopyPageMovesBytesAndIsDurableInNvm)
     rig.memory.writeData(0x10000, payload, sizeof(payload));
     rig.kmem.copyPage(rig.nvm(0x20000), 0x10000, true);
 
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     char out[16] = {};
     rig.memory.readNvmDurable(rig.nvm(0x20000), out, sizeof(out));
     EXPECT_STREQ(out, payload);
@@ -128,7 +131,8 @@ TEST(KernelMemTest, ZeroDurableClearsRegion)
     const std::uint64_t dirty = 0xffff;
     rig.kmem.writeBufDurable(rig.nvm(0x30000), &dirty, 8);
     rig.kmem.zeroDurable(rig.nvm(0x30000), pageSize);
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     std::uint64_t out = 1;
     rig.memory.readNvmDurable(rig.nvm(0x30000), &out, 8);
     EXPECT_EQ(out, 0u);

@@ -19,7 +19,7 @@ struct Rig
           }()),
           hier(cache::HierarchyParams{}, memory),
           core(cpu::CoreParams{}, sim, memory, hier),
-          kernel(kp, sim, memory, hier, core)
+          kernel(kp, sim, memory, hier, {&core})
     {}
 
     sim::Simulation sim;

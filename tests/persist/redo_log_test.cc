@@ -81,13 +81,16 @@ TEST(RedoLogTest, RecordsAreDurableImmediately)
         rec.pid = 7;
         log.append(rec);
     }
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
 
     RedoLog fresh(rig.kmem, rig.layout.redoLog, oneMiB, "log");
-    const auto records = fresh.recoverRecords();
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].type, RedoType::processCreated);
-    EXPECT_EQ(records[0].pid, 7u);
+    const RedoScan scan = fresh.recoverScan();
+    EXPECT_FALSE(scan.headerCorrupt);
+    EXPECT_FALSE(scan.truncatedTail);
+    ASSERT_EQ(scan.records.size(), 1u);
+    EXPECT_EQ(scan.records[0].type, RedoType::processCreated);
+    EXPECT_EQ(scan.records[0].pid, 7u);
 }
 
 TEST(RedoLogTest, RecoveryIgnoresRecordsFromOlderEpochs)
@@ -102,12 +105,15 @@ TEST(RedoLogTest, RecoveryIgnoresRecordsFromOlderEpochs)
         rec.type = RedoType::cpuState;
         log.append(rec);
     }
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
 
     RedoLog fresh(rig.kmem, rig.layout.redoLog, oneMiB, "log");
-    const auto records = fresh.recoverRecords();
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].type, RedoType::cpuState);
+    const RedoScan scan = fresh.recoverScan();
+    EXPECT_FALSE(scan.headerCorrupt);
+    EXPECT_FALSE(scan.truncatedTail);
+    ASSERT_EQ(scan.records.size(), 1u);
+    EXPECT_EQ(scan.records[0].type, RedoType::cpuState);
 }
 
 TEST(RedoLogTest, AppendsContinueAfterRecovery)
@@ -117,9 +123,12 @@ TEST(RedoLogTest, AppendsContinueAfterRecovery)
         RedoLog log(rig.kmem, rig.layout.redoLog, oneMiB, "log");
         log.append(RedoRecord{});
     }
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     RedoLog fresh(rig.kmem, rig.layout.redoLog, oneMiB, "log");
-    fresh.recoverRecords();
+    const RedoScan scan = fresh.recoverScan();
+    EXPECT_FALSE(scan.headerCorrupt);
+    EXPECT_EQ(scan.records.size(), 1u);
     fresh.append(RedoRecord{});
     EXPECT_EQ(fresh.pending(), 2u);
 }
@@ -136,7 +145,8 @@ TEST(RedoLogTest, RecoverScanTruncatesAtACorruptTailRecord)
             log.append(rec);
         }
     }
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
 
     // Scribble over record 3's payload — a torn append: magic and
     // epoch still match but the record no longer checksums.
@@ -169,7 +179,8 @@ TEST(RedoLogTest, RecoverScanReportsACorruptHeader)
         RedoLog log(rig.kmem, rig.layout.redoLog, oneMiB, "log");
         log.append(RedoRecord{});
     }
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
 
     const std::uint64_t junk = 0x6a756e6b6a756e6bull;
     rig.memory.writeDataDurable(rig.layout.redoLog, &junk,
@@ -180,13 +191,14 @@ TEST(RedoLogTest, RecoverScanReportsACorruptHeader)
     EXPECT_TRUE(scan.headerCorrupt);
     EXPECT_TRUE(scan.records.empty());
 
-    // The legacy strict path refuses a corrupt header outright.
+    // recoverScan classifies it the same way and trusts no record.
     RedoLog fresh(rig.kmem, rig.layout.redoLog, oneMiB, "log");
     rig.memory.writeDataDurable(rig.layout.redoLog, &junk,
                                 sizeof(junk));
-    setErrorsThrow(true);
-    EXPECT_THROW(fresh.recoverRecords(), SimError);
-    setErrorsThrow(false);
+    const RedoScan rescan = fresh.recoverScan();
+    EXPECT_TRUE(rescan.headerCorrupt);
+    EXPECT_TRUE(rescan.records.empty());
+    EXPECT_EQ(fresh.pending(), 0u);
 }
 
 TEST(RedoLogTest, WrapAroundIsCountedNotFatal)
@@ -245,7 +257,8 @@ TEST(RedoLogTest, CrashAtPreWrapSalvagesTheFullConsistentPrefix)
         EXPECT_THROW(log.append(doomed), fault::PowerLoss);
         EXPECT_EQ(log.stats().scalarValue("wraps"), 0);
     }
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
 
     // Every record durable before the wrap survives as a consistent
     // prefix: the log is full, uncorrupted, and in append order.

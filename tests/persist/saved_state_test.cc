@@ -47,7 +47,8 @@ TEST(SavedStateTest, HeaderRoundTripSurvivesCrash)
         SavedStateSlot slot(rig.kmem, rig.layout, 3);
         slot.initialize(42, "myproc", PtScheme::rebuild);
     }
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     SavedStateSlot slot(rig.kmem, rig.layout, 3);
     const SlotHeader hdr = slot.readHeader();
     EXPECT_TRUE(hdr.valid);
@@ -72,7 +73,8 @@ TEST(SavedStateTest, UncommittedWorkingCopyIsInvisible)
     slot.writeWorkingContext(second);
     // NO commit: a crash now must still see `first`.
 
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     SavedStateSlot fresh(rig.kmem, rig.layout, 0);
     const SlotHeader hdr = fresh.readHeader();
     const SavedContext got = fresh.readConsistentContext(hdr);
@@ -92,7 +94,8 @@ TEST(SavedStateTest, CommitFlipsAtomically)
     slot.writeWorkingContext(b);
     slot.commit();
 
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     SavedStateSlot fresh(rig.kmem, rig.layout, 0);
     const SlotHeader hdr = fresh.readHeader();
     EXPECT_EQ(fresh.readConsistentContext(hdr).regs.rip, 0x5678u);
@@ -106,7 +109,8 @@ TEST(SavedStateTest, ContextCarriesVmas)
     slot.writeWorkingContext(sampleContext());
     slot.commit();
 
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     SavedStateSlot fresh(rig.kmem, rig.layout, 1);
     const auto ctx =
         fresh.readConsistentContext(fresh.readHeader());
@@ -125,7 +129,8 @@ TEST(SavedStateTest, MappingListRoundTrip)
         slot.writeMappingEntry(i, {i, i + 5000});
     slot.finalizeMappingList(100);
 
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     SavedStateSlot fresh(rig.kmem, rig.layout, 2);
     const auto list = fresh.readMappingList(fresh.readHeader());
     ASSERT_EQ(list.size(), 100u);
@@ -139,7 +144,8 @@ TEST(SavedStateTest, InvalidateKillsSlot)
     SavedStateSlot slot(rig.kmem, rig.layout, 4);
     slot.initialize(9, "dead", PtScheme::rebuild);
     slot.invalidate();
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
     SavedStateSlot fresh(rig.kmem, rig.layout, 4);
     EXPECT_FALSE(fresh.readHeader().valid);
 }
@@ -202,7 +208,8 @@ TEST(SavedStateTest, QuarantineIsDurableAcrossAnotherCrash)
         slot.initialize(9, "victim", PtScheme::rebuild);
         slot.quarantine();
     }
-    rig.memory.crash();
+    rig.memory.drainWrites(maxTick);
+    rig.memory.crash(rig.sim.now(), {});
 
     // A second reboot must still see the fence, not retry the slot.
     SavedStateSlot slot(rig.kmem, rig.layout, 2);

@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "base/logging.hh"
 #include "sim/clocked.hh"
 #include "sim/event.hh"
 #include "sim/simulation.hh"
@@ -221,6 +222,159 @@ TEST(EventQueueTest, EventOutlivesItsDestroyedQueue)
         q.schedule(&still, 10);
     }
     EXPECT_FALSE(still.scheduled());
+}
+
+TEST(PeriodicEventTest, RearmsOnePeriodAfterTheBodyEnds)
+{
+    // A body that bumps time (a checkpoint's NVM writes) pushes the
+    // next firing out: the period runs from the body's end.
+    Simulation sim;
+    std::vector<Tick> fired;
+    PeriodicEvent timer("t", Event::Priority::deflt, sim, [&] {
+        fired.push_back(sim.now());
+        sim.bump(30);
+    });
+    timer.start(100);
+    EXPECT_TRUE(timer.running());
+    EXPECT_EQ(timer.when(), 100u);
+    sim.bump(100);
+    sim.service();
+    EXPECT_EQ(fired, (std::vector<Tick>{100}));
+    EXPECT_EQ(timer.when(), 230u);
+    sim.bump(100);
+    sim.service();
+    EXPECT_EQ(fired, (std::vector<Tick>{100, 230}));
+    EXPECT_EQ(timer.when(), 360u);
+}
+
+TEST(PeriodicEventTest, StopInsideTheBodyPreventsTheRearm)
+{
+    Simulation sim;
+    int fired = 0;
+    PeriodicEvent *self = nullptr;
+    PeriodicEvent timer("t", Event::Priority::deflt, sim, [&] {
+        if (++fired == 2)
+            self->stop();
+    });
+    self = &timer;
+    timer.start(10);
+    for (int step = 0; step < 10; ++step) {
+        sim.bump(10);
+        sim.service();
+    }
+    EXPECT_EQ(fired, 2);
+    EXPECT_FALSE(timer.running());
+    EXPECT_FALSE(timer.scheduled());
+    EXPECT_TRUE(sim.eventq().empty());
+}
+
+TEST(PeriodicEventTest, ThrowingBodyLeavesTheTimerUnarmed)
+{
+    // A crash site inside the body throws PowerLoss through process():
+    // the re-arm after the body never runs.
+    struct Boom
+    {};
+    Simulation sim;
+    PeriodicEvent timer("t", Event::Priority::deflt, sim,
+                        [] { throw Boom{}; });
+    timer.start(10);
+    sim.bump(10);
+    EXPECT_THROW(sim.service(), Boom);
+    EXPECT_FALSE(timer.scheduled());
+    EXPECT_TRUE(sim.eventq().empty());
+}
+
+TEST(PeriodicEventTest, FireNowReplacesThePendingFiring)
+{
+    Simulation sim;
+    std::vector<Tick> fired;
+    PeriodicEvent timer("t", Event::Priority::deflt, sim,
+                        [&] { fired.push_back(sim.now()); });
+    timer.start(100);
+    sim.bump(40);
+    timer.fireNow();
+    EXPECT_EQ(timer.when(), 40u);
+    EXPECT_EQ(sim.eventq().size(), 1u);
+    sim.service();
+    EXPECT_EQ(fired, (std::vector<Tick>{40}));
+    // The period restarts from the early firing; the replaced one at
+    // tick 100 is gone.
+    sim.bump(60);
+    sim.service();
+    EXPECT_EQ(fired, (std::vector<Tick>{40}));
+    sim.bump(40);
+    sim.service();
+    EXPECT_EQ(fired, (std::vector<Tick>{40, 140}));
+}
+
+TEST(PeriodicEventTest, FireNowOnAStoppedTimerIsFatal)
+{
+    setErrorsThrow(true);
+    Simulation sim;
+    PeriodicEvent timer("t", Event::Priority::deflt, sim, [] {});
+    EXPECT_THROW(timer.fireNow(), SimError);
+    timer.start(10);
+    timer.stop();
+    EXPECT_THROW(timer.fireNow(), SimError);
+    setErrorsThrow(false);
+}
+
+TEST(PeriodicEventTest, SetPeriodTakesEffectAtTheNextRearm)
+{
+    Simulation sim;
+    std::vector<Tick> fired;
+    PeriodicEvent *self = nullptr;
+    PeriodicEvent timer("t", Event::Priority::deflt, sim, [&] {
+        fired.push_back(sim.now());
+        if (fired.size() == 2)
+            self->setPeriod(50);
+    });
+    self = &timer;
+    timer.start(10);
+    timer.setPeriod(20);  // the pending firing at 10 stays put
+    EXPECT_EQ(timer.when(), 10u);
+    for (int step = 0; step < 20; ++step) {
+        sim.bump(10);
+        sim.service();
+    }
+    EXPECT_EQ(fired, (std::vector<Tick>{10, 30, 80, 130, 180}));
+}
+
+TEST(PeriodicEventTest, SameTickFiresByPriorityThenArmingOrder)
+{
+    Simulation sim;
+    std::vector<int> order;
+    PeriodicEvent late("late", Event::Priority::scrub, sim,
+                       [&] { order.push_back(1); });
+    PeriodicEvent first("first", Event::Priority::ckpt, sim,
+                        [&] { order.push_back(2); });
+    PeriodicEvent second("second", Event::Priority::ckpt, sim,
+                         [&] { order.push_back(3); });
+    late.start(100);
+    second.start(100);
+    first.start(100);
+    sim.bump(100);
+    sim.service();
+    EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
+    // Re-arms happen in firing order, so the next round repeats it.
+    sim.bump(100);
+    sim.service();
+    EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 3, 2, 1}));
+}
+
+TEST(PeriodicEventTest, StartWhileRunningKeepsThePendingFiring)
+{
+    Simulation sim;
+    PeriodicEvent timer("t", Event::Priority::deflt, sim, [] {});
+    timer.start(100);
+    sim.bump(30);
+    timer.start(10);
+    EXPECT_EQ(timer.when(), 100u);
+    timer.stop();
+    timer.stop();
+    EXPECT_FALSE(timer.running());
+    timer.start(10);
+    EXPECT_EQ(timer.when(), 40u);
 }
 
 TEST(ClockDomainTest, Conversions)
