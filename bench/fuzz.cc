@@ -160,24 +160,20 @@ makeConfig(const FuzzOptions &fz, const Bucket &bucket, unsigned cores)
     cfg.memory.nvmBytes = 256 * oneMiB;
     cfg.numCores = cores;
     cfg.persistence = persist::PersistParams{bucket.scheme, oneMs / 4};
-    if (bucket.spec) {
-        fault::CoreFaultPlan plan;
-        plan.faults.push_back(bucket.spec->fault);
-        cfg.coreFault = plan;
-    }
+    if (bucket.spec)
+        cfg.kernel.coreFaults.faults.push_back(bucket.spec->fault);
     if (fz.media) {
         // The golden run and every point share one medium, or the
         // oracle would describe a different machine.
-        cfg.fault = fault::FaultPlan{};  // unarmed: media config only
-        cfg.fault->media.bitFlipRate = 1e-3;  // SECDED-correctable
-        cfg.fault->media.seed = 99;  // fixed: independent of --seed
+        cfg.memory.media.bitFlipRate = 1e-3;  // SECDED-correctable
+        cfg.memory.media.seed = 99;  // fixed: independent of --seed
         cfg.scrub = mem::ScrubParams{oneMs / 4, 16 * oneMiB};
     }
     if (fz.pressure) {
         // A short quantum keeps the hog and the churner genuinely
         // time-shared, so their resident sets overlap at peak.
         cfg.kernel.timeslice = 50 * oneUs;
-        fault::PressurePlan &pp = cfg.pressure.emplace();
+        fault::PressurePlan &pp = cfg.kernel.pressure;
         pp.dramZoneFrames = 160;
         pp.nvmZoneFrames = 96;
         pp.allocFailRate = 0.02;
@@ -429,10 +425,7 @@ makeScenario(const FuzzOptions &fz, const Bucket &bucket,
                                    : point.plan.site});
     sc.axes.push_back({"trigger", point.label});
     sc.config = makeConfig(fz, bucket, cores);
-    const auto media = sc.config.fault ? sc.config.fault->media
-                                       : fault::MediaFaultPlan{};
     sc.config.fault = point.plan;
-    sc.config.fault->media = media;
     sc.drive = [oracle = &golden.committed, name = sc.name,
                 pressure = fz.pressure, force = fz.forceDivergence,
                 cores](KindleSystem &sys,

@@ -307,6 +307,20 @@ class StatGroup
     Scalar &addScalar(const std::string &stat_name,
                       const std::string &desc);
 
+    /**
+     * Register-on-first-use: the scalar in @p slot, registering it
+     * under @p stat_name first when @p slot is still null.  Stats that
+     * only mean something once an event happens use this so runs where
+     * it never happens export nothing extra.
+     */
+    Scalar &
+    lazyScalar(Scalar *&slot, const char *stat_name, const char *desc)
+    {
+        if (!slot)
+            slot = &addScalar(stat_name, desc);
+        return *slot;
+    }
+
     /** Register a gauge under @p stat_name. */
     Gauge &addGauge(const std::string &stat_name,
                     const std::string &desc);

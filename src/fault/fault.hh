@@ -55,7 +55,8 @@ struct MediaFault
  * transient bit flips per line write, per-frame write endurance that
  * develops stuck-at cells once exhausted, and targeted named-frame
  * injections — while the SECDED model in src/mem decides what a read
- * returns.  Plain data so config plumbing stays header-only.
+ * returns.  Plain data so config plumbing stays header-only; its one
+ * home is mem::HybridMemoryParams::media.
  */
 struct MediaFaultPlan
 {
@@ -83,7 +84,8 @@ struct MediaFaultPlan
  * allocation failures (forcing the retry/backoff path), and switches
  * the kernel's exhaustion handling from kindle_fatal to the graceful
  * ENOMEM → reclaim → OOM-kill escalation.  Plain data so config
- * plumbing stays header-only, like MediaFaultPlan above.
+ * plumbing stays header-only, like MediaFaultPlan above; its one home
+ * is os::KernelParams::pressure.
  */
 struct PressurePlan
 {
@@ -96,30 +98,17 @@ struct PressurePlan
     double allocFailRate = 0.0;
     /** Seed for the injected-failure coin flips (deterministic). */
     std::uint64_t seed = 11;
-    /** Allocation retries before escalating to reclaim/OOM. */
-    unsigned maxRetries = 4;
-    /** Simulated backoff charged per allocation retry. */
-    Tick retryBackoff = 10 * oneUs;
 
-    /** Watermarks in frames; 0 derives low = max(8, frames/16) and
-     *  high = max(2*low, frames/8) from the (possibly shrunk) zone. */
-    std::uint64_t dramLowWatermark = 0;
-    std::uint64_t dramHighWatermark = 0;
+    /** NVM watermarks in frames; 0 derives low = max(8, frames/16)
+     *  and high = max(2*low, frames/8) from the (possibly shrunk)
+     *  zone.  The DRAM zone's watermarks are always derived. */
     std::uint64_t nvmLowWatermark = 0;
     std::uint64_t nvmHighWatermark = 0;
 
-    /** Reclaim engine patrol period. */
-    Tick reclaimInterval = oneMs / 4;
-    /** Max pages demoted DRAM→NVM per reclaim pass. */
-    unsigned reclaimBatchPages = 8;
     /** Minimum gap between reclaim-requested early checkpoints (an
      *  NVM zone pinned at its cap sits below-low forever; unthrottled
      *  relief then checkpoints every patrol pass).  0 = no throttle. */
     Tick reclaimCheckpointMinGap = 0;
-
-    /** Redo-log fill fraction that triggers an early checkpoint
-     *  (truncates the log before it can wrap).  0 disables. */
-    double redoHighWaterFraction = 0.75;
 
     /** Last-resort deterministic OOM killer (victim by RSS). */
     bool oomEnabled = true;
@@ -158,11 +147,11 @@ struct CoreFault
 /**
  * CPU-fault configuration: a list of seeded core faults.  Orthogonal
  * to the crash trigger, the media model, and the pressure plan — plain
- * data so config plumbing stays header-only, like the plans above.
- * An empty plan is guaranteed zero-cost: the kernel never evaluates
- * triggers, takes no extra event-queue bumps, and registers no stats,
- * so runs without a plan stay byte-identical to a tree without the
- * subsystem.
+ * data so config plumbing stays header-only, like the plans above;
+ * its one home is os::KernelParams::coreFaults.  An empty plan is
+ * guaranteed zero-cost: the kernel never evaluates triggers, takes no
+ * extra event-queue bumps, and registers no stats, so runs without a
+ * plan stay byte-identical to a tree without the subsystem.
  */
 struct CoreFaultPlan
 {
@@ -186,10 +175,6 @@ struct FaultPlan
     bool tornStore = true;
     /** Seed for the deterministic torn-store victim choice. */
     std::uint64_t seed = 1;
-
-    /** Media error/wear model configuration (independent of the
-     *  crash trigger; may be enabled with no crash armed at all). */
-    MediaFaultPlan media;
 
     bool
     armed() const

@@ -182,28 +182,6 @@ HsccEngine::revertMapping(Addr nvm_home)
 }
 
 void
-HsccEngine::scanLeaves(
-    Addr table, unsigned level, Addr va_base,
-    const std::function<void(Addr, Pte, Addr)> &fn)
-{
-    const std::uint64_t span =
-        std::uint64_t(1) << (pageShift + level * cpu::ptIndexBits);
-    os::PageTableManager::TableEntries entries;
-    kernel.pageTables().readTable(table, entries);
-    for (unsigned i = 0; i < cpu::ptEntriesPerPage; ++i) {
-        const Addr entry_addr = table + i * cpu::ptEntrySize;
-        const Pte pte{entries[i]};
-        if (!pte.present())
-            continue;
-        const Addr va = va_base + i * span;
-        if (level == 0)
-            fn(va, pte, entry_addr);
-        else
-            scanLeaves(pte.frameAddr(), level - 1, va, fn);
-    }
-}
-
-void
 HsccEngine::migrate()
 {
     KINDLE_PROF_SCOPE(hscc);
@@ -256,7 +234,8 @@ HsccEngine::migrate()
         if (_params.chargeOsTime) {
             kernel.pageTables().forEachLeaf(proc->ptRoot, visit);
         } else {
-            scanLeaves(proc->ptRoot, cpu::ptLevels - 1, 0, visit);
+            kernel.pageTables().forEachLeafFunctional(proc->ptRoot,
+                                                      visit);
         }
     }
     candidatesSeen += static_cast<double>(candidates.size());

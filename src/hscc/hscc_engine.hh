@@ -137,9 +137,6 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
     void handleTlbEvict(const cpu::TlbEntry &entry);
     /** Revert the PTE of a displaced cached page back to its home. */
     void revertMapping(Addr nvm_home);
-    /** Functional (untimed) leaf scan for the baseline mode. */
-    void scanLeaves(Addr table, unsigned level, Addr va_base,
-                    const std::function<void(Addr, cpu::Pte, Addr)> &fn);
 
     HsccParams _params;
     os::Kernel &kernel;

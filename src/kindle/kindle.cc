@@ -34,24 +34,12 @@ KindleSystem::KindleSystem(const KindleConfig &config_arg)
             config.persistence->scheme == persist::PtScheme::persistent;
     }
 
-    // The fault plan's media sub-config rides into the memory system;
-    // the medium is hardware, so this is construction-time only.
-    if (config.fault)
-        config.memory.media = config.fault->media;
-
-    // A pressure plan rides into the kernel and turns on write-buffer
-    // stall telemetry (pressure shows up first as controller stalls).
-    if (config.pressure) {
-        config.kernel.pressure = *config.pressure;
+    // A pressure plan turns on write-buffer stall telemetry (pressure
+    // shows up first as controller stalls).
+    if (config.kernel.pressure.enabled()) {
         config.memory.dramCtrl.trackStalls = true;
         config.memory.nvmCtrl.trackStalls = true;
     }
-
-    // A core-fault plan rides into the kernel.  It lives in `config`,
-    // so reboot()'s fresh kernel re-arms it: dead hardware stays dead
-    // across boots of the same machine.
-    if (config.coreFault)
-        config.kernel.coreFaults = *config.coreFault;
 
     // The injector exists even when no fault is configured: an unarmed
     // plan just counts probe hits (observe mode).  The self-profiler
@@ -97,9 +85,8 @@ KindleSystem::KindleSystem(const KindleConfig &config_arg)
             });
     }
 
-    buildOsLayer();
-    if (scrubber_)
-        scrubber_->start();
+    bootKernel();
+    startEngines();
     buildSampler();
 
     // Activate only after boot so construction-time durable writes do
@@ -109,28 +96,23 @@ KindleSystem::KindleSystem(const KindleConfig &config_arg)
 
 KindleSystem::~KindleSystem()
 {
-    // Engines detach before the kernel they reference disappears.
-    ssp_.reset();
-    hscc_.reset();
-    persist_.reset();
-    kernel_.reset();
-}
-
-std::vector<cpu::Core *>
-KindleSystem::corePtrs() const
-{
-    std::vector<cpu::Core *> ptrs;
-    ptrs.reserve(cores_.size());
-    for (const auto &c : cores_)
-        ptrs.push_back(c.get());
-    return ptrs;
+    dropOsLayer();
 }
 
 void
-KindleSystem::buildOsLayer()
+KindleSystem::bootKernel()
 {
+    std::vector<cpu::Core *> cores;
+    cores.reserve(cores_.size());
+    for (const auto &c : cores_)
+        cores.push_back(c.get());
     kernel_ = std::make_unique<os::Kernel>(config.kernel, sim, *mem_,
-                                           *caches_, corePtrs());
+                                           *caches_, std::move(cores));
+}
+
+void
+KindleSystem::startEngines()
+{
     if (config.persistence) {
         persist_ = std::make_unique<persist::PersistDomain>(
             *config.persistence, *kernel_);
@@ -145,7 +127,40 @@ KindleSystem::buildOsLayer()
                                                    *kernel_);
         hscc_->start();
     }
-    wirePressureHooks();
+    if (persist_ && config.kernel.pressure.enabled()) {
+        // Redo-log high water pulls the next checkpoint forward before
+        // the log can wrap; the early checkpoint truncates the log and
+        // compacts dead saved-state slots.
+        persist_->enableBackpressure();
+        // NVM-zone pressure has no page-level relief valve; the
+        // reclaim engine asks the persistence domain to shed metadata
+        // instead.
+        if (auto *rec = kernel_->reclaimEngine()) {
+            rec->setCheckpointHook([this] {
+                if (persist_)
+                    persist_->requestEarlyCheckpoint();
+            });
+        }
+    }
+    if (scrubber_)
+        scrubber_->start();
+    // A crash clears the sampler's pending event with the rest of the
+    // queue; resume it over the rebooted machine (rate baselines
+    // re-prime, since the fresh kernel's counters restarted).  On the
+    // first boot it does not exist yet: buildSampler() starts it.
+    if (sampler_)
+        sampler_->restart();
+}
+
+void
+KindleSystem::dropOsLayer()
+{
+    // Engines detach (their destructors stop them) before the kernel
+    // they reference disappears.
+    ssp_.reset();
+    hscc_.reset();
+    persist_.reset();
+    kernel_.reset();
 }
 
 void
@@ -223,28 +238,6 @@ KindleSystem::buildSampler()
     sampler_->start();
 }
 
-void
-KindleSystem::wirePressureHooks()
-{
-    if (!config.pressure || !persist_)
-        return;
-    // Redo-log high water pulls the next checkpoint forward before
-    // the log can wrap; the early checkpoint truncates the log and
-    // compacts dead saved-state slots.
-    if (config.pressure->redoHighWaterFraction > 0.0) {
-        persist_->enableBackpressure(
-            config.pressure->redoHighWaterFraction);
-    }
-    // NVM-zone pressure has no page-level relief valve; the reclaim
-    // engine asks the persistence domain to shed metadata instead.
-    if (auto *rec = kernel_->reclaimEngine()) {
-        rec->setCheckpointHook([this] {
-            if (persist_)
-                persist_->requestEarlyCheckpoint();
-        });
-    }
-}
-
 Tick
 KindleSystem::run(std::unique_ptr<cpu::OpStream> program,
                   const std::string &name)
@@ -318,19 +311,9 @@ KindleSystem::crash()
     kindle_assert(!isCrashed, "double crash");
     isCrashed = true;
 
-    // Stop the engines first so their events and hooks detach from
-    // the dying kernel; their host-side indexes are volatile state.
-    if (ssp_)
-        ssp_->stop();
-    if (hscc_)
-        hscc_->stop();
-    if (persist_)
-        persist_->stop();
-    ssp_.reset();
-    hscc_.reset();
-    persist_.reset();
-    kernel_.reset();
-
+    // The engines' events and hooks detach from the dying kernel;
+    // their host-side indexes are volatile state.
+    dropOsLayer();
     teardownToCrashed();
 }
 
@@ -341,8 +324,7 @@ KindleSystem::reboot()
     isCrashed = false;
 
     // Fresh kernel over the surviving NVM image.
-    kernel_ = std::make_unique<os::Kernel>(config.kernel, sim, *mem_,
-                                           *caches_, corePtrs());
+    bootKernel();
 
     persist::RecoveryReport report;
     if (config.persistence) {
@@ -356,32 +338,13 @@ KindleSystem::reboot()
             // image — including whatever recovery managed to persist
             // — is what the next reboot() starts from.
             autoFlightDump("power-loss-in-recovery");
-            kernel_.reset();
+            dropOsLayer();
             teardownToCrashed();
             isCrashed = true;
             throw;
         }
-        persist_ = std::make_unique<persist::PersistDomain>(
-            *config.persistence, *kernel_);
-        persist_->start();
     }
-    if (config.ssp) {
-        ssp_ = std::make_unique<ssp::SspEngine>(*config.ssp, *kernel_);
-        ssp_->start();
-    }
-    if (config.hscc) {
-        hscc_ = std::make_unique<hscc::HsccEngine>(*config.hscc,
-                                                   *kernel_);
-        hscc_->start();
-    }
-    if (scrubber_)
-        scrubber_->start();
-    // The crash cleared the sampler's pending event with the rest of
-    // the queue; resume it over the rebooted machine (rate baselines
-    // re-prime, since the fresh kernel's counters restarted).
-    if (sampler_)
-        sampler_->restart();
-    wirePressureHooks();
+    startEngines();
 
     // The injector stays deactivated: its one armed crash has fired
     // (or been skipped), and recovery/rerun probes must not refire it.
@@ -587,25 +550,26 @@ namespace
 
 /** One-line human summary of a fault plan for flight-recorder dumps. */
 std::string
-describePlan(const std::optional<fault::FaultPlan> &plan)
+describePlan(const std::optional<fault::FaultPlan> &plan,
+             const fault::MediaFaultPlan &media)
 {
-    if (!plan)
-        return "none";
-    const fault::FaultPlan &p = *plan;
-    std::string out;
-    if (!p.site.empty())
-        out = csprintf("site={}#{}", p.site, p.occurrence);
-    else if (p.atNthDurableWrite != 0)
-        out = csprintf("durable-write#{}", p.atNthDurableWrite);
-    else if (p.atTick != 0)
-        out = csprintf("at-tick={}", p.atTick);
-    else
-        out = "unarmed";
-    out += csprintf(" torn={} seed={}", p.tornStore ? 1 : 0, p.seed);
-    if (p.media.enabled()) {
+    std::string out = "none";
+    if (plan) {
+        const fault::FaultPlan &p = *plan;
+        if (!p.site.empty())
+            out = csprintf("site={}#{}", p.site, p.occurrence);
+        else if (p.atNthDurableWrite != 0)
+            out = csprintf("durable-write#{}", p.atNthDurableWrite);
+        else if (p.atTick != 0)
+            out = csprintf("at-tick={}", p.atTick);
+        else
+            out = "unarmed";
+        out += csprintf(" torn={} seed={}", p.tornStore ? 1 : 0, p.seed);
+    }
+    if (media.enabled()) {
         out += csprintf(" media(flip={} endurance={} targeted={})",
-                        p.media.bitFlipRate, p.media.writeEndurance,
-                        p.media.faults.size());
+                        media.bitFlipRate, media.writeEndurance,
+                        media.faults.size());
     }
     return out;
 }
@@ -637,7 +601,7 @@ KindleSystem::dumpFlightRecorder(std::ostream &os,
     ctx.reason = reason;
     ctx.crashSite = injector_->firedSite();
     ctx.tick = sim.now();
-    ctx.faultPlan = describePlan(config.fault);
+    ctx.faultPlan = describePlan(config.fault, config.memory.media);
     traceSink_->writeFlightRecorder(os, ctx);
 }
 

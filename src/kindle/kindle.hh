@@ -10,6 +10,12 @@
  * durable image survives, and reboot() boots a fresh OS that runs the
  * recovery procedure over that image.
  *
+ * Each fault plan has one home, the config of the component that acts
+ * on it: the media model in memory.media, the pressure plan in
+ * kernel.pressure and the core faults in kernel.coreFaults.  Only the
+ * power-loss crash plan (KindleConfig::fault) lives at the top, since
+ * the system itself owns the injector and the crash protocol.
+ *
  * Typical use (see examples/quickstart.cc):
  *
  *   kindle::KindleConfig cfg;
@@ -46,7 +52,18 @@
 namespace kindle
 {
 
-/** Whole-system configuration. */
+/**
+ * Whole-system configuration.  The NVM media model is memory.media
+ * (see fault::MediaFaultPlan).  The memory-pressure plan is
+ * kernel.pressure (see fault::PressurePlan): an enabled() plan also
+ * turns on write-buffer stall tracking on both memory controllers
+ * and, with persistence configured, redo-log backpressure and the
+ * reclaim engine's early-checkpoint relief.  Seeded CPU-core faults
+ * are kernel.coreFaults (see fault::CoreFaultPlan; needs numCores >=
+ * 2).  Both kernel plans survive reboot(): the fresh kernel is built
+ * from the same config, so the same pressure regime governs every
+ * boot and dead hardware stays dead.
+ */
 struct KindleConfig
 {
     mem::HybridMemoryParams memory{};
@@ -75,34 +92,10 @@ struct KindleConfig
     /**
      * Arm one injected power-loss crash (see fault::FaultPlan).  An
      * unarmed plan still counts site hits and durable writes, which is
-     * how the fuzz harness sizes its crash-point space.  The plan's
-     * media sub-config (bit-flip rate, endurance, targeted faults) is
-     * forwarded into the memory system at construction.
+     * how the fuzz harness sizes its crash-point space; it also sets
+     * the power-loss model crash() applies (torn store and its seed).
      */
     std::optional<fault::FaultPlan> fault;
-
-    /**
-     * Arm a memory-pressure plan (see fault::PressurePlan): shrunken
-     * zones, injected transient allocation failures, watermark-driven
-     * reclaim, checkpoint/redo backpressure, and the OOM killer.  The
-     * plan is forwarded into the kernel, enables write-buffer stall
-     * tracking on both memory controllers, and — when persistence is
-     * also configured — arms redo-log backpressure and routes the
-     * reclaim engine's NVM-pressure relief to early checkpoints.
-     * Survives reboot(): the same pressure regime governs every boot.
-     */
-    std::optional<fault::PressurePlan> pressure;
-
-    /**
-     * Arm seeded CPU-core faults (see fault::CoreFaultPlan): chosen
-     * cores fail-stop or transiently stall at a tick / Nth-received-IPI
-     * trigger, exercising the kernel's IPI ack-timeout/retry protocol
-     * and hotplug-style offlining.  Survives reboot(): dead hardware
-     * stays dead, so the same core re-fails on every boot of the same
-     * configuration.  Requires numCores >= 2 (a fail-stop of the last
-     * core halts the machine).
-     */
-    std::optional<fault::CoreFaultPlan> coreFault;
 
     /**
      * Patrol-scrubber cadence.  The scrubber is built whenever the
@@ -214,8 +207,7 @@ class KindleSystem
      * Swap in a fresh fault plan and re-arm the (possibly fired)
      * injector.  This is how tests crash a machine a *second* time —
      * in particular inside the next reboot()'s recovery path, which
-     * is the recovery-idempotence scenario.  The plan's media config
-     * does not rebuild the media model (the medium is hardware).
+     * is the recovery-idempotence scenario.
      */
     void armFault(const fault::FaultPlan &plan);
 
@@ -272,12 +264,21 @@ class KindleSystem
                             const std::string &reason) const;
 
   private:
-    void buildOsLayer();
+    /** Boot a fresh kernel over the machine (construction, reboot). */
+    void bootKernel();
+    /**
+     * Start the configured persist, SSP and HSCC engines over the
+     * current kernel (with the pressure plan's backpressure hooks),
+     * then the scrubber, then the sampler (when built).  This order
+     * fixes same-tick event order, so both the first boot and every
+     * reboot() go through here.
+     */
+    void startEngines();
+    /** Drop the engines, then the kernel they reference. */
+    void dropOsLayer();
     void buildSampler();
-    void wirePressureHooks();
     mem::PowerLossModel lossModel() const;
     void teardownToCrashed();
-    std::vector<cpu::Core *> corePtrs() const;
 
     /** Write the flight recorder to trace.flightDumpPath, if set. */
     void autoFlightDump(const std::string &reason) const;

@@ -85,12 +85,9 @@ FrameAllocator::tryAlloc()
         } else if (bumpNext < frameCount) {
             index = bumpNext++;
         } else {
-            if (!exhaustedAllocs) {
-                exhaustedAllocs = &statGroup.addScalar(
-                    "exhaustedAllocs",
-                    "tryAlloc calls that found the zone empty");
-            }
-            ++*exhaustedAllocs;
+            ++statGroup.lazyScalar(
+                exhaustedAllocs, "exhaustedAllocs",
+                "tryAlloc calls that found the zone empty");
             return invalidAddr;
         }
         if (!isRetiredIndex(index))

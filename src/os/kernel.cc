@@ -138,7 +138,8 @@ Kernel::Kernel(const KernelParams &params, sim::Simulation &sim_arg,
 
     if (pp.enabled()) {
         // Watermarks default to 1/16th of the zone (low) and double
-        // that (high), floored so tiny test zones still get a band.
+        // that (high), floored so tiny test zones still get a band;
+        // only the NVM zone's may be set by the plan.
         const auto arm = [](FrameAllocator &alloc, std::uint64_t lo,
                             std::uint64_t hi) {
             const std::uint64_t frames = alloc.totalFrames();
@@ -150,13 +151,11 @@ Kernel::Kernel(const KernelParams &params, sim::Simulation &sim_arg,
             lo = std::min(lo, hi);
             alloc.setWatermarks(lo, hi);
         };
-        arm(*dramAlloc, pp.dramLowWatermark, pp.dramHighWatermark);
+        arm(*dramAlloc, 0, 0);
         arm(*nvmAlloc, pp.nvmLowWatermark, pp.nvmHighWatermark);
 
         reclaim_ = std::make_unique<ReclaimEngine>(
-            *this,
-            ReclaimParams{pp.reclaimInterval, pp.reclaimBatchPages,
-                          pp.reclaimCheckpointMinGap});
+            *this, pp.reclaimCheckpointMinGap);
         statGroup.addChild(reclaim_->stats());
         reclaim_->start();
 
@@ -883,16 +882,16 @@ Kernel::shootdownRemote(Pid pid, AddrRange range, bool flush_all)
         unsigned resends = 0;
         while (!cpus[c].ipiAcked && cpus[c].online) {
             if (resends >= _params.ipiRetries) {
-                ++lazyScalar(ipiTimeoutsStat, "ipiTimeouts",
-                             "shootdown targets that never acked");
+                ++statGroup.lazyScalar(ipiTimeoutsStat, "ipiTimeouts",
+                                       "shootdown targets that never acked");
                 warn("cpu{}: shootdown ack timeout after {} resends; "
                      "escalating to watchdog", c, resends);
                 watchdogDeclareDead(c);
                 break;
             }
             ++resends;
-            ++lazyScalar(ipiRetriesStat, "ipiRetries",
-                         "shootdown IPIs resent after ack timeout");
+            ++statGroup.lazyScalar(ipiRetriesStat, "ipiRetries",
+                                   "shootdown IPIs resent after ack timeout");
             KINDLE_CRASH_SITE("ipi.pre_retry");
             TlbIpiEvent &ipi = *cpus[c].ipi;
             if (!ipi.scheduled()) {
@@ -1024,8 +1023,8 @@ Kernel::offlineCore(CpuId dead)
     // through crash-consistent paths (exitProcess, shootdowns).
     KINDLE_CRASH_SITE("core.pre_offline");
     slot.online = false;
-    ++lazyScalar(coresOfflined, "coresOfflined",
-                 "cores declared dead and hotplug-offlined");
+    ++statGroup.lazyScalar(coresOfflined, "coresOfflined",
+                           "cores declared dead and hotplug-offlined");
     KINDLE_TRACE_INSTANT_ARGS(sched, "core.offline", "cpu={}",
                               dead);
 
@@ -1042,8 +1041,8 @@ Kernel::offlineCore(CpuId dead)
     Process *occ = slot.running;
     slot.running = nullptr;
     if (occ && occ->state == ProcState::running) {
-        ++lazyScalar(coreLossKills, "coreLossKills",
-                     "processes killed with the core they occupied");
+        ++statGroup.lazyScalar(coreLossKills, "coreLossKills",
+                               "processes killed with the core they occupied");
         warn("pid {} ({}) died with core {}", occ->pid, occ->name,
              dead);
         exitProcess(*occ);
@@ -1054,8 +1053,8 @@ Kernel::offlineCore(CpuId dead)
     for (const auto &p : procs) {
         if (p->pinnedCpu == static_cast<int>(dead)) {
             p->pinnedCpu = -1;
-            ++lazyScalar(affinityBroken, "affinityBroken",
-                         "pins dropped because their core died");
+            ++statGroup.lazyScalar(affinityBroken, "affinityBroken",
+                                   "pins dropped because their core died");
         }
     }
 
@@ -1173,34 +1172,25 @@ Kernel::handlePageFault(cpu::Core &core, Addr vaddr, bool is_write)
     return true;
 }
 
-statistics::Scalar &
-Kernel::lazyScalar(statistics::Scalar *&slot, const char *name,
-                   const char *desc)
-{
-    if (!slot)
-        slot = &statGroup.addScalar(name, desc);
-    return *slot;
-}
-
 Addr
 Kernel::allocUserFrame(Process *proc)
 {
     const fault::PressurePlan &pp = _params.pressure;
-    const unsigned tries = 1 + (pp.enabled() ? pp.maxRetries : 0);
+    const unsigned tries = 1 + (pp.enabled() ? allocMaxRetries : 0);
     for (unsigned attempt = 0; attempt < tries; ++attempt) {
         if (attempt > 0) {
-            ++lazyScalar(allocRetries, "allocRetries",
-                         "frame allocations retried after backoff");
-            sim.bump(pp.retryBackoff);
+            ++statGroup.lazyScalar(allocRetries, "allocRetries",
+                                   "frame allocations retried after backoff");
+            sim.bump(allocRetryBackoff);
         }
         if (pp.allocFailRate > 0.0 &&
             allocRng.chance(pp.allocFailRate)) {
             // Injected transient failure (the software-visible face
             // of a refused allocation credit); the surrounding retry
             // loop is the robustness under test.
-            ++lazyScalar(allocFailuresInjected,
-                         "allocFailuresInjected",
-                         "transient allocation failures injected");
+            ++statGroup.lazyScalar(allocFailuresInjected,
+                                   "allocFailuresInjected",
+                                   "transient allocation failures injected");
             continue;
         }
         const Addr frame = dramAlloc->tryAlloc();
@@ -1218,8 +1208,8 @@ Kernel::allocUserFrame(Process *proc)
                 return frame;
         }
     }
-    ++lazyScalar(enomemFaults, "enomemFaults",
-                 "allocation failures surfaced as ENOMEM");
+    ++statGroup.lazyScalar(enomemFaults, "enomemFaults",
+                           "allocation failures surfaced as ENOMEM");
     return invalidAddr;
 }
 
@@ -1244,10 +1234,10 @@ Kernel::oomKill(Process *requester)
     }
     if (!victim)
         return nullptr;
-    ++lazyScalar(oomKills, "oomKills",
-                 "processes killed by the OOM killer");
-    lazyScalar(oomPagesFreed, "oomPagesFreed",
-               "resident pages released by OOM kills") +=
+    ++statGroup.lazyScalar(oomKills, "oomKills",
+                           "processes killed by the OOM killer");
+    statGroup.lazyScalar(oomPagesFreed, "oomPagesFreed",
+                         "resident pages released by OOM kills") +=
         static_cast<double>(victim->residentPages);
     warn("oom: killing pid {} ({}, {} resident pages)", victim->pid,
          victim->name, victim->residentPages);

@@ -113,6 +113,12 @@ struct KernelParams
 class Kernel : public cpu::FaultHandler
 {
   public:
+    /** Allocation retries under a pressure plan before escalating to
+     *  reclaim/OOM. */
+    static constexpr unsigned allocMaxRetries = 4;
+    /** Simulated backoff charged per allocation retry. */
+    static constexpr Tick allocRetryBackoff = 10 * oneUs;
+
     /** SMP construction over every core of the machine. */
     Kernel(const KernelParams &params, sim::Simulation &sim,
            mem::HybridMemory &memory, cache::Hierarchy &caches,
@@ -450,10 +456,6 @@ class Kernel : public cpu::FaultHandler
      * invalidAddr (ENOMEM) instead of aborting when nothing helps.
      */
     Addr allocUserFrame(Process *proc);
-
-    /** Register-on-first-use pressure stats (absent by default). */
-    statistics::Scalar &lazyScalar(statistics::Scalar *&slot,
-                                   const char *name, const char *desc);
 
     KernelParams _params;
     sim::Simulation &sim;

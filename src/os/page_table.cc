@@ -191,15 +191,17 @@ PageTableManager::writeLeaf(Addr root, Addr vaddr, Pte pte)
 
 void
 PageTableManager::walkRecurse(Addr table, unsigned level, Addr va_base,
-                              const LeafVisitor &fn)
+                              const LeafVisitor &fn, bool charged) const
 {
     const std::uint64_t span =
         std::uint64_t(1) << (pageShift + level * ptIndexBits);
     // A traversal streams each table page once (charged as one bulk
     // read); entry values are then examined functionally.
-    kmem.simulation().bump(kmem.mem().submit(
-        {mem::MemCmd::bulkRead, table, pageSize},
-        kmem.simulation().now()));
+    if (charged) {
+        kmem.simulation().bump(kmem.mem().submit(
+            {mem::MemCmd::bulkRead, table, pageSize},
+            kmem.simulation().now()));
+    }
     TableEntries entries;
     readTable(table, entries);
     for (unsigned i = 0; i < ptEntriesPerPage; ++i) {
@@ -211,7 +213,7 @@ PageTableManager::walkRecurse(Addr table, unsigned level, Addr va_base,
         if (level == 0)
             fn(va, pte, entry_addr);
         else
-            walkRecurse(pte.frameAddr(), level - 1, va, fn);
+            walkRecurse(pte.frameAddr(), level - 1, va, fn, charged);
     }
 }
 
@@ -219,7 +221,14 @@ void
 PageTableManager::forEachLeaf(Addr root, const LeafVisitor &fn)
 {
     ++softWalks;
-    walkRecurse(root, ptLevels - 1, 0, fn);
+    walkRecurse(root, ptLevels - 1, 0, fn, true);
+}
+
+void
+PageTableManager::forEachLeafFunctional(Addr root,
+                                        const LeafVisitor &fn) const
+{
+    walkRecurse(root, ptLevels - 1, 0, fn, false);
 }
 
 void

@@ -105,6 +105,10 @@ class PageTableManager
      *  must not store to the tables being walked. */
     void forEachLeaf(Addr root, const LeafVisitor &fn);
 
+    /** forEachLeaf as hardware sees it: a functional walk that charges
+     *  no table reads and counts no software walk. */
+    void forEachLeafFunctional(Addr root, const LeafVisitor &fn) const;
+
     /** The raw entries of one table page. */
     using TableEntries = std::array<std::uint64_t, cpu::ptEntriesPerPage>;
 
@@ -150,8 +154,10 @@ class PageTableManager
 
   private:
     Addr allocTable();
+    /** Visit every present leaf under @p table; @p charged bills one
+     *  bulk read per table page. */
     void walkRecurse(Addr table, unsigned level, Addr va_base,
-                     const LeafVisitor &fn);
+                     const LeafVisitor &fn, bool charged) const;
     void teardownRecurse(Addr table, unsigned level);
     void adoptRecurse(Addr table, unsigned level);
 

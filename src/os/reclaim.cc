@@ -11,9 +11,10 @@
 namespace kindle::os
 {
 
-ReclaimEngine::ReclaimEngine(Kernel &kernel_arg, ReclaimParams params)
+ReclaimEngine::ReclaimEngine(Kernel &kernel_arg,
+                             Tick checkpoint_min_gap)
     : kernel(kernel_arg),
-      _params(params),
+      checkpointMinGap(checkpoint_min_gap),
       timer("reclaim", sim::Event::Priority::scrub,
             kernel_arg.simulation(), [this] { patrol(); }),
       statGroup("reclaim", "watermark-driven memory reclaim"),
@@ -29,8 +30,6 @@ ReclaimEngine::ReclaimEngine(Kernel &kernel_arg, ReclaimParams params)
           "checkpointsRequested",
           "early checkpoints requested under NVM pressure"))
 {
-    kindle_assert(_params.interval > 0, "reclaim interval cannot be 0");
-    kindle_assert(_params.batchPages > 0, "reclaim batch cannot be 0");
 }
 
 ReclaimEngine::~ReclaimEngine()
@@ -41,7 +40,7 @@ ReclaimEngine::~ReclaimEngine()
 void
 ReclaimEngine::start()
 {
-    timer.start(_params.interval);
+    timer.start(interval);
 }
 
 void
@@ -56,7 +55,7 @@ ReclaimEngine::patrol()
     KINDLE_PROF_SCOPE(reclaim);
     ++passes;
     if (kernel.dramAllocator().belowLow())
-        demoteBatch(_params.batchPages);
+        demoteBatch();
     if (kernel.nvmAllocator().belowLow())
         maybeRequestCheckpoint();
 }
@@ -66,7 +65,7 @@ ReclaimEngine::emergencyPass()
 {
     KINDLE_PROF_SCOPE(reclaim);
     ++emergencyPasses;
-    demoteBatch(_params.batchPages);
+    demoteBatch();
     // Direct reclaim runs exactly when the machine is at its
     // tightest; if the NVM relief valve is itself low, ask the
     // persistence domain for an early checkpoint (truncating the redo
@@ -84,7 +83,7 @@ ReclaimEngine::maybeRequestCheckpoint()
         return;
     const Tick now = kernel.simulation().now();
     if (checkpointEverRequested &&
-        now - lastCheckpointRequest < _params.checkpointMinGap) {
+        now - lastCheckpointRequest < checkpointMinGap) {
         return;
     }
     checkpointEverRequested = true;
@@ -94,7 +93,7 @@ ReclaimEngine::maybeRequestCheckpoint()
 }
 
 unsigned
-ReclaimEngine::demoteBatch(unsigned budget)
+ReclaimEngine::demoteBatch()
 {
     FrameAllocator &dram = kernel.dramAllocator();
     const std::uint64_t target = dram.highWatermark();
@@ -130,7 +129,7 @@ ReclaimEngine::demoteBatch(unsigned budget)
 
     unsigned demoted = 0;
     for (Process *proc : victims) {
-        if (demoted >= budget || dram.freeFrames() >= target)
+        if (demoted >= batchPages || dram.freeFrames() >= target)
             break;
         // Collect this process's DRAM-backed leaves (the software
         // walk is charged — scanning for victims is real work).
@@ -143,7 +142,7 @@ ReclaimEngine::demoteBatch(unsigned budget)
                 }
             });
         for (const Addr va : pages) {
-            if (demoted >= budget || dram.freeFrames() >= target)
+            if (demoted >= batchPages || dram.freeFrames() >= target)
                 break;
             if (!kernel.demotePage(*proc, va)) {
                 // No NVM frame to demote onto: further candidates

@@ -38,29 +38,21 @@ namespace kindle::os
 
 class Kernel;
 
-/** Reclaim cadence/batching (derived from fault::PressurePlan). */
-struct ReclaimParams
-{
-    /** Gap between patrol passes. */
-    Tick interval = oneMs / 4;
-    /** Max pages demoted DRAM→NVM per pass. */
-    unsigned batchPages = 8;
-    /**
-     * Minimum gap between NVM-pressure checkpoint requests.  A zone
-     * pinned at its cap (every frame held by live mappings) sits below
-     * its low watermark indefinitely; without a throttle every patrol
-     * pass converts into a whole-population early checkpoint, which at
-     * fleet scale costs more than the patrol interval and livelocks
-     * the machine.  0 = request on every qualifying pass.
-     */
-    Tick checkpointMinGap = 0;
-};
-
 /** The background reclaim engine; owned by the kernel. */
 class ReclaimEngine
 {
   public:
-    ReclaimEngine(Kernel &kernel, ReclaimParams params);
+    /**
+     * @param checkpoint_min_gap Minimum gap between NVM-pressure
+     *        checkpoint requests.  A zone pinned at its cap (every
+     *        frame held by live mappings) sits below its low watermark
+     *        indefinitely; without a throttle every patrol pass
+     *        converts into a whole-population early checkpoint, which
+     *        at fleet scale costs more than the patrol interval and
+     *        livelocks the machine.  0 = request on every qualifying
+     *        pass.
+     */
+    ReclaimEngine(Kernel &kernel, Tick checkpoint_min_gap);
     ~ReclaimEngine();
 
     ReclaimEngine(const ReclaimEngine &) = delete;
@@ -94,11 +86,16 @@ class ReclaimEngine
     /** Fire the early-checkpoint hook, honoring checkpointMinGap. */
     void maybeRequestCheckpoint();
 
-    /** Demote up to @p budget cold DRAM pages; returns pages moved. */
-    unsigned demoteBatch(unsigned budget);
+    /** Demote up to batchPages cold DRAM pages; returns pages moved. */
+    unsigned demoteBatch();
+
+    /** Gap between patrol passes. */
+    static constexpr Tick interval = oneMs / 4;
+    /** Max pages demoted DRAM→NVM per pass. */
+    static constexpr unsigned batchPages = 8;
 
     Kernel &kernel;
-    ReclaimParams _params;
+    const Tick checkpointMinGap;
     std::function<void()> checkpointHook;
 
     sim::PeriodicEvent timer;

@@ -106,16 +106,15 @@ PersistDomain::stop()
 }
 
 void
-PersistDomain::enableBackpressure(double fraction)
+PersistDomain::enableBackpressure()
 {
-    kindle_assert(fraction > 0.0 && fraction <= 1.0,
-                  "backpressure fraction {} out of (0, 1]", fraction);
     backpressure = true;
     armPressureStats();
     const std::uint64_t cap = metaLog->capacityRecords();
     const std::uint64_t threshold = std::max<std::uint64_t>(
         1, std::min(cap, static_cast<std::uint64_t>(
-                             static_cast<double>(cap) * fraction)));
+                             static_cast<double>(cap) *
+                             redoHighWaterFraction)));
     metaLog->setHighWater(threshold,
                           [this] { requestEarlyCheckpoint(); });
 }
@@ -178,12 +177,10 @@ PersistDomain::countCleanSkips(std::uint64_t n)
     // never skip exports no cleanSkips stat.
     if (n == 0)
         return;
-    if (!cleanSkips) {
-        cleanSkips = &statGroup.addScalar(
-            "cleanSkips",
-            "checkpoint sweeps skipped for unchanged processes");
-    }
-    *cleanSkips += static_cast<double>(n);
+    statGroup.lazyScalar(
+        cleanSkips, "cleanSkips",
+        "checkpoint sweeps skipped for unchanged processes") +=
+        static_cast<double>(n);
 }
 
 void

@@ -77,15 +77,19 @@ class PersistDomain : public os::OsEventListener
     void checkpointNow();
 
     /**
-     * Redo-log backpressure: once appends fill the log to @p fraction
-     * of its record capacity, the next periodic checkpoint is pulled
-     * forward to "now" so the log truncates *before* it can wrap and
-     * destroy un-replayed records; pressure checkpoints also compact
-     * saved-state slots left behind by exited processes.  Off by
-     * default (the stats and the redo.pre_truncate crash site only
-     * exist once enabled, keeping default-run output byte-identical).
+     * Redo-log backpressure: once appends fill the log to
+     * redoHighWaterFraction of its record capacity, the next periodic
+     * checkpoint is pulled forward to "now" so the log truncates
+     * *before* it can wrap and destroy un-replayed records; pressure
+     * checkpoints also compact saved-state slots left behind by
+     * exited processes.  Off by default (the stats and the
+     * redo.pre_truncate crash site only exist once enabled, keeping
+     * default-run output byte-identical).
      */
-    void enableBackpressure(double fraction);
+    void enableBackpressure();
+
+    /** Redo-log fill fraction that pulls a checkpoint forward. */
+    static constexpr double redoHighWaterFraction = 0.75;
 
     /**
      * Pull the next periodic checkpoint forward to "now" (no-op while

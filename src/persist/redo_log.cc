@@ -81,11 +81,6 @@ RedoLog::append(RedoRecord rec)
         KINDLE_CRASH_SITE("redo.pre_wrap");
         ++wraps;
         wrapped = true;
-        if (!wrapDestroyed) {
-            wrapDestroyed = &statGroup.addScalar(
-                "wrapDestroyed",
-                "un-replayed records destroyed by in-epoch wraps");
-        }
         KINDLE_TRACE_INSTANT_ARGS(redo, "redo.wrap",
                                   "capacity={} destroyedSoFar={}",
                                   maxRecords, wrapDestroyedCount);
@@ -93,7 +88,9 @@ RedoLog::append(RedoRecord rec)
     }
     if (wrapped) {
         ++wrapDestroyedCount;
-        ++*wrapDestroyed;
+        ++statGroup.lazyScalar(
+            wrapDestroyed, "wrapDestroyed",
+            "un-replayed records destroyed by in-epoch wraps");
     }
     rec.magic = RedoRecord::magicValue;
     rec.epoch = epoch;

@@ -101,7 +101,7 @@ makeFleetConfig(const FleetOptions &opts, unsigned cores)
     }
 
     if (opts.pressure) {
-        fault::PressurePlan pp;
+        fault::PressurePlan &pp = cfg.kernel.pressure;
         // The fleet's aggregate resident demand (tenants × hot set)
         // must exceed both zones: MAP_NVM faults degrade to DRAM once
         // NVM dips to the reserve, DRAM exhaustion drives reclaim
@@ -118,7 +118,6 @@ makeFleetConfig(const FleetOptions &opts, unsigned cores)
         // whole-population early checkpoint; at most match the
         // periodic cadence instead of multiplying it.
         pp.reclaimCheckpointMinGap = opts.checkpointInterval;
-        cfg.pressure = pp;
     }
     return cfg;
 }

@@ -51,8 +51,8 @@ applyMachineOverrides(const Options &opts, KindleConfig &config)
 {
     if (opts.cores > 1)
         config.numCores = opts.cores;
-    if (opts.coreFault && !config.coreFault)
-        config.coreFault = opts.coreFault;
+    if (opts.coreFault && !config.kernel.coreFaults.enabled())
+        config.kernel.coreFaults = *opts.coreFault;
     if (opts.ipiTimeout != 0)
         config.kernel.ipiAckTimeout = opts.ipiTimeout;
 }

@@ -65,11 +65,12 @@ struct RunResult
 
 /**
  * Apply the machine overrides of @p opts (--cores, --core-fail,
- * --ipi-timeout) to @p config.  SweepRunner applies them to every
- * scenario, except --cores to one that owns its core count
- * (Scenario::ownsCores); a bench that also builds systems outside the
- * runner (a golden run, a self-check) calls this so both see one
- * machine.
+ * --ipi-timeout) to @p config; --core-fail fills kernel.coreFaults
+ * only when the scenario's own plan is empty.  SweepRunner applies
+ * them to every scenario, except --cores to one that owns its core
+ * count (Scenario::ownsCores); a bench that also builds systems
+ * outside the runner (a golden run, a self-check) calls this so both
+ * see one machine.
  */
 void applyMachineOverrides(const Options &opts, KindleConfig &config);
 

@@ -168,12 +168,9 @@ SspEngine::onTlbFill(cpu::TlbEntry &entry, const cpu::Pte &leaf)
             // (writes go straight to the current frame, exactly the
             // semantics of SSP having no shadow to give it).
             entry.sspTracked = false;
-            if (!shadowAllocFailures) {
-                shadowAllocFailures = &statGroup.addScalar(
-                    "shadowAllocFailures",
-                    "pages left untracked for lack of a shadow frame");
-            }
-            ++*shadowAllocFailures;
+            ++statGroup.lazyScalar(
+                shadowAllocFailures, "shadowAllocFailures",
+                "pages left untracked for lack of a shadow frame");
             return;
         }
         ++shadowAllocs;

@@ -158,6 +158,18 @@ TEST(StatsTest, GroupLookup)
     EXPECT_FALSE(g.hasScalar("beta"));
 }
 
+TEST(StatsTest, LazyScalarRegistersOnFirstUse)
+{
+    StatGroup g("test");
+    Scalar *slot = nullptr;
+    EXPECT_FALSE(g.hasScalar("lazy"));
+    ++g.lazyScalar(slot, "lazy", "registered by first use");
+    ASSERT_NE(slot, nullptr);
+    // Later calls reuse the slot instead of re-registering (fatal).
+    g.lazyScalar(slot, "lazy", "registered by first use") += 2;
+    EXPECT_DOUBLE_EQ(g.scalarValue("lazy"), 3);
+}
+
 TEST(StatsTest, MissingStatIsFatal)
 {
     setErrorsThrow(true);

@@ -129,7 +129,7 @@ TEST_P(CrashSiteTest, CrashAtSiteRecoversOrSalvages)
         f.cpu = 1;
         f.atNthIpi = 1;
         plan.faults.push_back(f);
-        cfg.coreFault = plan;
+        cfg.kernel.coreFaults = plan;
     }
     if (hscc_site) {
         // HSCC sites only fire with the migration engine running and a

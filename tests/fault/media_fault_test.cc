@@ -33,11 +33,13 @@ mediaConfig(persist::PtScheme scheme)
     cfg.memory.dramBytes = 128 * oneMiB;
     cfg.memory.nvmBytes = 128 * oneMiB;
     cfg.persistence = persist::PersistParams{scheme, oneMs};
-    cfg.fault = fault::FaultPlan{};  // unarmed; media config only
+    // Unarmed: sets the power-loss model (torn stores) the crash
+    // tests below apply.
+    cfg.fault = fault::FaultPlan{};
     // A sentinel drift fault in a far corner keeps the media model
     // enabled without perturbing any workload (the first patrol pass
     // heals it); individual tests plant their own damage.
-    cfg.fault->media.faults.push_back(
+    cfg.memory.media.faults.push_back(
         {/*frame=*/30000, /*line=*/0, /*bits=*/1, /*sticky=*/false});
     cfg.scrub = mem::ScrubParams{scrubInterval, 128 * oneMiB};
     return cfg;
@@ -89,7 +91,7 @@ TEST(MediaFaultTest, ScrubberHealsDriftFaults)
 {
     KindleConfig cfg = mediaConfig(persist::PtScheme::rebuild);
     // A transient single-bit fault planted far from any allocation.
-    cfg.fault->media.faults.push_back(
+    cfg.memory.media.faults.push_back(
         {/*frame=*/20000, /*line=*/3, /*bits=*/1, /*sticky=*/false});
     KindleSystem sys(cfg);
     mem::NvmMediaModel *media = sys.memory().media();
@@ -187,6 +189,21 @@ INSTANTIATE_TEST_SUITE_P(Schemes, MediaSchemeTest,
                              persist::PtScheme::rebuild,
                              persist::PtScheme::persistent));
 
+TEST(MediaFaultTest, MemoryMediaSurvivesAnArmedCrashPlan)
+{
+    // memory.media is the media model's one home: arming a crash plan
+    // next to it must not replace the medium.
+    KindleConfig cfg;
+    cfg.memory.dramBytes = 128 * oneMiB;
+    cfg.memory.nvmBytes = 128 * oneMiB;
+    cfg.memory.media.writeEndurance = 1'000'000;
+    cfg.fault = fault::FaultPlan{};
+    cfg.fault->atNthDurableWrite = 1'000'000;
+    KindleSystem sys(cfg);
+    ASSERT_NE(sys.memory().media(), nullptr);
+    EXPECT_NE(sys.scrubber(), nullptr);
+}
+
 TEST(MediaFaultTest, NvmExhaustionDegradesToDram)
 {
     KindleConfig cfg = mediaConfig(persist::PtScheme::rebuild);
@@ -244,8 +261,8 @@ TEST(MediaFaultTest, ConcurrentMediaSweepsAreIndependent)
         sc.config = mediaConfig(i % 2 == 0
                                     ? persist::PtScheme::rebuild
                                     : persist::PtScheme::persistent);
-        sc.config.fault->media.bitFlipRate = 1e-3;
-        sc.config.fault->media.seed = 100 + std::uint64_t(i);
+        sc.config.memory.media.bitFlipRate = 1e-3;
+        sc.config.memory.media.seed = 100 + std::uint64_t(i);
         sc.drive = [](KindleSystem &sys,
                       statistics::StatSnapshot &) -> Tick {
             const Tick t0 = sys.now();

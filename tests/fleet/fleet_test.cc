@@ -197,12 +197,12 @@ TEST(FleetTest, PressuredFleetDrivesReclaimAndOomAcrossManySlots)
     opts.params.churnSpawns = 20;
     runner::Scenario sc =
         runner::makeFleetScenario("t", {}, opts, 4);
-    ASSERT_TRUE(sc.config.pressure.has_value());
+    ASSERT_TRUE(sc.config.kernel.pressure.enabled());
     // The default floors (1024 DRAM / 512 NVM frames) are roomy at
     // this scale; shrink to the per-tenant ratios the 1k-tenant bench
     // runs at so the squeeze actually bites.
-    sc.config.pressure->dramZoneFrames = opts.params.tenants * 5;
-    sc.config.pressure->nvmZoneFrames = opts.params.tenants * 6;
+    sc.config.kernel.pressure.dramZoneFrames = opts.params.tenants * 5;
+    sc.config.kernel.pressure.nvmZoneFrames = opts.params.tenants * 6;
 
     KindleSystem sys(sc.config);
     statistics::StatSnapshot extra;
@@ -311,9 +311,9 @@ TEST(FleetTest, DirtySetCheckpointsMatchEveryLiveProcess)
     runner::Scenario sc =
         runner::makeFleetScenario("t", {}, opts, 4);
     ASSERT_TRUE(sc.config.persistence.has_value());
-    ASSERT_TRUE(sc.config.pressure.has_value());
-    sc.config.pressure->dramZoneFrames = opts.params.tenants * 5;
-    sc.config.pressure->nvmZoneFrames = opts.params.tenants * 6;
+    ASSERT_TRUE(sc.config.kernel.pressure.enabled());
+    sc.config.kernel.pressure.dramZoneFrames = opts.params.tenants * 5;
+    sc.config.kernel.pressure.nvmZoneFrames = opts.params.tenants * 6;
 
     KindleSystem sys(sc.config);
     DurableImageAudit audit(sys);

@@ -324,7 +324,7 @@ TEST(CoreFaultStatsTest, ConfigPlanFlowsThroughKindleSystem)
     cfg.numCores = 2;
     fault::CoreFaultPlan plan;
     plan.faults.push_back(failStopAtTick(1, oneMs / 2));
-    cfg.coreFault = plan;
+    cfg.kernel.coreFaults = plan;
     KindleSystem sys(cfg);
     micro::ScriptBuilder b;
     b.mmapFixed(micro::scriptBase, 4 * pageSize, false);

@@ -117,6 +117,26 @@ TEST(PressureTest, DefaultSingleCoreTreeIsZeroCost)
     test::expectZeroCostDefaultTree(1);
 }
 
+TEST(PressureTest, KernelPlanAloneArmsTheSystemPressureChain)
+{
+    // kernel.pressure is the plan's one home: set there alone, it
+    // still turns on write-buffer stall tracking on both controllers
+    // and, with persistence, redo-log backpressure.
+    KindleConfig cfg;
+    cfg.memory.dramBytes = 128 * oneMiB;
+    cfg.memory.nvmBytes = 128 * oneMiB;
+    cfg.persistence = persist::PersistParams{};
+    cfg.kernel.pressure.nvmZoneFrames = 1024;
+    KindleSystem sys(cfg);
+    EXPECT_TRUE(
+        sys.memory().dramCtrl().stats().hasScalar("writeStalls"));
+    EXPECT_TRUE(
+        sys.memory().nvmCtrl().stats().hasScalar("writeStalls"));
+    ASSERT_NE(sys.persistence(), nullptr);
+    EXPECT_TRUE(
+        sys.persistence()->stats().hasScalar("earlyCheckpoints"));
+}
+
 TEST(PressureTest, ReclaimDemotesOffCoreColdPages)
 {
     // NVM left roomy: demotion alone must absorb the overcommit.
@@ -175,12 +195,10 @@ TEST(PressureTest, EnomemKillsRequesterWhenOomDisabled)
 
 TEST(PressureTest, InjectedFailuresExhaustRetriesDeterministically)
 {
-    // Certain failure: every attempt (initial + maxRetries) is
-    // refused, so a single fault burns exactly maxRetries backoffs
-    // and surfaces ENOMEM with memory to spare.
-    KernelParams kp = pressured(0, 0, 1.0, /*oom=*/false);
-    kp.pressure.maxRetries = 3;
-    Rig rig(kp);
+    // Certain failure: every attempt (initial + allocMaxRetries) is
+    // refused, so a single fault burns exactly allocMaxRetries
+    // backoffs and surfaces ENOMEM with memory to spare.
+    Rig rig(pressured(0, 0, 1.0, /*oom=*/false));
     micro::ScriptBuilder b;
     b.mmapFixed(toucherBase, pageSize, false);
     b.write(toucherBase);
@@ -189,8 +207,9 @@ TEST(PressureTest, InjectedFailuresExhaustRetriesDeterministically)
 
     EXPECT_EQ(rig.kernel.findProcess(pid)->state, ProcState::zombie);
     EXPECT_EQ(rig.kernel.stats().scalarValue("allocFailuresInjected"),
-              4);
-    EXPECT_EQ(rig.kernel.stats().scalarValue("allocRetries"), 3);
+              1 + Kernel::allocMaxRetries);
+    EXPECT_EQ(rig.kernel.stats().scalarValue("allocRetries"),
+              Kernel::allocMaxRetries);
     EXPECT_EQ(rig.kernel.stats().scalarValue("enomemFaults"), 1);
     // Plenty of frames were free the whole time.
     EXPECT_GT(rig.kernel.dramAllocator().freeFrames(), 0u);

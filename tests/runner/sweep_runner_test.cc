@@ -121,21 +121,21 @@ TEST(SweepRunnerTest, MachineOverridesApplyOutsideTheRunner)
     applyMachineOverrides(opts, plain);
     EXPECT_EQ(plain.numCores, 4u);
     EXPECT_EQ(plain.kernel.ipiAckTimeout, 5 * oneUs);
-    ASSERT_TRUE(plain.coreFault);
-    EXPECT_EQ(plain.coreFault->faults.at(0).cpu, 1u);
+    ASSERT_TRUE(plain.kernel.coreFaults.enabled());
+    EXPECT_EQ(plain.kernel.coreFaults.faults.at(0).cpu, 1u);
 
     // A scenario's own core-fault plan wins over --core-fail.
     KindleConfig own;
-    own.coreFault = parseCoreFaultSpec("2#3", "test");
+    own.kernel.coreFaults = parseCoreFaultSpec("2#3", "test");
     applyMachineOverrides(opts, own);
-    EXPECT_EQ(own.coreFault->faults.at(0).cpu, 2u);
+    EXPECT_EQ(own.kernel.coreFaults.faults.at(0).cpu, 2u);
 
     // Defaults leave the config alone.
     KindleConfig untouched;
     untouched.numCores = 2;
     applyMachineOverrides(Options{}, untouched);
     EXPECT_EQ(untouched.numCores, 2u);
-    EXPECT_FALSE(untouched.coreFault);
+    EXPECT_FALSE(untouched.kernel.coreFaults.enabled());
 }
 
 TEST(SweepRunnerTest, CoresOverrideSparesPointsThatOwnTheirCoreCount)

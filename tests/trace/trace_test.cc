@@ -414,8 +414,7 @@ TEST(TraceTest, ConvertedInstantLandsInTheRingUnderItsCategory)
         KindleConfig cfg;
         cfg.memory.dramBytes = 128 * oneMiB;
         cfg.memory.nvmBytes = 128 * oneMiB;
-        cfg.pressure = fault::PressurePlan{};
-        cfg.pressure->nvmZoneFrames = 8;
+        cfg.kernel.pressure.nvmZoneFrames = 8;
         cfg.trace.categories = categories;
         auto sys = std::make_unique<KindleSystem>(cfg);
         micro::ScriptBuilder b;
