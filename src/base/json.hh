@@ -2,11 +2,11 @@
  * @file
  * A minimal streaming JSON writer, plus a small validating reader.
  *
- * Kindle's machine-readable outputs (stat dumps, the runner's
- * BENCH_*.json records, trace files) are produced by this one writer
- * so escaping and number formatting are identical everywhere — a
- * requirement for the determinism guarantee, which compares
- * serialized stat dumps byte for byte.
+ * Kindle's machine-readable outputs (the runner's BENCH_*.json
+ * records of stat snapshots, trace files) are produced by this one
+ * writer so escaping and number formatting are identical everywhere —
+ * a requirement for the determinism guarantee, which compares those
+ * records across runs and job counts.
  *
  * The reader exists for the tooling that *checks* those outputs: the
  * golden-file trace tests and the CI well-formedness smoke parse

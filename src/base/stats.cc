@@ -1,7 +1,5 @@
 #include "base/stats.hh"
 
-#include <algorithm>
-
 namespace kindle::statistics
 {
 
@@ -71,14 +69,6 @@ StatGroup::addChild(StatGroup &child)
     children.push_back(&child);
 }
 
-void
-StatGroup::removeChild(const StatGroup &child)
-{
-    children.erase(
-        std::remove(children.begin(), children.end(), &child),
-        children.end());
-}
-
 double
 StatGroup::scalarValue(const std::string &stat_name) const
 {
@@ -132,21 +122,6 @@ StatGroup::hasScalar(const std::string &stat_name) const
 }
 
 void
-StatGroup::resetAll()
-{
-    for (auto &[k, e] : scalars)
-        e.stat.reset();
-    for (auto &[k, e] : gauges)
-        e.stat.reset();
-    for (auto &[k, e] : dists)
-        e.stat.reset();
-    for (auto &[k, e] : hists)
-        e.stat.reset();
-    for (auto *c : children)
-        c->resetAll();
-}
-
-void
 StatGroup::accept(StatVisitor &visitor) const
 {
     visitor.beginGroup(_name, _desc);
@@ -161,154 +136,6 @@ StatGroup::accept(StatVisitor &visitor) const
     for (const auto *c : children)
         c->accept(visitor);
     visitor.endGroup();
-}
-
-void
-StatGroup::dump(std::ostream &os, const std::string &prefix) const
-{
-    TextSerializer text(os, prefix);
-    accept(text);
-}
-
-// ---------------------------------------------------------------------
-// TextSerializer
-
-void
-TextSerializer::beginGroup(const std::string &name,
-                           const std::string &desc)
-{
-    const std::string &parent = stack.back();
-    stack.push_back(parent.empty() ? name : parent + "." + name);
-    if (!desc.empty())
-        out << "# " << stack.back() << ": " << desc << '\n';
-}
-
-void
-TextSerializer::endGroup()
-{
-    stack.pop_back();
-}
-
-void
-TextSerializer::visitScalar(const std::string &name,
-                            const std::string &desc, const Scalar &stat)
-{
-    out << path() << '.' << name << ' ' << stat.value() << " # "
-        << desc << '\n';
-}
-
-void
-TextSerializer::visitGauge(const std::string &name,
-                           const std::string &desc, const Gauge &stat)
-{
-    out << path() << '.' << name << ' ' << stat.value() << " # "
-        << desc << '\n';
-}
-
-void
-TextSerializer::visitDistribution(const std::string &name,
-                                  const std::string &desc,
-                                  const Distribution &stat)
-{
-    out << path() << '.' << name << "::mean " << stat.mean() << " # "
-        << desc << '\n';
-    out << path() << '.' << name << "::count " << stat.count() << " # "
-        << desc << '\n';
-}
-
-void
-TextSerializer::visitHistogram(const std::string &name,
-                               const std::string &desc,
-                               const Histogram &stat)
-{
-    out << path() << '.' << name << "::mean " << stat.mean() << " # "
-        << desc << '\n';
-    out << path() << '.' << name << "::count " << stat.count() << " # "
-        << desc << '\n';
-    out << path() << '.' << name << "::p50 " << stat.quantile(0.50)
-        << " # " << desc << '\n';
-    out << path() << '.' << name << "::p99 " << stat.quantile(0.99)
-        << " # " << desc << '\n';
-}
-
-// ---------------------------------------------------------------------
-// JsonSerializer
-
-void
-JsonSerializer::beginGroup(const std::string &name,
-                           const std::string &desc)
-{
-    (void)desc;
-    out.key(name);
-    out.beginObject();
-}
-
-void
-JsonSerializer::endGroup()
-{
-    out.endObject();
-}
-
-void
-JsonSerializer::visitScalar(const std::string &name,
-                            const std::string &desc, const Scalar &stat)
-{
-    (void)desc;
-    out.keyValue(name, stat.value());
-}
-
-void
-JsonSerializer::visitGauge(const std::string &name,
-                           const std::string &desc, const Gauge &stat)
-{
-    (void)desc;
-    out.keyValue(name, stat.value());
-}
-
-void
-JsonSerializer::visitDistribution(const std::string &name,
-                                  const std::string &desc,
-                                  const Distribution &stat)
-{
-    (void)desc;
-    out.key(name);
-    out.beginObject();
-    out.keyValue("count", stat.count());
-    out.keyValue("min", stat.min());
-    out.keyValue("max", stat.max());
-    out.keyValue("mean", stat.mean());
-    out.keyValue("sum", stat.sum());
-    out.endObject();
-}
-
-void
-JsonSerializer::visitHistogram(const std::string &name,
-                               const std::string &desc,
-                               const Histogram &stat)
-{
-    (void)desc;
-    out.key(name);
-    out.beginObject();
-    out.keyValue("count", stat.count());
-    out.keyValue("min", stat.min());
-    out.keyValue("max", stat.max());
-    out.keyValue("mean", stat.mean());
-    out.keyValue("sum", stat.sum());
-    out.keyValue("p50", stat.quantile(0.50));
-    out.keyValue("p99", stat.quantile(0.99));
-    out.key("buckets");
-    out.beginArray();
-    for (unsigned i = 0; i < Histogram::numBuckets; ++i) {
-        if (stat.bucketCount(i) == 0)
-            continue;
-        out.beginObject();
-        out.keyValue("lo", Histogram::bucketLo(i));
-        out.keyValue("hi", Histogram::bucketHi(i));
-        out.keyValue("count", stat.bucketCount(i));
-        out.endObject();
-    }
-    out.endArray();
-    out.endObject();
 }
 
 // ---------------------------------------------------------------------
@@ -330,11 +157,21 @@ StatSnapshot::Builder::joined(const std::string &leaf) const
 }
 
 void
+StatSnapshot::Builder::put(std::string path, double value)
+{
+    const auto [it, fresh] =
+        snap.values.try_emplace(std::move(path), value);
+    kindle_assert(fresh, "stat {} written twice into one snapshot",
+                  it->first);
+}
+
+void
 StatSnapshot::Builder::beginGroup(const std::string &name,
                                   const std::string &desc)
 {
     (void)desc;
-    stack.push_back(joined(name));
+    stack.push_back(stack.empty() && !rollupRoot.empty() ? rollupRoot
+                                                         : joined(name));
 }
 
 void
@@ -349,7 +186,10 @@ StatSnapshot::Builder::visitScalar(const std::string &name,
                                    const Scalar &stat)
 {
     (void)desc;
-    snap.values[joined(name)] = stat.value();
+    if (rollupRoot.empty())
+        put(joined(name), stat.value());
+    else
+        snap.values[joined(name)] += stat.value();
 }
 
 void
@@ -358,7 +198,8 @@ StatSnapshot::Builder::visitGauge(const std::string &name,
                                   const Gauge &stat)
 {
     (void)desc;
-    snap.values[joined(name)] = stat.value();
+    if (rollupRoot.empty())
+        put(joined(name), stat.value());
 }
 
 void
@@ -367,13 +208,14 @@ StatSnapshot::Builder::visitDistribution(const std::string &name,
                                          const Distribution &stat)
 {
     (void)desc;
+    if (!rollupRoot.empty())
+        return;
     const std::string path = joined(name);
-    snap.values[path + "::count"] =
-        static_cast<double>(stat.count());
-    snap.values[path + "::sum"] = stat.sum();
-    snap.values[path + "::min"] = stat.min();
-    snap.values[path + "::max"] = stat.max();
-    snap.values[path + "::mean"] = stat.mean();
+    put(path + "::count", static_cast<double>(stat.count()));
+    put(path + "::sum", stat.sum());
+    put(path + "::min", stat.min());
+    put(path + "::max", stat.max());
+    put(path + "::mean", stat.mean());
 }
 
 void
@@ -382,20 +224,20 @@ StatSnapshot::Builder::visitHistogram(const std::string &name,
                                       const Histogram &stat)
 {
     (void)desc;
+    if (!rollupRoot.empty())
+        return;
     const std::string path = joined(name);
-    snap.values[path + "::count"] =
-        static_cast<double>(stat.count());
-    snap.values[path + "::sum"] = stat.sum();
-    snap.values[path + "::min"] = stat.min();
-    snap.values[path + "::max"] = stat.max();
-    snap.values[path + "::mean"] = stat.mean();
-    // One entry per non-empty bucket; bucket counts are counters, so
-    // snapshot deltas difference them like any other count.
+    put(path + "::count", static_cast<double>(stat.count()));
+    put(path + "::sum", stat.sum());
+    put(path + "::min", stat.min());
+    put(path + "::max", stat.max());
+    put(path + "::mean", stat.mean());
+    // One entry per non-empty bucket.
     for (unsigned i = 0; i < Histogram::numBuckets; ++i) {
         if (stat.bucketCount(i) == 0)
             continue;
-        snap.values[path + "::b" + std::to_string(i)] =
-            static_cast<double>(stat.bucketCount(i));
+        put(path + "::b" + std::to_string(i),
+            static_cast<double>(stat.bucketCount(i)));
     }
 }
 
@@ -432,44 +274,6 @@ StatSnapshot::getOr(const std::string &path, double fallback) const
 {
     const double *v = find(path);
     return v ? *v : fallback;
-}
-
-namespace
-{
-
-bool
-endsWith(const std::string &s, std::string_view suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(),
-                     suffix) == 0;
-}
-
-} // namespace
-
-StatSnapshot
-StatSnapshot::delta(const StatSnapshot &earlier) const
-{
-    StatSnapshot out;
-    for (const auto &[path, later_v] : values) {
-        // Interval extrema are unknowable from endpoint snapshots.
-        if (endsWith(path, "::min") || endsWith(path, "::max") ||
-            endsWith(path, "::mean"))
-            continue;
-        out.values[path] = later_v - earlier.getOr(path, 0);
-    }
-    // Recompute ::mean from the differenced sum and count.
-    for (const auto &[path, later_v] : values) {
-        (void)later_v;
-        if (!endsWith(path, "::count"))
-            continue;
-        const std::string base =
-            path.substr(0, path.size() - std::string("::count").size());
-        const double dcount = out.values[path];
-        const double dsum = out.getOr(base + "::sum", 0);
-        out.values[base + "::mean"] = dcount ? dsum / dcount : 0;
-    }
-    return out;
 }
 
 void

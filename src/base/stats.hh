@@ -4,16 +4,10 @@
  *
  * Components own Scalar / Gauge / Distribution / Histogram stats and
  * register them with a StatGroup; groups nest into a tree.  The tree
- * is consumed through a visitor (StatVisitor), with two stock
- * serializers:
- *
- *   - TextSerializer reproduces the classic "name value # desc" dump,
- *   - JsonSerializer emits a nested JSON object for tooling.
- *
- * StatSnapshot captures the whole tree as a flat path→value map so
- * callers can diff two instants (per-phase accounting: checkpoint vs
- * app time, HSCC selection vs copy) instead of keeping ad-hoc
- * counters.
+ * is consumed through a visitor (StatVisitor).  Stats leave a machine
+ * one way: StatSnapshot, a flat path→value map built by visiting the
+ * whole tree (or forest), which BENCH_*.json records, the telemetry
+ * sampler and digests all read.
  *
  * Stats are plain doubles/counters — no atomic machinery, because one
  * simulated machine is single threaded.  Concurrent *machines* (the
@@ -28,10 +22,10 @@
 #include <bit>
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/json.hh"
@@ -44,7 +38,7 @@ namespace kindle::statistics
  * A named monotonically updatable counter.  Deliberately has no
  * assignment from a raw value: a counter only ever accumulates, and
  * code that wants to *set* a level (queue depth, pool occupancy) must
- * use a Gauge so serialized output distinguishes the two semantics.
+ * use a Gauge so exported snapshots distinguish the two semantics.
  */
 class Scalar
 {
@@ -55,7 +49,6 @@ class Scalar
     Scalar &operator+=(double v) { _value += v; return *this; }
 
     double value() const { return _value; }
-    void reset() { _value = 0; }
 
   private:
     double _value = 0;
@@ -64,8 +57,7 @@ class Scalar
 /**
  * A point-in-time level (buffer occupancy, free-list length).  Unlike
  * Scalar it may be assigned, incremented and decremented freely; a
- * snapshot of a gauge is the level *now*, and snapshot deltas of
- * gauges are level changes, not activity counts.
+ * snapshot of a gauge is the level *now*, not an activity count.
  */
 class Gauge
 {
@@ -80,7 +72,6 @@ class Gauge
 
     void set(double v) { _value = v; }
     double value() const { return _value; }
-    void reset() { _value = 0; }
 
   private:
     double _value = 0;
@@ -89,10 +80,9 @@ class Gauge
 /**
  * Min/max/mean/count tracker for per-event samples.
  *
- * The empty state (no samples yet, or just after reset()) reports
- * min() == max() == mean() == 0 by convention; the first sample after
- * construction *or* reset() re-seeds min and max from that sample, so
- * reset-then-sample never leaks the pre-reset extrema.
+ * The empty state (no samples yet) reports min() == max() == mean()
+ * == 0 by convention; the first sample seeds min and max, so neither
+ * is pinned to that zero.
  */
 class Distribution
 {
@@ -120,13 +110,6 @@ class Distribution
     mean() const
     {
         return _count ? _sum / static_cast<double>(_count) : 0;
-    }
-
-    void
-    reset()
-    {
-        _count = 0;
-        _sum = _min = _max = 0;
     }
 
   private:
@@ -241,14 +224,6 @@ class Histogram
         return static_cast<double>(bucketHi(numBuckets - 1));
     }
 
-    void
-    reset()
-    {
-        buckets.fill(0);
-        _count = 0;
-        _sum = _min = _max = 0;
-    }
-
   private:
     std::array<std::uint64_t, numBuckets> buckets{};
     std::uint64_t _count = 0;
@@ -263,8 +238,8 @@ class Histogram
  * visitDistribution / visitHistogram for every stat, in the group's
  * canonical order (scalars sorted by name, then gauges, then
  * distributions, then histograms — each kind sorted by name — then
- * child groups in attachment order).  Serializers, snapshots and
- * ad-hoc queries are all visitors.
+ * child groups in attachment order).  Snapshots and ad-hoc queries
+ * are both visitors.
  */
 class StatVisitor
 {
@@ -336,9 +311,6 @@ class StatGroup
     /** Attach a child group (not owned). */
     void addChild(StatGroup &child);
 
-    /** Detach a child group previously attached with addChild(). */
-    void removeChild(const StatGroup &child);
-
     /** Look up a scalar's current value; fatal if missing. */
     double scalarValue(const std::string &stat_name) const;
 
@@ -355,14 +327,8 @@ class StatGroup
     /** True if a scalar with this name exists. */
     bool hasScalar(const std::string &stat_name) const;
 
-    /** Reset every stat in this group and all children. */
-    void resetAll();
-
     /** Drive @p visitor over this group and all children. */
     void accept(StatVisitor &visitor) const;
-
-    /** Dump "name value # desc" lines, recursively. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
 
     const std::string &name() const { return _name; }
     const std::string &description() const { return _desc; }
@@ -402,96 +368,14 @@ class StatGroup
 };
 
 /**
- * Visitor producing the classic text dump:
- *
- *   # group.child: component description
- *   group.child.stat 42 # description
- *   group.child.dist::mean 1.5 # description
- *   group.child.dist::count 2 # description
- *
- * Groups with a description contribute a "# path: desc" header line.
- * An optional @p prefix is prepended to every path, matching the old
- * StatGroup::dump(os, prefix) behaviour.
- */
-class TextSerializer : public StatVisitor
-{
-  public:
-    explicit TextSerializer(std::ostream &os, std::string prefix = {})
-        : out(os), stack{std::move(prefix)}
-    {}
-
-    void beginGroup(const std::string &name,
-                    const std::string &desc) override;
-    void endGroup() override;
-    void visitScalar(const std::string &name, const std::string &desc,
-                     const Scalar &stat) override;
-    void visitGauge(const std::string &name, const std::string &desc,
-                    const Gauge &stat) override;
-    void visitDistribution(const std::string &name,
-                           const std::string &desc,
-                           const Distribution &stat) override;
-    void visitHistogram(const std::string &name,
-                        const std::string &desc,
-                        const Histogram &stat) override;
-
-  private:
-    const std::string &path() const { return stack.back(); }
-
-    std::ostream &out;
-    std::vector<std::string> stack;
-};
-
-/**
- * Visitor producing a nested JSON object.  Groups become objects,
- * scalars numeric members and distributions objects with
- * count/min/max/mean/sum members.  The caller owns the surrounding
- * json::Writer, so several sibling trees can be serialized into one
- * enclosing object (KindleSystem dumps its component forest this way):
- *
- *   json::Writer w(os);
- *   w.beginObject();
- *   JsonSerializer ser(w);
- *   groupA.accept(ser);
- *   groupB.accept(ser);
- *   w.endObject();
- */
-class JsonSerializer : public StatVisitor
-{
-  public:
-    explicit JsonSerializer(json::Writer &writer) : out(writer) {}
-
-    void beginGroup(const std::string &name,
-                    const std::string &desc) override;
-    void endGroup() override;
-    void visitScalar(const std::string &name, const std::string &desc,
-                     const Scalar &stat) override;
-    void visitGauge(const std::string &name, const std::string &desc,
-                    const Gauge &stat) override;
-    void visitDistribution(const std::string &name,
-                           const std::string &desc,
-                           const Distribution &stat) override;
-    void visitHistogram(const std::string &name,
-                        const std::string &desc,
-                        const Histogram &stat) override;
-
-  private:
-    json::Writer &out;
-};
-
-/**
  * A point-in-time copy of a stat tree (or forest) as a flat, sorted
  * path→value map.  Scalars and gauges appear under their dotted path;
  * distributions contribute "path::count", "path::sum", "path::min",
  * "path::max" and "path::mean"; histograms contribute the same five
  * plus one "path::b<i>" entry per non-empty bucket, so BENCH_*.json
- * records carry full latency distributions, not just means.
- *
- * Snapshots subtract: `later.delta(earlier)` yields the activity in
- * between — counters, count/sum entries and bucket counts are
- * differenced, ::mean is recomputed from the differenced sum and
- * count, and ::min/::max are dropped (extrema of an interval are not
- * recoverable from two endpoint snapshots).  Gauges difference too,
- * which for a level means "net change over the interval".
+ * records carry full latency distributions, not just means.  Values
+ * are kept at full precision, so two snapshots compare equal only if
+ * every stat is bit-identical.
  */
 class StatSnapshot
 {
@@ -514,11 +398,27 @@ class StatSnapshot
     /** Capture @p root and everything below it. */
     static StatSnapshot capture(const StatGroup &root);
 
-    /** Visitor that appends into an existing snapshot (forest use). */
+    /**
+     * Visitor that appends into an existing snapshot (forest use).
+     * Writing a path the snapshot already holds is fatal, so every
+     * stat of a forest appears exactly once.
+     */
     class Builder : public StatVisitor
     {
       public:
         explicit Builder(StatSnapshot &snap) : snap(snap) {}
+
+        /**
+         * Rollup mode: the visited tree's root group is read as
+         * @p root, and only its scalars are recorded, each added onto
+         * the entry at its path (a new entry starts from 0).  Visiting
+         * several alike trees this way leaves their per-path sums.
+         * Gauges, distributions and histograms are skipped: levels
+         * and extrema do not sum.
+         */
+        Builder(StatSnapshot &snap, std::string root)
+            : snap(snap), rollupRoot(std::move(root))
+        {}
 
         void beginGroup(const std::string &name,
                         const std::string &desc) override;
@@ -538,9 +438,13 @@ class StatSnapshot
 
       private:
         std::string joined(const std::string &leaf) const;
+        /** Insert a new entry; fatal if @p path is already there. */
+        void put(std::string path, double value);
 
         StatSnapshot &snap;
         std::vector<std::string> stack;
+        /** Root rename of rollup mode; empty otherwise. */
+        std::string rollupRoot;
     };
 
     bool has(const std::string &path) const;
@@ -550,9 +454,6 @@ class StatSnapshot
 
     /** Value at @p path, or @p fallback if absent. */
     double getOr(const std::string &path, double fallback) const;
-
-    /** Stats recorded between @p earlier and this snapshot. */
-    StatSnapshot delta(const StatSnapshot &earlier) const;
 
     /**
      * Insert or overwrite one entry.  Lets harness code attach derived

@@ -17,7 +17,11 @@ Core::Core(const CoreParams &params, sim::Simulation &sim_arg,
       memory(memory_arg),
       caches(caches_arg),
       clockDomain(sim::ClockDomain::fromMHz(params.freqMHz)),
-      dtlb(params.tlb),
+      dtlb(params.tlb,
+           [this](const TlbEntry &e) {
+               for (auto *h : hooks)
+                   h->onTlbEvict(e);
+           }),
       ptWalker(memory_arg, caches_arg, cpu_id),
       statGroup(stat_name, "in-order core"),
       memOps(statGroup.addScalar("memOps", "loads+stores executed")),

@@ -99,6 +99,10 @@ class CoreHooks
         (void)vaddr;
         (void)is_write;
     }
+
+    /** A valid TLB entry is being replaced or flushed (still fully
+     *  populated, so per-entry metadata can be spilled). */
+    virtual void onTlbEvict(const TlbEntry &entry) { (void)entry; }
 };
 
 /** Core configuration. */

@@ -50,10 +50,12 @@ Tlb::Level::victim(std::uint64_t vpn) const
     return v;
 }
 
-Tlb::Tlb(const TlbParams &params)
+Tlb::Tlb(const TlbParams &params,
+         std::function<void(const TlbEntry &)> on_evict)
     : _params(params),
       l1(params.l1Entries, params.l1Entries),
       l2(params.l2Entries, l2Ways),
+      onEvict(std::move(on_evict)),
       statGroup("tlb", "two-level TLB"),
       l1Hits(statGroup.addScalar("l1Hits", "L1 TLB hits")),
       l2Hits(statGroup.addScalar("l2Hits", "L2 TLB hits")),
@@ -142,20 +144,6 @@ Tlb::flushAll()
             }
         }
     }
-}
-
-std::size_t
-Tlb::addEvictHook(EvictHook hook)
-{
-    evictHooks.push_back(std::move(hook));
-    return evictHooks.size() - 1;
-}
-
-void
-Tlb::removeEvictHook(std::size_t handle)
-{
-    kindle_assert(handle < evictHooks.size(), "bad evict-hook handle");
-    evictHooks[handle] = nullptr;
 }
 
 void

@@ -66,16 +66,18 @@ struct TlbParams
 
 /**
  * The TLB pair.  Lookup tries L1 then L2; fills install into both.
- * Evictions of valid entries invoke the eviction hook so prototype
+ * Evictions of valid entries invoke the eviction callback so prototype
  * engines can spill per-entry metadata (SSP bitmaps, HSCC counts).
  */
 class Tlb
 {
   public:
-    /** Called with the entry being replaced (still fully populated). */
-    using EvictHook = std::function<void(const TlbEntry &)>;
-
-    explicit Tlb(const TlbParams &params);
+    /**
+     * @param on_evict Called with each valid entry being replaced,
+     *                 still fully populated (may be empty).
+     */
+    explicit Tlb(const TlbParams &params,
+                 std::function<void(const TlbEntry &)> on_evict = {});
 
     /**
      * Look up (pid, vpn).
@@ -86,14 +88,15 @@ class Tlb
 
     /**
      * Install a translation after a walk; returns the L1 entry.
-     * Evicted valid entries are passed to the eviction hook.
+     * Evicted valid entries are passed to the eviction callback.
      */
     TlbEntry &fill(const TlbEntry &entry);
 
     /** Invalidate one page's translation (both levels). */
     void invalidate(Pid pid, std::uint64_t vpn);
 
-    /** Invalidate everything, firing the evict hook per valid entry. */
+    /** Invalidate everything, firing the evict callback per valid
+     *  entry. */
     void flushAll();
 
     /** Invalidate everything silently (power loss). */
@@ -101,12 +104,6 @@ class Tlb
 
     /** Visit every valid L1+L2 entry (SSP interval spills). */
     void forEachValid(const std::function<void(TlbEntry &)> &fn);
-
-    /** Attach an eviction observer; returns its handle for removal. */
-    std::size_t addEvictHook(EvictHook hook);
-
-    /** Remove an observer by handle. */
-    void removeEvictHook(std::size_t handle);
 
     statistics::StatGroup &stats() { return statGroup; }
     const statistics::StatGroup &stats() const { return statGroup; }
@@ -164,15 +161,14 @@ class Tlb
     Level l1;
     Level l2;
     std::uint64_t useStamp = 0;
-    std::vector<EvictHook> evictHooks;
+    std::function<void(const TlbEntry &)> onEvict;
 
-    /** Fire every attached hook for a displaced entry. */
+    /** Report a displaced valid entry to the eviction callback. */
     void
     fireEvict(const TlbEntry &entry)
     {
-        for (auto &h : evictHooks)
-            if (h)
-                h(entry);
+        if (onEvict)
+            onEvict(entry);
     }
 
     statistics::StatGroup statGroup;

@@ -141,16 +141,4 @@ crashSiteCatalog()
     return sites;
 }
 
-const std::vector<std::string> &
-knownCrashSites()
-{
-    static const std::vector<std::string> sites = [] {
-        std::vector<std::string> names;
-        for (const CrashSiteInfo &info : crashSiteCatalog())
-            names.emplace_back(info.name);
-        return names;
-    }();
-    return sites;
-}
-
 } // namespace kindle::fault

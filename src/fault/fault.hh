@@ -300,9 +300,6 @@ struct CrashSiteInfo
  *  generated DESIGN.md table). */
 const std::vector<CrashSiteInfo> &crashSiteCatalog();
 
-/** Inventory of every named crash site compiled into the tree. */
-const std::vector<std::string> &knownCrashSites();
-
 } // namespace kindle::fault
 
 /** Probe macro — reads as a labelled no-op at the instrumented line. */

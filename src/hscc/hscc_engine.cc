@@ -64,8 +64,6 @@ HsccEngine::start()
     for (CpuId c = 0; c < kernel.numCores(); ++c) {
         cpu::Core &core = kernel.core(c);
         core.addHooks(this);
-        evictHookHandles.push_back(core.tlb().addEvictHook(
-            [this](const cpu::TlbEntry &e) { handleTlbEvict(e); }));
         core.msrs().write(cpu::MsrId::hsccEnable, 1);
     }
     kernel.addListener(this);
@@ -80,10 +78,8 @@ HsccEngine::stop()
     for (CpuId c = 0; c < kernel.numCores(); ++c) {
         cpu::Core &core = kernel.core(c);
         core.removeHooks(this);
-        core.tlb().removeEvictHook(evictHookHandles[c]);
         core.msrs().write(cpu::MsrId::hsccEnable, 0);
     }
-    evictHookHandles.clear();
     kernel.removeListener(this);
     migrateTimer.stop();
 }
@@ -145,7 +141,7 @@ HsccEngine::onDataWrite(cpu::TlbEntry &entry, Addr vaddr,
 }
 
 void
-HsccEngine::handleTlbEvict(const cpu::TlbEntry &entry)
+HsccEngine::onTlbEvict(const cpu::TlbEntry &entry)
 {
     if (!entry.nvmBacked || entry.hsccRemapped ||
         entry.accessCount == 0) {

@@ -75,6 +75,7 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
                    bool is_write) override;
     void onDataWrite(cpu::TlbEntry &entry, Addr vaddr,
                      std::uint64_t size) override;
+    void onTlbEvict(const cpu::TlbEntry &entry) override;
     /// @}
 
     /** @name os::OsEventListener. */
@@ -134,7 +135,6 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
     void ptePut(Addr pte_addr, cpu::Pte pte);
     /** PTE load respecting the chargeOsTime switch. */
     cpu::Pte pteGet(Addr pte_addr);
-    void handleTlbEvict(const cpu::TlbEntry &entry);
     /** Revert the PTE of a displaced cached page back to its home. */
     void revertMapping(Addr nvm_home);
 
@@ -145,8 +145,6 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
 
     /** The migration interval; running() doubles as "attached". */
     sim::PeriodicEvent migrateTimer;
-    /** Per-core TLB evict-hook handles (index == CpuId). */
-    std::vector<std::size_t> evictHookHandles;
     unsigned curThreshold = 0;
 
     std::unordered_map<Addr, CachedAt> cachedPages;  ///< by NVM frame

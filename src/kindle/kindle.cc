@@ -2,7 +2,6 @@
 
 #include <fstream>
 
-#include "base/json.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
 #include "os/reclaim.hh"
@@ -45,7 +44,7 @@ KindleSystem::KindleSystem(const KindleConfig &config_arg)
     // plan just counts probe hits (observe mode).  The self-profiler
     // exists only on request: prof.* stats are wall-clock derived and
     // nondeterministic, and the BENCH JSON contract requires default
-    // stat dumps never to contain them.
+    // stat snapshots never to contain them.
     traceSink_ = std::make_unique<trace::TraceSink>(
         config.trace, [this] { return sim.now(); });
     injector_ = std::make_unique<fault::CrashInjector>(
@@ -66,7 +65,7 @@ KindleSystem::KindleSystem(const KindleConfig &config_arg)
                                                  n);
     // One core keeps the historical "core" stat-group name; an SMP
     // machine names them "cpu0".."cpuN-1" and grows an aggregate
-    // rollup (see acceptStats).
+    // rollup (see snapshotStats).
     for (unsigned c = 0; c < n; ++c) {
         cores_.push_back(std::make_unique<cpu::Core>(
             config.core, sim, *mem_, *caches_, c,
@@ -249,12 +248,7 @@ KindleSystem::run(std::unique_ptr<cpu::OpStream> program,
     }
     const Tick t0 = sim.now();
     kernel_->spawn(std::move(program), name);
-    try {
-        kernel_->run();
-    } catch (const fault::PowerLoss &) {
-        autoFlightDump("power-loss");
-        throw;
-    }
+    runAll();
     return sim.now() - t0;
 }
 
@@ -371,177 +365,37 @@ KindleSystem::armFault(const fault::FaultPlan &plan)
     injector_->rearm(plan);
 }
 
-namespace
-{
-
-/**
- * Builds a counters-only mirror of a stat tree: same group structure,
- * same scalar names/descriptions, no gauges/distributions/histograms
- * (extrema and shapes do not sum meaningfully across cores).  The
- * scalars are collected in canonical visit order so an Accumulator
- * pass over a structurally identical tree can match them by index.
- */
-class MirrorBuilder : public statistics::StatVisitor
-{
-  public:
-    MirrorBuilder(
-        statistics::StatGroup &root,
-        std::vector<std::unique_ptr<statistics::StatGroup>> &owned,
-        std::vector<statistics::Scalar *> &slots)
-        : owned(owned), slots(slots)
-    {
-        stack.push_back(&root);
-    }
-
-    void
-    beginGroup(const std::string &name,
-               const std::string &desc) override
-    {
-        ++depth;
-        if (depth == 1)
-            return;  // the source root maps onto the mirror root
-        owned.push_back(
-            std::make_unique<statistics::StatGroup>(name, desc));
-        stack.back()->addChild(*owned.back());
-        stack.push_back(owned.back().get());
-    }
-
-    void
-    endGroup() override
-    {
-        if (depth > 1)
-            stack.pop_back();
-        --depth;
-    }
-
-    void
-    visitScalar(const std::string &name, const std::string &desc,
-                const statistics::Scalar &) override
-    {
-        slots.push_back(&stack.back()->addScalar(name, desc));
-    }
-
-    void visitGauge(const std::string &, const std::string &,
-                    const statistics::Gauge &) override
-    {}
-    void visitDistribution(const std::string &, const std::string &,
-                           const statistics::Distribution &) override
-    {}
-    void visitHistogram(const std::string &, const std::string &,
-                        const statistics::Histogram &) override
-    {}
-
-  private:
-    std::vector<std::unique_ptr<statistics::StatGroup>> &owned;
-    std::vector<statistics::Scalar *> &slots;
-    std::vector<statistics::StatGroup *> stack;
-    unsigned depth = 0;
-};
-
-/** Adds every scalar of a tree into the mirror's slots, in order. */
-class MirrorAccumulator : public statistics::StatVisitor
-{
-  public:
-    explicit MirrorAccumulator(
-        const std::vector<statistics::Scalar *> &slots)
-        : slots(slots)
-    {}
-
-    void beginGroup(const std::string &, const std::string &) override
-    {}
-    void endGroup() override {}
-
-    void
-    visitScalar(const std::string &, const std::string &,
-                const statistics::Scalar &stat) override
-    {
-        kindle_assert(idx < slots.size(),
-                      "core stat trees diverged under the rollup");
-        *slots[idx++] += stat.value();
-    }
-
-    void visitGauge(const std::string &, const std::string &,
-                    const statistics::Gauge &) override
-    {}
-    void visitDistribution(const std::string &, const std::string &,
-                           const statistics::Distribution &) override
-    {}
-    void visitHistogram(const std::string &, const std::string &,
-                        const statistics::Histogram &) override
-    {}
-
-  private:
-    const std::vector<statistics::Scalar *> &slots;
-    std::size_t idx = 0;
-};
-
-} // namespace
-
-void
-KindleSystem::acceptStats(statistics::StatVisitor &visitor) const
-{
-    mem_->stats().accept(visitor);
-    if (scrubber_)
-        scrubber_->stats().accept(visitor);
-    caches_->stats().accept(visitor);
-    for (const auto &core : cores_)
-        core->stats().accept(visitor);
-    if (cores_.size() > 1) {
-        // Aggregate rollup: "core.*" becomes the machine-wide sum of
-        // the per-cpu counters, so cross-config tooling keyed on the
-        // uniprocessor names keeps working against SMP runs.
-        if (!coreAggregate_) {
-            coreAggregate_ = std::make_unique<statistics::StatGroup>(
-                "core", "aggregate over all cpus");
-            MirrorBuilder builder(*coreAggregate_, aggregateChildren_,
-                                  aggregateSlots_);
-            cores_[0]->stats().accept(builder);
-        }
-        coreAggregate_->resetAll();
-        for (const auto &core : cores_) {
-            MirrorAccumulator acc(aggregateSlots_);
-            core->stats().accept(acc);
-        }
-        coreAggregate_->accept(visitor);
-    }
-    if (kernel_)
-        kernel_->stats().accept(visitor);
-    if (persist_)
-        persist_->stats().accept(visitor);
-    if (ssp_)
-        ssp_->stats().accept(visitor);
-    if (hscc_)
-        hscc_->stats().accept(visitor);
-    injector_->stats().accept(visitor);
-    recoveryStats.accept(visitor);
-    if (profiler_)
-        profiler_->stats().accept(visitor);
-}
-
-void
-KindleSystem::dumpStats(std::ostream &os) const
-{
-    statistics::TextSerializer text(os);
-    acceptStats(text);
-}
-
-void
-KindleSystem::dumpStatsJson(std::ostream &os) const
-{
-    json::Writer writer(os);
-    writer.beginObject();
-    statistics::JsonSerializer ser(writer);
-    acceptStats(ser);
-    writer.endObject();
-    os << '\n';
-}
-
 statistics::StatSnapshot
 KindleSystem::snapshotStats() const
 {
     statistics::StatSnapshot snap;
     statistics::StatSnapshot::Builder builder(snap);
-    acceptStats(builder);
+    mem_->stats().accept(builder);
+    if (scrubber_)
+        scrubber_->stats().accept(builder);
+    caches_->stats().accept(builder);
+    for (const auto &core : cores_)
+        core->stats().accept(builder);
+    if (cores_.size() > 1) {
+        // Aggregate rollup: "core.*" is the machine-wide sum of the
+        // per-cpu counters, so tooling keyed on the uniprocessor
+        // names keeps working against SMP runs.
+        statistics::StatSnapshot::Builder rollup(snap, "core");
+        for (const auto &core : cores_)
+            core->stats().accept(rollup);
+    }
+    if (kernel_)
+        kernel_->stats().accept(builder);
+    if (persist_)
+        persist_->stats().accept(builder);
+    if (ssp_)
+        ssp_->stats().accept(builder);
+    if (hscc_)
+        hscc_->stats().accept(builder);
+    injector_->stats().accept(builder);
+    recoveryStats.accept(builder);
+    if (profiler_)
+        profiler_->stats().accept(builder);
     return snap;
 }
 

@@ -122,7 +122,7 @@ struct KindleConfig
     /**
      * Attach the host-side self-profiler (--prof).  Off by default:
      * prof.* stats are wall-clock derived and nondeterministic, so
-     * they must never appear in a default-config stat dump.
+     * they must never appear in a default-config stat snapshot.
      */
     bool profiling = false;
 };
@@ -227,20 +227,12 @@ class KindleSystem
     }
 
     /**
-     * Drive @p visitor over every component's stat tree (memory,
-     * caches, core, kernel, persistence/SSP/HSCC when configured) in
-     * the fixed dump order.  Serializers, snapshots and ad-hoc stat
-     * queries all build on this.
+     * Capture every stat as a flat path→value snapshot: memory,
+     * scrubber, caches, each core (and on SMP the "core.*" rollup of
+     * their counters), kernel, persistence/SSP/HSCC when configured,
+     * fault injector, recovery, profiler.  This is the one way stats
+     * leave the machine.
      */
-    void acceptStats(statistics::StatVisitor &visitor) const;
-
-    /** Dump the complete statistics tree as text. */
-    void dumpStats(std::ostream &os) const;
-
-    /** Dump the complete statistics tree as one JSON object. */
-    void dumpStatsJson(std::ostream &os) const;
-
-    /** Capture every stat as a flat path→value snapshot. */
     statistics::StatSnapshot snapshotStats() const;
 
     /** Export collected spans as Chrome trace-event JSON. */
@@ -321,15 +313,6 @@ class KindleSystem
     statistics::Scalar &tornPtRolledBack;
     statistics::Scalar &recoveryErrors;
     statistics::Histogram &recoveryDuration;
-
-    // SMP aggregate rollup: a counters-only mirror of one core's stat
-    // tree, re-accumulated over every core each time stats are
-    // visited.  Only built when numCores > 1, so the uniprocessor
-    // stat dump stays byte-identical to the pre-SMP layout.
-    mutable std::unique_ptr<statistics::StatGroup> coreAggregate_;
-    mutable std::vector<std::unique_ptr<statistics::StatGroup>>
-        aggregateChildren_;
-    mutable std::vector<statistics::Scalar *> aggregateSlots_;
 };
 
 } // namespace kindle

@@ -40,8 +40,6 @@ Kernel::Kernel(const KernelParams &params, sim::Simulation &sim_arg,
       kernelMem(sim_arg, memory_arg, caches_arg),
       layout(NvmLayout::standard(memory_arg.nvmRange(),
                                  params.nvmLayout)),
-      plainPtWrite(kernelMem),
-      policyProxy(&plainPtWrite),
       statGroup("kernel", "gemOS-like kernel"),
       syscalls(statGroup.addScalar("syscalls", "system calls serviced")),
       contextSwitches(statGroup.addScalar("contextSwitches",
@@ -101,8 +99,7 @@ Kernel::Kernel(const KernelParams &params, sim::Simulation &sim_arg,
 
     FrameAllocator &table_zone =
         params.ptInNvm ? *nvmAlloc : *dramAlloc;
-    ptMgr = std::make_unique<PageTableManager>(kernelMem, table_zone,
-                                               policyProxy);
+    ptMgr = std::make_unique<PageTableManager>(kernelMem, table_zone);
 
     cpus.resize(cores_.size());
     for (CpuId c = 0; c < cores_.size(); ++c) {
@@ -196,7 +193,7 @@ Kernel::removeListener(OsEventListener *listener)
 void
 Kernel::setPtWritePolicy(PtWritePolicy *policy)
 {
-    policyProxy.active = policy ? policy : &plainPtWrite;
+    ptMgr->setWritePolicy(policy);
 }
 
 unsigned
@@ -1354,7 +1351,7 @@ Kernel::retireNvmFrame(Addr frame, const char *reason)
         // an NVM destination lands durably.
         kernelMem.copyPage(repl, bad, true);
         // Remap under the active PT-consistency scheme: the unmap and
-        // map go through the policy proxy exactly like any other PTE
+        // map go through the write policy exactly like any other PTE
         // mutation, and the listeners keep the durable mapping list
         // in step.
         ptMgr->unmap(v.proc->ptRoot, v.vaddr);

@@ -330,21 +330,6 @@ class Kernel : public cpu::FaultHandler
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
-    /** Forwards to the currently-installed policy. */
-    class PolicyProxy : public PtWritePolicy
-    {
-      public:
-        explicit PolicyProxy(PtWritePolicy *initial) : active(initial) {}
-
-        void
-        writeEntry(Addr entry_addr, std::uint64_t value) override
-        {
-            active->writeEntry(entry_addr, value);
-        }
-
-        PtWritePolicy *active;
-    };
-
     /** One batched TLB-shootdown request carried by an IPI. */
     struct ShootdownRequest
     {
@@ -474,8 +459,6 @@ class Kernel : public cpu::FaultHandler
     /** Seeded coin for injected transient allocation failures. */
     Random allocRng;
 
-    PlainPtWrite plainPtWrite;
-    PolicyProxy policyProxy;
     std::unique_ptr<PageTableManager> ptMgr;
 
     std::vector<std::unique_ptr<Process>> procs;

@@ -13,11 +13,10 @@ using cpu::ptEntriesPerPage;
 using cpu::ptLevels;
 
 PageTableManager::PageTableManager(KernelMem &kmem_arg,
-                                   FrameAllocator &table_alloc,
-                                   PtWritePolicy &policy_arg)
+                                   FrameAllocator &table_alloc)
     : kmem(kmem_arg),
       tableAlloc(table_alloc),
-      policy(policy_arg),
+      plainWrite(kmem_arg),
       statGroup("pageTables",
                 "4-level page tables in simulated frames"),
       writesStat(statGroup.addScalar("entryWrites",
@@ -79,7 +78,7 @@ PageTableManager::map(Addr root, Addr vaddr, Addr frame, bool writable,
             fresh.setWritable(true);
             fresh.setUser(true);
             fresh.setPfn(child >> pageShift);
-            policy.writeEntry(entry_addr, fresh.raw);
+            policy->writeEntry(entry_addr, fresh.raw);
             ++writesStat;
             ++presentCounts[table];
             table = child;
@@ -96,7 +95,7 @@ PageTableManager::map(Addr root, Addr vaddr, Addr frame, bool writable,
     leaf.setUser(true);
     leaf.setNvmBacked(nvm_backed);
     leaf.setPfn(frame >> pageShift);
-    policy.writeEntry(leaf_addr, leaf.raw);
+    policy->writeEntry(leaf_addr, leaf.raw);
     ++writesStat;
     if (!old_leaf.present())
         ++presentCounts[table];
@@ -127,7 +126,7 @@ PageTableManager::unmap(Addr root, Addr vaddr)
     Pte leaf{kmem.read64(leaf_addr)};
     if (!leaf.present())
         return std::nullopt;
-    policy.writeEntry(leaf_addr, 0);
+    policy->writeEntry(leaf_addr, 0);
     ++writesStat;
 
     // Reclaim: walk up freeing tables that became empty; the root is
@@ -142,7 +141,7 @@ PageTableManager::unmap(Addr root, Addr vaddr)
             break;
         presentCounts.erase(it);
         tableAlloc.free(path_tables[level]);
-        policy.writeEntry(path_entries[level + 1], 0);
+        policy->writeEntry(path_entries[level + 1], 0);
         ++writesStat;
     }
     return leaf;
@@ -185,7 +184,7 @@ PageTableManager::writeLeaf(Addr root, Addr vaddr, Pte pte)
                       "writeLeaf through an unmapped subtree");
         table = mid.frameAddr();
     }
-    policy.writeEntry(table + ptIndex(vaddr, 0) * ptEntrySize, pte.raw);
+    policy->writeEntry(table + ptIndex(vaddr, 0) * ptEntrySize, pte.raw);
     ++writesStat;
 }
 

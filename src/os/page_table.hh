@@ -60,13 +60,22 @@ class PageTableManager
 {
   public:
     /**
+     * Entry stores start plain; setWritePolicy() swaps in a
+     * consistency policy.
+     *
      * @param kmem        Kernel memory gateway.
      * @param table_alloc Allocator providing table frames; its zone
      *                    determines where tables live (DRAM vs NVM).
-     * @param policy      Entry-store consistency policy.
      */
-    PageTableManager(KernelMem &kmem, FrameAllocator &table_alloc,
-                     PtWritePolicy &policy);
+    PageTableManager(KernelMem &kmem, FrameAllocator &table_alloc);
+
+    /** Route entry stores through @p p (not owned); null means plain
+     *  stores. */
+    void
+    setWritePolicy(PtWritePolicy *p)
+    {
+        policy = p ? p : &plainWrite;
+    }
 
     /** Allocate and zero a fresh root table; returns its address. */
     Addr newRoot();
@@ -163,7 +172,8 @@ class PageTableManager
 
     KernelMem &kmem;
     FrameAllocator &tableAlloc;
-    PtWritePolicy &policy;
+    PlainPtWrite plainWrite;
+    PtWritePolicy *policy = &plainWrite;
     std::function<void()> exhaustionHandler;
 
     /** Present-entry counts per table frame (host bookkeeping for

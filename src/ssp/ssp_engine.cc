@@ -50,14 +50,10 @@ SspEngine::start()
 {
     if (intervalTimer.running())
         return;
-    // Every core's translation hardware participates: hooks, evict
-    // callbacks and the SSP MSRs are replicated per core.
-    for (CpuId c = 0; c < kernel.numCores(); ++c) {
-        cpu::Core &core = kernel.core(c);
-        core.addHooks(this);
-        evictHookHandles.push_back(core.tlb().addEvictHook(
-            [this](const cpu::TlbEntry &e) { handleTlbEvict(e); }));
-    }
+    // Every core's translation hardware participates: hooks and the
+    // SSP MSRs are replicated per core.
+    for (CpuId c = 0; c < kernel.numCores(); ++c)
+        kernel.core(c).addHooks(this);
     kernel.addListener(this);
     intervalTimer.start(_params.consistencyInterval);
     consolidateTimer.start(_params.consolidationInterval);
@@ -74,11 +70,8 @@ SspEngine::stop()
     if (!intervalTimer.running())
         return;
     armed = false;
-    for (CpuId c = 0; c < kernel.numCores(); ++c) {
+    for (CpuId c = 0; c < kernel.numCores(); ++c)
         kernel.core(c).removeHooks(this);
-        kernel.core(c).tlb().removeEvictHook(evictHookHandles[c]);
-    }
-    evictHookHandles.clear();
     kernel.removeListener(this);
     intervalTimer.stop();
     consolidateTimer.stop();
@@ -210,7 +203,7 @@ SspEngine::onDataWrite(cpu::TlbEntry &entry, Addr vaddr,
 }
 
 void
-SspEngine::handleTlbEvict(const cpu::TlbEntry &entry)
+SspEngine::onTlbEvict(const cpu::TlbEntry &entry)
 {
     if (!entry.sspTracked || entry.updatedBits == 0)
         return;

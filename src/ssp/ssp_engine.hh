@@ -54,6 +54,7 @@ class SspEngine : public cpu::CoreHooks, public os::OsEventListener
     void onTlbFill(cpu::TlbEntry &entry, const cpu::Pte &leaf) override;
     void onDataWrite(cpu::TlbEntry &entry, Addr vaddr,
                      std::uint64_t size) override;
+    void onTlbEvict(const cpu::TlbEntry &entry) override;
     /// @}
 
     /** @name os::OsEventListener. */
@@ -87,7 +88,6 @@ class SspEngine : public cpu::CoreHooks, public os::OsEventListener
     /** Program the MSRs from the process's NVM VMAs. */
     void armFor(os::Process &proc);
 
-    void handleTlbEvict(const cpu::TlbEntry &entry);
 
     SspParams _params;
     os::Kernel &kernel;
@@ -98,8 +98,6 @@ class SspEngine : public cpu::CoreHooks, public os::OsEventListener
     sim::PeriodicEvent consolidateTimer;
     bool armed = false;
     Pid armedPid = 0;
-    /** Per-core TLB evict-hook handles (index == CpuId). */
-    std::vector<std::size_t> evictHookHandles;
     std::uint64_t commitSeq = 0;
 
     /** Host index of orig-frame → shadow-frame (authoritative copy

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cpu/core.hh"
 #include "sim/simulation.hh"
 
@@ -179,6 +181,37 @@ TEST(CoreTest, HooksObserveFillsWritesAndLlcMisses)
     rig.core.removeHooks(&spy);
     rig.core.memAccess(true, 0x600000, 8);
     EXPECT_EQ(spy.fills, 1);
+}
+
+TEST(CoreTest, TlbEvictionsReachHooksInRegistrationOrder)
+{
+    struct Spy : CoreHooks
+    {
+        Spy(char tag, std::string &log) : tag(tag), log(log) {}
+        void
+        onTlbEvict(const TlbEntry &) override
+        {
+            log += tag;
+        }
+        char tag;
+        std::string &log;
+    };
+
+    std::string log;
+    Spy a('a', log);
+    Spy b('b', log);
+    Rig rig;
+    rig.core.addHooks(&a);
+    rig.core.addHooks(&b);
+    rig.core.memAccess(true, 0x500000, 8);
+    rig.core.tlb().flushAll();
+    EXPECT_EQ(log, "ab");
+
+    // A detached hook hears nothing more; the other keeps its place.
+    rig.core.removeHooks(&a);
+    rig.core.memAccess(true, 0x500000, 8);
+    rig.core.tlb().flushAll();
+    EXPECT_EQ(log, "abb");
 }
 
 TEST(CoreTest, ServiceRunsDueEventsBetweenOps)

@@ -86,26 +86,14 @@ TEST(TlbTest, L2HitPromotesBackToL1)
 
 TEST(TlbTest, EvictHookFiresWithMetadata)
 {
-    Tlb tlb(smallTlb());
     std::set<std::uint64_t> evicted;
-    tlb.addEvictHook([&](const TlbEntry &e) { evicted.insert(e.vpn); });
+    Tlb tlb(smallTlb(),
+            [&](const TlbEntry &e) { evicted.insert(e.vpn); });
     // Overflow both levels of one L2 set: VPNs congruent mod 4 land
     // in the same set; 12 ways + 4 L1 slots hold 16.
     for (std::uint64_t v = 0; v < 32; ++v)
         tlb.fill(makeEntry(1, v * 4));
     EXPECT_FALSE(evicted.empty());
-}
-
-TEST(TlbTest, RemoveEvictHookSilences)
-{
-    Tlb tlb(smallTlb());
-    int count = 0;
-    const auto h =
-        tlb.addEvictHook([&](const TlbEntry &) { ++count; });
-    tlb.removeEvictHook(h);
-    for (std::uint64_t v = 0; v < 64; ++v)
-        tlb.fill(makeEntry(1, v * 4));
-    EXPECT_EQ(count, 0);
 }
 
 TEST(TlbTest, InvalidateRemovesBothLevels)
@@ -122,9 +110,8 @@ TEST(TlbTest, InvalidateRemovesBothLevels)
 
 TEST(TlbTest, FlushAllFiresHooksAndEmpties)
 {
-    Tlb tlb(smallTlb());
     int hooks = 0;
-    tlb.addEvictHook([&](const TlbEntry &) { ++hooks; });
+    Tlb tlb(smallTlb(), [&](const TlbEntry &) { ++hooks; });
     for (std::uint64_t v = 0; v < 6; ++v)
         tlb.fill(makeEntry(1, v));
     tlb.flushAll();
@@ -136,9 +123,8 @@ TEST(TlbTest, FlushAllFiresHooksAndEmpties)
 
 TEST(TlbTest, ResetIsSilent)
 {
-    Tlb tlb(smallTlb());
     int hooks = 0;
-    tlb.addEvictHook([&](const TlbEntry &) { ++hooks; });
+    Tlb tlb(smallTlb(), [&](const TlbEntry &) { ++hooks; });
     tlb.fill(makeEntry(1, 1));
     tlb.reset();
     EXPECT_EQ(hooks, 0);
@@ -321,10 +307,10 @@ void
 runTlbDifferential(const TlbParams &params, unsigned vpns,
                    std::uint64_t seed)
 {
-    Tlb tlb(params);
-    RefTlb ref(params);
     std::vector<Seen> evicted;
-    tlb.addEvictHook([&](const TlbEntry &e) { evicted.push_back(seen(e)); });
+    Tlb tlb(params,
+            [&](const TlbEntry &e) { evicted.push_back(seen(e)); });
+    RefTlb ref(params);
 
     const auto sorted = [](std::vector<Seen> v) {
         std::sort(v.begin(), v.end());

@@ -9,7 +9,6 @@
 
 #include <cctype>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -88,8 +87,8 @@ allSiteCases()
     std::vector<SiteCase> cases;
     for (const auto scheme : {persist::PtScheme::rebuild,
                               persist::PtScheme::persistent}) {
-        for (const auto &site : fault::knownCrashSites())
-            cases.push_back({site, scheme});
+        for (const auto &site : fault::crashSiteCatalog())
+            cases.push_back({site.name, scheme});
     }
     return cases;
 }
@@ -220,28 +219,18 @@ TEST(RebootStatsTest, StatGroupsRegisterOnceAcrossReboots)
 
     // The recovery counters accumulate across reboots instead of
     // resetting with the OS ...
-    const auto snap = sys.snapshotStats();
+    //
+    // ... and each stat appears exactly once after two reboots:
+    // reboot() must not re-register the recovery or fault groups, and
+    // a path written twice into one snapshot is fatal.
+    setErrorsThrow(true);
+    statistics::StatSnapshot snap;
+    EXPECT_NO_THROW(snap = sys.snapshotStats());
+    setErrorsThrow(false);
     EXPECT_EQ(snap.get("recovery.reboots"), 2.0);
     EXPECT_GE(snap.get("recovery.processesRecovered"), 2.0);
-
-    // ... and a full dump after two reboots carries each stat exactly
-    // once: reboot() must not re-register the recovery or fault
-    // groups.
-    std::ostringstream os;
-    sys.dumpStats(os);
-    const std::string text = os.str();
-    const auto count = [&](const std::string &needle) {
-        std::size_t n = 0;
-        for (std::size_t pos = text.find(needle);
-             pos != std::string::npos;
-             pos = text.find(needle, pos + needle.size())) {
-            ++n;
-        }
-        return n;
-    };
-    EXPECT_EQ(count("recovery.reboots"), 1u);
-    EXPECT_EQ(count("recovery.processesQuarantined"), 1u);
-    EXPECT_EQ(count("fault.siteHits"), 1u);
+    EXPECT_TRUE(snap.has("recovery.processesQuarantined"));
+    EXPECT_TRUE(snap.has("fault.siteHits"));
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,11 +172,13 @@ TEST(FaultRoutingTest, NewestScopeWinsAndNullShadows)
 
 TEST(FaultInventoryTest, KnownSitesCoverTheInstrumentedProtocols)
 {
-    const auto &sites = knownCrashSites();
+    const auto &sites = crashSiteCatalog();
     EXPECT_GE(sites.size(), 16u);
-    const auto has = [&](const char *name) {
-        return std::find(sites.begin(), sites.end(), name) !=
-               sites.end();
+    const auto has = [&](std::string_view name) {
+        return std::any_of(sites.begin(), sites.end(),
+                           [&](const CrashSiteInfo &info) {
+                               return name == info.name;
+                           });
     };
     EXPECT_TRUE(has("ckpt.after_commit"));
     EXPECT_TRUE(has("redo.append_pre_fence"));

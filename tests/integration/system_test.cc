@@ -126,10 +126,9 @@ TEST(SystemTest, StatsDumpProducesOutput)
 {
     KindleSystem sys(smallConfig());
     sys.run(micro::seqAllocTouch(oneMiB), "dump");
-    std::ostringstream os;
-    sys.dumpStats(os);
-    EXPECT_NE(os.str().find("kernel"), std::string::npos);
-    EXPECT_NE(os.str().find("PCM"), std::string::npos);
+    const statistics::StatSnapshot snap = sys.snapshotStats();
+    EXPECT_GT(snap.get("kernel.pageFaults"), 0);
+    EXPECT_GT(snap.get("hybridMem.PCMCtrl.PCM.serviceTicks"), 0);
 }
 
 } // namespace

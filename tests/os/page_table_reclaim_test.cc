@@ -25,8 +25,7 @@ struct Rig
           hier(cache::HierarchyParams{}, memory),
           kmem(sim, memory, hier),
           alloc("tables", AddrRange(oneMiB, 64 * oneMiB), kmem),
-          plain(kmem),
-          mgr(kmem, alloc, plain)
+          mgr(kmem, alloc)
     {}
 
     sim::Simulation sim;
@@ -34,7 +33,6 @@ struct Rig
     cache::Hierarchy hier;
     KernelMem kmem;
     FrameAllocator alloc;
-    PlainPtWrite plain;
     PageTableManager mgr;
 };
 
@@ -136,8 +134,7 @@ TEST(PtReclaimTest, AdoptRebuildsBookkeeping)
 
     // A second manager adopts the same tree (the persistent-scheme
     // recovery path) and must be able to unmap with reclamation.
-    PlainPtWrite plain2(rig.kmem);
-    PageTableManager fresh(rig.kmem, rig.alloc, plain2);
+    PageTableManager fresh(rig.kmem, rig.alloc);
     fresh.adopt(root);
     const auto before = rig.alloc.allocatedFrames();
     for (unsigned i = 0; i < 10; ++i)

@@ -28,8 +28,7 @@ struct Rig
                                                  32 * oneMiB)
                            : AddrRange(oneMiB, 64 * oneMiB),
                 kmem),
-          plain(kmem),
-          mgr(kmem, alloc, plain)
+          mgr(kmem, alloc)
     {}
 
     sim::Simulation sim;
@@ -37,7 +36,6 @@ struct Rig
     cache::Hierarchy hier;
     KernelMem kmem;
     FrameAllocator alloc;
-    PlainPtWrite plain;
     PageTableManager mgr;
 };
 
@@ -196,13 +194,19 @@ TEST(PageTableTest, ConsistentPolicyInvokedPerStore)
 
     Rig rig;
     CountingPolicy policy(rig.kmem);
-    PageTableManager mgr(rig.kmem, rig.alloc, policy);
+    PageTableManager mgr(rig.kmem, rig.alloc);
+    mgr.setWritePolicy(&policy);
     const Addr root = mgr.newRoot();
     mgr.map(root, 0x70000000, 0x9000, true, false);
     EXPECT_EQ(policy.count, 4);
     // Unmapping the only page clears the leaf and unlinks the three
     // now-empty tables from their parents: four wrapped stores.
     mgr.unmap(root, 0x70000000);
+    EXPECT_EQ(policy.count, 8);
+
+    // A null policy restores plain stores.
+    mgr.setWritePolicy(nullptr);
+    mgr.map(root, 0x70000000, 0x9000, true, false);
     EXPECT_EQ(policy.count, 8);
 }
 

@@ -320,8 +320,13 @@ TEST(SmpStatsTest, MultiCoreGroupsPerCpuWithAggregateRollup)
     EXPECT_EQ(snap.get("core.tlb.l1Hits"),
               snap.get("cpu0.tlb.l1Hits") +
                   snap.get("cpu1.tlb.l1Hits"));
+    // Only counters roll up: histograms do not sum across cores.
+    EXPECT_TRUE(snap.has("cpu0.walkLatency::count"));
+    EXPECT_FALSE(snap.has("core.walkLatency::count"));
     EXPECT_TRUE(snap.has("cacheHierarchy.coherence.invalidations"));
     EXPECT_TRUE(snap.has("kernel.migrations"));
+    // Taking a snapshot does not feed the next one's rollup.
+    EXPECT_TRUE(snap == sys.snapshotStats());
 }
 
 } // namespace

@@ -64,9 +64,6 @@ TEST(SweepDeterminismTest, RunnerMatchesSequentialExecution)
     const Tick seq_ticks = sys.run(referenceProgram(), "seq");
     const auto seq_snap = sys.snapshotStats();
 
-    std::ostringstream seq_json;
-    sys.dumpStatsJson(seq_json);
-
     // Same config, twice, through a two-worker SweepRunner.
     SweepRunner pool(2);
     const auto results = pool.run(

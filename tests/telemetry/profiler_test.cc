@@ -3,7 +3,7 @@
  * Self-profiler semantics: probe gating through the thread-local
  * registration, exclusive (self) time under nesting, and the
  * prof.* stat-group contract — present exactly when profiling was
- * requested, so default stat dumps stay deterministic.
+ * requested, so default stat snapshots stay deterministic.
  */
 
 #include <gtest/gtest.h>

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -136,21 +137,29 @@ TEST(SamplerTest, CallbackChannelAndMissingStatPath)
 
 TEST(SamplerTest, CounterRestartClampsDeltaToRaw)
 {
+    // A crash/reboot replaces the kernel and its stat tree; model it
+    // as a fresh group taking over the sampled path.
     Rig rig;
-    Sampler s = rig.makeSampler(10);
+    auto tree = std::make_unique<statistics::StatGroup>("m");
+    statistics::Scalar *ops = &tree->addScalar("ops", "operations");
+    Sampler s(rig.sim, rig.params(10), [&] {
+        return statistics::StatSnapshot::capture(*tree);
+    });
     s.addStatChannel("ops", Sampler::Kind::rate, "m.ops");
     s.start();
 
     for (int i = 1; i <= 10; ++i)
-        rig.step([&] { rig.ops += 5; });
+        rig.step([&] { *ops += 5; });
     ASSERT_EQ(s.samples().size(), 1u);
     EXPECT_EQ(s.samples()[0].values[0], 50);
 
-    // A crash/reboot resets stat trees: the next delta must clamp to
-    // the restarted counter's raw value instead of going negative.
-    rig.ops.reset();
+    // The restarted counter reads lower than the last sample: the
+    // next delta must clamp to its raw value instead of going
+    // negative.
+    tree = std::make_unique<statistics::StatGroup>("m");
+    ops = &tree->addScalar("ops", "operations");
     for (int i = 1; i <= 10; ++i)
-        rig.step([&] { rig.ops += 1; });
+        rig.step([&] { *ops += 1; });
     ASSERT_EQ(s.samples().size(), 2u);
     EXPECT_EQ(s.samples()[1].values[0], 10);
 }
