@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared helpers for the bench drivers (experiments, fuzz,
- * fleet_storm): text tables, headers and the JSON footer.  KINDLE_SCALE
- * and KINDLE_OPS set the fidelity (README's knob table).
+ * Shared helpers for the bench drivers (experiments, fuzz): text
+ * tables, headers and the JSON footer.  KINDLE_SCALE and KINDLE_OPS
+ * set the fidelity (README's knob table).
  */
 
 #ifndef KINDLE_BENCH_BENCH_UTIL_HH

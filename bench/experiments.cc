@@ -9,6 +9,7 @@
 #include "kindle/microbench.hh"
 #include "prep/replay.hh"
 #include "prep/workloads.hh"
+#include "runner/fleet_scenario.hh"
 
 namespace kindle::bench
 {
@@ -265,6 +266,19 @@ runCoRunners(KindleSystem &sys, std::uint64_t ops, unsigned cores,
         }
     }
     return sys.now();
+}
+
+/** fleet_storm's fleet: 1024 tenants at the default KINDLE_SCALE of
+ *  8, scaled like every row's sizes, with a quarter of them again as
+ *  churn respawns. */
+runner::FleetOptions
+fleetOptions(const Scale &scale)
+{
+    runner::FleetOptions fo;
+    fo.params.tenants = static_cast<unsigned>(
+        std::max<std::uint64_t>(1, 1024 * 8 / scale.divisor));
+    fo.params.churnSpawns = fo.params.tenants / 4;
+    return fo;
 }
 
 const std::vector<Experiment> registry = {
@@ -885,6 +899,81 @@ const std::vector<Experiment> registry = {
                        r[i].axes[0].second +
                            ": dynamic migrations between static Th-50 "
                            "and Th-5");
+         }
+     }},
+
+    {"fleet_storm",
+     [](const Scale &scale) {
+         // The scalability axis of the paper's multiprogrammed story:
+         // the same fleet time-shared on one core and spread over four
+         // (and over --cores N, for any other N).
+         const runner::FleetOptions fo = fleetOptions(scale);
+         std::vector<unsigned> core_counts = {1, 4};
+         if (scale.cores != 1 && scale.cores != 4)
+             core_counts.push_back(scale.cores);
+         Scenarios out;
+         for (const unsigned cores : core_counts) {
+             runner::Axes axes = {
+                 {"cores", std::to_string(cores)},
+                 {"tenants", std::to_string(fo.params.tenants)},
+                 {"churn", std::to_string(fo.params.churnSpawns)},
+                 {"arrival", fleet::arrivalName(fo.params.arrival)},
+             };
+             out.push_back(runner::makeFleetScenario(
+                 "c" + std::to_string(cores), std::move(axes), fo, cores));
+         }
+         return out;
+     },
+     [](const Scale &scale, const Results &r) {
+         const fleet::FleetParams fp = fleetOptions(scale).params;
+         std::vector<Row> rows;
+         for (const auto &run : r) {
+             // getOr: reclaim/OOM stats register lazily, so absent
+             // paths read as zero here.
+             const auto count = [&](const char *path) {
+                 return std::to_string(
+                     static_cast<std::uint64_t>(run.stats.getOr(path, 0)));
+             };
+             rows.push_back({run.name, count("fleet.spawned"),
+                             count("fleet.churnSpawns"),
+                             count("fleet.peakLive"), count("fleet.requests"),
+                             count("persist.checkpoints"),
+                             count("kernel.oomKills"),
+                             count("kernel.reclaim.pagesDemoted")});
+         }
+         printHeader("Fleet storm",
+                     std::to_string(fp.tenants) + " tenants (1024 x 8 / "
+                         "KINDLE_SCALE), churn " +
+                         std::to_string(fp.churnSpawns) + ", zipf " +
+                         fixed(fp.zipfTheta, 2) + ", " +
+                         fleet::arrivalName(fp.arrival) +
+                         " arrivals, pressure + OOM armed");
+         printTable({"Cores", "Spawned", "Churn", "PeakLive", "Requests",
+                     "Ckpts", "OomKills", "Demotions"},
+                    rows);
+     },
+     [](const Results &r, Shape &s) {
+         for (const auto &run : r) {
+             const auto value = [&](const char *path) {
+                 return run.stats.getOr(path, 0);
+             };
+             const double tenants = value("fleet.tenants");
+             const double churn = std::stod(run.axes[2].second);
+             const std::string at = run.name + ": ";
+             s.require(value("fleet.spawned") == tenants + churn,
+                       at + "every tenant and churn spawn ran");
+             s.require(value("fleet.peakLive") == tenants,
+                       at + "the whole fleet was live at once");
+             s.require(value("kernel.oomKills") > 0,
+                       at + "the OOM killer fired");
+             s.require(value("kernel.reclaim.pagesDemoted") > 0,
+                       at + "reclaim demoted pages");
+             s.require(value("persist.earlyCheckpoints") > 0,
+                       at + "pressure relief forced early checkpoints");
+             s.require(value("fleet.requests") <=
+                           value("fleet.spawned") *
+                               fleet::FleetParams{}.requestsPerTenant,
+                       at + "no tenant served beyond its request budget");
          }
      }},
 };

@@ -1,13 +1,15 @@
 /**
  * @file
  * The experiment registry: every table, figure and ablation of the
- * paper reproduction, declared once as a row.  A row builds its sweep
+ * paper reproduction, and the fleet storm, declared once as a row.  A row builds its sweep
  * points as runner::Scenarios, prints the paper-style table(s) from
  * their RunResults and, where the paper's expectation holds, states
  * that shape as a predicate over the same results.
  *
  * bench/experiments runs rows by name and writes BENCH_<row>.json;
- * experiment_shape_test checks every predicate at a reduced scale.
+ * experiment_shape_test checks every predicate at a reduced scale, and
+ * the golden.rows ctest checks every row's output there against
+ * tests/golden/rows.
  */
 
 #ifndef KINDLE_BENCH_EXPERIMENTS_HH
@@ -68,7 +70,8 @@ struct Experiment
     std::function<void(const Results &, Shape &)> shape;
 };
 
-/** Every row: the paper's artifacts in order, then the ablations. */
+/** Every row: the paper's artifacts in order, then the ablations,
+ *  then the fleet storm. */
 const std::vector<Experiment> &experiments();
 
 /** The row named @p name; fatal, naming the valid rows, if none is. */

@@ -37,8 +37,11 @@ cmake -B build-asan -S . -G Ninja \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build build-asan -j "${JOBS}"
 # The suite includes one fuzz-driver sweep per fault-plane set (the
-# fuzz.* tests in bench/CMakeLists.txt).  On failure, keep the flight
-# recorder dumps its failed points left in their test directories.
+# fuzz.* tests in bench/CMakeLists.txt) and the golden.rows run of every
+# experiment row at reduced scale (the fleet_storm row's 256-tenant
+# fleet on 1 and 4 cores among them), each checked against its golden
+# under tests/golden/.  On failure, keep the flight recorder dumps the
+# fuzz sweeps' failed points left in their test directories.
 if ! ctest --test-dir build-asan --output-on-failure -j "${JOBS}"; then
     mkdir -p "${ARTIFACTS}"
     mv -f build-asan/bench/fuzz_tests/*/FLIGHT_*.json "${ARTIFACTS}/" \
@@ -46,16 +49,6 @@ if ! ctest --test-dir build-asan --output-on-failure -j "${JOBS}"; then
     echo "ASan suite FAILED (fuzz flight dumps in ${ARTIFACTS}/)" >&2
     exit 1
 fi
-
-echo "=== Fleet-storm smoke (ASan/UBSan) ==="
-# A reduced multi-tenant fleet (DESIGN.md §13) swept on 1 and 4
-# cores: churn through the crash-consistent exit/spawn paths,
-# checkpoint storms over the population, reclaim demotions and OOM
-# kills against the squeezed zones.  The bench self-checks churn
-# determinism (two byte-identical small-fleet runs) before sweeping
-# and exits non-zero if any point fails.
-./build-asan/bench/fleet_storm --tenants 192 --churn 48
-rm -f BENCH_fleet_storm.json
 
 echo "=== DESIGN.md crash-site / README.md flag table drift check ==="
 # The tables are generated from fault::crashSiteCatalog() and the
@@ -84,7 +77,7 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     # --jobs 1 keeps the wall numbers free of scheduling noise.
     cmake -B build-perf -S . -G Ninja -DCMAKE_BUILD_TYPE=Release
     cmake --build build-perf -j "${JOBS}" \
-        --target experiments fleet_storm micro_cache
+        --target experiments micro_cache
     # A short micro_cache smoke keeps the substrate microbenchmark
     # building and running, its 4-core and ping-pong cases included
     # (those drive the MESI directory on every access).
@@ -97,12 +90,13 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     python3 scripts/perf_gate.py check \
         "${PERF_DIR}/BENCH_fig5_ssp_interval.json"
     # The fleet storm gates the scale axis: 1024 churning tenants on 1
-    # and 4 cores must stay fast — this is the run that wedges if the
-    # checkpoint sweep ever goes back to O(population) NVM writes or
-    # pressure relief loses its throttle.
+    # and 4 cores (the row's default KINDLE_SCALE) must stay fast —
+    # this is the run that wedges if the checkpoint sweep ever goes
+    # back to O(population) NVM writes or pressure relief loses its
+    # throttle.
     (cd "${PERF_DIR}" &&
-        "${REPO}/build-perf/bench/fleet_storm" --jobs 1 --prof \
-            --churn 256)
+        "${REPO}/build-perf/bench/experiments" \
+            --experiment fleet_storm --jobs 1 --prof)
     python3 scripts/perf_gate.py check \
         "${PERF_DIR}/BENCH_fleet_storm.json"
     rm -rf "${PERF_DIR}"
@@ -115,7 +109,7 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
         -DCMAKE_CXX_FLAGS="-fsanitize=thread"
     cmake --build build-tsan -j "${JOBS}" \
         --target test_runner test_fault test_persist test_trace \
-        test_telemetry experiments fuzz fleet_storm
+        test_telemetry experiments fuzz
     # The runner tests exercise every cross-thread path: the work
     # queue, result placement, and the shared error-mode global that
     # concurrent KindleSystem instances touch.
@@ -195,8 +189,9 @@ PY
     # skipped checkpoint sweeps, throttled pressure relief, OOM
     # teardown and churn respawns on the 4-core scheduler, all sharing
     # the error-mode global TSan watches.
-    KINDLE_FLEET_TENANTS=96 KINDLE_FLEET_CHURN=24 \
-        ./build-tsan/bench/fleet_storm
+    # KINDLE_SCALE=64: 128 tenants and 32 churn respawns.
+    KINDLE_SCALE=64 ./build-tsan/bench/experiments \
+        --experiment fleet_storm
     rm -f BENCH_fleet_storm.json
 fi
 

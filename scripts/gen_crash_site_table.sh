@@ -3,12 +3,12 @@
 #
 #   - DESIGN.md's crash-site inventory, from --list-crash-sites
 #     (fault::crashSiteCatalog(), the single source of truth);
-#   - README.md's flag table, from the --help of experiments, fleet_storm
-#     and fuzz, which between them print every flag row.
+#   - README.md's flag table, from the --help of experiments and fuzz,
+#     which between them print every flag row.
 #
 #   scripts/gen_crash_site_table.sh [path-to-experiments]
 #
-# fleet_storm and fuzz are taken from the same directory.  Run after
+# fuzz is taken from the same directory.  Run after
 # adding a crash site or editing a flag; scripts/ci.sh regenerates both
 # tables and fails on drift, and the begin/end markers keep the
 # regeneration exact.
@@ -17,12 +17,12 @@ cd "$(dirname "$0")/.."
 
 BIN=${1:-build/bench/experiments}
 DIR=$(dirname "${BIN}")
-for b in "${BIN}" "${DIR}/fleet_storm" "${DIR}/fuzz"; do
+for b in "${BIN}" "${DIR}/fuzz"; do
     [[ -x "${b}" ]] || { echo "no such binary: ${b}" >&2; exit 1; }
 done
 
 SITES=$("${BIN}" --list-crash-sites) \
-HELP=$("${BIN}" --help && "${DIR}/fleet_storm" --help && "${DIR}/fuzz" --help) \
+HELP=$("${BIN}" --help && "${DIR}/fuzz" --help) \
 python3 - <<'PY'
 import os
 import pathlib

@@ -1,69 +1,14 @@
 #include "runner/fleet_scenario.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <utility>
 
 #include "base/intmath.hh"
-#include "base/logging.hh"
 #include "base/rand.hh"
 
 namespace kindle::runner
 {
-
-FlagTable
-fleetFlags(FleetOptions &fo)
-{
-    fleet::FleetParams &fp = fo.params;
-    return {"fleet_storm flags", {
-        {"--tenants", "KINDLE_FLEET_TENANTS", "N",
-         "tenant processes alive at steady state, 1..65536 "
-         "(default 1024)",
-         setNumber(fp.tenants, 1, 65536)},
-        {"--churn", "KINDLE_FLEET_CHURN", "N",
-         "replacement spawns after exits and OOM kills; 0 = one "
-         "generation (default 0)",
-         setNumber(fp.churnSpawns, 0, ~0u)},
-        {"--zipf", "KINDLE_FLEET_ZIPF", "T",
-         "Zipfian skew of each tenant's key popularity, in (0,1) "
-         "(default 0.99)",
-         [&fp](const char *v, const char *origin) {
-             char *end = nullptr;
-             const double theta = std::strtod(v, &end);
-             if (end == v || *end != '\0' || !(theta > 0.0) ||
-                 !(theta < 1.0)) {
-                 kindle_fatal("{}: bad zipf theta '{}' (want (0,1))",
-                              origin, v);
-             }
-             fp.zipfTheta = theta;
-         }},
-        {"--arrival", "KINDLE_FLEET_ARRIVAL", "A",
-         "poisson or bursty inter-request think times "
-         "(default poisson)",
-         [&fp](const char *v, const char *origin) {
-             for (const auto a : {fleet::Arrival::poisson,
-                                  fleet::Arrival::bursty}) {
-                 if (std::strcmp(v, fleet::arrivalName(a)) == 0)
-                     return void(fp.arrival = a);
-             }
-             kindle_fatal("{}: bad arrival '{}' (want poisson|bursty)",
-                          origin, v);
-         }},
-        {"--fleet-seed", "KINDLE_FLEET_SEED", "N",
-         "master seed; tenant i is a pure function of (seed, i) "
-         "(default 42)",
-         setNumber(fp.seed, 0, ~std::uint64_t(0))},
-        {"--requests", "KINDLE_FLEET_REQUESTS", "N",
-         "requests each tenant serves before its crash-consistent "
-         "exit (default 24)",
-         setNumber(fp.requestsPerTenant, 0, ~0u)},
-        {"--no-pressure", nullptr, nullptr,
-         "drop the pressure plan: a pure checkpoint storm",
-         setSwitch(fo.pressure, false)},
-    }};
-}
 
 KindleConfig
 makeFleetConfig(const FleetOptions &opts, unsigned cores)
@@ -94,31 +39,29 @@ makeFleetConfig(const FleetOptions &opts, unsigned cores)
     // checkpoint interval.
     cfg.kernel.timeslice = 50 * oneUs;
 
-    if (opts.checkpointInterval > 0) {
-        cfg.persistence = persist::PersistParams{
-            persist::PtScheme::rebuild, opts.checkpointInterval};
-        cfg.persistence->incrementalMappingList = true;
-    }
+    // Checkpoint storms: every 2 ms the sweep visits the population.
+    const Tick ckpt_interval = 2 * oneMs;
+    cfg.persistence = persist::PersistParams{persist::PtScheme::rebuild,
+                                             ckpt_interval};
+    cfg.persistence->incrementalMappingList = true;
 
-    if (opts.pressure) {
-        fault::PressurePlan &pp = cfg.kernel.pressure;
-        // The fleet's aggregate resident demand (tenants × hot set)
-        // must exceed both zones: MAP_NVM faults degrade to DRAM once
-        // NVM dips to the reserve, DRAM exhaustion drives reclaim
-        // demotions, and the worst offenders meet the OOM killer —
-        // whose kills the churn driver backfills.
-        pp.nvmZoneFrames = std::max<std::uint64_t>(
-            std::uint64_t(fp.tenants) * 6, 512);
-        pp.dramZoneFrames = std::max<std::uint64_t>(
-            std::uint64_t(fp.tenants) * 5, 1024);
-        pp.seed = rand::deriveSeed(fp.seed, 0x9e55);
-        pp.allocFailRate = 0.0;  // exhaustion pressure, not injection
-        // The NVM zone spends the whole run pinned at its cap, so
-        // unthrottled relief would convert every patrol pass into a
-        // whole-population early checkpoint; at most match the
-        // periodic cadence instead of multiplying it.
-        pp.reclaimCheckpointMinGap = opts.checkpointInterval;
-    }
+    fault::PressurePlan &pp = cfg.kernel.pressure;
+    // The fleet's aggregate resident demand (tenants × hot set) must
+    // exceed both zones: MAP_NVM faults degrade to DRAM once NVM dips
+    // to the reserve, DRAM exhaustion drives reclaim demotions, and the
+    // worst offenders meet the OOM killer — whose kills the churn
+    // driver backfills.
+    pp.nvmZoneFrames =
+        std::max<std::uint64_t>(std::uint64_t(fp.tenants) * 6, 512);
+    pp.dramZoneFrames =
+        std::max<std::uint64_t>(std::uint64_t(fp.tenants) * 5, 1024);
+    pp.seed = rand::deriveSeed(fp.seed, 0x9e55);
+    pp.allocFailRate = 0.0;  // exhaustion pressure, not injection
+    // The NVM zone spends the whole run pinned at its cap, so
+    // unthrottled relief would convert every patrol pass into a
+    // whole-population early checkpoint; at most match the periodic
+    // cadence instead of multiplying it.
+    pp.reclaimCheckpointMinGap = ckpt_interval;
     return cfg;
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -7,13 +8,33 @@
 
 #include "base/logging.hh"
 #include "bench_util.hh"
-#include "runner/fleet_scenario.hh"
 #include "runner/options.hh"
 
 namespace kindle::runner
 {
 namespace
 {
+
+/** A binary's own rows, registered next to the runner's. */
+struct ToolOptions
+{
+    unsigned count = 0;
+    std::uint64_t seed = 42;
+    bool quiet = false;
+};
+
+FlagTable
+toolFlags(ToolOptions &t)
+{
+    return {"tool flags", {
+        {"--count", "KINDLE_TEST_COUNT", "N", "items, 1..65536",
+         setNumber(t.count, 1, 65536)},
+        {"--tool-seed", "KINDLE_TEST_SEED", "N", "master seed",
+         setNumber(t.seed, 0, ~std::uint64_t(0))},
+        {"--quiet", nullptr, nullptr, "print nothing",
+         setSwitch(t.quiet)},
+    }};
+}
 
 class OptionsTest : public ::testing::Test
 {
@@ -37,9 +58,8 @@ class OptionsTest : public ::testing::Test
     clearEnv()
     {
         Options opts;
-        FleetOptions fo;
-        for (const FlagTable &table :
-             {runnerFlags(opts), fleetFlags(fo)}) {
+        ToolOptions to;
+        for (const FlagTable &table : {runnerFlags(opts), toolFlags(to)}) {
             for (const Flag &flag : table.flags) {
                 if (flag.env)
                     ::unsetenv(flag.env);
@@ -69,16 +89,16 @@ TEST_F(OptionsTest, RunnerFlagBeatsEnvBeatsDefault)
     EXPECT_EQ(parse({"--jobs", "5"}).jobs, 5u);
 }
 
-TEST_F(OptionsTest, FleetFlagBeatsEnvBeatsDefault)
+TEST_F(OptionsTest, ExtraFlagBeatsEnvBeatsDefault)
 {
-    FleetOptions fo;
-    parse({}, {fleetFlags(fo)});
-    EXPECT_EQ(fo.params.churnSpawns, 0u);
-    ::setenv("KINDLE_FLEET_CHURN", "7", 1);
-    parse({}, {fleetFlags(fo)});
-    EXPECT_EQ(fo.params.churnSpawns, 7u);
-    parse({"--churn", "9"}, {fleetFlags(fo)});
-    EXPECT_EQ(fo.params.churnSpawns, 9u);
+    ToolOptions to;
+    parse({}, {toolFlags(to)});
+    EXPECT_EQ(to.count, 0u);
+    ::setenv("KINDLE_TEST_COUNT", "7", 1);
+    parse({}, {toolFlags(to)});
+    EXPECT_EQ(to.count, 7u);
+    parse({"--count", "9"}, {toolFlags(to)});
+    EXPECT_EQ(to.count, 9u);
 }
 
 TEST_F(OptionsTest, EmptyEnvKeepsTheDefault)
@@ -99,14 +119,14 @@ TEST_F(OptionsTest, SwitchEnvMirrorIsOffAtZero)
 
 TEST_F(OptionsTest, EqualsForm)
 {
-    FleetOptions fo;
+    ToolOptions to;
     const Options opts = parse({"--jobs=4", "--trace-out=t.json",
-                                "--tenants=192", "--no-pressure"},
-                               {fleetFlags(fo)});
+                                "--count=192", "--quiet"},
+                               {toolFlags(to)});
     EXPECT_EQ(opts.jobs, 4u);
     EXPECT_EQ(opts.traceOut, "t.json");
-    EXPECT_EQ(fo.params.tenants, 192u);
-    EXPECT_FALSE(fo.pressure);
+    EXPECT_EQ(to.count, 192u);
+    EXPECT_TRUE(to.quiet);
 }
 
 TEST_F(OptionsTest, UnknownArgumentIsFatal)
@@ -114,20 +134,20 @@ TEST_F(OptionsTest, UnknownArgumentIsFatal)
     EXPECT_THROW(parse({"--bogus"}), SimError);
     EXPECT_THROW(parse({"positional"}), SimError);
     // A binary's own rows exist only where it registers them.
-    EXPECT_THROW(parse({"--tenants", "4"}), SimError);
+    EXPECT_THROW(parse({"--count", "4"}), SimError);
     EXPECT_THROW(parse({"--prof=1"}), SimError);
     EXPECT_THROW(parse({"--jobs"}), SimError);
 }
 
 TEST_F(OptionsTest, MalformedNumbersAreFatal)
 {
-    FleetOptions fo;
+    ToolOptions to;
     for (const std::vector<std::string> &args :
          std::vector<std::vector<std::string>>{
-             {"--fleet-seed", "abc"},
-             {"--requests", "12x"},
-             {"--churn", "4294967296"},
-             {"--tenants", "0"},
+             {"--tool-seed", "abc"},
+             {"--count", "12x"},
+             {"--count", "4294967296"},
+             {"--count", "0"},
              {"--jobs", "-1"},
              {"--cores", "33"},
              {"--trace-ring", ""},
@@ -135,12 +155,15 @@ TEST_F(OptionsTest, MalformedNumbersAreFatal)
              {"--trace-flags", "ckpt"},
              {"--ipi-timeout", "2us"},
          }) {
-        EXPECT_THROW(parse(args, {fleetFlags(fo)}), SimError)
+        EXPECT_THROW(parse(args, {toolFlags(to)}), SimError)
             << args[0] << " " << args[1];
     }
     ::setenv("KINDLE_JOBS", "abc", 1);
     EXPECT_THROW(parse({}), SimError);
     ::unsetenv("KINDLE_JOBS");
+    ::setenv("KINDLE_TEST_COUNT", "7x", 1);
+    EXPECT_THROW(parse({}, {toolFlags(to)}), SimError);
+    ::unsetenv("KINDLE_TEST_COUNT");
     // Trace categories are checked at parse time, not left to each
     // system to warn about; a valid list passes through verbatim.
     ::setenv("KINDLE_TRACE_FLAGS", "redo,typo", 1);
@@ -194,9 +217,8 @@ TEST_F(OptionsTest, TelemetryOutImpliesOneMsSampling)
 TEST_F(OptionsTest, UsageNamesEveryRegisteredRow)
 {
     Options opts;
-    FleetOptions fo;
-    const std::vector<FlagTable> tables{runnerFlags(opts),
-                                        fleetFlags(fo)};
+    ToolOptions to;
+    const std::vector<FlagTable> tables{runnerFlags(opts), toolFlags(to)};
     std::ostringstream os;
     printUsage(os, "bench", tables);
     const std::string usage = os.str();

@@ -140,7 +140,7 @@ TEST(SweepRunnerTest, MachineOverridesApplyOutsideTheRunner)
 
 TEST(SweepRunnerTest, CoresOverrideSparesPointsThatOwnTheirCoreCount)
 {
-    // A core-count sweep (fleet_storm's c1/c4 rows) must keep each
+    // A core-count sweep (fleet_storm's c1/c4 points) must keep each
     // point's machine under --cores; other points still take it.
     const auto probe = [](std::string name, unsigned cores, bool owns) {
         Scenario sc = smallPersistScenario(persist::PtScheme::rebuild,
