@@ -50,10 +50,91 @@ Tlb::Level::victim(std::uint64_t vpn) const
     return v;
 }
 
+Tlb::AssocLevel::AssocLevel(unsigned size)
+    : keys(size),
+      stamps(size),
+      entries(size),
+      // At most a quarter of the index is in use, so probe runs stay
+      // short.
+      index(std::uint64_t{4} << ceilLog2(size)),
+      indexMask(index.size() - 1),
+      indexShift(64 - floorLog2(index.size())),
+      freeBits(divCeil(size, 64)),
+      sentinel(size),
+      prev(size + 1),
+      next(size + 1)
+{
+    clear();
+}
+
+std::size_t
+Tlb::AssocLevel::victim() const
+{
+    if (validCount < keys.size()) {
+        for (std::size_t w = 0;; ++w) {
+            if (freeBits[w] != 0)
+                return w * 64 + countTrailingZeros(freeBits[w]);
+        }
+    }
+    return next[sentinel];
+}
+
+void
+Tlb::AssocLevel::insert(std::size_t slot, const Key &key,
+                        std::uint64_t stamp)
+{
+    std::size_t pos = home(key);
+    for (; index[pos] != 0; pos = (pos + 1) & indexMask) {
+        kindle_assert(keys[index[pos] - 1] != key,
+                      "L1 TLB fill of a resident translation");
+    }
+    index[pos] = static_cast<std::uint32_t>(slot + 1);
+    keys[slot] = key;
+    stamps[slot] = stamp;
+    freeBits[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    ++validCount;
+    linkNewest(slot);
+}
+
+void
+Tlb::AssocLevel::erase(std::size_t slot)
+{
+    std::size_t hole = home(keys[slot]);
+    while (index[hole] != slot + 1)
+        hole = (hole + 1) & indexMask;
+    // Backward-shift deletion: pull later members of the probe run
+    // into the hole unless that would move one before its home.
+    for (std::size_t pos = (hole + 1) & indexMask; index[pos] != 0;
+         pos = (pos + 1) & indexMask) {
+        const std::size_t want = home(keys[index[pos] - 1]);
+        if (((pos - want) & indexMask) >= ((pos - hole) & indexMask)) {
+            index[hole] = index[pos];
+            hole = pos;
+        }
+    }
+    index[hole] = 0;
+    keys[slot] = Key{};
+    freeBits[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    --validCount;
+    unlink(slot);
+}
+
+void
+Tlb::AssocLevel::clear()
+{
+    std::fill(keys.begin(), keys.end(), Key{});
+    std::fill(index.begin(), index.end(), 0);
+    std::fill(freeBits.begin(), freeBits.end(), ~std::uint64_t{0});
+    if (keys.size() % 64 != 0)
+        freeBits.back() = (std::uint64_t{1} << (keys.size() % 64)) - 1;
+    validCount = 0;
+    prev[sentinel] = next[sentinel] = sentinel;
+}
+
 Tlb::Tlb(const TlbParams &params,
          std::function<void(const TlbEntry &)> on_evict)
     : _params(params),
-      l1(params.l1Entries, params.l1Entries),
+      l1(params.l1Entries),
       l2(params.l2Entries, l2Ways),
       onEvict(std::move(on_evict)),
       statGroup("tlb", "two-level TLB"),
@@ -86,11 +167,12 @@ Tlb::demoteToL2(const TlbEntry &entry, std::uint64_t stamp)
 TlbEntry &
 Tlb::fill(const TlbEntry &entry)
 {
-    const std::size_t slot = l1.victim(entry.vpn);
-    if (l1.keys[slot].valid())
+    const std::size_t slot = l1.victim();
+    if (l1.keys[slot].valid()) {
         demoteToL2(l1.entries[slot], l1.stamps[slot]);
-    l1.keys[slot] = keyOf(entry.pid, entry.vpn);
-    l1.stamps[slot] = ++useStamp;
+        l1.erase(slot);
+    }
+    l1.insert(slot, keyOf(entry.pid, entry.vpn), ++useStamp);
     l1.entries[slot] = entry;
     return l1.entries[slot];
 }
@@ -101,7 +183,7 @@ Tlb::lookup(Pid pid, std::uint64_t vpn, Tick &extra_latency)
     extra_latency = 0;
     if (const std::size_t i = l1.find(pid, vpn); i != Level::none) {
         ++l1Hits;
-        l1.stamps[i] = ++useStamp;
+        l1.touch(i, ++useStamp);
         return &l1.entries[i];
     }
 
@@ -123,7 +205,7 @@ void
 Tlb::invalidate(Pid pid, std::uint64_t vpn)
 {
     if (const std::size_t i = l1.find(pid, vpn); i != Level::none)
-        l1.keys[i] = Key{};
+        l1.erase(i);
     const Key key = keyOf(pid, vpn);
     const std::size_t base = l2.setBase(vpn);
     for (std::size_t i = base; i < base + l2.ways; ++i) {
@@ -135,13 +217,18 @@ Tlb::invalidate(Pid pid, std::uint64_t vpn)
 void
 Tlb::flushAll()
 {
-    for (Level *level : {&l1, &l2}) {
-        for (std::size_t i = 0; i < level->keys.size(); ++i) {
-            if (level->keys[i].valid()) {
-                ++evictCount;
-                fireEvict(level->entries[i]);
-                level->keys[i] = Key{};
-            }
+    for (std::size_t i = 0; i < l1.keys.size(); ++i) {
+        if (l1.keys[i].valid()) {
+            ++evictCount;
+            fireEvict(l1.entries[i]);
+        }
+    }
+    l1.clear();
+    for (std::size_t i = 0; i < l2.keys.size(); ++i) {
+        if (l2.keys[i].valid()) {
+            ++evictCount;
+            fireEvict(l2.entries[i]);
+            l2.keys[i] = Key{};
         }
     }
 }
@@ -149,18 +236,20 @@ Tlb::flushAll()
 void
 Tlb::reset()
 {
-    std::fill(l1.keys.begin(), l1.keys.end(), Key{});
+    l1.clear();
     std::fill(l2.keys.begin(), l2.keys.end(), Key{});
 }
 
 void
 Tlb::forEachValid(const std::function<void(TlbEntry &)> &fn)
 {
-    for (Level *level : {&l1, &l2}) {
-        for (std::size_t i = 0; i < level->keys.size(); ++i) {
-            if (level->keys[i].valid())
-                fn(level->entries[i]);
-        }
+    for (std::size_t i = 0; i < l1.keys.size(); ++i) {
+        if (l1.keys[i].valid())
+            fn(l1.entries[i]);
+    }
+    for (std::size_t i = 0; i < l2.keys.size(); ++i) {
+        if (l2.keys[i].valid())
+            fn(l2.entries[i]);
     }
 }
 

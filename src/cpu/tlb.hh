@@ -126,8 +126,8 @@ class Tlb
     }
 
     /**
-     * One level as sets of ways: the keys and LRU stamps a scan reads,
-     * apart from the payload entries it returns.  L1 is one set.
+     * L2: sets of ways holding the keys and LRU stamps a scan reads,
+     * apart from the payload entries it returns.
      */
     struct Level
     {
@@ -155,10 +155,102 @@ class Tlb
         std::vector<TlbEntry> entries;
     };
 
+    /**
+     * L1: one fully associative set.  Nothing on its hit or fill path
+     * scans the slots: an open-addressed (pid, vpn) -> slot index finds
+     * a tag, a free-slot bitmask yields the lowest-index empty slot and
+     * an intrusive list in stamp order yields the least recently used
+     * one.  Slots keep their stamps because a demoted entry carries
+     * its stamp into L2.
+     */
+    struct AssocLevel
+    {
+        explicit AssocLevel(unsigned size);
+
+        /** Slot holding (pid, vpn), or Level::none. */
+        std::size_t
+        find(Pid pid, std::uint64_t vpn) const
+        {
+            const Key key = keyOf(pid, vpn);
+            for (std::size_t pos = home(key);; pos = (pos + 1) & indexMask) {
+                const std::uint32_t ref = index[pos];
+                if (ref == 0)
+                    return Level::none;
+                if (keys[ref - 1] == key)
+                    return ref - 1;
+            }
+        }
+
+        /** Lowest-index empty slot, else the least recently used. */
+        std::size_t victim() const;
+
+        /** Make @p slot the most recently used, stamped @p stamp. */
+        void
+        touch(std::size_t slot, std::uint64_t stamp)
+        {
+            stamps[slot] = stamp;
+            unlink(slot);
+            linkNewest(slot);
+        }
+
+        /** Tag the empty @p slot with @p key as the newest entry. */
+        void insert(std::size_t slot, const Key &key, std::uint64_t stamp);
+
+        /** Empty the valid @p slot. */
+        void erase(std::size_t slot);
+
+        /** Empty every slot. */
+        void clear();
+
+        std::size_t
+        home(const Key &key) const
+        {
+            const std::uint64_t h =
+                (key.vpnKey ^ (std::uint64_t{key.pid} << 44)) *
+                0x9e3779b97f4a7c15ULL;
+            return static_cast<std::size_t>(h >> indexShift);
+        }
+
+        void
+        unlink(std::size_t slot)
+        {
+            next[prev[slot]] = next[slot];
+            prev[next[slot]] = prev[slot];
+        }
+
+        void
+        linkNewest(std::size_t slot)
+        {
+            const std::uint32_t last = prev[sentinel];
+            next[last] = static_cast<std::uint32_t>(slot);
+            prev[slot] = last;
+            next[slot] = sentinel;
+            prev[sentinel] = static_cast<std::uint32_t>(slot);
+        }
+
+        std::vector<Key> keys;
+        std::vector<std::uint64_t> stamps;  ///< larger = newer
+        std::vector<TlbEntry> entries;
+
+        /** Open-addressed index: slot + 1 per position, 0 = empty. */
+        std::vector<std::uint32_t> index;
+        std::uint64_t indexMask;
+        unsigned indexShift;
+
+        /** Bit i % 64 of word i / 64 is set while slot i is empty. */
+        std::vector<std::uint64_t> freeBits;
+        std::size_t validCount = 0;
+
+        /** LRU list over slots; the sentinel's next is the oldest. */
+        std::uint32_t sentinel;
+        std::vector<std::uint32_t> prev;
+        std::vector<std::uint32_t> next;
+    };
+
     void demoteToL2(const TlbEntry &entry, std::uint64_t stamp);
 
     TlbParams _params;
-    Level l1;
+    AssocLevel l1;
     Level l2;
     std::uint64_t useStamp = 0;
     std::function<void(const TlbEntry &)> onEvict;

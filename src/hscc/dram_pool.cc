@@ -38,29 +38,20 @@ DramPool::DramPool(unsigned pages, os::FrameAllocator &dram_alloc)
     }
     kindle_assert(!entries.empty(),
                   "hscc: no DRAM frames at all for the page pool");
-    updateGauges();
+    slotsIn[static_cast<unsigned>(PoolState::free)] =
+        static_cast<unsigned>(entries.size());
+    freePages = static_cast<double>(entries.size());
 }
 
 void
-DramPool::updateGauges()
+DramPool::setState(PoolEntry &e, PoolState state)
 {
-    unsigned free_n = 0, clean_n = 0, dirty_n = 0;
-    for (const PoolEntry &e : entries) {
-        switch (e.state) {
-          case PoolState::free:
-            ++free_n;
-            break;
-          case PoolState::clean:
-            ++clean_n;
-            break;
-          case PoolState::dirty:
-            ++dirty_n;
-            break;
-        }
-    }
-    freePages = free_n;
-    cleanPages = clean_n;
-    dirtyPages = dirty_n;
+    --slotsIn[static_cast<unsigned>(e.state)];
+    ++slotsIn[static_cast<unsigned>(state)];
+    e.state = state;
+    freePages = slotsIn[static_cast<unsigned>(PoolState::free)];
+    cleanPages = slotsIn[static_cast<unsigned>(PoolState::clean)];
+    dirtyPages = slotsIn[static_cast<unsigned>(PoolState::dirty)];
 }
 
 unsigned
@@ -147,8 +138,7 @@ DramPool::select()
     if (sel.displacedNvm != invalidAddr)
         byNvmHome.erase(sel.displacedNvm);
     e.nvmHome = invalidAddr;
-    e.state = PoolState::free;
-    updateGauges();
+    setState(e, PoolState::free);
     return sel;
 }
 
@@ -159,11 +149,10 @@ DramPool::bind(unsigned index, Addr nvm_home)
     kindle_assert(e.nvmHome == invalidAddr,
                   "binding an occupied pool slot");
     e.nvmHome = nvm_home;
-    e.state = PoolState::clean;
+    setState(e, PoolState::clean);
     e.fresh = true;
     byNvmHome[nvm_home] = index;
     freshList.push_back(index);
-    updateGauges();
 }
 
 void
@@ -176,7 +165,7 @@ DramPool::release(Addr nvm_home)
     byNvmHome.erase(it);
     PoolEntry &e = entries[index];
     e.nvmHome = invalidAddr;
-    e.state = PoolState::free;
+    setState(e, PoolState::free);
     // Lists are rebuilt wholesale at refreshLists(); drop lazily by
     // rebuilding now to keep the invariants simple and exact.
     refreshLists();
@@ -188,8 +177,7 @@ DramPool::markDirty(Addr nvm_home)
     const auto it = byNvmHome.find(nvm_home);
     if (it == byNvmHome.end())
         return;
-    entries[it->second].state = PoolState::dirty;
-    updateGauges();
+    setState(entries[it->second], PoolState::dirty);
 }
 
 void
@@ -213,7 +201,6 @@ DramPool::refreshLists()
             break;
         }
     }
-    updateGauges();
 }
 
 const PoolEntry *

@@ -13,6 +13,7 @@
 #ifndef KINDLE_HSCC_DRAM_POOL_HH
 #define KINDLE_HSCC_DRAM_POOL_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -102,8 +103,11 @@ class DramPool
     std::deque<unsigned> dirtyList;
     std::deque<unsigned> freshList;  ///< bound this interval
 
-    /** Refresh the occupancy gauges from the entry states. */
-    void updateGauges();
+    /** Slots per PoolState, kept exact at every state change. */
+    std::array<unsigned, 3> slotsIn{};
+
+    /** Move @p e to @p state, updating the counts and gauges. */
+    void setState(PoolEntry &e, PoolState state);
 
     statistics::StatGroup statGroup;
     statistics::Scalar &selFree;

@@ -88,6 +88,26 @@ BackingStore::write(Addr addr, const void *src, std::uint64_t size)
     }
 }
 
+DurableStore::DurableStore(AddrRange range)
+    : durable(range),
+      _range(range),
+      maskLeaves(divCeil(divCeil(range.size(), pageSize),
+                         BackingStore::leafFrames))
+{}
+
+DurableStore::LineMasks &
+DurableStore::masksAt(Addr line_addr)
+{
+    kindle_assert(_range.contains(line_addr),
+                  "durable-store access at {} outside range", line_addr);
+    const std::uint64_t fn = (line_addr - _range.start()) >> pageShift;
+    std::unique_ptr<MaskLeaf> &leaf =
+        maskLeaves[fn / BackingStore::leafFrames];
+    if (!leaf)
+        leaf = std::make_unique<MaskLeaf>();
+    return (*leaf)[fn % BackingStore::leafFrames];
+}
+
 void
 DurableStore::writeDurable(Addr addr, const void *src, std::uint64_t size)
 {
@@ -112,20 +132,30 @@ DurableStore::writeVolatile(Addr addr, const void *src, std::uint64_t size)
         const Addr line_addr = roundDown(addr, lineSize);
         const std::uint64_t in_line = addr - line_addr;
         const std::uint64_t chunk = std::min(size, lineSize - in_line);
-        auto it = pending.find(line_addr);
-        if (it == pending.end()) {
+        LineMasks &masks = masksAt(line_addr);
+        const std::uint64_t bit = lineBit(line_addr);
+        Line *line;
+        if (masks.pending & bit) {
+            line = &held(pending, line_addr)->second;
+        } else {
             // First volatile touch of this line: seed the overlay with
-            // the current durable contents so partial-line stores keep
-            // neighbouring bytes.  The seed is what a CPU load would
-            // see, so it passes through ECC — an uncorrectable line
-            // read-modify-written here propagates its damage.
+            // what a CPU load would see, so partial-line stores keep
+            // neighbouring bytes.  A copy still draining in the
+            // controller is newer than media.  A media seed passes
+            // through ECC, so an uncorrectable line read-modify-written
+            // here propagates its damage.
             Line seed{};
-            durable.read(line_addr, seed.data(), lineSize);
-            if (media)
-                media->filterRead(line_addr, seed.data(), lineSize);
-            it = pending.emplace(line_addr, seed).first;
+            if (masks.inflight & bit) {
+                seed = held(inflight, line_addr)->second.data;
+            } else {
+                durable.read(line_addr, seed.data(), lineSize);
+                if (media)
+                    media->filterRead(line_addr, seed.data(), lineSize);
+            }
+            line = &pending.emplace(line_addr, seed).first->second;
+            masks.pending |= bit;
         }
-        std::memcpy(it->second.data() + in_line, in, chunk);
+        std::memcpy(line->data() + in_line, in, chunk);
         addr += chunk;
         in += chunk;
         size -= chunk;
@@ -140,12 +170,14 @@ DurableStore::read(Addr addr, void *dst, std::uint64_t size) const
         const Addr line_addr = roundDown(addr, lineSize);
         const std::uint64_t in_line = addr - line_addr;
         const std::uint64_t chunk = std::min(size, lineSize - in_line);
-        const auto it = pending.find(line_addr);
-        const auto fit = inflight.find(line_addr);
-        if (it != pending.end()) {
-            std::memcpy(out, it->second.data() + in_line, chunk);
-        } else if (fit != inflight.end()) {
-            std::memcpy(out, fit->second.data.data() + in_line, chunk);
+        const LineMasks *masks = masksOf(line_addr);
+        const std::uint64_t bit = lineBit(line_addr);
+        if (masks && (masks->pending & bit)) {
+            const Line &line = held(pending, line_addr)->second;
+            std::memcpy(out, line.data() + in_line, chunk);
+        } else if (masks && (masks->inflight & bit)) {
+            const Line &line = held(inflight, line_addr)->second.data;
+            std::memcpy(out, line.data() + in_line, chunk);
         } else {
             durable.read(addr, out, chunk);
             if (media)
@@ -162,34 +194,51 @@ DurableStore::commitLine(Addr line_addr, Tick now, Tick drain_at)
 {
     drainTo(now);
     line_addr = roundDown(line_addr, lineSize);
-    const auto it = pending.find(line_addr);
-    if (it == pending.end()) {
+    const LineMasks *known = masksOf(line_addr);
+    const std::uint64_t bit = lineBit(line_addr);
+    if (!known || !((known->pending | known->inflight) & bit))
+        return;
+    LineMasks &masks = masksAt(line_addr);
+    if (!(masks.pending & bit)) {
         // Nothing volatile for this line; a repeat writeback of an
         // already-buffered line just restarts its drain clock.
-        const auto fit = inflight.find(line_addr);
-        if (fit != inflight.end())
-            fit->second.drainAt = std::max(fit->second.drainAt, drain_at);
+        Tick &at = held(inflight, line_addr)->second.drainAt;
+        at = std::max(at, drain_at);
         return;
     }
+    const auto it = held(pending, line_addr);
     inflight[line_addr] = Inflight{it->second, drain_at};
     pending.erase(it);
+    masks.inflight |= bit;
+    masks.pending &= ~bit;
 }
 
 void
 DurableStore::commitLineImmediate(Addr line_addr)
 {
     line_addr = roundDown(line_addr, lineSize);
-    if (const auto it = pending.find(line_addr); it != pending.end()) {
-        durable.write(line_addr, it->second.data(), lineSize);
-        if (media)
-            media->onLineWrite(line_addr);
-        pending.erase(it);
-    }
-    if (const auto it = inflight.find(line_addr); it != inflight.end()) {
+    const LineMasks *known = masksOf(line_addr);
+    const std::uint64_t bit = lineBit(line_addr);
+    if (!known || !((known->pending | known->inflight) & bit))
+        return;
+    LineMasks &masks = masksAt(line_addr);
+    // The buffered copy is older than a pending one (a store after the
+    // writeback), so it goes to media first and the newest copy wins.
+    if (masks.inflight & bit) {
+        const auto it = held(inflight, line_addr);
         durable.write(line_addr, it->second.data.data(), lineSize);
         if (media)
             media->onLineWrite(line_addr);
         inflight.erase(it);
+        masks.inflight &= ~bit;
+    }
+    if (masks.pending & bit) {
+        const auto it = held(pending, line_addr);
+        durable.write(line_addr, it->second.data(), lineSize);
+        if (media)
+            media->onLineWrite(line_addr);
+        pending.erase(it);
+        masks.pending &= ~bit;
     }
 }
 
@@ -201,6 +250,7 @@ DurableStore::drainTo(Tick now)
             durable.write(it->first, it->second.data.data(), lineSize);
             if (media)
                 media->onLineWrite(it->first);
+            masksAt(it->first).inflight &= ~lineBit(it->first);
             it = inflight.erase(it);
         } else {
             ++it;
@@ -211,13 +261,15 @@ DurableStore::drainTo(Tick now)
 void
 DurableStore::commitAll()
 {
+    // Buffered copies first: a pending copy of the same line is newer.
+    drainTo(~Tick{0});
     for (const auto &[line_addr, data] : pending) {
         durable.write(line_addr, data.data(), lineSize);
         if (media)
             media->onLineWrite(line_addr);
+        masksAt(line_addr).pending &= ~lineBit(line_addr);
     }
     pending.clear();
-    drainTo(~Tick{0});
 }
 
 CrashOutcome
@@ -278,6 +330,8 @@ DurableStore::crash(Tick now, const PowerLossModel &model)
 
     inflight.clear();
     pending.clear();
+    for (auto &leaf : maskLeaves)
+        leaf.reset();
     return out;
 }
 

@@ -135,9 +135,7 @@ struct CrashOutcome
 class DurableStore
 {
   public:
-    explicit DurableStore(AddrRange range)
-        : durable(range), _range(range)
-    {}
+    explicit DurableStore(AddrRange range);
 
     const AddrRange &range() const { return _range; }
 
@@ -226,11 +224,70 @@ class DurableStore
         Tick drainAt = 0;
     };
 
+    /**
+     * Which lines of one frame have a pending / in-flight copy: bit i
+     * stands for line i.  A set bit mirrors a key in the matching map,
+     * so the per-access paths probe a map only for a line that is in
+     * it.
+     */
+    struct LineMasks
+    {
+        std::uint64_t pending = 0;
+        std::uint64_t inflight = 0;
+    };
+
+    /** The masks of BackingStore::leafFrames consecutive frames. */
+    using MaskLeaf = std::array<LineMasks, BackingStore::leafFrames>;
+
+    /** Masks of @p line_addr's frame, or null if never touched. */
+    const LineMasks *
+    masksOf(Addr line_addr) const
+    {
+        // An address below the range wraps to a huge frame number, so
+        // one bound check covers both ends; BackingStore then panics.
+        const std::uint64_t fn = (line_addr - _range.start()) >> pageShift;
+        const std::uint64_t leaf = fn / BackingStore::leafFrames;
+        if (leaf >= maskLeaves.size() || !maskLeaves[leaf])
+            return nullptr;
+        return &(*maskLeaves[leaf])[fn % BackingStore::leafFrames];
+    }
+
+    /** Masks of @p line_addr's frame, allocating its leaf. */
+    LineMasks &masksAt(Addr line_addr);
+
+    /** @p line_addr's bit within its frame's masks. */
+    std::uint64_t
+    lineBit(Addr line_addr) const
+    {
+        return std::uint64_t{1}
+               << (((line_addr - _range.start()) >> lineShift) %
+                   linesPerPage);
+    }
+
+    /** The entry of @p map that a set mask bit stands for. */
+    template <typename Map>
+    static auto
+    held(Map &map, Addr line_addr)
+    {
+        const auto it = map.find(line_addr);
+        kindle_assert(it != map.end(),
+                      "line mask set for {} but the line is not held",
+                      line_addr);
+        return it;
+    }
+
     BackingStore durable;
     AddrRange _range;
     NvmMediaModel *media = nullptr;
+    /**
+     * The masks only spare lookups: every insert and erase of these
+     * maps still happens.  drainTo() and crash() retire `inflight` in
+     * its own iteration order, and that order is the order of the
+     * media model's seeded wear draws.
+     */
     std::unordered_map<Addr, Line> pending;
     std::unordered_map<Addr, Inflight> inflight;
+    std::vector<std::unique_ptr<MaskLeaf>> maskLeaves;
 };
 
 } // namespace kindle::mem

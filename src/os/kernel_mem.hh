@@ -53,13 +53,20 @@ class KernelMem
 
     /** @name Uncached scalar accesses (non-temporal kernel data). */
     /// @{
-    std::uint64_t
-    read64Uncached(Addr paddr)
+    /**
+     * An uncached line read whose value the kernel does not use (a
+     * scan or an inspection): the controller read is charged, and the
+     * bytes are fetched only when a media model is armed, whose ECC
+     * decode counts every read that reaches the cells.
+     */
+    void
+    chargeUncachedRead(Addr paddr)
     {
         sim.bump(memory.submit({mem::MemCmd::read,
                                 roundDown(paddr, lineSize), lineSize},
                                sim.now()));
-        return memory.readT<std::uint64_t>(paddr);
+        if (memory.media())
+            memory.readT<std::uint64_t>(paddr);
     }
 
     void

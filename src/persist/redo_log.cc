@@ -122,7 +122,7 @@ RedoLog::replay(const std::function<void(const RedoRecord &)> &fn)
         RedoRecord rec{};
         // Non-temporal scan: the log is read once and not reused, so
         // it bypasses the caches.
-        kmem.read64Uncached(recordAddr(i));
+        kmem.chargeUncachedRead(recordAddr(i));
         kmem.mem().readData(recordAddr(i), &rec, sizeof(rec));
         ++replays;
         fn(rec);

@@ -189,7 +189,7 @@ SavedStateSlot::writeMappingEntry(std::uint64_t index,
     }
     // Verify the current slot (non-temporal read) and write the
     // fresh association durably.
-    kmem.read64Uncached(addr);
+    kmem.chargeUncachedRead(addr);
     kmem.writeBufDurable(addr, &e, sizeof(e));
 }
 

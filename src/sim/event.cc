@@ -110,6 +110,11 @@ EventQueue::nextTick() const
 Event *
 EventQueue::popDue(Tick now)
 {
+    // The top is the earliest entry, stale or not, so when it is not
+    // due nothing is: return before the live-set probe.  A stale entry
+    // therefore waits in the heap until its tick comes.
+    if (heap.empty() || heap.top().when > now)
+        return nullptr;
     skipStale(now);
     if (heap.empty() || heap.top().when > now)
         return nullptr;

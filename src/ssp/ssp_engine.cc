@@ -237,7 +237,7 @@ SspEngine::commitInterval()
         // non-temporally (it must observe device state, not possibly
         // stale cached copies), then writes back whatever the caches
         // still hold for the line.
-        kmem.read64Uncached(entry_addr);
+        kmem.chargeUncachedRead(entry_addr);
         kmem.clwb(entry_addr);
         ++metadataInspections;
     }

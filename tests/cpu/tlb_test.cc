@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -303,26 +302,34 @@ class RefTlb
     std::uint64_t stamp = 0;
 };
 
+/** Operation shares, per mille; what the three leave are resets. */
+struct TlbMix
+{
+    unsigned lookups = 940;
+    unsigned invalidates = 55;
+    unsigned flushes = 3;
+    unsigned pids = 3;
+    /** Compare the live entries, in visit order, every N ops. */
+    int checkEvery = 1000;
+    /** Coverage floor: L2 hits the run must reach. */
+    double minL2Hits = 1000;
+};
+
 void
 runTlbDifferential(const TlbParams &params, unsigned vpns,
-                   std::uint64_t seed)
+                   std::uint64_t seed, const TlbMix &mix = {})
 {
     std::vector<Seen> evicted;
     Tlb tlb(params,
             [&](const TlbEntry &e) { evicted.push_back(seen(e)); });
     RefTlb ref(params);
 
-    const auto sorted = [](std::vector<Seen> v) {
-        std::sort(v.begin(), v.end());
-        return v;
-    };
-
     Random rng(seed);
     for (int op = 0; op < 60000; ++op) {
-        const Pid pid = static_cast<Pid>(1 + rng.uniform(3));
+        const Pid pid = static_cast<Pid>(1 + rng.uniform(mix.pids));
         const std::uint64_t vpn = rng.uniform(vpns) * 3;
-        const unsigned kind = rng.uniform(1000);
-        if (kind < 940) {
+        const unsigned kind = static_cast<unsigned>(rng.uniform(1000));
+        if (kind < mix.lookups) {
             // The core's pattern: look up, fill on a miss, then let
             // the HSCC hook bump the count through the pointer.
             Tick got_extra = 7, want_extra = 9;
@@ -341,10 +348,10 @@ runTlbDifferential(const TlbParams &params, unsigned vpns,
             ASSERT_EQ(seen(*got), seen(*want)) << "op " << op;
             ++got->accessCount;
             ++want->accessCount;
-        } else if (kind < 995) {
+        } else if (kind < mix.lookups + mix.invalidates) {
             tlb.invalidate(pid, vpn);
             ref.invalidate(pid, vpn);
-        } else if (kind < 998) {
+        } else if (kind < mix.lookups + mix.invalidates + mix.flushes) {
             tlb.flushAll();
             ref.flushAll();
         } else {
@@ -354,11 +361,12 @@ runTlbDifferential(const TlbParams &params, unsigned vpns,
         ASSERT_EQ(evicted, ref.evicted) << "op " << op;
         evicted.clear();
         ref.evicted.clear();
-        if (op % 1000 == 0) {
+        if (op % mix.checkEvery == 0) {
+            // Both levels are visited in slot order, L1 first.
             std::vector<Seen> live;
             tlb.forEachValid(
                 [&](TlbEntry &e) { live.push_back(seen(e)); });
-            ASSERT_EQ(sorted(live), sorted(ref.valid())) << "op " << op;
+            ASSERT_EQ(live, ref.valid()) << "op " << op;
         }
     }
     const auto &st = tlb.stats();
@@ -366,7 +374,7 @@ runTlbDifferential(const TlbParams &params, unsigned vpns,
     EXPECT_EQ(st.scalarValue("l2Hits"), ref.l2Hits);
     EXPECT_EQ(st.scalarValue("misses"), ref.misses);
     EXPECT_EQ(st.scalarValue("evictions"), ref.evictions);
-    EXPECT_GT(ref.l2Hits, 1000);
+    EXPECT_GT(ref.l2Hits, mix.minL2Hits);
     EXPECT_GT(ref.evictions, 1000);
 }
 
@@ -378,6 +386,43 @@ TEST(TlbDifferentialTest, SmallTlbMatchesLinearScan)
 TEST(TlbDifferentialTest, DefaultTlbMatchesLinearScan)
 {
     runTlbDifferential(TlbParams{}, 1200, 22);
+}
+
+/** Invalidations, flushes and resets keep emptying L1 slots mid-run,
+ *  across six address spaces. */
+TlbMix
+churnMix()
+{
+    TlbMix mix;
+    mix.lookups = 760;
+    mix.invalidates = 230;
+    mix.flushes = 6;
+    mix.pids = 6;
+    mix.checkEvery = 50;
+    mix.minL2Hits = 500;  // flushes keep emptying L2
+    return mix;
+}
+
+TEST(TlbDifferentialTest, DefaultTlbChurnMatchesLinearScan)
+{
+    runTlbDifferential(TlbParams{}, 400, 23, churnMix());
+}
+
+TEST(TlbDifferentialTest, OddSizedL1ChurnMatchesLinearScan)
+{
+    TlbParams params;
+    params.l1Entries = 24;
+    params.l2Entries = 96;  // 12 ways x 8 sets
+    runTlbDifferential(params, 60, 24, churnMix());
+}
+
+TEST(TlbDifferentialTest, WideL1ChurnMatchesLinearScan)
+{
+    // More than one free-mask word, the last one partial.
+    TlbParams params;
+    params.l1Entries = 100;
+    params.l2Entries = 192;  // 12 ways x 16 sets
+    runTlbDifferential(params, 150, 25, churnMix());
 }
 
 } // namespace

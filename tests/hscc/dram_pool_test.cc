@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "base/random.hh"
 #include "hscc/dram_pool.hh"
 
 namespace kindle::hscc
@@ -127,6 +131,44 @@ TEST(DramPoolTest, RefreshRebuildsAfterStateChanges)
     EXPECT_EQ(pool.dirtyCount(), 2u);
     EXPECT_EQ(pool.cleanCount(), 1u);
     EXPECT_EQ(pool.freeCount(), 0u);
+}
+
+TEST(DramPoolTest, GaugesMatchARecountUnderSeededChurn)
+{
+    Rig rig;
+    DramPool pool(16, rig.alloc);
+    Random rng(5);
+    std::vector<Addr> homes;
+    Addr next_home = 0x800000;
+    for (int op = 0; op < 4000; ++op) {
+        const unsigned kind = static_cast<unsigned>(rng.uniform(100));
+        if (kind < 45) {
+            const Selection sel = pool.select();
+            if (sel.displacedNvm != invalidAddr) {
+                homes.erase(std::find(homes.begin(), homes.end(),
+                                      sel.displacedNvm));
+            }
+            pool.bind(sel.index, next_home);
+            homes.push_back(next_home);
+            next_home += pageSize;
+        } else if (!homes.empty() && kind < 80) {
+            pool.markDirty(homes[rng.uniform(homes.size())]);
+        } else if (!homes.empty() && kind < 90) {
+            const std::size_t i = rng.uniform(homes.size());
+            pool.release(homes[i]);
+            homes.erase(homes.begin() + static_cast<long>(i));
+        } else {
+            pool.refreshLists();
+        }
+
+        unsigned counts[3] = {0, 0, 0};
+        for (const PoolEntry &e : pool.allEntries())
+            ++counts[static_cast<unsigned>(e.state)];
+        const auto &st = pool.stats();
+        ASSERT_EQ(st.gaugeValue("freePages"), counts[0]) << "op " << op;
+        ASSERT_EQ(st.gaugeValue("cleanPages"), counts[1]) << "op " << op;
+        ASSERT_EQ(st.gaugeValue("dirtyPages"), counts[2]) << "op " << op;
+    }
 }
 
 } // namespace

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <unordered_map>
 #include <vector>
 
+#include "base/random.hh"
 #include "mem/backing_store.hh"
+#include "mem/nvm_media.hh"
 
 namespace kindle::mem
 {
@@ -255,6 +261,337 @@ TEST(DurableStoreTest, CommitAllFlushesEverything)
         store.readDurable(0x1000 + i * 64, &v, 8);
         EXPECT_EQ(v, static_cast<std::uint64_t>(i));
     }
+}
+
+/** Byte @p i of a recognisable full line. */
+std::uint8_t
+patternByte(unsigned i)
+{
+    return static_cast<std::uint8_t>(0xa0 + i);
+}
+
+/** A full line of patternByte() in the controller buffer, then an
+ *  8-byte store to its first word. */
+DurableStore
+storeOverInflightLine()
+{
+    DurableStore store(AddrRange(0, oneMiB));
+    std::array<std::uint8_t, lineSize> line{};
+    for (unsigned i = 0; i < lineSize; ++i)
+        line[i] = patternByte(i);
+    store.writeVolatile(0x100, line.data(), lineSize);
+    store.commitLine(0x100, 100, 1000);
+    store.writeVolatileT<std::uint64_t>(0x100, 0x55);
+    return store;
+}
+
+TEST(DurableStoreTest, PartialStoreOverInflightLineKeepsBufferedBytes)
+{
+    DurableStore store = storeOverInflightLine();
+    // The overlay is seeded from the buffered copy, not from media.
+    EXPECT_EQ(store.readT<std::uint8_t>(0x108), patternByte(8));
+    EXPECT_EQ(store.readT<std::uint64_t>(0x100), 0x55u);
+
+    store.drainTo(2000);
+    store.commitAll();
+    std::uint8_t b = 0;
+    store.readDurable(0x108, &b, 1);
+    EXPECT_EQ(b, patternByte(8));
+    std::uint64_t w = 0;
+    store.readDurable(0x100, &w, 8);
+    EXPECT_EQ(w, 0x55u);
+}
+
+TEST(DurableStoreTest, ImmediateCommitPersistsNewestCopy)
+{
+    DurableStore store = storeOverInflightLine();
+    store.commitLineImmediate(0x100);
+    EXPECT_EQ(store.pendingLines(), 0u);
+    EXPECT_EQ(store.inflightLines(), 0u);
+    std::uint64_t w = 0;
+    store.readDurable(0x100, &w, 8);
+    EXPECT_EQ(w, 0x55u);
+    std::uint8_t b = 0;
+    store.readDurable(0x108, &b, 1);
+    EXPECT_EQ(b, patternByte(8));
+}
+
+TEST(DurableStoreTest, CommitAllPersistsNewestCopy)
+{
+    DurableStore store = storeOverInflightLine();
+    store.commitAll();
+    EXPECT_EQ(store.inflightLines(), 0u);
+    std::uint64_t w = 0;
+    store.readDurable(0x100, &w, 8);
+    EXPECT_EQ(w, 0x55u);
+}
+
+// ---- Differential test against a map-only reference store --------
+
+/**
+ * The reference: the overlay and the controller buffer as maps probed
+ * on every access, media as one flat byte image, and the newest copy
+ * of a line winning wherever two meet.  It drives its own media model
+ * through the same calls in the same order, so the two models' seeded
+ * draws and counters must agree.
+ */
+class RefStore
+{
+  public:
+    RefStore(AddrRange range, NvmMediaModel *media)
+        : range(range), image(range.size()), media(media)
+    {}
+
+    void
+    writeVolatile(Addr addr, const std::uint8_t *src, std::uint64_t n)
+    {
+        for (; n > 0; ++addr, ++src, --n) {
+            const Addr line = roundDown(addr, lineSize);
+            auto it = pending.find(line);
+            if (it == pending.end()) {
+                Line seed{};
+                if (const auto fit = inflight.find(line);
+                    fit != inflight.end()) {
+                    seed = fit->second.data;
+                } else {
+                    seed = mediaLine(line);
+                }
+                it = pending.emplace(line, seed).first;
+            }
+            it->second[addr - line] = *src;
+        }
+    }
+
+    void
+    writeDurable(Addr addr, const std::uint8_t *src, std::uint64_t n)
+    {
+        std::memcpy(at(addr), src, n);
+        if (media)
+            media->onRangeWrite(addr, n);
+    }
+
+    /** Line by line: the media model counts one decode per line. */
+    void
+    read(Addr addr, std::uint8_t *dst, std::uint64_t n)
+    {
+        while (n > 0) {
+            const Addr line = roundDown(addr, lineSize);
+            const std::uint64_t chunk =
+                std::min(n, lineSize - (addr - line));
+            if (const auto it = pending.find(line); it != pending.end())
+                std::memcpy(dst, &it->second[addr - line], chunk);
+            else if (const auto fit = inflight.find(line);
+                     fit != inflight.end())
+                std::memcpy(dst, &fit->second.data[addr - line], chunk);
+            else
+                readDurable(addr, dst, chunk);
+            addr += chunk;
+            dst += chunk;
+            n -= chunk;
+        }
+    }
+
+    void
+    readDurable(Addr addr, std::uint8_t *dst, std::uint64_t n)
+    {
+        std::memcpy(dst, at(addr), n);
+        if (media)
+            media->filterRead(addr, dst, n);
+    }
+
+    void
+    commitLine(Addr line, Tick now, Tick drain_at)
+    {
+        drainTo(now);
+        if (const auto it = pending.find(line); it != pending.end()) {
+            inflight[line] = Inflight{it->second, drain_at};
+            pending.erase(it);
+        } else if (const auto fit = inflight.find(line);
+                   fit != inflight.end()) {
+            fit->second.drainAt = std::max(fit->second.drainAt, drain_at);
+        }
+    }
+
+    void
+    commitLineImmediate(Addr line)
+    {
+        if (const auto it = inflight.find(line); it != inflight.end()) {
+            toMedia(line, it->second.data);
+            inflight.erase(it);
+        }
+        if (const auto it = pending.find(line); it != pending.end()) {
+            toMedia(line, it->second);
+            pending.erase(it);
+        }
+    }
+
+    void
+    drainTo(Tick now)
+    {
+        for (auto it = inflight.begin(); it != inflight.end();) {
+            if (it->second.drainAt <= now) {
+                toMedia(it->first, it->second.data);
+                it = inflight.erase(it);
+            } else {
+                ++it;
+            }
+        }
+    }
+
+    CrashOutcome
+    crash(Tick now)
+    {
+        CrashOutcome out;
+        for (const auto &[line, entry] : inflight) {
+            if (entry.drainAt <= now) {
+                toMedia(line, entry.data);
+                ++out.linesDrained;
+            } else {
+                ++out.linesLost;
+            }
+        }
+        inflight.clear();
+        pending.clear();
+        return out;
+    }
+
+    std::size_t pendingLines() const { return pending.size(); }
+    std::size_t inflightLines() const { return inflight.size(); }
+
+  private:
+    using Line = std::array<std::uint8_t, lineSize>;
+
+    struct Inflight
+    {
+        Line data{};
+        Tick drainAt = 0;
+    };
+
+    std::uint8_t *at(Addr addr) { return &image[addr - range.start()]; }
+
+    Line
+    mediaLine(Addr line)
+    {
+        Line out{};
+        readDurable(line, out.data(), lineSize);
+        return out;
+    }
+
+    void
+    toMedia(Addr line, const Line &data)
+    {
+        std::memcpy(at(line), data.data(), lineSize);
+        if (media)
+            media->onLineWrite(line);
+    }
+
+    AddrRange range;
+    std::vector<std::uint8_t> image;
+    NvmMediaModel *media;
+    std::unordered_map<Addr, Line> pending;
+    std::unordered_map<Addr, Inflight> inflight;
+};
+
+void
+runDurableDifferential(bool with_media, std::uint64_t seed)
+{
+    // Above zero like the NVM range, and wide enough for four radix
+    // leaves of line masks.
+    const AddrRange range(3 * oneGiB, 3 * oneGiB + 8 * oneMiB);
+    fault::MediaFaultPlan plan;
+    plan.bitFlipRate = 0.05;
+    plan.writeEndurance = 40;
+    plan.seed = seed;
+    NvmMediaModel got_media(range, plan);
+    NvmMediaModel want_media(range, plan);
+
+    DurableStore store(range);
+    RefStore ref(range, with_media ? &want_media : nullptr);
+    if (with_media)
+        store.attachMedia(&got_media);
+
+    Random rng(seed);
+    // Four hot lines (first and last among them) in three frames per
+    // leaf, so stores, writebacks and drains keep meeting on a line.
+    const auto pick = [&](std::uint64_t span) {
+        const std::uint64_t frame =
+            rng.uniform(4) * BackingStore::leafFrames * pageSize +
+            rng.uniform(3) * pageSize;
+        const Addr addr = range.start() + frame +
+                          rng.uniform(4) * 21 * lineSize +
+                          rng.uniform(lineSize);
+        return std::min<Addr>(addr, range.end() - span);
+    };
+    std::vector<std::uint8_t> got, want;
+    Tick now = 0;
+    for (int op = 0; op < 40000; ++op) {
+        now += rng.uniform(200);
+        const unsigned kind = static_cast<unsigned>(rng.uniform(100));
+        const std::uint64_t n = 1 + rng.uniform(150);
+        const Addr addr = pick(n);
+        const Addr line = roundDown(addr, lineSize);
+        got.assign(n, 0);
+        want.assign(n, 0);
+        if (kind < 35) {
+            for (std::uint64_t i = 0; i < n; ++i)
+                got[i] = static_cast<std::uint8_t>(rng.next());
+            store.writeVolatile(addr, got.data(), n);
+            ref.writeVolatile(addr, got.data(), n);
+        } else if (kind < 38) {
+            for (std::uint64_t i = 0; i < n; ++i)
+                got[i] = static_cast<std::uint8_t>(rng.next());
+            store.writeDurable(addr, got.data(), n);
+            ref.writeDurable(addr, got.data(), n);
+        } else if (kind < 58) {
+            store.read(addr, got.data(), n);
+            ref.read(addr, want.data(), n);
+            ASSERT_EQ(got, want) << "read, op " << op;
+        } else if (kind < 63) {
+            store.readDurable(addr, got.data(), n);
+            ref.readDurable(addr, want.data(), n);
+            ASSERT_EQ(got, want) << "readDurable, op " << op;
+        } else if (kind < 80) {
+            const Tick drain_at = now + rng.uniform(3000);
+            store.commitLine(line, now, drain_at);
+            ref.commitLine(line, now, drain_at);
+        } else if (kind < 90) {
+            store.commitLineImmediate(line);
+            ref.commitLineImmediate(line);
+        } else if (kind < 99) {
+            store.drainTo(now);
+            ref.drainTo(now);
+        } else {
+            const CrashOutcome a = store.crash(now, {});
+            const CrashOutcome b = ref.crash(now);
+            ASSERT_EQ(a.linesDrained, b.linesDrained) << "op " << op;
+            ASSERT_EQ(a.linesLost, b.linesLost) << "op " << op;
+            ASSERT_EQ(a.tornWords, 0u);
+        }
+        ASSERT_EQ(store.pendingLines(), ref.pendingLines()) << "op " << op;
+        ASSERT_EQ(store.inflightLines(), ref.inflightLines())
+            << "op " << op;
+    }
+    for (const char *stat :
+         {"lineWrites", "transientFlips", "stuckBits", "demandCorrections",
+          "uncorrectableReads", "framesExhausted"}) {
+        EXPECT_EQ(got_media.stats().scalarValue(stat),
+                  want_media.stats().scalarValue(stat))
+            << stat;
+    }
+    if (with_media) {
+        EXPECT_GT(want_media.stats().scalarValue("lineWrites"), 1000);
+        EXPECT_GT(want_media.stats().scalarValue("uncorrectableReads"), 0);
+    }
+}
+
+TEST(DurableStoreDifferentialTest, MatchesMapReference)
+{
+    runDurableDifferential(false, 31);
+}
+
+TEST(DurableStoreDifferentialTest, MatchesMapReferenceWithMedia)
+{
+    runDurableDifferential(true, 32);
 }
 
 } // namespace

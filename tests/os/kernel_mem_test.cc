@@ -45,7 +45,10 @@ TEST(KernelMemTest, UncachedAccessBypassesCaches)
     Rig rig;
     rig.kmem.write64Uncached(0x2000, 42);
     EXPECT_FALSE(rig.hier.l1().contains(0x2000));
-    EXPECT_EQ(rig.kmem.read64Uncached(0x2000), 42u);
+    EXPECT_EQ(rig.kmem.mem().readT<std::uint64_t>(0x2000), 42u);
+    const Tick t0 = rig.sim.now();
+    rig.kmem.chargeUncachedRead(0x2000);
+    EXPECT_GT(rig.sim.now(), t0);
     EXPECT_FALSE(rig.hier.l1().contains(0x2000));
 }
 

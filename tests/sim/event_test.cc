@@ -176,6 +176,38 @@ TEST(EventQueueTest, SizeAndEmptyCountLiveEntriesOnly)
     EXPECT_EQ(sim.eventq().size(), 0u);
 }
 
+TEST(EventQueueTest, DescheduledFarFutureEventNeverFires)
+{
+    // popDue() returns before dropping stale entries while the top is
+    // not due, so a cancelled far-future entry stays in the heap until
+    // its tick: it must neither fire nor count as pending meanwhile.
+    Simulation sim;
+    int far_fired = 0, near_fired = 0;
+    CallbackEvent far("far", [&] { ++far_fired; });
+    CallbackEvent near("near", [&] { ++near_fired; });
+    sim.eventq().schedule(&far, 1000);
+    sim.eventq().deschedule(&far);
+    EXPECT_TRUE(sim.eventq().empty());
+    EXPECT_EQ(sim.eventq().size(), 0u);
+
+    sim.eventq().schedule(&near, 2000);
+    sim.bump(500);
+    sim.service();
+    EXPECT_EQ(sim.eventq().size(), 1u);
+    sim.bump(1000);  // past the stale entry, before the live one
+    sim.service();
+    EXPECT_EQ(far_fired, 0);
+    EXPECT_EQ(near_fired, 0);
+    EXPECT_EQ(sim.eventq().size(), 1u);
+    EXPECT_EQ(sim.eventq().nextTick(), 2000u);
+    sim.bump(1000);
+    sim.service();
+    EXPECT_EQ(far_fired, 0);
+    EXPECT_EQ(near_fired, 1);
+    EXPECT_TRUE(sim.eventq().empty());
+    EXPECT_EQ(sim.eventq().nextTick(), maxTick);
+}
+
 TEST(EventQueueTest, EventDestroyedWhileScheduledLeavesNoGhost)
 {
     // A per-core object (e.g. a kernel's pending IPI event) destroyed
