@@ -1,15 +1,13 @@
 /**
  * @file
  * Shared helpers for the bench drivers (experiments, fuzz): text
- * tables, headers and the JSON footer.  KINDLE_SCALE and KINDLE_OPS
- * set the fidelity (README's knob table).
+ * tables, headers and the JSON footer.
  */
 
 #ifndef KINDLE_BENCH_BENCH_UTIL_HH
 #define KINDLE_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -38,17 +36,6 @@ printJsonFooter(const std::string &path, unsigned jobs)
 {
     std::printf("\nStructured results: %s (ran with %u jobs)\n",
                 path.c_str(), jobs);
-}
-
-/** Workload scale divisor from KINDLE_SCALE (unset or empty:
- *  @p fallback; garbage or zero is fatal). */
-inline std::uint64_t
-scaleFromEnv(std::uint64_t fallback = 8)
-{
-    const char *env = std::getenv("KINDLE_SCALE");
-    return env && *env
-               ? parseNumber(env, "KINDLE_SCALE", 1, ~std::uint64_t(0))
-               : fallback;
 }
 
 /** Print a rule + centered header naming the reproduced artifact. */

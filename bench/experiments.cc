@@ -59,7 +59,7 @@ ckptShare(const RunResult &r)
 std::string
 opsLabel(std::uint64_t ops)
 {
-    return "(KINDLE_OPS=" + std::to_string(ops) + ")";
+    return "(--ops " + std::to_string(ops) + ")";
 }
 
 std::string
@@ -268,7 +268,7 @@ runCoRunners(KindleSystem &sys, std::uint64_t ops, unsigned cores,
     return sys.now();
 }
 
-/** fleet_storm's fleet: 1024 tenants at the default KINDLE_SCALE of
+/** fleet_storm's fleet: 1024 tenants at the default --scale of
  *  8, scaled like every row's sizes, with a quarter of them again as
  *  churn respawns. */
 runner::FleetOptions
@@ -327,7 +327,7 @@ const std::vector<Experiment> registry = {
          printArtifact("Figure 4a",
                        "Sequential allocation/access vs page-table scheme "
                        "(sizes / " + std::to_string(scale.divisor) +
-                           ", KINDLE_SCALE)",
+                           ", --scale)",
                        {"Alloc size", "Persistent (ms)", "Rebuild (ms)",
                         "Rebuild/Persistent", "Rebuild ckpt share"},
                        rows,
@@ -793,7 +793,7 @@ const std::vector<Experiment> registry = {
          const std::string cores = std::to_string(scale.cores);
          printArtifact("Ablation (multi-process)",
                        "Context switches + cache pollution (" + cores +
-                           " cores, KINDLE_OPS=" +
+                           " cores, --ops " +
                            std::to_string(scale.opsOr(200000)) + ")",
                        {"Background procs", "Total (ms)", "Context switches",
                         "Migrations", "Slowdown"},
@@ -943,7 +943,7 @@ const std::vector<Experiment> registry = {
          }
          printHeader("Fleet storm",
                      std::to_string(fp.tenants) + " tenants (1024 x 8 / "
-                         "KINDLE_SCALE), churn " +
+                         "--scale), churn " +
                          std::to_string(fp.churnSpawns) + ", zipf " +
                          fixed(fp.zipfTheta, 2) + ", " +
                          fleet::arrivalName(fp.arrival) +

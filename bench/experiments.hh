@@ -29,8 +29,8 @@ namespace kindle::bench
 /** The knobs every row is built at. */
 struct Scale
 {
-    std::uint64_t divisor = 8;  ///< KINDLE_SCALE: divides byte sizes
-    std::uint64_t ops = 0;      ///< KINDLE_OPS; 0 = the row's default
+    std::uint64_t divisor = 8;  ///< --scale: divides byte sizes
+    std::uint64_t ops = 0;      ///< --ops; 0 = the row's default
     unsigned cores = 1;         ///< --cores
 
     std::uint64_t

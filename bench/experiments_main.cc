@@ -3,7 +3,7 @@
  * The experiment driver: `experiments --experiment NAME[,NAME...]` runs
  * rows of the registry (experiments.hh) in order, each on one
  * SweepRunner under the runner flags, and writes BENCH_<row>.json to
- * `.` or $KINDLE_RESULTS_DIR; `--list` names the rows.
+ * the working directory; `--list` names the rows.
  */
 
 #include <cstdio>
@@ -12,7 +12,6 @@
 #include "base/logging.hh"
 #include "bench_util.hh"
 #include "experiments.hh"
-#include "prep/workloads.hh"
 #include "runner/report.hh"
 
 int
@@ -22,18 +21,27 @@ main(int argc, char **argv)
     using namespace kindle::bench;
 
     std::string names;
+    Scale scale;
     const auto opts = runner::parseOptions(argc, argv, {{
         "experiments flags", {
-            {"--experiment", nullptr, "L",
+            {"--experiment", "L",
              "comma list of rows to run, in order (see --list)",
              runner::setText(names)},
-            {"--list", nullptr, nullptr,
+            {"--list", nullptr,
              "print the row names, one per line, and exit",
              [](const char *, const char *) {
                  for (const Experiment &row : experiments())
                      std::printf("%s\n", row.name);
                  std::exit(0);
              }},
+            {"--scale", "N",
+             "divides byte-sized workload dimensions and the fleet "
+             "storm's tenant count; 1 = paper scale (default 8)",
+             runner::setNumber(scale.divisor, 1, ~std::uint64_t(0))},
+            {"--ops", "N",
+             "trace length of the SSP/HSCC workload studies; 10000000 "
+             "is paper scale (default 200000 SSP, 1000000 HSCC)",
+             runner::setNumber(scale.ops, 1, ~std::uint64_t(0))},
         }}});
     if (names.empty())
         kindle_fatal("no --experiment given (--list names the rows)");
@@ -41,7 +49,7 @@ main(int argc, char **argv)
     for (const std::string &name : split(names, ','))
         rows.push_back(&findExperiment(name));
 
-    const Scale scale{scaleFromEnv(), prep::opsFromEnv(0), opts.cores};
+    scale.cores = opts.cores;
     runner::SweepRunner pool(opts);
     for (const Experiment *row : rows) {
         const auto results = pool.run(row->scenarios(scale));

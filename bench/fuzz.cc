@@ -510,13 +510,13 @@ runner::FlagTable
 fuzzFlags(FuzzOptions &fz)
 {
     return {"fuzz flags", {
-        {"--points", nullptr, "N",
+        {"--points", "N",
          "crash points per PT scheme, split over the core specs under "
          "--faults core (default 128)",
          runner::setNumber(fz.points, 1, ~std::uint64_t(0))},
-        {"--seed", nullptr, "N", "sweep seed (default 12345)",
+        {"--seed", "N", "sweep seed (default 12345)",
          runner::setNumber(fz.seed, 0, ~std::uint64_t(0))},
-        {"--faults", nullptr, "L",
+        {"--faults", "L",
          "comma list of fault planes: media, pressure, core "
          "(default none)",
          [&fz](const char *v, const char *origin) {
@@ -533,10 +533,10 @@ fuzzFlags(FuzzOptions &fz)
                                   "pressure, core)", origin, plane);
              }
          }},
-        {"--filter", nullptr, "S",
+        {"--filter", "S",
          "run only points whose name contains S",
          runner::setText(fz.filter)},
-        {"--force-divergence", nullptr, nullptr,
+        {"--force-divergence", nullptr,
          "count every point as an oracle divergence: a self-test of "
          "the failure path",
          runner::setSwitch(fz.forceDivergence)},

@@ -17,15 +17,15 @@ main()
 {
     using namespace kindle;
 
-    const std::uint64_t ops = prep::opsFromEnv(100000);
+    constexpr std::uint64_t ops = 100000;
 
     KindleConfig cfg;
     hscc::HsccParams hp;
     hp.fetchThreshold = 5;
     hp.dramPoolPages = 512;  // the paper's pool size
-    // The default-length example run is much shorter than the paper's
-    // 31.25 ms interval; migrate every 2 ms so the cooperative cache
-    // is visibly exercised (raise KINDLE_OPS for paper pacing).
+    // The example run is much shorter than the paper's 31.25 ms
+    // interval; migrate every 2 ms so the cooperative cache is visibly
+    // exercised.
     hp.migrationInterval = 2 * oneMs;
     cfg.hscc = hp;
     KindleSystem sys(cfg);

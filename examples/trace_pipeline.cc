@@ -23,7 +23,7 @@ main()
 {
     using namespace kindle;
 
-    const std::uint64_t ops = prep::opsFromEnv(100000);
+    constexpr std::uint64_t ops = 100000;
     const std::string image_path = "/tmp/kindle_gapbs_pr.img";
 
     // --- Preparation component --------------------------------------

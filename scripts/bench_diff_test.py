@@ -3,8 +3,8 @@
 
     scripts/bench_diff_test.py EXPERIMENTS_BINARY
 
-Runs the fig4b_stride row twice at KINDLE_OPS=20000 (with --prof, so
-the reports carry prof.* stats) into two directories, then checks:
+Runs the fig4b_stride row twice at --ops 20000 (with --prof, so the
+reports carry prof.* stats) in two directories, then checks:
 
 * the two runs compare identical (exit 0);
 * one perturbed deterministic stat is a difference (exit 1, with the
@@ -15,7 +15,6 @@ Exits 0 when every check holds, 1 otherwise.
 """
 
 import json
-import os
 import pathlib
 import shutil
 import subprocess
@@ -28,10 +27,9 @@ BENCH_DIFF = pathlib.Path(__file__).resolve().with_name("bench_diff.py")
 
 def run_row(experiments, out_dir):
     out_dir.mkdir()
-    env = dict(os.environ, KINDLE_OPS="20000",
-               KINDLE_RESULTS_DIR=str(out_dir))
-    res = subprocess.run([experiments, "--experiment", ROW, "--prof"],
-                         env=env, capture_output=True, text=True)
+    res = subprocess.run([experiments, "--experiment", ROW, "--ops",
+                          "20000", "--prof"], cwd=out_dir,
+                         capture_output=True, text=True)
     if res.returncode != 0:
         sys.exit(f"{experiments} exited {res.returncode}:\n"
                  f"{res.stdout}{res.stderr}")

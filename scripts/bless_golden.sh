@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Rewrite the goldens under tests/golden/ from a build's own golden
 # ctests (the "golden" label in bench/CMakeLists.txt): golden.rows, the
-# output of every experiment row at KINDLE_SCALE=32 KINDLE_OPS=200000,
-# into rows/, and each fuzz.<plane> sweep's BENCH_fuzz.json into
+# output of every experiment row at --scale 32 --ops 200000, into
+# rows/, and each fuzz.<plane> sweep's BENCH_fuzz.json into
 # fuzz/<plane>/.
 #
 #   scripts/bless_golden.sh [build-dir]   # relative to the repo root; default build

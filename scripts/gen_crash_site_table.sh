@@ -43,10 +43,8 @@ splice("DESIGN.md", "crash-site-table",
 print(f"DESIGN.md: crash-site table regenerated ({len(sites)} sites)")
 
 # A "<title>:" line opens a flag table and any other unindented line
-# closes it; each row in a table reads "  --name V  help (default D)
-# (env E)".
-row = re.compile(r"  (--\S+(?: \S+)?)  +(.*?)"
-                 r"(?: \(default ([^()]*)\))?(?: \(env (\S+)\))?$")
+# closes it; each row in a table reads "  --name V  help (default D)".
+row = re.compile(r"  (--\S+(?: \S+)?)  +(.*?)(?: \(default ([^()]*)\))?$")
 table, titles, title = "", set(), None
 for line in os.environ["HELP"].splitlines():
     if not line.startswith(" "):
@@ -55,14 +53,12 @@ for line in os.environ["HELP"].splitlines():
             title = None
         elif title:
             titles.add(title)
-            table += f"| **{title}** | | | |\n"
+            table += f"| **{title}** | | |\n"
     elif title and (m := row.match(line)):
-        flag, effect, default, env = m.groups()
+        flag, effect, default = m.groups()
         effect = effect.replace("*", "\\*")
-        table += (f"| `{flag}` | {f'`{env}`' if env else '—'} "
-                  f"| {default or '—'} | {effect} |\n")
+        table += f"| `{flag}` | {default or '—'} | {effect} |\n"
 splice("README.md", "flag-table",
-       "| Flag | Env | Default | Effect |\n| --- | --- | --- | --- |\n" +
-       table)
+       "| Flag | Default | Effect |\n| --- | --- | --- |\n" + table)
 print(f"README.md: flag table regenerated ({table.count('`--')} flags)")
 PY

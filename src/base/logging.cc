@@ -22,12 +22,6 @@ setErrorsThrow(bool throw_instead)
     throwErrors.store(throw_instead, std::memory_order_relaxed);
 }
 
-bool
-errorsThrow()
-{
-    return throwErrors.load(std::memory_order_relaxed);
-}
-
 namespace detail
 {
 

@@ -96,7 +96,6 @@ class SimError
  * process.  Unit tests flip this to assert on error paths.
  */
 void setErrorsThrow(bool throw_instead);
-bool errorsThrow();
 
 } // namespace kindle
 

@@ -74,8 +74,8 @@ std::string fixed(double v, int precision = 2);
 
 /**
  * Parse @p text as a whole decimal number in [@p lo, @p hi].  Fatal,
- * naming @p origin (the flag or environment variable), on an empty
- * string, a sign, trailing characters or a value out of range.
+ * naming @p origin (the flag), on an empty string, a sign, trailing
+ * characters or a value out of range.
  */
 std::uint64_t parseNumber(const char *text, const char *origin,
                           std::uint64_t lo, std::uint64_t hi);

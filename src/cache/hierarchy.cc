@@ -197,16 +197,6 @@ Hierarchy::clwbPage(Addr page_addr, Tick now)
 }
 
 Tick
-Hierarchy::clflushPage(Addr page_addr, Tick now)
-{
-    page_addr = roundDown(page_addr, pageSize);
-    Tick latency = 0;
-    for (unsigned i = 0; i < linesPerPage; ++i)
-        latency += clflush(page_addr + i * lineSize, now + latency);
-    return latency;
-}
-
-Tick
 Hierarchy::sfence(Tick now)
 {
     ++fences;

@@ -89,9 +89,6 @@ class Hierarchy
     /** clwb over a whole 4 KiB page. */
     Tick clwbPage(Addr page_addr, Tick now);
 
-    /** clflush over a whole 4 KiB page. */
-    Tick clflushPage(Addr page_addr, Tick now);
-
     /**
      * Store fence cost: orders prior flushes; constant small latency
      * (drain of the store buffer).

@@ -106,7 +106,6 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
     /// @}
 
     DramPool &pool() { return dramPool; }
-    MappingTable &mappingTable() { return mapTable; }
 
     /** The threshold in force (moves under dynamicThreshold). */
     unsigned currentThreshold() const { return curThreshold; }

@@ -352,7 +352,6 @@ KindleSystem::reboot()
     recoveryErrors += static_cast<double>(report.errors.size());
     recoveryDuration.sample(
         static_cast<double>(report.recoveryTicks));
-    lastRecovery_ = report;
     if (!report.errors.empty())
         autoFlightDump("recovery-error");
     return report;

@@ -220,12 +220,6 @@ class KindleSystem
         return crashOutcome;
     }
 
-    /** The report from the last reboot()'s recovery pass. */
-    const persist::RecoveryReport &lastRecovery() const
-    {
-        return lastRecovery_;
-    }
-
     /**
      * Capture every stat as a flat path→value snapshot: memory,
      * scrubber, caches, each core (and on SMP the "core.*" rollup of
@@ -300,7 +294,6 @@ class KindleSystem
 
     bool isCrashed = false;
     mem::CrashOutcome crashOutcome;
-    persist::RecoveryReport lastRecovery_;
 
     // Reboot-survivable counters: the group is created once with the
     // system (never re-registered on reboot) and accumulates across

@@ -48,7 +48,6 @@ class MemCtrl
             AddrRange range);
 
     const AddrRange &range() const { return _range; }
-    MemType memType() const { return iface->params().type; }
 
     /**
      * Submit a request at tick @p now.

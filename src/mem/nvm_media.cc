@@ -188,11 +188,4 @@ NvmMediaModel::takeExhaustedFrames()
     return out;
 }
 
-std::uint64_t
-NvmMediaModel::frameWrites(Addr frame_addr) const
-{
-    const auto it = writes.find(frameIndex(frame_addr));
-    return it == writes.end() ? 0 : it->second;
-}
-
 } // namespace kindle::mem

@@ -128,9 +128,6 @@ class NvmMediaModel
      */
     std::vector<Addr> takeExhaustedFrames();
 
-    /** Media writes charged against @p frame_addr so far. */
-    std::uint64_t frameWrites(Addr frame_addr) const;
-
     statistics::StatGroup &stats() { return statGroup; }
 
   private:

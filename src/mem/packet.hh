@@ -44,8 +44,6 @@ struct MemRequest
     std::uint64_t size;
 };
 
-const char *memTypeName(MemType t);
-
 } // namespace kindle::mem
 
 #endif // KINDLE_MEM_PACKET_HH

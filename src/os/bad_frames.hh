@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "base/addr_range.hh"
-#include "base/intmath.hh"
 #include "base/stats.hh"
 #include "os/kernel_mem.hh"
 
@@ -56,23 +55,6 @@ class BadFrameTable
     std::uint64_t retiredCount() const { return _retiredCount; }
     std::uint64_t totalFrames() const { return frameCount; }
 
-    /** Visit the base address of every retired frame, ascending.
-     *  Word-skips clean bitmap words, so a healthy many-GiB device
-     *  costs O(frames/64), not O(frames). */
-    template <typename Fn>
-    void
-    forEachRetired(Fn &&fn) const
-    {
-        for (std::uint64_t w = 0; w < retiredWords.size(); ++w) {
-            std::uint64_t bits = retiredWords[w];
-            while (bits != 0) {
-                const std::uint64_t i =
-                    w * 64 + countTrailingZeros(bits);
-                bits &= bits - 1;
-                fn(device.start() + (i << pageShift));
-            }
-        }
-    }
 
     /** True iff any frame under [base, base+bytes) is retired. */
     bool anyRetired(Addr base, std::uint64_t bytes) const;

@@ -273,9 +273,6 @@ class Kernel : public cpu::FaultHandler
         return static_cast<unsigned>(cores_.size());
     }
 
-    /** The core the kernel is currently executing on. */
-    CpuId activeCpu() const { return activeCpu_; }
-
     /**
      * Processes ready or running across every online core's runqueue
      * right now (the telemetry sampler's runqueue-depth channel).

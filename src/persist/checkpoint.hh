@@ -108,13 +108,6 @@ class PersistDomain : public os::OsEventListener
         return static_cast<std::uint64_t>(checkpoints.value());
     }
 
-    /** Total simulated time spent inside checkpoints. */
-    Tick
-    checkpointTicks() const
-    {
-        return static_cast<Tick>(ckptTicks.sum());
-    }
-
     /** @name OsEventListener. */
     /// @{
     void onProcessCreated(os::Process &proc) override;

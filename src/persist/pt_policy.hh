@@ -64,8 +64,6 @@ class ConsistentPtWrite : public os::PtWritePolicy
         return static_cast<std::uint64_t>(stores.value());
     }
 
-    std::uint32_t currentEpoch() const { return epoch; }
-
     statistics::StatGroup &stats() { return statGroup; }
 
   private:

@@ -1,7 +1,5 @@
 #include "prep/workloads.hh"
 
-#include <cstdlib>
-
 #include "base/logging.hh"
 
 namespace kindle::prep
@@ -50,15 +48,6 @@ maybeStackOp(Random &rng, unsigned threads, std::uint32_t first_id,
 }
 
 } // namespace
-
-std::uint64_t
-opsFromEnv(std::uint64_t fallback)
-{
-    const char *env = std::getenv("KINDLE_OPS");
-    return env && *env
-               ? parseNumber(env, "KINDLE_OPS", 1, ~std::uint64_t(0))
-               : fallback;
-}
 
 const char *
 benchmarkName(Benchmark b)

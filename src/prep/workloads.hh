@@ -45,10 +45,6 @@ struct WorkloadParams
     unsigned scaleDown = 1;
 };
 
-/** Read KINDLE_OPS from the environment (unset or empty: @p fallback;
- *  garbage or zero is fatal). */
-std::uint64_t opsFromEnv(std::uint64_t fallback = 1000000);
-
 /** Identifier for the three standard benchmarks. */
 enum class Benchmark
 {

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iomanip>
 #include <iostream>
 #include <string_view>
@@ -37,20 +36,10 @@ findFlag(const std::vector<FlagTable> &tables, std::string_view name)
     return nullptr;
 }
 
-/** One pass over @p tables: every environment mirror, then @p argv. */
+/** One pass of @p argv over @p tables. */
 void
 parseFlags(int argc, char **argv, const std::vector<FlagTable> &tables)
 {
-    for (const FlagTable &table : tables) {
-        for (const Flag &flag : table.flags) {
-            const char *env = flag.env ? std::getenv(flag.env) : nullptr;
-            if (!env || *env == '\0' ||
-                (!flag.value && std::strcmp(env, "0") == 0)) {
-                continue;
-            }
-            flag.set(flag.value ? env : "", flag.env);
-        }
-    }
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
         if (arg == "--help") {
@@ -123,53 +112,53 @@ FlagTable
 runnerFlags(Options &o)
 {
     return {"runner flags (every runner-backed bench)", {
-        {"--jobs", "KINDLE_JOBS", "N",
+        {"--jobs", "N",
          "sweep worker threads; 0 = one per hardware thread (default 0)",
          setNumber(o.jobs, 0, 4096)},
-        {"--cores", "KINDLE_CORES", "N",
+        {"--cores", "N",
          "simulated CPU cores per system, 1..32 (default 1)",
          setNumber(o.cores, 1, 32)},
-        {"--trace-out", "KINDLE_TRACE_OUT", "P",
+        {"--trace-out", "P",
          "collect spans; write Chrome trace JSON per scenario "
          "(default off)",
          setText(o.traceOut)},
-        {"--trace-flags", "KINDLE_TRACE_FLAGS", "L",
+        {"--trace-flags", "L",
          "comma-separated span and ring categories, e.g. "
          "checkpoint,redo (default all)",
          [&o](const char *text, const char *origin) {
              trace::parseCategories(text, origin);  // fatal on a typo
              o.traceFlags = text;
          }},
-        {"--trace-ring", "KINDLE_TRACE_RING", "N",
+        {"--trace-ring", "N",
          "flight-recorder depth in records; 0 disables the ring "
          "(default 512)",
          setNumber(o.traceRing, 0, 1u << 24)},
-        {"--flight-out", "KINDLE_FLIGHT_OUT", "P",
+        {"--flight-out", "P",
          "flight-recorder dump destination on a power loss, recovery "
          "errors or a fuzz divergence (default off)",
          setText(o.flightOut)},
-        {"--core-fail", "KINDLE_CORE_FAIL", "S",
+        {"--core-fail", "S",
          "seeded CPU-core faults, e.g. 1@2000000 or 2#2+3000 "
          "(default off)",
          [&o](const char *text, const char *origin) {
              o.coreFault = parseCoreFaultSpec(text, origin);
          }},
-        {"--ipi-timeout", "KINDLE_IPI_TIMEOUT", "NS",
+        {"--ipi-timeout", "NS",
          "shootdown ack timeout before an IPI resend (default 2000)",
          setNanoseconds(o.ipiTimeout)},
-        {"--sample-interval", "KINDLE_TELEMETRY", "NS",
+        {"--sample-interval", "NS",
          "telemetry sampling period; 0 disables the sampler "
          "(default off)",
          setNanoseconds(o.sampleInterval)},
-        {"--telemetry-out", "KINDLE_TELEMETRY_OUT", "P",
+        {"--telemetry-out", "P",
          "write per-scenario TELEM_* time-series here; implies a 1 ms "
          "sampling period (default off)",
          setText(o.telemetryOut)},
-        {"--prof", "KINDLE_PROF", nullptr,
+        {"--prof", nullptr,
          "attach the host-side self-profiler: prof.* stats and a "
          "category table (default off)",
          setSwitch(o.prof)},
-        {"--list-crash-sites", nullptr, nullptr,
+        {"--list-crash-sites", nullptr,
          "print the crash-site inventory and exit",
          [](const char *, const char *) {
              for (const fault::CrashSiteInfo &info :
@@ -196,8 +185,6 @@ printUsage(std::ostream &os, const char *argv0,
             row(flag.value ? csprintf("{} {}", flag.name, flag.value)
                            : std::string(flag.name),
                 flag.help);
-            if (flag.env)
-                os << " (env " << flag.env << ")";
             os << "\n";
         }
     }

@@ -1,15 +1,15 @@
 /**
  * @file
- * Command-line/environment options shared by every runner-driven
- * bench binary, and the flag table that parses them.
+ * Command-line options shared by every runner-driven bench binary,
+ * and the flag table that parses them.
  *
- * Every flag is one row: its name, its KINDLE_* environment mirror (if
- * any), a value placeholder, one line of help and a setter.  A binary
- * registers the runner table plus its own, and one parseOptions() pass
- * applies the environment mirrors and then the command line, so the
- * precedence is always command line over environment over default.
- * `--help` prints every registered row; README's knob table is
- * generated from that output (scripts/gen_crash_site_table.sh).
+ * Every flag is one row: its name, a value placeholder, one line of
+ * help and a setter.  A binary registers the runner table plus its
+ * own, and one parseOptions() pass applies the command line over the
+ * defaults; nothing is read from the environment, so a run depends
+ * only on its arguments.  `--help` prints every registered row;
+ * README's knob table is generated from that output
+ * (scripts/gen_crash_site_table.sh).
  *
  * Unrecognized arguments are fatal so a typo cannot silently fall
  * back to defaults in a long experiment campaign.
@@ -77,22 +77,19 @@ struct Options
 };
 
 /**
- * Applies a flag's @p text (empty for a switch); @p origin names its
- * source, the flag or the variable, for error messages.
+ * Applies a flag's @p text (empty for a switch); @p origin names the
+ * flag for error messages.
  */
 using FlagSetter = std::function<void(const char *text, const char *origin)>;
 
 /**
  * One flag.  A row with a value placeholder takes "--name V" or
- * "--name=V"; a row without one is a switch, whose environment mirror
- * turns it on unless empty or "0".  An empty environment value leaves
- * the default.  The help line ends in "(default X)" where the default
- * is worth naming.
+ * "--name=V"; a row without one is a switch.  The help line ends in
+ * "(default X)" where the default is worth naming.
  */
 struct Flag
 {
     const char *name;   ///< "--jobs"
-    const char *env;    ///< "KINDLE_JOBS", or nullptr for no mirror
     const char *value;  ///< placeholder such as "N"; nullptr: a switch
     const char *help;
     FlagSetter set;
@@ -139,10 +136,9 @@ fault::CoreFaultPlan parseCoreFaultSpec(const std::string &spec,
                                         const char *origin);
 
 /**
- * Parse the runner flags, plus the binary's own @p extra tables: every
- * row's environment mirror first, then @p argv.  `--help` prints the
- * usage and exits 0; an unknown argument, a missing value or a
- * malformed one is fatal.
+ * Parse @p argv against the runner flags plus the binary's own @p extra
+ * tables.  `--help` prints the usage and exits 0; an unknown argument,
+ * a missing value or a malformed one is fatal.
  */
 Options parseOptions(int argc, char **argv,
                      const std::vector<FlagTable> &extra = {});

@@ -1,6 +1,5 @@
 #include "runner/report.hh"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "base/json.hh"
@@ -85,12 +84,7 @@ BenchReport::writeJson(std::ostream &os) const
 std::string
 BenchReport::writeJsonFile() const
 {
-    std::string dir = ".";
-    if (const char *env = std::getenv("KINDLE_RESULTS_DIR")) {
-        if (*env)
-            dir = env;
-    }
-    const std::string path = dir + "/BENCH_" + benchName + ".json";
+    const std::string path = "./BENCH_" + benchName + ".json";
     std::ofstream out(path);
     if (!out)
         kindle_fatal("cannot open {} for writing", path);

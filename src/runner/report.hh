@@ -71,11 +71,8 @@ class BenchReport
     /** Serialize the record to @p os. */
     void writeJson(std::ostream &os) const;
 
-    /**
-     * Write "<dir>/BENCH_<name>.json" (dir defaults to the working
-     * directory, overridable via the KINDLE_RESULTS_DIR environment
-     * variable) and return the path written.
-     */
+    /** Write "BENCH_<name>.json" into the working directory and
+     *  return the path written. */
     std::string writeJsonFile() const;
 
     const std::string &name() const { return benchName; }

@@ -169,25 +169,6 @@ SweepRunner::runRouted(const Scenario &scenario,
     return result;
 }
 
-RunResult
-SweepRunner::runScenario(const Scenario &scenario) const
-{
-    return runRouted(
-        scenario,
-        routeFile(_opts.traceOut, scenario.name, /*solo=*/true,
-                  ".trace.json"),
-        routeFile(_opts.flightOut, scenario.name, /*solo=*/true,
-                  ".flight.json"),
-        routeFile(_opts.telemetryOut, "TELEM_" + scenario.name,
-                  /*solo=*/true, ".json"));
-}
-
-RunResult
-SweepRunner::runOne(const Scenario &scenario)
-{
-    return SweepRunner(1).runScenario(scenario);
-}
-
 std::vector<RunResult>
 SweepRunner::run(const std::vector<Scenario> &scenarios)
 {

@@ -92,15 +92,6 @@ class SweepRunner
      */
     std::vector<RunResult> run(const std::vector<Scenario> &scenarios);
 
-    /**
-     * Execute a single scenario inline (no threads), honouring this
-     * runner's trace routing.
-     */
-    RunResult runScenario(const Scenario &scenario) const;
-
-    /** Execute a single scenario inline with no trace routing. */
-    static RunResult runOne(const Scenario &scenario);
-
   private:
     /**
      * Resolve the per-scenario output file under @p base: a ".json"

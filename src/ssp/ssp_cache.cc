@@ -52,12 +52,6 @@ SspCache::write(Addr frame, const SspCacheEntry &entry)
 }
 
 void
-SspCache::flushEntry(Addr frame)
-{
-    kmem.clwb(entryAddr(frame));
-}
-
-void
 SspCache::mergeBits(Addr frame, std::uint64_t updated_bits,
                     bool mark_evicted)
 {

@@ -71,9 +71,6 @@ class SspCache
     void mergeBits(Addr frame, std::uint64_t updated_bits,
                    bool mark_evicted);
 
-    /** clwb the entry's line (interval-commit durability). */
-    void flushEntry(Addr frame);
-
     /** Frames whose entries carry the evicted flag (dirty list). */
     const std::unordered_set<Addr> &evictedFrames() const
     {
@@ -82,9 +79,6 @@ class SspCache
 
     /** Clear the evicted flag after consolidation. */
     void clearEvicted(Addr frame);
-
-    /** Drop every host-side index (fresh boot). */
-    void resetIndex() { evictedSet.clear(); }
 
     statistics::StatGroup &stats() { return statGroup; }
 

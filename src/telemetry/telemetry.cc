@@ -123,16 +123,6 @@ Sampler::decimate()
     timer.setPeriod(effectiveInterval());
 }
 
-std::vector<std::string>
-Sampler::channelNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(channels.size());
-    for (const Channel &ch : channels)
-        names.push_back(ch.name);
-    return names;
-}
-
 void
 Sampler::writeJson(std::ostream &os) const
 {

@@ -122,9 +122,6 @@ class Sampler
 
     const std::vector<Sample> &samples() const { return series; }
 
-    /** Channel names, in registration (= Sample::values) order. */
-    std::vector<std::string> channelNames() const;
-
     /** Ticks between recorded samples right now (interval × stride). */
     Tick effectiveInterval() const { return interval * stride; }
 

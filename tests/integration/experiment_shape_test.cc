@@ -15,7 +15,7 @@ namespace kindle::bench
 namespace
 {
 
-/** KINDLE_SCALE=32, KINDLE_OPS=200000: long enough that every
+/** --scale 32 --ops 200000: long enough that every
  *  Figure 6 run crosses its first 31.25 ms migration interval. */
 const Scale reduced{32, 200000, 1};
 

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 
-#include "base/logging.hh"
 #include "prep/workloads.hh"
 
 namespace kindle::prep
@@ -142,23 +140,6 @@ TEST(WorkloadsTest, DistinctSeedsGiveDistinctStreams)
     while (sa->next(ra) && sb->next(rb))
         diff += (ra.offset != rb.offset);
     EXPECT_GT(diff, 100);
-}
-
-TEST(WorkloadsTest, OpsFromEnvParsesAndFallsBack)
-{
-    ::unsetenv("KINDLE_OPS");
-    EXPECT_EQ(opsFromEnv(123), 123u);
-    ::setenv("KINDLE_OPS", "4567", 1);
-    EXPECT_EQ(opsFromEnv(123), 4567u);
-    ::setenv("KINDLE_OPS", "", 1);
-    EXPECT_EQ(opsFromEnv(123), 123u);
-    setErrorsThrow(true);
-    for (const char *bad : {"abc", "0", "12x"}) {
-        ::setenv("KINDLE_OPS", bad, 1);
-        EXPECT_THROW(opsFromEnv(123), SimError) << bad;
-    }
-    setErrorsThrow(false);
-    ::unsetenv("KINDLE_OPS");
 }
 
 TEST(WorkloadsTest, PaperScaleFootprints)

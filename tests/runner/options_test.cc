@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
-#include "bench_util.hh"
 #include "runner/options.hh"
+#include "runner/report.hh"
 
 namespace kindle::runner
 {
@@ -27,46 +31,18 @@ FlagTable
 toolFlags(ToolOptions &t)
 {
     return {"tool flags", {
-        {"--count", "KINDLE_TEST_COUNT", "N", "items, 1..65536",
-         setNumber(t.count, 1, 65536)},
-        {"--tool-seed", "KINDLE_TEST_SEED", "N", "master seed",
+        {"--count", "N", "items, 1..65536", setNumber(t.count, 1, 65536)},
+        {"--tool-seed", "N", "master seed",
          setNumber(t.seed, 0, ~std::uint64_t(0))},
-        {"--quiet", nullptr, nullptr, "print nothing",
-         setSwitch(t.quiet)},
+        {"--quiet", nullptr, "print nothing", setSwitch(t.quiet)},
     }};
 }
 
 class OptionsTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        setErrorsThrow(true);
-        clearEnv();
-    }
-
-    void
-    TearDown() override
-    {
-        clearEnv();
-        setErrorsThrow(false);
-    }
-
-    /** Unset every mirror, so the caller's environment cannot leak in. */
-    static void
-    clearEnv()
-    {
-        Options opts;
-        ToolOptions to;
-        for (const FlagTable &table : {runnerFlags(opts), toolFlags(to)}) {
-            for (const Flag &flag : table.flags) {
-                if (flag.env)
-                    ::unsetenv(flag.env);
-            }
-        }
-        ::unsetenv("KINDLE_SCALE");
-    }
+    void SetUp() override { setErrorsThrow(true); }
+    void TearDown() override { setErrorsThrow(false); }
 
     /** parseOptions over @p args, with "bench" as argv[0]. */
     static Options
@@ -81,40 +57,78 @@ class OptionsTest : public ::testing::Test
     }
 };
 
-TEST_F(OptionsTest, RunnerFlagBeatsEnvBeatsDefault)
+TEST_F(OptionsTest, RunnerFlagBeatsDefault)
 {
     EXPECT_EQ(parse({}).jobs, 0u);
-    ::setenv("KINDLE_JOBS", "3", 1);
-    EXPECT_EQ(parse({}).jobs, 3u);
     EXPECT_EQ(parse({"--jobs", "5"}).jobs, 5u);
+    EXPECT_FALSE(parse({}).prof);
+    EXPECT_TRUE(parse({"--prof"}).prof);
 }
 
-TEST_F(OptionsTest, ExtraFlagBeatsEnvBeatsDefault)
+TEST_F(OptionsTest, ExtraFlagBeatsDefault)
 {
     ToolOptions to;
     parse({}, {toolFlags(to)});
     EXPECT_EQ(to.count, 0u);
-    ::setenv("KINDLE_TEST_COUNT", "7", 1);
-    parse({}, {toolFlags(to)});
-    EXPECT_EQ(to.count, 7u);
     parse({"--count", "9"}, {toolFlags(to)});
     EXPECT_EQ(to.count, 9u);
 }
 
-TEST_F(OptionsTest, EmptyEnvKeepsTheDefault)
+/**
+ * A run depends only on its arguments: no KINDLE_* variable, named
+ * like a runner flag or like a workload knob, changes the parsed
+ * options or where a report lands.
+ */
+TEST_F(OptionsTest, EnvironmentIsInert)
 {
-    ::setenv("KINDLE_CORES", "", 1);
-    EXPECT_EQ(parse({}).cores, 1u);
-}
+    const std::vector<std::pair<const char *, const char *>> vars{
+        {"KINDLE_JOBS", "3"},
+        {"KINDLE_CORES", "4"},
+        {"KINDLE_TRACE_OUT", "t.json"},
+        {"KINDLE_TRACE_FLAGS", "redo"},
+        {"KINDLE_TRACE_RING", "7"},
+        {"KINDLE_FLIGHT_OUT", "f.json"},
+        {"KINDLE_CORE_FAIL", "1@2000000"},
+        {"KINDLE_IPI_TIMEOUT", "500"},
+        {"KINDLE_TELEMETRY", "1000"},
+        {"KINDLE_TELEMETRY_OUT", "telem.json"},
+        {"KINDLE_PROF", "1"},
+        {"KINDLE_SCALE", "2"},
+        {"KINDLE_OPS", "4567"},
+        {"KINDLE_RESULTS_DIR", "/nonexistent"},
+    };
+    for (const auto &[name, value] : vars)
+        ::setenv(name, value, 1);
 
-TEST_F(OptionsTest, SwitchEnvMirrorIsOffAtZero)
-{
-    ::setenv("KINDLE_PROF", "0", 1);
-    EXPECT_FALSE(parse({}).prof);
-    ::setenv("KINDLE_PROF", "1", 1);
-    EXPECT_TRUE(parse({}).prof);
-    ::unsetenv("KINDLE_PROF");
-    EXPECT_TRUE(parse({"--prof"}).prof);
+    const Options opts = parse({});
+    EXPECT_EQ(opts.jobs, 0u);
+    EXPECT_EQ(opts.cores, 1u);
+    EXPECT_EQ(opts.traceOut, "");
+    EXPECT_EQ(opts.traceFlags, "");
+    EXPECT_FALSE(opts.traceRing.has_value());
+    EXPECT_EQ(opts.flightOut, "");
+    EXPECT_FALSE(opts.coreFault.has_value());
+    EXPECT_EQ(opts.ipiTimeout, 0u);
+    EXPECT_EQ(opts.sampleInterval, 0u);
+    EXPECT_EQ(opts.telemetryOut, "");
+    EXPECT_FALSE(opts.prof);
+
+    // The report lands in the working directory.
+    char dir[] = "/tmp/kindle_inert_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir), nullptr);
+    char *const cwd = ::getcwd(nullptr, 0);
+    ASSERT_EQ(::chdir(dir), 0);
+    std::string path;
+    EXPECT_NO_THROW(path = BenchReport("inert", 1).writeJsonFile());
+    const std::string file = std::string(dir) + "/BENCH_inert.json";
+    EXPECT_TRUE(std::ifstream(file).good()) << path;
+    EXPECT_EQ(::chdir(cwd), 0);
+    std::free(cwd);
+    std::remove(file.c_str());
+    std::remove(dir);
+
+    for (const auto &[name, value] : vars)
+        ::unsetenv(name);
 }
 
 TEST_F(OptionsTest, EqualsForm)
@@ -158,32 +172,10 @@ TEST_F(OptionsTest, MalformedNumbersAreFatal)
         EXPECT_THROW(parse(args, {toolFlags(to)}), SimError)
             << args[0] << " " << args[1];
     }
-    ::setenv("KINDLE_JOBS", "abc", 1);
-    EXPECT_THROW(parse({}), SimError);
-    ::unsetenv("KINDLE_JOBS");
-    ::setenv("KINDLE_TEST_COUNT", "7x", 1);
-    EXPECT_THROW(parse({}, {toolFlags(to)}), SimError);
-    ::unsetenv("KINDLE_TEST_COUNT");
     // Trace categories are checked at parse time, not left to each
     // system to warn about; a valid list passes through verbatim.
-    ::setenv("KINDLE_TRACE_FLAGS", "redo,typo", 1);
-    EXPECT_THROW(parse({}), SimError);
-    ::unsetenv("KINDLE_TRACE_FLAGS");
     EXPECT_EQ(parse({"--trace-flags", " redo, fault"}).traceFlags,
               " redo, fault");
-}
-
-TEST_F(OptionsTest, ScaleFromEnvIsStrict)
-{
-    EXPECT_EQ(bench::scaleFromEnv(8), 8u);
-    ::setenv("KINDLE_SCALE", "", 1);
-    EXPECT_EQ(bench::scaleFromEnv(8), 8u);
-    ::setenv("KINDLE_SCALE", "2", 1);
-    EXPECT_EQ(bench::scaleFromEnv(8), 2u);
-    for (const char *bad : {"abc", "0", "12x"}) {
-        ::setenv("KINDLE_SCALE", bad, 1);
-        EXPECT_THROW(bench::scaleFromEnv(8), SimError) << bad;
-    }
 }
 
 TEST_F(OptionsTest, CoreFaultSpec)
@@ -229,12 +221,9 @@ TEST_F(OptionsTest, UsageNamesEveryRegisteredRow)
                 << flag.name;
             EXPECT_NE(usage.find(flag.help), std::string::npos)
                 << flag.name;
-            if (flag.env) {
-                EXPECT_NE(usage.find(flag.env), std::string::npos)
-                    << flag.env;
-            }
         }
     }
+    EXPECT_EQ(usage.find("(env "), std::string::npos);
 }
 
 } // namespace

@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "base/stats.hh"
@@ -77,29 +74,6 @@ TEST(BenchReportTest, StatPrefixFilterLimitsExport)
     EXPECT_NE(out.find("\"persist.checkpoints\": 3"),
               std::string::npos);
     EXPECT_EQ(out.find("ssp.intervalCommits"), std::string::npos);
-}
-
-TEST(BenchReportTest, WriteJsonFileHonoursResultsDirEnv)
-{
-    char tmpl[] = "/tmp/kindle_report_XXXXXX";
-    ASSERT_NE(mkdtemp(tmpl), nullptr);
-    setenv("KINDLE_RESULTS_DIR", tmpl, 1);
-
-    BenchReport report("env_bench", 2);
-    report.add(fakeResult("only"));
-    const std::string path = report.writeJsonFile();
-    unsetenv("KINDLE_RESULTS_DIR");
-
-    EXPECT_EQ(path, std::string(tmpl) + "/BENCH_env_bench.json");
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream contents;
-    contents << in.rdbuf();
-    EXPECT_NE(contents.str().find("\"bench\": \"env_bench\""),
-              std::string::npos);
-
-    std::remove(path.c_str());
-    std::remove(tmpl);
 }
 
 TEST(BenchReportTest, JsonIsReproducibleModuloWallClock)

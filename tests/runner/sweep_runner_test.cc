@@ -66,8 +66,8 @@ TEST(SweepRunnerTest, ResultsArriveInScenarioOrder)
 
 TEST(SweepRunnerTest, ResultCarriesStatSnapshot)
 {
-    const auto result = SweepRunner::runOne(smallPersistScenario(
-        persist::PtScheme::rebuild, oneMiB, "one"));
+    const RunResult result = SweepRunner(1).run({smallPersistScenario(
+        persist::PtScheme::rebuild, oneMiB, "one")})[0];
     ASSERT_TRUE(result.ok) << result.error;
     // Forest roots from every configured component.
     EXPECT_TRUE(result.stats.has("core.memOps"));
