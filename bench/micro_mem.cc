@@ -4,12 +4,15 @@
  * DRAM/NVM device latencies and controller buffering behaviour.
  * These validate the Table I configuration rather than reproduce a
  * paper artifact; the reported "items" are simulated accesses and the
- * custom counters report *simulated* latency per access.
+ * custom counters report *simulated* latency per access.  The
+ * functional backing-store cases report host time per call over a
+ * sparse and a dense frame.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "mem/hybrid_memory.hh"
 
@@ -117,18 +120,54 @@ BM_NvmBulkPageCopyCost(benchmark::State &state)
 }
 BENCHMARK(BM_NvmBulkPageCopyCost);
 
+/**
+ * Fill state.range(0) evenly spaced lines of one DRAM frame (2: a
+ * sparse frame, 64: a dense one) and return their addresses.
+ */
+std::vector<Addr>
+heldLines(mem::HybridMemory &memory, const benchmark::State &state)
+{
+    const auto lines = static_cast<std::uint64_t>(state.range(0));
+    std::vector<Addr> addrs;
+    for (std::uint64_t i = 0; i < lines; ++i) {
+        addrs.push_back(0x1000 + i * (linesPerPage / lines) * lineSize);
+        memory.writeT<std::uint64_t>(addrs.back(), i + 1);
+    }
+    return addrs;
+}
+
+/** Host cost of one functional 8-byte DRAM store to a held line. */
 void
 BM_FunctionalBackingStoreWrite(benchmark::State &state)
 {
     mem::HybridMemory memory(benchParams());
-    Addr addr = 0x1000;
+    const std::vector<Addr> addrs = heldLines(memory, state);
+    std::size_t i = 0;
     std::uint64_t v = 0;
     for (auto _ : state) {
-        memory.writeT<std::uint64_t>(addr, ++v);
-        addr = (addr + 8) % (64 * oneMiB);
+        memory.writeT<std::uint64_t>(addrs[i], ++v);
+        if (++i == addrs.size())
+            i = 0;
     }
 }
-BENCHMARK(BM_FunctionalBackingStoreWrite);
+BENCHMARK(BM_FunctionalBackingStoreWrite)->Arg(2)->Arg(64);
+
+/** Host cost of one functional 8-byte DRAM load from a held line. */
+void
+BM_FunctionalBackingStoreRead(benchmark::State &state)
+{
+    mem::HybridMemory memory(benchParams());
+    const std::vector<Addr> addrs = heldLines(memory, state);
+    std::size_t i = 0;
+    std::uint64_t sum = 0;
+    for (auto _ : state) {
+        sum += memory.readT<std::uint64_t>(addrs[i]);
+        if (++i == addrs.size())
+            i = 0;
+    }
+    benchmark::DoNotOptimize(sum);
+}
+BENCHMARK(BM_FunctionalBackingStoreRead)->Arg(2)->Arg(64);
 
 } // namespace
 

@@ -31,9 +31,10 @@ run_fuzz() {
 }
 
 echo "=== ASan/UBSan build + full test suite ==="
+# -Werror on top of the tree's -Wall -Wextra: a new warning fails CI.
 cmake -B build-asan -S . -G Ninja \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -Werror"
 cmake --build build-asan -j "${JOBS}"
 # The suite includes one fuzz-driver sweep per fault-plane set (the
 # fuzz.* tests in bench/CMakeLists.txt) and the golden.rows run of every

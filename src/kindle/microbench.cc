@@ -13,7 +13,9 @@ ScriptBuilder::mmapFixed(Addr addr, std::uint64_t size, bool nvm)
     op.kind = cpu::Op::Kind::mmap;
     op.addr = addr;
     op.size = size;
-    op.flags = cpu::mapFixed | (nvm ? cpu::mapNvm : 0);
+    op.flags = cpu::mapFixed;
+    if (nvm)
+        op.flags |= cpu::mapNvm;
     ops.push_back(op);
     return *this;
 }

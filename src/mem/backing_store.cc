@@ -1,6 +1,7 @@
 #include "mem/backing_store.hh"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "base/random.hh"
@@ -22,7 +23,7 @@ BackingStore::frameIndex(Addr addr) const
     return (addr - _range.start()) >> pageShift;
 }
 
-BackingStore::Frame *
+BackingStore::FrameLines *
 BackingStore::frameFor(Addr addr, bool allocate)
 {
     const std::uint64_t fn = frameIndex(addr);
@@ -32,20 +33,39 @@ BackingStore::frameFor(Addr addr, bool allocate)
             return nullptr;
         leaf = std::make_unique<Leaf>();
     }
-    std::unique_ptr<Frame> &frame = (*leaf)[fn % leafFrames];
-    if (!frame && allocate) {
-        frame = std::make_unique<Frame>();  // zero-filled
-        ++allocated;
-    }
-    return frame.get();
+    return &(*leaf)[fn % leafFrames];
 }
 
-const BackingStore::Frame *
+const BackingStore::FrameLines *
 BackingStore::frameFor(Addr addr) const
 {
     const std::uint64_t fn = frameIndex(addr);
     const Leaf *leaf = leaves[fn / leafFrames].get();
-    return leaf ? (*leaf)[fn % leafFrames].get() : nullptr;
+    return leaf ? &(*leaf)[fn % leafFrames] : nullptr;
+}
+
+std::uint8_t *
+BackingStore::insertLine(FrameLines &f, std::uint64_t bit)
+{
+    const unsigned count = std::popcount(f.mask);
+    const unsigned at = std::popcount(f.mask & (bit - 1));
+    if ((count & (count - 1)) == 0) {
+        // Full (0, 1, 2, 4, ... lines held): double the capacity and
+        // leave a gap at the new line's rank.
+        std::unique_ptr<Line[]> grown(new Line[count ? 2 * count : 1]);
+        std::copy(f.lines.get(), f.lines.get() + at, grown.get());
+        std::copy(f.lines.get() + at, f.lines.get() + count,
+                  grown.get() + at + 1);
+        f.lines = std::move(grown);
+    } else {
+        std::copy_backward(f.lines.get() + at, f.lines.get() + count,
+                           f.lines.get() + count + 1);
+    }
+    f.mask |= bit;
+    ++held;
+    Line &line = f.lines[at];
+    line.fill(0);
+    return line.data();
 }
 
 void
@@ -53,20 +73,27 @@ BackingStore::clear()
 {
     for (auto &leaf : leaves)
         leaf.reset();
-    allocated = 0;
+    held = 0;
 }
 
 void
 BackingStore::read(Addr addr, void *dst, std::uint64_t size) const
 {
     auto *out = static_cast<std::uint8_t *>(dst);
-    while (size > 0) {
+    const FrameLines *f = nullptr;
+    for (bool first = true; size > 0; first = false) {
         const std::uint64_t in_page = addr & (pageSize - 1);
-        const std::uint64_t chunk = std::min(size, pageSize - in_page);
-        if (const Frame *f = frameFor(addr))
-            std::memcpy(out, f->data() + in_page, chunk);
-        else
+        const std::uint64_t in_line = addr & (lineSize - 1);
+        const std::uint64_t chunk = std::min(size, lineSize - in_line);
+        if (first || in_page == 0)
+            f = frameFor(addr);
+        const std::uint64_t bit = std::uint64_t{1} << (in_page >> lineShift);
+        if (f && (f->mask & bit)) {
+            const Line &line = f->lines[std::popcount(f->mask & (bit - 1))];
+            std::memcpy(out, line.data() + in_line, chunk);
+        } else {
             std::memset(out, 0, chunk);
+        }
         addr += chunk;
         out += chunk;
         size -= chunk;
@@ -77,11 +104,25 @@ void
 BackingStore::write(Addr addr, const void *src, std::uint64_t size)
 {
     const auto *in = static_cast<const std::uint8_t *>(src);
-    while (size > 0) {
+    FrameLines *f = nullptr;
+    for (bool first = true; size > 0; first = false) {
         const std::uint64_t in_page = addr & (pageSize - 1);
-        const std::uint64_t chunk = std::min(size, pageSize - in_page);
-        Frame *f = frameFor(addr, true);
-        std::memcpy(f->data() + in_page, in, chunk);
+        const std::uint64_t in_line = addr & (lineSize - 1);
+        const std::uint64_t chunk = std::min(size, lineSize - in_line);
+        if (first || in_page == 0)
+            f = frameFor(addr, false);
+        const std::uint64_t bit = std::uint64_t{1} << (in_page >> lineShift);
+        std::uint8_t *line = nullptr;
+        if (f && (f->mask & bit)) {
+            line = f->lines[std::popcount(f->mask & (bit - 1))].data();
+        } else if (std::any_of(in, in + chunk,
+                               [](std::uint8_t b) { return b != 0; })) {
+            if (!f)
+                f = frameFor(addr, true);
+            line = insertLine(*f, bit);
+        }
+        if (line)
+            std::memcpy(line + in_line, in, chunk);
         addr += chunk;
         in += chunk;
         size -= chunk;

@@ -4,8 +4,8 @@
  *
  * Two flavours exist:
  *
- *  - BackingStore: a plain sparse frame table.  DRAM uses one
- *    directly; its contents vanish on crash.
+ *  - BackingStore: a plain sparse, line-granular store.  DRAM uses
+ *    one directly; its contents vanish on crash.
  *  - DurableStore: an NVM store with a *pending-line overlay* and an
  *    *in-flight controller stage*.  Writes land in the overlay first
  *    (they are architecturally in volatile CPU caches); when the cache
@@ -41,10 +41,15 @@ namespace kindle::mem
 
 class NvmMediaModel;
 
+/** The bytes of one cache line. */
+using Line = std::array<std::uint8_t, lineSize>;
+
 /**
- * A sparse, frame-granular byte store over an address range: a
- * two-level radix table whose leaves of leafFrames frame pointers,
- * like the frames themselves, are allocated on first write.
+ * A sparse, line-granular byte store over an address range: a
+ * two-level radix table whose leaves of leafFrames FrameLines
+ * headers are allocated on first write.  A frame keeps only the
+ * 64-byte lines that ever received a non-zero byte; every other line
+ * reads as zero.
  */
 class BackingStore
 {
@@ -56,7 +61,11 @@ class BackingStore
     /** Read @p size bytes at @p addr into @p dst (zero-fill holes). */
     void read(Addr addr, void *dst, std::uint64_t size) const;
 
-    /** Write @p size bytes from @p src at @p addr. */
+    /**
+     * Write @p size bytes from @p src at @p addr.  An all-zero chunk
+     * that lands on an unheld line is skipped: that line already reads
+     * as zero.
+     */
     void write(Addr addr, const void *src, std::uint64_t size);
 
     /** Typed convenience read. */
@@ -77,28 +86,44 @@ class BackingStore
         write(addr, &v, sizeof(T));
     }
 
-    /** Drop every frame (volatile contents lost). */
+    /** Drop every line (volatile contents lost). */
     void clear();
 
-    /** Number of frames currently materialized. */
-    std::size_t framesAllocated() const { return allocated; }
+    /** Number of lines currently held. */
+    std::size_t linesHeld() const { return held; }
 
     /** Frames covered by one radix leaf. */
     static constexpr std::uint64_t leafFrames = 512;
 
   private:
-    using Frame = std::array<std::uint8_t, pageSize>;
-    using Leaf = std::array<std::unique_ptr<Frame>, leafFrames>;
+    /**
+     * The held lines of one frame.  Bit i of @c mask means line i is
+     * held; the held lines sit in line order, so line i is at
+     * lines[popcount(mask & (bit - 1))].  The array's capacity is
+     * bit_ceil(popcount(mask)): it doubles when the count reaches a
+     * power of two, so a dense frame costs one 4 KiB array.
+     */
+    struct FrameLines
+    {
+        std::uint64_t mask = 0;
+        std::unique_ptr<Line[]> lines;
+    };
+    static_assert(sizeof(FrameLines) == 16);
+
+    using Leaf = std::array<FrameLines, leafFrames>;
 
     /** Frame number of @p addr within the range. */
     std::uint64_t frameIndex(Addr addr) const;
 
-    Frame *frameFor(Addr addr, bool allocate);
-    const Frame *frameFor(Addr addr) const;
+    FrameLines *frameFor(Addr addr, bool allocate);
+    const FrameLines *frameFor(Addr addr) const;
+
+    /** Hold the unheld line @p bit of @p f, zeroed; return its bytes. */
+    std::uint8_t *insertLine(FrameLines &f, std::uint64_t bit);
 
     AddrRange _range;
     std::vector<std::unique_ptr<Leaf>> leaves;
-    std::size_t allocated = 0;
+    std::size_t held = 0;
 };
 
 /** What a power failure does to writes still in the controller. */
@@ -215,8 +240,6 @@ class DurableStore
     std::size_t inflightLines() const { return inflight.size(); }
 
   private:
-    using Line = std::array<std::uint8_t, lineSize>;
-
     /** A buffered line draining toward the device. */
     struct Inflight
     {

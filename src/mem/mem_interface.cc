@@ -83,6 +83,7 @@ rramParams()
 MemInterface::MemInterface(const MemTimingParams &params, AddrRange range)
     : _params(params),
       _range(range),
+      rowShift(floorLog2(params.rowBytes)),
       bankState(params.banks),
       statGroup(params.name, "memory device timing model"),
       readReqs(statGroup.addScalar("readReqs", "line reads serviced")),
@@ -98,27 +99,13 @@ MemInterface::MemInterface(const MemTimingParams &params, AddrRange range)
     kindle_assert(isPowerOf2(params.rowBytes), "row size must be pow2");
 }
 
-unsigned
-MemInterface::bankOf(Addr addr) const
-{
-    // Row-interleaved bank mapping: consecutive rows hit different
-    // banks, which is the common open-page address mapping.
-    return (rowOf(addr)) % _params.banks;
-}
-
-std::uint64_t
-MemInterface::rowOf(Addr addr) const
-{
-    return _range.offsetOf(addr) / _params.rowBytes;
-}
-
 Tick
 MemInterface::access(MemCmd cmd, Addr addr, Tick now)
 {
     kindle_assert(_range.contains(addr),
                   "device access outside address range");
-    Bank &bank = bankState[bankOf(addr)];
     const std::uint64_t row = rowOf(addr);
+    Bank &bank = bankOf(row);
     const bool hit = bank.openRow == row;
 
     const bool is_write = isWriteCmd(cmd);
@@ -162,13 +149,14 @@ MemInterface::bulkAccess(MemCmd cmd, Addr addr, std::uint64_t bytes,
     // A streaming transfer opens each row once; charge one row miss to
     // start plus bandwidth-limited line costs, and hold the touched
     // bank busy for the duration.
-    Bank &bank = bankState[bankOf(addr)];
+    const std::uint64_t row = rowOf(addr);
+    Bank &bank = bankOf(row);
     const Tick start = std::max({now, bank.busyUntil, busBusyUntil});
     const Tick first =
         is_write ? _params.writeRowMiss : _params.readRowMiss;
     const Tick done = start + first + lines * per_line;
 
-    bank.openRow = rowOf(addr);
+    bank.openRow = row;
     bank.busyUntil = done;
     busBusyUntil = done;
 

@@ -98,17 +98,29 @@ class MemInterface
     void reset();
 
   private:
-    unsigned bankOf(Addr addr) const;
-    std::uint64_t rowOf(Addr addr) const;
-
-    MemTimingParams _params;
-    AddrRange _range;
-
     struct Bank
     {
         std::uint64_t openRow = ~std::uint64_t(0);
         Tick busyUntil = 0;
     };
+
+    /** Row of @p addr: the device offset over the row size. */
+    std::uint64_t
+    rowOf(Addr addr) const
+    {
+        return _range.offsetOf(addr) >> rowShift;
+    }
+
+    /**
+     * Row-interleaved bank mapping: consecutive rows hit different
+     * banks, which is the common open-page address mapping.
+     */
+    Bank &bankOf(std::uint64_t row) { return bankState[row % _params.banks]; }
+
+    MemTimingParams _params;
+    AddrRange _range;
+    /** log2(rowBytes). */
+    unsigned rowShift;
 
     std::vector<Bank> bankState;
     Tick busBusyUntil = 0;

@@ -44,8 +44,9 @@ ReplayStream::next(cpu::Op &op)
             op.kind = cpu::Op::Kind::mmap;
             op.addr = plan[setupIdx].first;
             op.size = plan[setupIdx].second;
-            op.flags = cpu::mapFixed |
-                       (planNvm[setupIdx] ? cpu::mapNvm : 0);
+            op.flags = cpu::mapFixed;
+            if (planNvm[setupIdx])
+                op.flags |= cpu::mapNvm;
             ++setupIdx;
             return true;
         }

@@ -19,7 +19,7 @@ TEST(BackingStoreTest, ReadsZeroFromHoles)
 {
     BackingStore store(AddrRange(0, oneMiB));
     EXPECT_EQ(store.readT<std::uint64_t>(0x1000), 0u);
-    EXPECT_EQ(store.framesAllocated(), 0u);
+    EXPECT_EQ(store.linesHeld(), 0u);
 }
 
 TEST(BackingStoreTest, WriteReadRoundTrip)
@@ -28,7 +28,7 @@ TEST(BackingStoreTest, WriteReadRoundTrip)
     store.writeT<std::uint64_t>(0x1008, 0xdeadbeefcafef00dull);
     EXPECT_EQ(store.readT<std::uint64_t>(0x1008),
               0xdeadbeefcafef00dull);
-    EXPECT_EQ(store.framesAllocated(), 1u);
+    EXPECT_EQ(store.linesHeld(), 1u);
 }
 
 TEST(BackingStoreTest, CrossPageAccess)
@@ -39,7 +39,8 @@ TEST(BackingStoreTest, CrossPageAccess)
     char out[sizeof(msg)] = {};
     store.read(pageSize - 8, out, sizeof(msg));
     EXPECT_STREQ(out, msg);
-    EXPECT_EQ(store.framesAllocated(), 2u);
+    // The last line of one frame and the first of the next.
+    EXPECT_EQ(store.linesHeld(), 2u);
 }
 
 TEST(BackingStoreTest, ClearForgetsEverything)
@@ -61,26 +62,130 @@ TEST(BackingStoreTest, FramesInSeparateRadixLeaves)
                                                2 * leaf};
     for (const std::uint64_t f : frames)
         store.writeT<std::uint64_t>(base + f * pageSize + 8, f + 1);
-    // A second write to a materialized frame allocates nothing.
+    // A second write to a held line holds nothing new.
     store.writeT<std::uint64_t>(base + leaf * pageSize + 16, 5);
-    EXPECT_EQ(store.framesAllocated(), frames.size());
+    EXPECT_EQ(store.linesHeld(), frames.size());
     for (const std::uint64_t f : frames)
         EXPECT_EQ(store.readT<std::uint64_t>(base + f * pageSize + 8), f + 1);
     // Reads of untouched frames, in touched and untouched leaves,
-    // materialize nothing.
+    // hold nothing.
     EXPECT_EQ(store.readT<std::uint64_t>(base + pageSize), 0u);
     EXPECT_EQ(store.readT<std::uint64_t>(base + (leaf + 7) * pageSize),
               0u);
-    EXPECT_EQ(store.framesAllocated(), frames.size());
+    EXPECT_EQ(store.linesHeld(), frames.size());
 
     store.clear();
-    EXPECT_EQ(store.framesAllocated(), 0u);
+    EXPECT_EQ(store.linesHeld(), 0u);
     for (const std::uint64_t f : frames)
         EXPECT_EQ(store.readT<std::uint64_t>(base + f * pageSize + 8), 0u);
     store.writeT<std::uint8_t>(base + (2 * leaf + 1) * pageSize - 1, 9);
-    EXPECT_EQ(store.framesAllocated(), 1u);
+    EXPECT_EQ(store.linesHeld(), 1u);
     EXPECT_EQ(
         store.readT<std::uint8_t>(base + (2 * leaf + 1) * pageSize - 1), 9);
+}
+
+TEST(BackingStoreTest, EveryCapacityStepKeepsTheLines)
+{
+    BackingStore store(AddrRange(0, oneMiB));
+    const Addr frame = 5 * pageSize;
+    // 37 is odd, so i * 37 mod 64 visits every line once, inserting
+    // before, between and after the held ones; the 64 inserts pass
+    // every capacity from 1 to 64.
+    const auto lineAt = [](unsigned i) { return (i * 37) % linesPerPage; };
+    for (unsigned i = 0; i < linesPerPage; ++i) {
+        store.writeT<std::uint64_t>(frame + lineAt(i) * lineSize + 8,
+                                    1000 + lineAt(i));
+        EXPECT_EQ(store.linesHeld(), i + 1);
+        for (unsigned j = 0; j <= i; ++j) {
+            ASSERT_EQ(store.readT<std::uint64_t>(
+                          frame + lineAt(j) * lineSize + 8),
+                      1000 + lineAt(j))
+                << "line " << lineAt(j) << " after " << i + 1
+                << " inserts";
+        }
+    }
+    std::vector<std::uint8_t> page(pageSize);
+    store.read(frame, page.data(), pageSize);
+    for (unsigned l = 0; l < linesPerPage; ++l) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, page.data() + l * lineSize + 8, 8);
+        EXPECT_EQ(v, 1000 + l);
+    }
+}
+
+TEST(BackingStoreTest, ZeroWritesOverwriteHeldLinesAndSkipTheRest)
+{
+    BackingStore store(AddrRange(0, oneMiB));
+    store.writeT<std::uint64_t>(0x2008, 0xffu);
+    store.writeT<std::uint64_t>(0x2008, 0);
+    EXPECT_EQ(store.readT<std::uint64_t>(0x2008), 0u);
+    // The overwritten line stays held; a zero page held nothing new.
+    const std::vector<std::uint8_t> zeros(pageSize, 0);
+    store.write(0x3000, zeros.data(), pageSize);
+    EXPECT_EQ(store.linesHeld(), 1u);
+}
+
+TEST(BackingStoreDifferentialTest, MatchesFlatArray)
+{
+    // Two full radix leaves plus a one-frame third, away from zero,
+    // checked byte for byte against a flat array.
+    constexpr std::uint64_t leaf = BackingStore::leafFrames;
+    const std::uint64_t bytes = (2 * leaf + 1) * pageSize;
+    const AddrRange range = AddrRange::withSize(3 * oneGiB, bytes);
+    BackingStore store(range);
+    std::vector<std::uint8_t> ref(bytes, 0);
+    std::vector<bool> nonZero(bytes / lineSize, false);
+
+    Random rng(7);
+    // Most accesses meet in a few frames at the leaf edges, so writes
+    // keep landing on held and unheld lines of the same frame.
+    const std::vector<std::uint64_t> hot = {0, 1, leaf - 1, leaf, 2 * leaf};
+    std::vector<std::uint8_t> buf, got;
+    for (int op = 0; op < 20000; ++op) {
+        const unsigned kind = static_cast<unsigned>(rng.uniform(100));
+        if (kind == 0) {
+            store.clear();
+            std::fill(ref.begin(), ref.end(), 0);
+            std::fill(nonZero.begin(), nonZero.end(), false);
+            continue;
+        }
+        const std::uint64_t n =
+            rng.uniform(4) == 0 ? 1 + rng.uniform(2 * pageSize)
+                                : 1 + rng.uniform(2 * lineSize);
+        const std::uint64_t frame = rng.uniform(4) == 0
+                                        ? rng.uniform(2 * leaf + 1)
+                                        : hot[rng.uniform(hot.size())];
+        const std::uint64_t off =
+            std::min(frame * pageSize + rng.uniform(pageSize), bytes - n);
+        const Addr addr = range.start() + off;
+        if (kind < 50) {
+            got.assign(n, 0xa5);
+            store.read(addr, got.data(), n);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                   ref.begin() + off))
+                << "read of " << n << " at +" << off << ", op " << op;
+            continue;
+        }
+        // All zero, sparse (one non-zero byte in ~100) or random.
+        buf.assign(n, 0);
+        const unsigned payload = static_cast<unsigned>(rng.uniform(3));
+        for (std::uint64_t i = 0; payload != 0 && i < n; ++i) {
+            if (payload == 2 || rng.uniform(100) == 0)
+                buf[i] = static_cast<std::uint8_t>(rng.next());
+        }
+        store.write(addr, buf.data(), n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            ref[off + i] = buf[i];
+            if (buf[i] != 0)
+                nonZero[(off + i) / lineSize] = true;
+        }
+    }
+    got.assign(bytes, 0xa5);
+    store.read(range.start(), got.data(), bytes);
+    EXPECT_TRUE(got == ref);
+    EXPECT_EQ(store.linesHeld(),
+              static_cast<std::size_t>(
+                  std::count(nonZero.begin(), nonZero.end(), true)));
 }
 
 TEST(BackingStoreTest, NonZeroBaseRange)

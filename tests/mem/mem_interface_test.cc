@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/mem_interface.hh"
 
 namespace kindle::mem
@@ -95,6 +97,63 @@ TEST(MemInterfaceTest, ResetForgetsOpenRows)
     // Same address misses again after reset (row closed).
     const Tick miss2 = dram.access(MemCmd::read, 0, 0);
     EXPECT_EQ(miss1, miss2);
+}
+
+TEST(MemInterfaceTest, SixBanksInterleaveRowsModuloBankCount)
+{
+    // A bank count that is not a power of two: row r lives in bank
+    // r % 6, so rows 0, 6 and 12 evict each other's open row while
+    // rows 1 and 5 keep theirs.
+    MemTimingParams p = ddr4_2400Params();
+    p.banks = 6;
+    MemInterface dram(p, testRange());
+    struct Step
+    {
+        std::uint64_t row;
+        bool hit;
+    };
+    const std::vector<Step> steps = {
+        {0, false},  {1, false}, {5, false}, {0, true},
+        {6, false},  {1, true},  {5, true},  {0, false},
+        {12, false}, {7, false}, {1, false}, {11, false},
+        {5, false},  {4, false}, {0, false}, {4, true},
+    };
+    // Each access starts on an idle device, so its latency is exactly
+    // the row-hit or row-miss service time.
+    Tick now = 0;
+    double hits = 0;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        const Addr addr = steps[i].row * p.rowBytes + (i % 8) * lineSize;
+        const Tick done = dram.access(MemCmd::read, addr, now);
+        EXPECT_EQ(done - now, steps[i].hit ? p.readRowHit : p.readRowMiss)
+            << "step " << i << ", row " << steps[i].row;
+        hits += steps[i].hit;
+        now = done + oneUs;
+    }
+    EXPECT_EQ(dram.stats().scalarValue("rowHits"), hits);
+    EXPECT_EQ(dram.stats().scalarValue("rowMisses"), steps.size() - hits);
+
+    // A streaming transfer opens its row in that row's bank: row 13
+    // is bank 1's, so row 13 then hits and row 1 misses.
+    now = dram.bulkAccess(MemCmd::bulkRead, 13 * p.rowBytes, pageSize,
+                          now) + oneUs;
+    const Tick hit = dram.access(MemCmd::read, 13 * p.rowBytes + 64, now);
+    EXPECT_EQ(hit - now, p.readRowHit);
+    now = hit + oneUs;
+    EXPECT_EQ(dram.access(MemCmd::read, p.rowBytes, now) - now,
+              p.readRowMiss);
+
+    // Rows 2 and 8 share bank 2, so two accesses issued together
+    // serialize on it; rows 3 and 10 (banks 3 and 4) overlap up to
+    // the shared bus.
+    now += oneUs * 10;
+    const Tick a = dram.access(MemCmd::read, 2 * p.rowBytes, now);
+    EXPECT_GE(dram.access(MemCmd::read, 8 * p.rowBytes, now),
+              a + p.readRowMiss);
+    now = a + oneUs * 10;
+    const Tick b = dram.access(MemCmd::read, 3 * p.rowBytes, now);
+    EXPECT_LT(dram.access(MemCmd::read, 10 * p.rowBytes, now),
+              b + p.readRowMiss);
 }
 
 class BulkSizeParam : public ::testing::TestWithParam<std::uint64_t>
