@@ -21,26 +21,14 @@ DramPool::DramPool(unsigned pages, os::FrameAllocator &dram_alloc)
                                     "pool slots caching dirty pages"))
 {
     kindle_assert(pages > 0, "empty DRAM pool");
-    entries.reserve(pages);
+    entries.resize(pages);
     for (unsigned i = 0; i < pages; ++i) {
-        PoolEntry e;
-        e.dramFrame = dram_alloc.tryAlloc();
-        if (e.dramFrame == invalidAddr) {
-            // A pressure-shrunk DRAM zone may not fit the configured
-            // pool; run with what the zone could supply rather than
-            // aborting — a smaller cache is slower, not wrong.
-            warn("hscc: DRAM pool shrunk to {} pages ({} requested; "
-                 "zone exhausted)", i, pages);
-            break;
-        }
-        entries.push_back(e);
+        entries[i].dramFrame = dram_alloc.alloc();
+        slotByFrame.emplace(entries[i].dramFrame, i);
         freeList.push_back(i);
     }
-    kindle_assert(!entries.empty(),
-                  "hscc: no DRAM frames at all for the page pool");
-    slotsIn[static_cast<unsigned>(PoolState::free)] =
-        static_cast<unsigned>(entries.size());
-    freePages = static_cast<double>(entries.size());
+    slotsIn[static_cast<unsigned>(PoolState::free)] = pages;
+    freePages = pages;
 }
 
 void
@@ -52,24 +40,6 @@ DramPool::setState(PoolEntry &e, PoolState state)
     freePages = slotsIn[static_cast<unsigned>(PoolState::free)];
     cleanPages = slotsIn[static_cast<unsigned>(PoolState::clean)];
     dirtyPages = slotsIn[static_cast<unsigned>(PoolState::dirty)];
-}
-
-unsigned
-DramPool::freeCount() const
-{
-    return static_cast<unsigned>(freeList.size());
-}
-
-unsigned
-DramPool::cleanCount() const
-{
-    return static_cast<unsigned>(cleanList.size());
-}
-
-unsigned
-DramPool::dirtyCount() const
-{
-    return static_cast<unsigned>(dirtyList.size());
 }
 
 Selection
@@ -100,7 +70,6 @@ DramPool::select()
             continue;  // released since the refresh
         ++selClean;
         sel.index = idx;
-        sel.displacedNvm = entries[idx].nvmHome;
         found = true;
     }
 
@@ -111,7 +80,6 @@ DramPool::select()
             continue;
         ++selDirty;
         sel.index = idx;
-        sel.displacedNvm = entries[idx].nvmHome;
         sel.needsCopyBack = true;
         found = true;
     }
@@ -127,7 +95,6 @@ DramPool::select()
         (entries[idx].state == PoolState::dirty ? ++selDirty
                                                 : ++selClean);
         sel.index = idx;
-        sel.displacedNvm = entries[idx].nvmHome;
         sel.needsCopyBack = entries[idx].state == PoolState::dirty;
         found = true;
     }
@@ -135,22 +102,24 @@ DramPool::select()
     kindle_assert(found, "pool has no pages at all");
     PoolEntry &e = entries[sel.index];
     sel.dramFrame = e.dramFrame;
-    if (sel.displacedNvm != invalidAddr)
-        byNvmHome.erase(sel.displacedNvm);
+    sel.displacedNvm = e.nvmHome;
+    sel.displaced = e.mapping;
+    if (e.nvmHome != invalidAddr)
+        byNvmHome.erase(e.nvmHome);
     e.nvmHome = invalidAddr;
     setState(e, PoolState::free);
     return sel;
 }
 
 void
-DramPool::bind(unsigned index, Addr nvm_home)
+DramPool::bind(unsigned index, Addr nvm_home, const PageMapping &at)
 {
     PoolEntry &e = entries[index];
     kindle_assert(e.nvmHome == invalidAddr,
                   "binding an occupied pool slot");
     e.nvmHome = nvm_home;
+    e.mapping = at;
     setState(e, PoolState::clean);
-    e.fresh = true;
     byNvmHome[nvm_home] = index;
     freshList.push_back(index);
 }
@@ -177,7 +146,9 @@ DramPool::markDirty(Addr nvm_home)
     const auto it = byNvmHome.find(nvm_home);
     if (it == byNvmHome.end())
         return;
-    setState(entries[it->second], PoolState::dirty);
+    PoolEntry &e = entries[it->second];
+    if (e.state == PoolState::clean)
+        setState(e, PoolState::dirty);
 }
 
 void
@@ -188,7 +159,6 @@ DramPool::refreshLists()
     dirtyList.clear();
     freshList.clear();
     for (unsigned i = 0; i < entries.size(); ++i) {
-        entries[i].fresh = false;
         switch (entries[i].state) {
           case PoolState::free:
             freeList.push_back(i);
@@ -208,6 +178,13 @@ DramPool::entryFor(Addr nvm_home) const
 {
     const auto it = byNvmHome.find(nvm_home);
     return it == byNvmHome.end() ? nullptr : &entries[it->second];
+}
+
+unsigned
+DramPool::slotOf(Addr dram_frame) const
+{
+    const auto it = slotByFrame.find(dram_frame);
+    return it == slotByFrame.end() ? size() : it->second;
 }
 
 } // namespace kindle::hscc

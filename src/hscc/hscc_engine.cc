@@ -13,10 +13,30 @@ namespace kindle::hscc
 
 using cpu::Pte;
 
+namespace
+{
+
+/** @p pages, once that pool and its mapping table fit in @p dram. */
+unsigned
+poolPagesThatFit(unsigned pages, const os::FrameAllocator &dram)
+{
+    const std::uint64_t table = MappingTable::framesFor(pages);
+    if (pages + table > dram.freeFrames()) {
+        kindle_fatal("hscc: a {}-page DRAM pool and its {} mapping-table "
+                     "frames do not fit in the DRAM zone's {} free frames",
+                     pages, table, dram.freeFrames());
+    }
+    return pages;
+}
+
+} // namespace
+
 HsccEngine::HsccEngine(const HsccParams &params, os::Kernel &kernel_arg)
     : _params(params),
       kernel(kernel_arg),
-      dramPool(params.dramPoolPages, kernel_arg.dramAllocator()),
+      dramPool(poolPagesThatFit(params.dramPoolPages,
+                                kernel_arg.dramAllocator()),
+               kernel_arg.dramAllocator()),
       mapTable(params.dramPoolPages, kernel_arg.kmem(),
                kernel_arg.dramAllocator()),
       migrateTimer("hsccMigrate", sim::Event::Priority::migration,
@@ -130,14 +150,13 @@ HsccEngine::onDataWrite(cpu::TlbEntry &entry, Addr vaddr,
     (void)size;
     if (!entry.hsccRemapped)
         return;
-    // A store to a DRAM-cached page dirties its pool slot (first
-    // transition only; later stores are free host-side checks).
-    const Addr dram_frame = entry.pfn << pageShift;
-    const Addr home = mapTable.nvmFor(dram_frame);
-    if (home == invalidAddr || dirtyHomes.count(home))
-        return;
-    dirtyHomes.insert(home);
-    dramPool.markDirty(home);
+    // Every store to a DRAM-cached page looks its home up with one
+    // timed table read; the first store after the bind marks the
+    // slot dirty.
+    const Addr home =
+        mapTable.nvmAt(dramPool.slotOf(entry.pfn << pageShift));
+    if (home != invalidAddr)
+        dramPool.markDirty(home);
 }
 
 void
@@ -157,24 +176,19 @@ HsccEngine::onTlbEvict(const cpu::TlbEntry &entry)
 }
 
 void
-HsccEngine::revertMapping(Addr nvm_home)
+HsccEngine::revertMapping(Addr nvm_home, const PageMapping &at)
 {
-    const auto it = cachedPages.find(nvm_home);
-    if (it == cachedPages.end())
-        return;
     ++reverts;
-    Pte pte = pteGet(it->second.pteAddr);
+    Pte pte = pteGet(at.pteAddr);
     if (pte.present() && pte.hsccRemapped()) {
         pte.setPfn(nvm_home >> pageShift);
         pte.setHsccRemapped(false);
         pte.setAccessCount(0);
-        ptePut(it->second.pteAddr, pte);
+        ptePut(at.pteAddr, pte);
     }
     // The PTE changed under a possibly-running process: every core's
     // stale translation must go, not just the local one.
-    kernel.shootdownPage(it->second.pid, it->second.vaddr);
-    dirtyHomes.erase(nvm_home);
-    cachedPages.erase(it);
+    kernel.shootdownPage(at.pid, at.vaddr);
 }
 
 void
@@ -261,7 +275,7 @@ HsccEngine::migrate()
                      pageSize},
                     sim.now()));
             }
-            revertMapping(sel.displacedNvm);
+            revertMapping(sel.displacedNvm, sel.displaced);
             if (_params.chargeOsTime)
                 mapTable.clear(sel.index);
         }
@@ -289,8 +303,8 @@ HsccEngine::migrate()
         ptePut(c.pteAddr, updated);
         mapTable.set(sel.index, nvm_frame, sel.dramFrame);
 
-        dramPool.bind(sel.index, nvm_frame);
-        cachedPages[nvm_frame] = {c.proc->pid, c.vaddr, c.pteAddr};
+        dramPool.bind(sel.index, nvm_frame,
+                      {c.proc->pid, c.vaddr, c.pteAddr});
         kernel.shootdownPage(c.proc->pid, c.vaddr);
         ++migrated;
         cpTicks += static_cast<double>(sim.now() - copy0);
@@ -341,13 +355,11 @@ HsccEngine::resolveRemappedFrame(os::Process &proc, Addr vaddr,
 {
     (void)proc;
     (void)vaddr;
-    const Addr home = mapTable.nvmFor(mapped_frame);
+    const Addr home = mapTable.nvmAt(dramPool.slotOf(mapped_frame));
     if (home == invalidAddr)
         return false;
     // Reclaim the pool slot; the DRAM frame stays pool-owned.
     dramPool.release(home);
-    dirtyHomes.erase(home);
-    cachedPages.erase(home);
     *home_out = home;
     return true;
 }

@@ -21,8 +21,6 @@
 #ifndef KINDLE_HSCC_HSCC_ENGINE_HH
 #define KINDLE_HSCC_HSCC_ENGINE_HH
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -106,6 +104,7 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
     /// @}
 
     DramPool &pool() { return dramPool; }
+    MappingTable &mappingTable() { return mapTable; }
 
     /** The threshold in force (moves under dynamicThreshold). */
     unsigned currentThreshold() const { return curThreshold; }
@@ -113,14 +112,6 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
-    /** Where a cached NVM page is mapped (for reverts). */
-    struct CachedAt
-    {
-        Pid pid;
-        Addr vaddr;
-        Addr pteAddr;
-    };
-
     /** One migration candidate found by the scan. */
     struct Candidate
     {
@@ -134,8 +125,9 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
     void ptePut(Addr pte_addr, cpu::Pte pte);
     /** PTE load respecting the chargeOsTime switch. */
     cpu::Pte pteGet(Addr pte_addr);
-    /** Revert the PTE of a displaced cached page back to its home. */
-    void revertMapping(Addr nvm_home);
+    /** Revert the PTE of a displaced cached page, mapped @p at, back
+     *  to its home. */
+    void revertMapping(Addr nvm_home, const PageMapping &at);
 
     HsccParams _params;
     os::Kernel &kernel;
@@ -145,9 +137,6 @@ class HsccEngine : public cpu::CoreHooks, public os::OsEventListener
     /** The migration interval; running() doubles as "attached". */
     sim::PeriodicEvent migrateTimer;
     unsigned curThreshold = 0;
-
-    std::unordered_map<Addr, CachedAt> cachedPages;  ///< by NVM frame
-    std::unordered_set<Addr> dirtyHomes;  ///< already-marked-dirty
 
     statistics::StatGroup statGroup;
     statistics::Scalar &migrated;

@@ -1,6 +1,5 @@
 #include "hscc/mapping_table.hh"
 
-#include "base/intmath.hh"
 #include "base/logging.hh"
 
 namespace kindle::hscc
@@ -16,12 +15,10 @@ MappingTable::MappingTable(unsigned slots_arg, os::KernelMem &kmem_arg,
 {
     kindle_assert(slots > 0, "empty mapping table");
     // Contiguous frames for the table itself.
-    const std::uint64_t bytes =
-        roundUp(std::uint64_t(slots) * sizeof(MapEntry), pageSize);
     tableBase = dram_alloc.alloc();
-    for (std::uint64_t i = pageSize; i < bytes; i += pageSize) {
+    for (std::uint64_t i = 1; i < framesFor(slots); ++i) {
         const Addr f = dram_alloc.alloc();
-        kindle_assert(f == tableBase + i,
+        kindle_assert(f == tableBase + i * pageSize,
                       "mapping table frames not contiguous");
     }
 }
@@ -39,8 +36,6 @@ MappingTable::set(unsigned index, Addr nvm_frame, Addr dram_frame)
     ++updates;
     const MapEntry e{nvm_frame, dram_frame};
     kmem.writeBuf(slotAddr(index), &e, sizeof(e));
-    byNvm[nvm_frame] = index;
-    byDram[dram_frame] = index;
 }
 
 void
@@ -49,34 +44,30 @@ MappingTable::clear(unsigned index)
     ++updates;
     MapEntry e{};
     kmem.readBuf(slotAddr(index), &e, sizeof(e));
-    byNvm.erase(e.nvmFrame);
-    byDram.erase(e.dramFrame);
     const MapEntry zero{};
     kmem.writeBuf(slotAddr(index), &zero, sizeof(zero));
 }
 
 Addr
-MappingTable::dramFor(Addr nvm_frame)
+MappingTable::nvmAt(unsigned index)
 {
     ++lookups;
-    const auto it = byNvm.find(nvm_frame);
-    if (it == byNvm.end())
+    if (index >= slots)
+        return invalidAddr;
+    const MapEntry seen = peek(index);
+    if (seen.nvmFrame == 0 && seen.dramFrame == 0)
         return invalidAddr;
     MapEntry e{};
-    kmem.readBuf(slotAddr(it->second), &e, sizeof(e));
-    return e.dramFrame;
+    kmem.readBuf(slotAddr(index), &e, sizeof(e));
+    return e.nvmFrame;
 }
 
-Addr
-MappingTable::nvmFor(Addr dram_frame)
+MapEntry
+MappingTable::peek(unsigned index)
 {
-    ++lookups;
-    const auto it = byDram.find(dram_frame);
-    if (it == byDram.end())
-        return invalidAddr;
     MapEntry e{};
-    kmem.readBuf(slotAddr(it->second), &e, sizeof(e));
-    return e.nvmFrame;
+    kmem.mem().readData(slotAddr(index), &e, sizeof(e));
+    return e;
 }
 
 } // namespace kindle::hscc

@@ -6,17 +6,17 @@
  * which truncates last-level-table fanout (341 entries per 4 KiB page,
  * leaving 171 pages of every 2 MiB region unmappable).  Kindle instead
  * keeps 64-bit PTEs and maintains the NVM↔DRAM association in this
- * separate table, looked up by either page number (paper §III-C).
- * Entries live in kernel DRAM; each consult/update is charged one
- * memory access.
+ * separate table, one entry per DRAM pool slot (paper §III-C).
+ * Entries live in kernel DRAM; each update and each read of a set
+ * entry is charged one memory access.
  */
 
 #ifndef KINDLE_HSCC_MAPPING_TABLE_HH
 #define KINDLE_HSCC_MAPPING_TABLE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "base/intmath.hh"
 #include "base/stats.hh"
 #include "os/frame_alloc.hh"
 #include "os/kernel_mem.hh"
@@ -24,7 +24,7 @@
 namespace kindle::hscc
 {
 
-/** One 16-byte table entry. */
+/** One 16-byte table entry; all zero when the slot is empty. */
 struct MapEntry
 {
     std::uint64_t nvmFrame = 0;
@@ -45,23 +45,29 @@ class MappingTable
     MappingTable(unsigned slots, os::KernelMem &kmem,
                  os::FrameAllocator &dram_alloc);
 
+    /** DRAM frames a table of @p slots entries occupies. */
+    static std::uint64_t
+    framesFor(unsigned slots)
+    {
+        return divCeil(std::uint64_t(slots) * sizeof(MapEntry), pageSize);
+    }
+
     /** Record nvm→dram at pool slot @p index (timed write). */
     void set(unsigned index, Addr nvm_frame, Addr dram_frame);
 
-    /** Clear slot @p index (timed write). */
+    /** Clear slot @p index (timed read, then timed write). */
     void clear(unsigned index);
 
     /**
-     * Look up the DRAM frame caching @p nvm_frame (timed read).
-     * @return invalidAddr when not cached.
+     * The NVM page recorded at slot @p index (timed read).  An empty
+     * slot (never set, or cleared) and an @p index past the table are
+     * misses: the hardware-indexed lookup answers invalidAddr without
+     * a memory access.  Every call counts as a lookup.
      */
-    Addr dramFor(Addr nvm_frame);
+    Addr nvmAt(unsigned index);
 
-    /**
-     * Reverse lookup: the NVM home of pool page @p dram_frame
-     * (timed read).
-     */
-    Addr nvmFor(Addr dram_frame);
+    /** Slot @p index's entry, read without timing (inspection). */
+    MapEntry peek(unsigned index);
 
     statistics::StatGroup &stats() { return statGroup; }
 
@@ -71,10 +77,6 @@ class MappingTable
     os::KernelMem &kmem;
     unsigned slots;
     Addr tableBase;
-
-    /** Host index mirroring the table for O(1) slot location. */
-    std::unordered_map<Addr, unsigned> byNvm;
-    std::unordered_map<Addr, unsigned> byDram;
 
     statistics::StatGroup statGroup;
     statistics::Scalar &lookups;

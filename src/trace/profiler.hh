@@ -8,9 +8,9 @@
  * block and charges the category with its **exclusive (self) time**:
  * the elapsed wall time minus whatever nested probes already claimed.
  * Self times therefore partition the run, and their sum approximates
- * total measured wall time — the property the CI perf gate and the
- * --prof table rely on.  Categories are trace::Flag values; the ones
- * that carry a probe are listed in profiledFlags.
+ * total measured wall time — the property the --prof table relies
+ * on.  Categories are trace::Flag values; the ones that carry a probe
+ * are listed in profiledFlags.
  *
  * Everything here is header-only and `inline`, so instrumented
  * headers (sim/simulation.hh's event loop) need no link dependency.

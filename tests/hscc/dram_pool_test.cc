@@ -37,9 +37,9 @@ TEST(DramPoolTest, StartsAllFree)
     Rig rig;
     DramPool pool(8, rig.alloc);
     EXPECT_EQ(pool.size(), 8u);
-    EXPECT_EQ(pool.freeCount(), 8u);
-    EXPECT_EQ(pool.cleanCount(), 0u);
-    EXPECT_EQ(pool.dirtyCount(), 0u);
+    EXPECT_EQ(pool.count(PoolState::free), 8u);
+    EXPECT_EQ(pool.count(PoolState::clean), 0u);
+    EXPECT_EQ(pool.count(PoolState::dirty), 0u);
     EXPECT_EQ(rig.alloc.allocatedFrames(), 8u);
 }
 
@@ -58,10 +58,10 @@ TEST(DramPoolTest, BindMakesClean)
     Rig rig;
     DramPool pool(4, rig.alloc);
     const Selection sel = pool.select();
-    pool.bind(sel.index, 0x123000);
+    pool.bind(sel.index, 0x123000, {});
     pool.refreshLists();
-    EXPECT_EQ(pool.cleanCount(), 1u);
-    EXPECT_EQ(pool.freeCount(), 3u);
+    EXPECT_EQ(pool.count(PoolState::clean), 1u);
+    EXPECT_EQ(pool.count(PoolState::free), 3u);
     ASSERT_NE(pool.entryFor(0x123000), nullptr);
     EXPECT_EQ(pool.entryFor(0x123000)->dramFrame, sel.dramFrame);
 }
@@ -72,7 +72,7 @@ TEST(DramPoolTest, ExhaustedPoolDisplacesCleanFirst)
     DramPool pool(2, rig.alloc);
     for (int i = 0; i < 2; ++i) {
         const auto s = pool.select();
-        pool.bind(s.index, 0x100000 + Addr(i) * pageSize);
+        pool.bind(s.index, 0x100000 + Addr(i) * pageSize, {});
     }
     pool.markDirty(0x100000);  // slot 0 dirty, slot 1 clean
     pool.refreshLists();
@@ -87,7 +87,7 @@ TEST(DramPoolTest, DirtyDisplacementNeedsCopyBack)
     Rig rig;
     DramPool pool(1, rig.alloc);
     const auto s0 = pool.select();
-    pool.bind(s0.index, 0x200000);
+    pool.bind(s0.index, 0x200000, {});
     pool.markDirty(0x200000);
     pool.refreshLists();
 
@@ -102,9 +102,9 @@ TEST(DramPoolTest, ReleaseFreesSlot)
     Rig rig;
     DramPool pool(2, rig.alloc);
     const auto s = pool.select();
-    pool.bind(s.index, 0x300000);
+    pool.bind(s.index, 0x300000, {});
     pool.release(0x300000);
-    EXPECT_EQ(pool.freeCount(), 2u);
+    EXPECT_EQ(pool.count(PoolState::free), 2u);
     EXPECT_EQ(pool.entryFor(0x300000), nullptr);
 }
 
@@ -114,7 +114,7 @@ TEST(DramPoolTest, MarkDirtyUnknownHomeIsNoop)
     DramPool pool(2, rig.alloc);
     pool.markDirty(0xdead000);
     pool.refreshLists();
-    EXPECT_EQ(pool.dirtyCount(), 0u);
+    EXPECT_EQ(pool.count(PoolState::dirty), 0u);
 }
 
 TEST(DramPoolTest, RefreshRebuildsAfterStateChanges)
@@ -123,14 +123,14 @@ TEST(DramPoolTest, RefreshRebuildsAfterStateChanges)
     DramPool pool(3, rig.alloc);
     for (int i = 0; i < 3; ++i) {
         const auto s = pool.select();
-        pool.bind(s.index, 0x400000 + Addr(i) * pageSize);
+        pool.bind(s.index, 0x400000 + Addr(i) * pageSize, {});
     }
     pool.markDirty(0x400000);
     pool.markDirty(0x401000);
     pool.refreshLists();
-    EXPECT_EQ(pool.dirtyCount(), 2u);
-    EXPECT_EQ(pool.cleanCount(), 1u);
-    EXPECT_EQ(pool.freeCount(), 0u);
+    EXPECT_EQ(pool.count(PoolState::dirty), 2u);
+    EXPECT_EQ(pool.count(PoolState::clean), 1u);
+    EXPECT_EQ(pool.count(PoolState::free), 0u);
 }
 
 TEST(DramPoolTest, GaugesMatchARecountUnderSeededChurn)
@@ -148,7 +148,7 @@ TEST(DramPoolTest, GaugesMatchARecountUnderSeededChurn)
                 homes.erase(std::find(homes.begin(), homes.end(),
                                       sel.displacedNvm));
             }
-            pool.bind(sel.index, next_home);
+            pool.bind(sel.index, next_home, {});
             homes.push_back(next_home);
             next_home += pageSize;
         } else if (!homes.empty() && kind < 80) {
