@@ -99,26 +99,20 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     ./build-tsan/tests/test_trace
     ./build-tsan/tests/test_telemetry
 
-    echo "=== Traced sweep under TSan + JSON well-formedness smoke ==="
+    echo "=== Traced sweep under TSan + trace export check ==="
     # Two concurrent workers, tracing on: each scenario must land in
-    # its own file, every file must be valid Chrome trace JSON, and
-    # payload events must be chronologically sorted.
+    # its own file, and every file must pass scripts/check_trace_json.py
+    # (valid Chrome trace JSON, payload events chronologically sorted,
+    # parents ahead of the spans they enclose).
     TRACE_DIR=$(mktemp -d)
     ./build-tsan/bench/experiments --scale 4 \
         --experiment fig4a_seq_alloc --jobs 2 --trace-out "${TRACE_DIR}"
-    python3 - "${TRACE_DIR}" <<'PY'
-import json, pathlib, sys
-d = pathlib.Path(sys.argv[1])
-files = sorted(d.glob("*.trace.json"))
-assert len(files) >= 2, f"expected >=2 per-scenario traces, got {files}"
-for f in files:
-    doc = json.loads(f.read_text())
-    events = doc["traceEvents"]
-    assert events, f"{f}: empty traceEvents"
-    ts = [e["ts"] for e in events if e["ph"] != "M"]
-    assert ts == sorted(ts), f"{f}: events not chronological"
-print(f"trace smoke: {len(files)} per-scenario files well-formed")
-PY
+    TRACES=("${TRACE_DIR}"/*.trace.json)
+    if (( ${#TRACES[@]} < 2 )); then
+        echo "expected >= 2 per-scenario traces, got: ${TRACES[*]}" >&2
+        exit 1
+    fi
+    python3 scripts/check_trace_json.py "${TRACES[@]}"
     rm -rf "${TRACE_DIR}" BENCH_fig4a_seq_alloc.json
 
     echo "=== Multi-core ablation sweep under TSan ==="

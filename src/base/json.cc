@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "base/logging.hh"
 
@@ -179,396 +178,6 @@ Writer::value(bool b)
 {
     beforeValue();
     out << (b ? "true" : "false");
-}
-
-void
-Writer::null()
-{
-    beforeValue();
-    out << "null";
-}
-
-// ---------------------------------------------------------------------
-// Reader
-
-const Value *
-Value::find(std::string_view key) const
-{
-    for (const auto &[k, v] : _members) {
-        if (k == key)
-            return &v;
-    }
-    return nullptr;
-}
-
-Value
-Value::makeBool(bool b)
-{
-    Value v;
-    v._kind = Kind::boolean;
-    v._bool = b;
-    return v;
-}
-
-Value
-Value::makeNumber(double n)
-{
-    Value v;
-    v._kind = Kind::number;
-    v._number = n;
-    return v;
-}
-
-Value
-Value::makeString(std::string s)
-{
-    Value v;
-    v._kind = Kind::string;
-    v._string = std::move(s);
-    return v;
-}
-
-Value
-Value::makeArray(std::vector<Value> items)
-{
-    Value v;
-    v._kind = Kind::array;
-    v._items = std::move(items);
-    return v;
-}
-
-Value
-Value::makeObject(std::vector<Member> members)
-{
-    Value v;
-    v._kind = Kind::object;
-    v._members = std::move(members);
-    return v;
-}
-
-namespace
-{
-
-/** Recursive-descent parser over a string_view with one-token state. */
-class Parser
-{
-  public:
-    explicit Parser(std::string_view text) : text(text) {}
-
-    std::optional<Value>
-    run(std::string *err)
-    {
-        std::optional<Value> v = parseValue(0);
-        if (v) {
-            skipWs();
-            if (pos != text.size()) {
-                v.reset();
-                error = "trailing content after document";
-            }
-        }
-        if (!v && err)
-            *err = error + " at byte " + std::to_string(pos);
-        return v;
-    }
-
-  private:
-    // Deep enough for any Kindle output, shallow enough that a
-    // corrupt file cannot recurse the stack away.
-    static constexpr int maxDepth = 256;
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(std::string_view word)
-    {
-        if (text.substr(pos, word.size()) != word) {
-            error = "bad literal";
-            return false;
-        }
-        pos += word.size();
-        return true;
-    }
-
-    std::optional<Value>
-    parseValue(int depth)
-    {
-        if (depth > maxDepth) {
-            error = "nesting too deep";
-            return std::nullopt;
-        }
-        skipWs();
-        if (pos >= text.size()) {
-            error = "unexpected end of document";
-            return std::nullopt;
-        }
-        switch (text[pos]) {
-          case '{':
-            return parseObject(depth);
-          case '[':
-            return parseArray(depth);
-          case '"': {
-            std::optional<std::string> s = parseString();
-            if (!s)
-                return std::nullopt;
-            return Value::makeString(std::move(*s));
-          }
-          case 't':
-            if (!literal("true"))
-                return std::nullopt;
-            return Value::makeBool(true);
-          case 'f':
-            if (!literal("false"))
-                return std::nullopt;
-            return Value::makeBool(false);
-          case 'n':
-            if (!literal("null"))
-                return std::nullopt;
-            return Value::makeNull();
-          default:
-            return parseNumber();
-        }
-    }
-
-    std::optional<Value>
-    parseObject(int depth)
-    {
-        ++pos; // '{'
-        std::vector<Value::Member> members;
-        skipWs();
-        if (consume('}'))
-            return Value::makeObject(std::move(members));
-        for (;;) {
-            skipWs();
-            std::optional<std::string> key = parseString();
-            if (!key)
-                return std::nullopt;
-            skipWs();
-            if (!consume(':')) {
-                error = "expected ':' after object key";
-                return std::nullopt;
-            }
-            std::optional<Value> v = parseValue(depth + 1);
-            if (!v)
-                return std::nullopt;
-            members.emplace_back(std::move(*key), std::move(*v));
-            skipWs();
-            if (consume(','))
-                continue;
-            if (consume('}'))
-                return Value::makeObject(std::move(members));
-            error = "expected ',' or '}' in object";
-            return std::nullopt;
-        }
-    }
-
-    std::optional<Value>
-    parseArray(int depth)
-    {
-        ++pos; // '['
-        std::vector<Value> items;
-        skipWs();
-        if (consume(']'))
-            return Value::makeArray(std::move(items));
-        for (;;) {
-            std::optional<Value> v = parseValue(depth + 1);
-            if (!v)
-                return std::nullopt;
-            items.push_back(std::move(*v));
-            skipWs();
-            if (consume(','))
-                continue;
-            if (consume(']'))
-                return Value::makeArray(std::move(items));
-            error = "expected ',' or ']' in array";
-            return std::nullopt;
-        }
-    }
-
-    std::optional<std::string>
-    parseString()
-    {
-        if (!consume('"')) {
-            error = "expected string";
-            return std::nullopt;
-        }
-        std::string out;
-        while (pos < text.size()) {
-            const char c = text[pos];
-            if (c == '"') {
-                ++pos;
-                return out;
-            }
-            if (static_cast<unsigned char>(c) < 0x20) {
-                error = "raw control character in string";
-                return std::nullopt;
-            }
-            if (c != '\\') {
-                out += c;
-                ++pos;
-                continue;
-            }
-            ++pos;
-            if (pos >= text.size())
-                break;
-            const char esc = text[pos++];
-            switch (esc) {
-              case '"':  out += '"';  break;
-              case '\\': out += '\\'; break;
-              case '/':  out += '/';  break;
-              case 'n':  out += '\n'; break;
-              case 'r':  out += '\r'; break;
-              case 't':  out += '\t'; break;
-              case 'b':  out += '\b'; break;
-              case 'f':  out += '\f'; break;
-              case 'u': {
-                std::optional<unsigned> cp = parseHex4();
-                if (!cp)
-                    return std::nullopt;
-                unsigned code = *cp;
-                // Combine a surrogate pair when one follows.
-                if (code >= 0xd800 && code <= 0xdbff &&
-                    text.substr(pos, 2) == "\\u") {
-                    pos += 2;
-                    std::optional<unsigned> lo = parseHex4();
-                    if (!lo)
-                        return std::nullopt;
-                    if (*lo < 0xdc00 || *lo > 0xdfff) {
-                        error = "bad low surrogate";
-                        return std::nullopt;
-                    }
-                    code = 0x10000 + ((code - 0xd800) << 10) +
-                           (*lo - 0xdc00);
-                }
-                appendUtf8(out, code);
-                break;
-              }
-              default:
-                error = "bad escape";
-                return std::nullopt;
-            }
-        }
-        error = "unterminated string";
-        return std::nullopt;
-    }
-
-    std::optional<unsigned>
-    parseHex4()
-    {
-        if (pos + 4 > text.size()) {
-            error = "truncated \\u escape";
-            return std::nullopt;
-        }
-        unsigned v = 0;
-        for (int i = 0; i < 4; ++i) {
-            const char c = text[pos++];
-            v <<= 4;
-            if (c >= '0' && c <= '9')
-                v |= static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                v |= static_cast<unsigned>(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                v |= static_cast<unsigned>(c - 'A' + 10);
-            else {
-                error = "bad \\u escape";
-                return std::nullopt;
-            }
-        }
-        return v;
-    }
-
-    static void
-    appendUtf8(std::string &out, unsigned code)
-    {
-        if (code < 0x80) {
-            out += static_cast<char>(code);
-        } else if (code < 0x800) {
-            out += static_cast<char>(0xc0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-        } else if (code < 0x10000) {
-            out += static_cast<char>(0xe0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-        } else {
-            out += static_cast<char>(0xf0 | (code >> 18));
-            out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-        }
-    }
-
-    std::optional<Value>
-    parseNumber()
-    {
-        const std::size_t start = pos;
-        consume('-');
-        if (!consume('0')) {
-            const std::size_t digits = pos;
-            while (pos < text.size() && text[pos] >= '0' &&
-                   text[pos] <= '9')
-                ++pos;
-            if (pos == digits) {
-                error = "expected value";
-                pos = start;
-                return std::nullopt;
-            }
-        }
-        if (consume('.')) {
-            const std::size_t digits = pos;
-            while (pos < text.size() && text[pos] >= '0' &&
-                   text[pos] <= '9')
-                ++pos;
-            if (pos == digits) {
-                error = "digits required after decimal point";
-                return std::nullopt;
-            }
-        }
-        if (pos < text.size() &&
-            (text[pos] == 'e' || text[pos] == 'E')) {
-            ++pos;
-            if (pos < text.size() &&
-                (text[pos] == '+' || text[pos] == '-'))
-                ++pos;
-            const std::size_t digits = pos;
-            while (pos < text.size() && text[pos] >= '0' &&
-                   text[pos] <= '9')
-                ++pos;
-            if (pos == digits) {
-                error = "digits required in exponent";
-                return std::nullopt;
-            }
-        }
-        const std::string slice(text.substr(start, pos - start));
-        return Value::makeNumber(std::strtod(slice.c_str(), nullptr));
-    }
-
-    std::string_view text;
-    std::size_t pos = 0;
-    std::string error = "malformed document";
-};
-
-} // namespace
-
-std::optional<Value>
-parse(std::string_view text, std::string *err)
-{
-    return Parser(text).run(err);
 }
 
 } // namespace kindle::json

@@ -276,13 +276,4 @@ StatSnapshot::getOr(const std::string &path, double fallback) const
     return v ? *v : fallback;
 }
 
-void
-StatSnapshot::writeJson(json::Writer &writer) const
-{
-    writer.beginObject();
-    for (const auto &[path, v] : values)
-        writer.keyValue(path, v);
-    writer.endObject();
-}
-
 } // namespace kindle::statistics

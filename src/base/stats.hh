@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/json.hh"
 #include "base/logging.hh"
 
 namespace kindle::statistics
@@ -464,9 +463,6 @@ class StatSnapshot
     {
         values[path] = value;
     }
-
-    /** Serialize as one flat JSON object. */
-    void writeJson(json::Writer &writer) const;
 
     const std::map<std::string, double> &entries() const
     {

@@ -138,12 +138,6 @@ Core::compute(Cycles cycles)
     sim.bump(clockDomain.cyclesToTicks(cycles));
 }
 
-void
-Core::stall(Tick ticks)
-{
-    sim.bump(ticks);
-}
-
 Addr
 Core::translate(Addr vaddr, bool is_write)
 {

@@ -162,13 +162,11 @@ class Core
     /** Execute @p cycles of pure compute. */
     void compute(Cycles cycles);
 
-    /** Charge raw ticks of pipeline time (kernel-mode work). */
-    void stall(Tick ticks);
-
     /**
-     * Translate without executing a data access (used by kernel code
-     * that needs a user page's physical address).  May fault to the
-     * OS like a normal access.
+     * Translate without executing a data access, through the TLB and
+     * page walk a data access takes (the tests read a user page's
+     * physical address with it).  May fault to the OS like a normal
+     * access.
      * @return physical address or invalidAddr on unresolved fault.
      */
     Addr translate(Addr vaddr, bool is_write);

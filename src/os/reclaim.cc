@@ -44,12 +44,6 @@ ReclaimEngine::start()
 }
 
 void
-ReclaimEngine::stop()
-{
-    timer.stop();
-}
-
-void
 ReclaimEngine::patrol()
 {
     KINDLE_PROF_SCOPE(reclaim);

@@ -59,8 +59,6 @@ class ReclaimEngine
     ReclaimEngine &operator=(const ReclaimEngine &) = delete;
 
     void start();
-    void stop();
-    bool running() const { return timer.running(); }
 
     /**
      * Route NVM-pressure relief to the persistence domain (may be

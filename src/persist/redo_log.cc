@@ -148,47 +148,6 @@ RedoLog::reset()
 }
 
 RedoScan
-RedoLog::recoverScan()
-{
-    RedoScan scan;
-    LogHeader hdr{};
-    kmem.readDurableBuf(base, &hdr, sizeof(hdr));
-    if (hdr.magic != LogHeader::magicValue ||
-        hdr.checksum != logHeaderChecksum(hdr)) {
-        // Without a trustworthy epoch the whole log is unreadable;
-        // recovery falls back to the last consistent checkpoint.
-        scan.headerCorrupt = true;
-        seq = 0;
-        return scan;
-    }
-    epoch = hdr.epoch;
-    for (std::uint64_t i = 0; i < maxRecords; ++i) {
-        RedoRecord rec{};
-        kmem.mem().readNvmDurable(recordAddr(i), &rec, sizeof(rec));
-        ++scan.scanned;
-        if (rec.magic != RedoRecord::magicValue) {
-            // Zeroed (never written) or stale lines end the scan
-            // cleanly; any other bit pattern is a corrupt tail.
-            scan.truncatedTail = rec.magic != 0;
-            break;
-        }
-        if (rec.epoch != epoch) {
-            // A record from an earlier epoch: clean logical end.
-            break;
-        }
-        if (rec.seq != i || rec.checksum != recordChecksum(rec)) {
-            // In-epoch record that fails its own validation: a torn
-            // append or scribbled line.  Stop before it.
-            scan.truncatedTail = true;
-            break;
-        }
-        scan.records.push_back(rec);
-    }
-    seq = scan.records.size();
-    return scan;
-}
-
-RedoScan
 RedoLog::audit(os::KernelMem &kmem, Addr base, std::uint64_t capacity)
 {
     RedoScan scan;
@@ -199,6 +158,8 @@ RedoLog::audit(os::KernelMem &kmem, Addr base, std::uint64_t capacity)
     kmem.mem().readNvmDurable(base, &hdr, sizeof(hdr));
     if (hdr.magic != LogHeader::magicValue ||
         hdr.checksum != logHeaderChecksum(hdr)) {
+        // Without a trustworthy epoch the whole log is unreadable;
+        // recovery falls back to the last consistent checkpoint.
         scan.headerCorrupt = true;
         return scan;
     }
@@ -209,12 +170,18 @@ RedoLog::audit(os::KernelMem &kmem, Addr base, std::uint64_t capacity)
                                   &rec, sizeof(rec));
         ++scan.scanned;
         if (rec.magic != RedoRecord::magicValue) {
+            // Zeroed (never written) or stale lines end the scan
+            // cleanly; any other bit pattern is a corrupt tail.
             scan.truncatedTail = rec.magic != 0;
             break;
         }
-        if (rec.epoch != hdr.epoch)
+        if (rec.epoch != hdr.epoch) {
+            // A record from an earlier epoch: clean logical end.
             break;
+        }
         if (rec.seq != i || rec.checksum != recordChecksum(rec)) {
+            // In-epoch record that fails its own validation: a torn
+            // append or scribbled line.  Stop before it.
             scan.truncatedTail = true;
             break;
         }

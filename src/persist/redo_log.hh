@@ -126,17 +126,11 @@ class RedoLog
     void reset();
 
     /**
-     * Crash recovery: re-learn epoch from the durable header and
-     * return the records that were durable at crash time, plus a
-     * taxonomy of anything untrustworthy met along the way.
-     */
-    RedoScan recoverScan();
-
-    /**
-     * Read-only audit of a durable log region (no repair, no epoch
-     * adoption) — what recovery uses to classify the surviving log
-     * without constructing a RedoLog (whose constructor would quietly
-     * re-establish a corrupt header).
+     * Read-only audit of a durable log region: the records that were
+     * durable at crash time, plus a taxonomy of anything untrustworthy
+     * met along the way.  No repair and no epoch adoption — recovery
+     * classifies the surviving log without constructing a RedoLog
+     * (whose constructor would quietly re-establish a corrupt header).
      */
     static RedoScan audit(os::KernelMem &kmem, Addr base,
                           std::uint64_t capacity);

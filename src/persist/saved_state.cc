@@ -241,17 +241,6 @@ SavedStateSlot::readConsistentContext(const SlotHeader &hdr,
     return ImageStatus::ok;
 }
 
-SavedContext
-SavedStateSlot::readConsistentContext(const SlotHeader &hdr)
-{
-    SavedContext ctx;
-    const ImageStatus st = readConsistentContext(hdr, ctx);
-    kindle_assert(st == ImageStatus::ok,
-                  "corrupt saved context in slot {}: {}", slotIdx,
-                  imageStatusName(st));
-    return ctx;
-}
-
 ImageStatus
 SavedStateSlot::readMappingList(const SlotHeader &hdr,
                                 std::vector<MappingEntry> &out)
@@ -265,17 +254,6 @@ SavedStateSlot::readMappingList(const SlotHeader &hdr,
                             out.size() * sizeof(MappingEntry));
     }
     return ImageStatus::ok;
-}
-
-std::vector<MappingEntry>
-SavedStateSlot::readMappingList(const SlotHeader &hdr)
-{
-    std::vector<MappingEntry> out;
-    const ImageStatus st = readMappingList(hdr, out);
-    kindle_assert(st == ImageStatus::ok,
-                  "corrupt mapping list in slot {}: {}", slotIdx,
-                  imageStatusName(st));
-    return out;
 }
 
 bool

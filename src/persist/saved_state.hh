@@ -183,18 +183,12 @@ class SavedStateSlot
     ImageStatus readConsistentContext(const SlotHeader &hdr,
                                       SavedContext &out);
 
-    /** Convenience wrapper that fatals on a non-ok context. */
-    SavedContext readConsistentContext(const SlotHeader &hdr);
-
     /**
      * Read + bounds-check the durable mapping list.  @p out is only
      * meaningful when the result is ImageStatus::ok.
      */
     ImageStatus readMappingList(const SlotHeader &hdr,
                                 std::vector<MappingEntry> &out);
-
-    /** Convenience wrapper that fatals on a non-ok list. */
-    std::vector<MappingEntry> readMappingList(const SlotHeader &hdr);
 
     /** Largest mapping count the per-process list region can hold. */
     std::uint64_t

@@ -66,12 +66,6 @@ Sampler::start()
 }
 
 void
-Sampler::stop()
-{
-    timer.stop();
-}
-
-void
 Sampler::sampleOnce()
 {
     const statistics::StatSnapshot snap = snapshotFn();

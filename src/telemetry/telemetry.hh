@@ -115,9 +115,6 @@ class Sampler
      */
     void restart() { start(); }
 
-    /** Stop sampling; the recorded series stays available. */
-    void stop();
-
     bool enabled() const { return interval != 0; }
 
     const std::vector<Sample> &samples() const { return series; }

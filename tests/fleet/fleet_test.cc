@@ -281,7 +281,10 @@ struct DurableImageAudit
 
             std::vector<std::pair<std::uint64_t, std::uint64_t>> list,
                 walked;
-            for (const auto &m : probe.readMappingList(hdr))
+            std::vector<persist::MappingEntry> durable_list;
+            ASSERT_EQ(probe.readMappingList(hdr, durable_list),
+                      persist::ImageStatus::ok);
+            for (const auto &m : durable_list)
                 list.emplace_back(m.vpn, m.pfn);
             kernel.pageTables().forEachLeaf(
                 proc->ptRoot, [&](Addr va, cpu::Pte pte, Addr) {

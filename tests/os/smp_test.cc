@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "base/str.hh"
 #include "kindle/kindle.hh"
 #include "kindle/microbench.hh"
 #include "os/kernel.hh"
@@ -143,7 +144,7 @@ TEST(SmpSchedulerTest, RunqueuesTimeShareWithinOneCore)
     for (unsigned i = 0; i < 3; ++i) {
         rig.kernel->spawn(
             busyProgram(micro::scriptBase + i * oneGiB, 4),
-            "p" + std::to_string(i));
+            csprintf("p{}", i));
     }
     rig.kernel->run();
     EXPECT_GE(rig.kernel->stats().scalarValue("contextSwitches"), 4);

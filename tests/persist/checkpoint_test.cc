@@ -170,7 +170,9 @@ TEST(CheckpointTest, DemotionListsIdleProcessForNextSweep)
     persist.checkpointNow();
     EXPECT_EQ(skips(), 1);
     SavedStateSlot probe(kernel.kmem(), kernel.nvmLayout(), idle.slot);
-    const auto list = probe.readMappingList(probe.readHeader());
+    std::vector<MappingEntry> list;
+    ASSERT_EQ(probe.readMappingList(probe.readHeader(), list),
+              ImageStatus::ok);
     ASSERT_EQ(list.size(), 1u);
     EXPECT_EQ(list[0].vpn, cpu::vpnOf(va));
     EXPECT_EQ(list[0].pfn,

@@ -84,8 +84,8 @@ TEST(RedoLogTest, RecordsAreDurableImmediately)
     rig.memory.drainWrites(maxTick);
     rig.memory.crash(rig.sim.now(), {});
 
-    RedoLog fresh(rig.kmem, rig.layout.redoLog, oneMiB, "log");
-    const RedoScan scan = fresh.recoverScan();
+    const RedoScan scan =
+        RedoLog::audit(rig.kmem, rig.layout.redoLog, oneMiB);
     EXPECT_FALSE(scan.headerCorrupt);
     EXPECT_FALSE(scan.truncatedTail);
     ASSERT_EQ(scan.records.size(), 1u);
@@ -108,32 +108,18 @@ TEST(RedoLogTest, RecoveryIgnoresRecordsFromOlderEpochs)
     rig.memory.drainWrites(maxTick);
     rig.memory.crash(rig.sim.now(), {});
 
-    RedoLog fresh(rig.kmem, rig.layout.redoLog, oneMiB, "log");
-    const RedoScan scan = fresh.recoverScan();
+    // The older epoch's second record is still on media past the new
+    // epoch's one record; the epoch mismatch ends the scan cleanly.
+    const RedoScan scan =
+        RedoLog::audit(rig.kmem, rig.layout.redoLog, oneMiB);
     EXPECT_FALSE(scan.headerCorrupt);
     EXPECT_FALSE(scan.truncatedTail);
     ASSERT_EQ(scan.records.size(), 1u);
     EXPECT_EQ(scan.records[0].type, RedoType::cpuState);
+    EXPECT_EQ(scan.scanned, 2u);
 }
 
-TEST(RedoLogTest, AppendsContinueAfterRecovery)
-{
-    Rig rig;
-    {
-        RedoLog log(rig.kmem, rig.layout.redoLog, oneMiB, "log");
-        log.append(RedoRecord{});
-    }
-    rig.memory.drainWrites(maxTick);
-    rig.memory.crash(rig.sim.now(), {});
-    RedoLog fresh(rig.kmem, rig.layout.redoLog, oneMiB, "log");
-    const RedoScan scan = fresh.recoverScan();
-    EXPECT_FALSE(scan.headerCorrupt);
-    EXPECT_EQ(scan.records.size(), 1u);
-    fresh.append(RedoRecord{});
-    EXPECT_EQ(fresh.pending(), 2u);
-}
-
-TEST(RedoLogTest, RecoverScanTruncatesAtACorruptTailRecord)
+TEST(RedoLogTest, AuditTruncatesAtACorruptTailRecord)
 {
     Rig rig;
     {
@@ -162,17 +148,10 @@ TEST(RedoLogTest, RecoverScanTruncatesAtACorruptTailRecord)
     ASSERT_EQ(scan.records.size(), 3u);  // the valid prefix survives
     for (std::uint32_t i = 0; i < 3; ++i)
         EXPECT_EQ(scan.records[i].pid, i);
-
-    // recoverScan agrees and leaves the log positioned to append
-    // after the surviving prefix.
-    RedoLog fresh(rig.kmem, rig.layout.redoLog, oneMiB, "log");
-    const RedoScan rescan = fresh.recoverScan();
-    EXPECT_TRUE(rescan.truncatedTail);
-    EXPECT_EQ(rescan.records.size(), 3u);
-    EXPECT_EQ(fresh.pending(), 3u);
+    EXPECT_EQ(scan.scanned, 4u);  // stopped at the torn record
 }
 
-TEST(RedoLogTest, RecoverScanReportsACorruptHeader)
+TEST(RedoLogTest, AuditReportsACorruptHeader)
 {
     Rig rig;
     {
@@ -188,17 +167,12 @@ TEST(RedoLogTest, RecoverScanReportsACorruptHeader)
 
     const RedoScan scan =
         RedoLog::audit(rig.kmem, rig.layout.redoLog, oneMiB);
+    // Without a trustworthy epoch no record is read, not even the
+    // intact one behind the header.
     EXPECT_TRUE(scan.headerCorrupt);
+    EXPECT_FALSE(scan.truncatedTail);
     EXPECT_TRUE(scan.records.empty());
-
-    // recoverScan classifies it the same way and trusts no record.
-    RedoLog fresh(rig.kmem, rig.layout.redoLog, oneMiB, "log");
-    rig.memory.writeDataDurable(rig.layout.redoLog, &junk,
-                                sizeof(junk));
-    const RedoScan rescan = fresh.recoverScan();
-    EXPECT_TRUE(rescan.headerCorrupt);
-    EXPECT_TRUE(rescan.records.empty());
-    EXPECT_EQ(fresh.pending(), 0u);
+    EXPECT_EQ(scan.scanned, 0u);
 }
 
 TEST(RedoLogTest, WrapAroundIsCountedNotFatal)
@@ -272,15 +246,21 @@ TEST(RedoLogTest, CrashAtPreWrapSalvagesTheFullConsistentPrefix)
         EXPECT_EQ(scan.records[i].type, RedoType::vmaAdded);
     }
 
-    // A recovering log adopts the salvaged prefix and keeps going.
+    // After the reboot, the first checkpoint's reset() truncates the
+    // salvaged prefix: only what the new epoch appends survives.
     injector.deactivate();
     RedoLog fresh(rig.kmem, rig.layout.redoLog, 5 * 64, "log");
-    const RedoScan rescan = fresh.recoverScan();
-    EXPECT_EQ(rescan.records.size(), 4u);
-    EXPECT_EQ(fresh.pending(), 4u);
     fresh.reset();
-    fresh.append(RedoRecord{});
-    EXPECT_EQ(fresh.pending(), 1u);
+    RedoRecord next;
+    next.type = RedoType::processCreated;
+    fresh.append(next);
+    rig.memory.drainWrites(maxTick);
+    const RedoScan after =
+        RedoLog::audit(rig.kmem, rig.layout.redoLog, 5 * 64);
+    EXPECT_FALSE(after.headerCorrupt);
+    EXPECT_FALSE(after.truncatedTail);
+    ASSERT_EQ(after.records.size(), 1u);
+    EXPECT_EQ(after.records[0].type, RedoType::processCreated);
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * The runner's contract with DESIGN.md's determinism guarantee:
  * executing a KindleConfig through SweepRunner — at any parallelism —
  * must be bit-identical to running the same config sequentially on a
- * plain KindleSystem: same final tick counts, same serialized stats.
+ * plain KindleSystem: same final tick counts, same BENCH_*.json
+ * record.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "kindle/microbench.hh"
 #include "prep/replay.hh"
 #include "prep/workloads.hh"
+#include "runner/report.hh"
 #include "runner/sweep_runner.hh"
 
 namespace kindle::runner
@@ -48,12 +50,20 @@ referenceScenario(const std::string &name)
     return sc;
 }
 
+/** The BENCH_*.json record of one point, without the host's wall_ms. */
 std::string
-snapshotJson(const statistics::StatSnapshot &snap)
+pointJson(Tick ticks, const statistics::StatSnapshot &stats)
 {
+    RunResult point;
+    point.name = "p";
+    point.ok = true;
+    point.ticks = ticks;
+    point.stats = stats;
+    BenchReport report("determinism", 1);
+    report.omitWallClock();
+    report.add(point);
     std::ostringstream os;
-    json::Writer w(os);
-    snap.writeJson(w);
+    report.writeJson(os);
     return os.str();
 }
 
@@ -74,10 +84,11 @@ TEST(SweepDeterminismTest, RunnerMatchesSequentialExecution)
         ASSERT_TRUE(r.ok) << r.error;
         EXPECT_EQ(r.ticks, seq_ticks);
         EXPECT_TRUE(r.stats == seq_snap);
-        EXPECT_EQ(snapshotJson(r.stats), snapshotJson(seq_snap));
+        EXPECT_EQ(pointJson(r.ticks, r.stats),
+                  pointJson(seq_ticks, seq_snap));
     }
-    EXPECT_EQ(snapshotJson(results[0].stats),
-              snapshotJson(results[1].stats));
+    EXPECT_EQ(pointJson(results[0].ticks, results[0].stats),
+              pointJson(results[1].ticks, results[1].stats));
 }
 
 TEST(SweepDeterminismTest, JobCountDoesNotChangeResults)
