@@ -10,10 +10,14 @@
  * through the MESI directory, so /4 minus /1 is its host cost.  The
  * ping-pong case bounces one dirty line between two cores, which
  * makes every access a directory transition with coherence messages.
+ * The large-footprint case drives the directory alone over as many
+ * lines as the 4-core fleet run tracks, so its table is as big as
+ * fleet's and most probes miss the host caches.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "cache/coherence.hh"
 #include "cache/hierarchy.hh"
 
 namespace
@@ -148,6 +152,37 @@ BM_SharedLinePingPong(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SharedLinePingPong);
+
+void
+BM_DirectoryLargeFootprint(benchmark::State &state)
+{
+    // 125 k distinct lines, about what fleet tracks at seed 1: the
+    // table sits at 2^18 slots.  Four cores pick random lines, one
+    // access in four a write, so every MESI state and transition
+    // occurs.  Time per iteration is host ns per directory access.
+    constexpr unsigned cores = 4;
+    constexpr std::uint64_t lines = 125000;
+    const auto lineAddr = [](std::uint64_t i) {
+        return i * 3 * lineSize;  // spread, as a run's footprint is
+    };
+    cache::MesiDirectory dir(cores);
+    for (std::uint64_t i = 0; i < lines; ++i)
+        dir.access(lineAddr(i), static_cast<CpuId>(i % cores), false);
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (auto _ : state) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const auto act =
+            dir.access(lineAddr(x % lines),
+                       static_cast<CpuId>(x >> 62), (x >> 32) % 4 == 0);
+        benchmark::DoNotOptimize(act);
+    }
+    state.counters["slots"] = static_cast<double>(dir.capacity());
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DirectoryLargeFootprint);
 
 void
 BM_SimulationThroughputMixed(benchmark::State &state)

@@ -62,17 +62,19 @@ if ! git diff --exit-code -- DESIGN.md README.md; then
     exit 1
 fi
 
-echo "=== Repo benchmark: fleet, replay_ssp and replay_hscc on the held-out seed ==="
+echo "=== Repo benchmark: every workload on the held-out seed ==="
 # The benchmark's own Release kbench on the checkpoint/reclaim-heavy
 # workload, on the SSP replay (TLB, NVM durability model, interval
-# commits) and on the HSCC replay (pool selection, copy-back, reverts,
-# per-store table reads).  run.py exits non-zero when an operation
-# fails, an output check does not hold (served + lost == attempted,
-# every tenant exits), or two repetitions simulate different machines
-# (stat digests differ).
+# commits), on the HSCC replay (pool selection, copy-back, reverts,
+# per-store table reads) and on crash/recover (reboot, recovery and
+# the persist layer's logs under both page-table schemes).  run.py
+# exits non-zero when an operation fails, an output check does not
+# hold (served + lost == attempted, every tenant exits), or two
+# repetitions simulate different machines (stat digests differ).
 python3 benchmark/run.py --workload fleet --seed 2
 python3 benchmark/run.py --workload replay_ssp --seed 2
 python3 benchmark/run.py --workload replay_hscc --seed 2
+python3 benchmark/run.py --workload crash_recover --seed 2
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     echo "=== TSan build + SweepRunner/fault/persist tests ==="

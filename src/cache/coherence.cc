@@ -58,16 +58,17 @@ MesiDirectory::apply(DirEntry &entry, CpuId requester, bool is_write)
     const std::uint32_t req_bit = 1u << requester;
     CoherenceActions act;
 
+    // In E and M the owner's bit is the only sharer bit, so
+    // "sharers == req_bit" asks whether the requester owns the line.
     switch (entry.state) {
       case MesiState::invalid:
         entry.state =
             is_write ? MesiState::modified : MesiState::exclusive;
-        entry.owner = static_cast<std::uint8_t>(requester);
         entry.sharers = req_bit;
         return act;
 
       case MesiState::exclusive:
-        if (entry.owner == requester) {
+        if (entry.sharers == req_bit) {
             // Silent E->M upgrade on a write; reads stay E.
             if (is_write)
                 entry.state = MesiState::modified;
@@ -77,7 +78,6 @@ MesiDirectory::apply(DirEntry &entry, CpuId requester, bool is_write)
             // Remote write: the clean copy is dropped.
             act.invalidate = entry.sharers;
             entry.state = MesiState::modified;
-            entry.owner = static_cast<std::uint8_t>(requester);
             entry.sharers = req_bit;
         } else {
             // Remote read of a clean line: both end up sharers.
@@ -91,7 +91,6 @@ MesiDirectory::apply(DirEntry &entry, CpuId requester, bool is_write)
             act.invalidate = entry.sharers & ~req_bit;
             act.upgrade = (entry.sharers & req_bit) != 0;
             entry.state = MesiState::modified;
-            entry.owner = static_cast<std::uint8_t>(requester);
             entry.sharers = req_bit;
         } else {
             entry.sharers |= req_bit;
@@ -99,14 +98,13 @@ MesiDirectory::apply(DirEntry &entry, CpuId requester, bool is_write)
         return act;
 
       case MesiState::modified:
-        if (entry.owner == requester)
+        if (entry.sharers == req_bit)
             return act;
         if (is_write) {
             // The dirty remote copy is pushed down as it invalidates
             // (invalidateLine writes back dirty lines), so a plain
             // invalidation message is sufficient.
             act.invalidate = entry.sharers;
-            entry.owner = static_cast<std::uint8_t>(requester);
             entry.sharers = req_bit;
         } else {
             // Remote read: force the owner's dirty copy down to the
@@ -121,11 +119,11 @@ MesiDirectory::apply(DirEntry &entry, CpuId requester, bool is_write)
 }
 
 std::size_t
-MesiDirectory::probe(Addr line_addr) const
+MesiDirectory::probe(Addr line) const
 {
     const std::size_t mask = slots.size() - 1;
-    std::size_t i = home(line_addr);
-    while (slots[i].line != line_addr && slots[i].line != emptyKey)
+    std::size_t i = home(line);
+    while (slots[i].key != 0 && lineOf(slots[i].key) != line)
         i = (i + 1) & mask;
     return i;
 }
@@ -134,11 +132,12 @@ void
 MesiDirectory::erase(std::size_t hole)
 {
     const std::size_t mask = slots.size() - 1;
-    for (std::size_t i = (hole + 1) & mask; slots[i].line != emptyKey;
+    for (std::size_t i = (hole + 1) & mask; slots[i].key != 0;
          i = (i + 1) & mask) {
         // Slot i may fill the hole unless its home lies cyclically in
         // (hole, i]: then the hole is not on its probe path.
-        const std::size_t from_home = (i - home(slots[i].line)) & mask;
+        const std::size_t from_home =
+            (i - home(lineOf(slots[i].key))) & mask;
         if (from_home >= ((i - hole) & mask)) {
             slots[hole] = slots[i];
             hole = i;
@@ -155,8 +154,8 @@ MesiDirectory::grow()
     old.swap(slots);
     --hashShift;
     for (const Slot &s : old)
-        if (s.line != emptyKey)
-            slots[probe(s.line)] = s;
+        if (s.key != 0)
+            slots[probe(lineOf(s.key))] = s;
 }
 
 CoherenceActions
@@ -165,20 +164,27 @@ MesiDirectory::access(Addr line_addr, CpuId requester, bool is_write)
     kindle_assert(requester < numCores,
                   "coherence access from core {} of {}", requester,
                   numCores);
-    std::size_t i = probe(line_addr);
-    if (slots[i].line == emptyKey) {
+    const Addr line = line_addr >> lineShift;
+    std::size_t i = probe(line);
+    if (slots[i].key == 0) {
+        kindle_assert(line_addr < addrLimit,
+                      "line {} lies beyond the directory's {} bytes",
+                      line_addr, addrLimit);
         if (2 * (used + 1) > slots.size()) {
             grow();
-            i = probe(line_addr);
+            i = probe(line);
         }
-        slots[i].line = line_addr;
         ++used;
     }
-    DirEntry &entry = slots[i].entry;
+    Slot &s = slots[i];
+    DirEntry entry{stateOf(s.key), s.sharers};
     const bool joins_sharers = !is_write &&
                                entry.state != MesiState::invalid &&
                                !(entry.sharers & (1u << requester));
     const CoherenceActions act = apply(entry, requester, is_write);
+    s.key = static_cast<std::uint32_t>(line << stateBits) |
+            static_cast<std::uint32_t>(entry.state);
+    s.sharers = entry.sharers;
     invalidationsSent +=
         static_cast<double>(popCount(act.invalidate));
     writebacksForced +=
@@ -193,16 +199,18 @@ MesiDirectory::access(Addr line_addr, CpuId requester, bool is_write)
 void
 MesiDirectory::cleanLine(Addr line_addr)
 {
-    Slot &s = slots[probe(line_addr)];
-    if (s.line != emptyKey && s.entry.state == MesiState::modified)
-        s.entry.state = MesiState::exclusive;
+    Slot &s = slots[probe(line_addr >> lineShift)];
+    if (stateOf(s.key) == MesiState::modified) {
+        s.key = (s.key & ~stateMask) |
+                static_cast<std::uint32_t>(MesiState::exclusive);
+    }
 }
 
 void
 MesiDirectory::dropLine(Addr line_addr)
 {
-    const std::size_t i = probe(line_addr);
-    if (slots[i].line != emptyKey)
+    const std::size_t i = probe(line_addr >> lineShift);
+    if (slots[i].key != 0)
         erase(i);
 }
 
@@ -219,18 +227,16 @@ MesiDirectory::offlineCore(CpuId cpu)
     kindle_assert(cpu < numCores, "offlining core {} of {}", cpu,
                   numCores);
     const std::uint32_t cpu_bit = 1u << cpu;
+    // A line @p cpu owned in E/M has its bit as the only sharer, so
+    // clearing the bit empties it like any line left with no sharers.
     // An erase pulls later chain members back into slot i, so stay on
     // i until it holds a survivor.  Only entries that wrap past the
     // table end can land on an already-visited slot, and visiting one
     // twice is harmless: its second pass finds nothing more to drop.
     for (std::size_t i = 0; i < slots.size(); ++i) {
-        while (slots[i].line != emptyKey) {
-            DirEntry &entry = slots[i].entry;
-            const bool owned = (entry.state == MesiState::exclusive ||
-                                entry.state == MesiState::modified) &&
-                               entry.owner == cpu;
-            entry.sharers &= ~cpu_bit;
-            if (!owned && entry.sharers != 0)
+        while (slots[i].key != 0) {
+            slots[i].sharers &= ~cpu_bit;
+            if (slots[i].sharers != 0)
                 break;
             erase(i);
         }
@@ -240,8 +246,8 @@ MesiDirectory::offlineCore(CpuId cpu)
 DirEntry
 MesiDirectory::lookup(Addr line_addr) const
 {
-    const Slot &s = slots[probe(line_addr)];
-    return s.line == emptyKey ? DirEntry{} : s.entry;
+    const Slot &s = slots[probe(line_addr >> lineShift)];
+    return DirEntry{stateOf(s.key), s.sharers};
 }
 
 } // namespace kindle::cache

@@ -20,7 +20,11 @@
  *    invalidation message later.  Entries therefore outlive their
  *    cached copies, and the directory tracks every line the cores
  *    have touched since the last reset, not just what the LLC holds.
- *    Its table grows with that footprint.
+ *    Its table grows with that footprint, so each tracked line costs
+ *    one 8-byte slot: a 32-bit key holding the line index and the
+ *    state, and the 32-bit sharer mask.  The owner of an E/M line is
+ *    its lone sharer bit, so no slot stores it.  A 30-bit line index
+ *    covers a 64 GiB physical space.
  *
  * The state machine itself is a pure function (apply()) so the unit
  * tests can enumerate every transition without building caches.
@@ -33,6 +37,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/intmath.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 
@@ -50,12 +55,21 @@ enum class MesiState : std::uint8_t
 
 const char *mesiStateName(MesiState s);
 
-/** Directory bookkeeping for one line (8 bytes). */
+/** Directory bookkeeping for one line. */
 struct DirEntry
 {
     MesiState state = MesiState::invalid;
-    std::uint8_t owner = 0;    ///< meaningful in exclusive/modified
     std::uint32_t sharers = 0; ///< bitmask of cores holding a copy
+
+    /**
+     * The core holding the only copy; meaningful in exclusive and
+     * modified, where that copy is always the lone sharer bit.
+     */
+    CpuId
+    owner() const
+    {
+        return static_cast<CpuId>(countTrailingZeros(sharers));
+    }
 };
 
 /**
@@ -72,12 +86,33 @@ struct CoherenceActions
 
 /**
  * Per-line MESI-lite directory over the private caches: an
- * open-addressed, linear-probing table keyed by line address, with
+ * open-addressed, linear-probing table keyed by line index, with
  * backward-shift deletion and doubling at half load.
  */
 class MesiDirectory
 {
+    /** Low key bits holding a tracked line's state (S, E or M). */
+    static constexpr unsigned stateBits = 2;
+    static constexpr std::uint32_t stateMask = (1u << stateBits) - 1;
+
+    /**
+     * One table slot: key == line index << stateBits | state, and
+     * key 0 marks an empty slot (a tracked line is never invalid).
+     */
+    struct Slot
+    {
+        std::uint32_t key = 0;
+        std::uint32_t sharers = 0;
+    };
+
   public:
+    /** Host bytes per table slot. */
+    static constexpr std::size_t slotBytes = sizeof(Slot);
+
+    /** Line addresses the directory can track lie below this. */
+    static constexpr Addr addrLimit = Addr{1}
+                                      << (32 - stateBits + lineShift);
+
     explicit MesiDirectory(unsigned num_cores);
 
     /**
@@ -124,26 +159,25 @@ class MesiDirectory
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
-    /** Key of an empty slot; no line address is unaligned like this. */
-    static constexpr Addr emptyKey = ~Addr{0};
+    /** Line index of a slot's key. */
+    static Addr lineOf(std::uint32_t key) { return key >> stateBits; }
 
-    struct Slot
+    static MesiState
+    stateOf(std::uint32_t key)
     {
-        Addr line = emptyKey;
-        DirEntry entry;
-    };
-
-    /** Preferred slot of @p line_addr. */
-    std::size_t
-    home(Addr line_addr) const
-    {
-        return static_cast<std::size_t>(
-            ((line_addr >> lineShift) * 0x9e3779b97f4a7c15ULL) >>
-            hashShift);
+        return static_cast<MesiState>(key & stateMask);
     }
 
-    /** Slot holding @p line_addr, or the empty slot ending its chain. */
-    std::size_t probe(Addr line_addr) const;
+    /** Preferred slot of line index @p line. */
+    std::size_t
+    home(Addr line) const
+    {
+        return static_cast<std::size_t>(
+            (line * 0x9e3779b97f4a7c15ULL) >> hashShift);
+    }
+
+    /** Slot of line index @p line, or the empty slot ending its chain. */
+    std::size_t probe(Addr line) const;
 
     /** Empty slot @p hole, pulling later chain members back into it. */
     void erase(std::size_t hole);

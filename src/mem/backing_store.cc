@@ -299,20 +299,6 @@ DurableStore::drainTo(Tick now)
     }
 }
 
-void
-DurableStore::commitAll()
-{
-    // Buffered copies first: a pending copy of the same line is newer.
-    drainTo(~Tick{0});
-    for (const auto &[line_addr, data] : pending) {
-        durable.write(line_addr, data.data(), lineSize);
-        if (media)
-            media->onLineWrite(line_addr);
-        masksAt(line_addr).pending &= ~lineBit(line_addr);
-    }
-    pending.clear();
-}
-
 CrashOutcome
 DurableStore::crash(Tick now, const PowerLossModel &model)
 {

@@ -199,9 +199,6 @@ class DurableStore
     /** Retire every buffered line whose drain completed by @p now. */
     void drainTo(Tick now);
 
-    /** Make every pending/buffered line durable (ordered full flush). */
-    void commitAll();
-
     /**
      * Power loss at @p now: overlay lines are gone; buffered lines
      * drained by @p now survive, the rest are lost — except that torn

@@ -30,7 +30,7 @@ TEST(MesiApplyTest, InvalidReadGoesExclusive)
     DirEntry e;
     const CoherenceActions a = MesiDirectory::apply(e, 0, rd);
     EXPECT_EQ(e.state, MesiState::exclusive);
-    EXPECT_EQ(e.owner, 0u);
+    EXPECT_EQ(e.owner(), 0u);
     EXPECT_EQ(e.sharers, 0b01u);
     EXPECT_EQ(a.invalidate, 0u);
     EXPECT_EQ(a.writebackFrom, 0u);
@@ -42,7 +42,7 @@ TEST(MesiApplyTest, InvalidWriteGoesModified)
     DirEntry e;
     const CoherenceActions a = MesiDirectory::apply(e, 2, wr);
     EXPECT_EQ(e.state, MesiState::modified);
-    EXPECT_EQ(e.owner, 2u);
+    EXPECT_EQ(e.owner(), 2u);
     EXPECT_EQ(e.sharers, 0b100u);
     EXPECT_EQ(a.invalidate, 0u);
     EXPECT_EQ(a.writebackFrom, 0u);
@@ -64,7 +64,7 @@ TEST(MesiApplyTest, ExclusiveOwnerWriteUpgradesSilently)
     MesiDirectory::apply(e, 1, rd);
     const CoherenceActions a = MesiDirectory::apply(e, 1, wr);
     EXPECT_EQ(e.state, MesiState::modified);
-    EXPECT_EQ(e.owner, 1u);
+    EXPECT_EQ(e.owner(), 1u);
     // Silent: no messages for an E->M upgrade by the owner.
     EXPECT_EQ(a.invalidate, 0u);
     EXPECT_EQ(a.writebackFrom, 0u);
@@ -89,7 +89,7 @@ TEST(MesiApplyTest, ExclusiveRemoteWriteInvalidatesOldOwner)
     MesiDirectory::apply(e, 0, rd);
     const CoherenceActions a = MesiDirectory::apply(e, 1, wr);
     EXPECT_EQ(e.state, MesiState::modified);
-    EXPECT_EQ(e.owner, 1u);
+    EXPECT_EQ(e.owner(), 1u);
     EXPECT_EQ(e.sharers, 0b10u);
     EXPECT_EQ(a.invalidate, 0b01u);
     EXPECT_EQ(a.writebackFrom, 0u);  // clean copy: drop, don't push
@@ -114,7 +114,7 @@ TEST(MesiApplyTest, SharedWriteBySharerUpgrades)
     MesiDirectory::apply(e, 2, rd);  // S {0,1,2}
     const CoherenceActions a = MesiDirectory::apply(e, 1, wr);
     EXPECT_EQ(e.state, MesiState::modified);
-    EXPECT_EQ(e.owner, 1u);
+    EXPECT_EQ(e.owner(), 1u);
     EXPECT_EQ(e.sharers, 0b10u);
     EXPECT_TRUE(a.upgrade);
     // Every sharer but the writer is invalidated.
@@ -129,7 +129,7 @@ TEST(MesiApplyTest, SharedWriteByNonSharerInvalidatesAll)
     MesiDirectory::apply(e, 1, rd);  // S {0,1}
     const CoherenceActions a = MesiDirectory::apply(e, 3, wr);
     EXPECT_EQ(e.state, MesiState::modified);
-    EXPECT_EQ(e.owner, 3u);
+    EXPECT_EQ(e.owner(), 3u);
     EXPECT_EQ(e.sharers, 0b1000u);
     EXPECT_FALSE(a.upgrade);  // the writer held no copy
     EXPECT_EQ(a.invalidate, 0b11u);
@@ -164,7 +164,7 @@ TEST(MesiApplyTest, ModifiedRemoteWriteTransfersOwnership)
     MesiDirectory::apply(e, 0, wr);
     const CoherenceActions a = MesiDirectory::apply(e, 1, wr);
     EXPECT_EQ(e.state, MesiState::modified);
-    EXPECT_EQ(e.owner, 1u);
+    EXPECT_EQ(e.owner(), 1u);
     EXPECT_EQ(e.sharers, 0b10u);
     // Invalidation of a dirty line writes it back on the way out, so
     // a plain invalidate message is all the protocol sends.
@@ -178,7 +178,7 @@ TEST(MesiDirectoryTest, CleanLineDemotesModifiedToExclusive)
     dir.access(0x1000, 0, wr);
     dir.cleanLine(0x1000);
     EXPECT_EQ(dir.lookup(0x1000).state, MesiState::exclusive);
-    EXPECT_EQ(dir.lookup(0x1000).owner, 0u);
+    EXPECT_EQ(dir.lookup(0x1000).owner(), 0u);
     // cleanLine on shared / untracked lines is a no-op.
     dir.access(0x2000, 0, rd);
     dir.access(0x2000, 1, rd);
@@ -227,7 +227,7 @@ TEST(MesiDirectoryTest, OfflineCoreDropsOwnedLines)
     EXPECT_EQ(dir.lookup(0x2000).state, MesiState::invalid);
     // Other cores' claims are untouched.
     EXPECT_EQ(dir.lookup(0x3000).state, MesiState::modified);
-    EXPECT_EQ(dir.lookup(0x3000).owner, 0u);
+    EXPECT_EQ(dir.lookup(0x3000).owner(), 0u);
 }
 
 TEST(MesiDirectoryTest, OfflineCoreClearsSharerBit)
@@ -261,39 +261,74 @@ TEST(MesiDirectoryTest, StateNamesAreStable)
 
 TEST(MesiDirectoryTest, EntryPacksToEightBytes)
 {
-    EXPECT_EQ(sizeof(DirEntry), 8u);
+    // The table stores one slot per tracked line, so this is the
+    // directory's host cost per line.
+    EXPECT_EQ(MesiDirectory::slotBytes, 8u);
+}
+
+TEST(MesiDirectoryTest, TracksLinesUpToTheAddressLimit)
+{
+    // 30-bit line indices: 64 GiB of physical space.
+    EXPECT_EQ(MesiDirectory::addrLimit, Addr(64) * oneGiB);
+    MesiDirectory dir(32);
+    const Addr top = MesiDirectory::addrLimit - lineSize;
+    dir.access(0, 0, wr);
+    dir.access(top, 31, wr);
+    EXPECT_EQ(dir.lookup(0).state, MesiState::modified);
+    EXPECT_EQ(dir.lookup(0).owner(), 0u);
+    EXPECT_EQ(dir.lookup(top).state, MesiState::modified);
+    EXPECT_EQ(dir.lookup(top).owner(), 31u);
+    EXPECT_EQ(dir.lookup(top).sharers, 1u << 31);
+    // An address past the limit aliases no tracked line.
+    EXPECT_EQ(dir.lookup(top + MesiDirectory::addrLimit).state,
+              MesiState::invalid);
 }
 
 // ---- Differential test against a std::map directory ------------
 
 bool
+isOwned(const DirEntry &e)
+{
+    return e.state == MesiState::exclusive ||
+           e.state == MesiState::modified;
+}
+
+bool
 sameEntry(const DirEntry &a, const DirEntry &b)
 {
-    return a.state == b.state && a.owner == b.owner &&
-           a.sharers == b.sharers;
+    return a.state == b.state && a.sharers == b.sharers &&
+           (!isOwned(a) || a.owner() == b.owner());
 }
 
 /**
  * The open-addressed directory against a std::map of entries driven
  * by the same (already exhaustively tested) transition function: every
  * action, every entry and every stat must agree through inserts,
- * growths, erases inside probe chains, offlineCore and reset.
+ * growths, erases inside probe chains, offlineCore and reset.  The
+ * model drops an offlined core's E/M lines by owner, as the protocol
+ * states it; the directory clears the sharer bit instead.
  */
-TEST(MesiDirectoryDifferentialTest, MatchesMapModel)
+void
+checkAgainstMapModel(unsigned cores, std::uint64_t seed)
 {
-    constexpr unsigned cores = 4;
     MesiDirectory dir(cores);
     std::map<Addr, DirEntry> ref;
     double invalidations = 0, forced = 0, upgrades = 0, fills = 0;
 
-    Random rng(17);
-    // Line 0 plus scattered lines and a dense run, so chains form
-    // both from hash collisions and from neighbouring homes.
+    Random rng(seed);
+    // Line 0, a dense run, the top lines of the trackable range and
+    // scattered lines below it, so chains form both from hash
+    // collisions and from neighbouring homes, and the widest line
+    // indices go through every table operation.
     std::vector<Addr> pool = {0};
     for (Addr a = lineSize; pool.size() < 2000; a += lineSize)
         pool.push_back(a);
-    while (pool.size() < 7000)
-        pool.push_back(rng.uniform(Addr(1) << 44) & ~Addr(lineSize - 1));
+    for (Addr a = MesiDirectory::addrLimit; pool.size() < 2100;)
+        pool.push_back(a -= lineSize);
+    while (pool.size() < 7000) {
+        pool.push_back(rng.uniform(MesiDirectory::addrLimit) &
+                       ~Addr(lineSize - 1));
+    }
 
     const auto checkAll = [&](int op) {
         ASSERT_EQ(dir.trackedLines(), ref.size()) << "op " << op;
@@ -352,9 +387,7 @@ TEST(MesiDirectoryDifferentialTest, MatchesMapModel)
             dir.offlineCore(cpu);
             for (auto it = ref.begin(); it != ref.end();) {
                 DirEntry &e = it->second;
-                const bool owned = (e.state == MesiState::exclusive ||
-                                    e.state == MesiState::modified) &&
-                                   e.owner == cpu;
+                const bool owned = isOwned(e) && e.owner() == cpu;
                 e.sharers &= ~(1u << cpu);
                 it = owned || e.sharers == 0 ? ref.erase(it)
                                              : std::next(it);
@@ -376,6 +409,17 @@ TEST(MesiDirectoryDifferentialTest, MatchesMapModel)
     EXPECT_EQ(st.scalarValue("writebacksForced"), forced);
     EXPECT_EQ(st.scalarValue("upgrades"), upgrades);
     EXPECT_EQ(st.scalarValue("sharedFills"), fills);
+}
+
+TEST(MesiDirectoryDifferentialTest, MatchesMapModel)
+{
+    checkAgainstMapModel(4, 17);
+}
+
+TEST(MesiDirectoryDifferentialTest, MatchesMapModelAt32Cores)
+{
+    // Sharer bit 31 and ownership by core 31 are in play.
+    checkAgainstMapModel(32, 31);
 }
 
 // ---- Hierarchy integration -------------------------------------

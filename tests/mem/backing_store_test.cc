@@ -353,14 +353,24 @@ TEST(DurableStoreTest, TornStoreDeterministicAcrossRuns)
     EXPECT_NE(run(3), run(4));
 }
 
-TEST(DurableStoreTest, CommitAllFlushesEverything)
+TEST(DurableStoreTest, CommitLinesThenDrainFlushesEverything)
 {
     DurableStore store(AddrRange(0, oneMiB));
     for (int i = 0; i < 10; ++i)
         store.writeVolatileT<std::uint64_t>(0x1000 + i * 64, i);
     EXPECT_EQ(store.pendingLines(), 10u);
-    store.commitAll();
+    // Half the lines go through the controller buffer, half are
+    // confirmed by the device at once.
+    for (int i = 0; i < 10; ++i) {
+        if (i % 2)
+            store.commitLine(0x1000 + i * 64, 100, 200 + i);
+        else
+            store.commitLineImmediate(0x1000 + i * 64);
+    }
     EXPECT_EQ(store.pendingLines(), 0u);
+    EXPECT_EQ(store.inflightLines(), 5u);
+    store.drainTo(300);
+    EXPECT_EQ(store.inflightLines(), 0u);
     for (int i = 0; i < 10; ++i) {
         std::uint64_t v = 99;
         store.readDurable(0x1000 + i * 64, &v, 8);
@@ -398,7 +408,10 @@ TEST(DurableStoreTest, PartialStoreOverInflightLineKeepsBufferedBytes)
     EXPECT_EQ(store.readT<std::uint64_t>(0x100), 0x55u);
 
     store.drainTo(2000);
-    store.commitAll();
+    store.commitLine(0x100, 2000, 3000);
+    store.drainTo(3000);
+    EXPECT_EQ(store.pendingLines(), 0u);
+    EXPECT_EQ(store.inflightLines(), 0u);
     std::uint8_t b = 0;
     store.readDurable(0x108, &b, 1);
     EXPECT_EQ(b, patternByte(8));
@@ -421,14 +434,22 @@ TEST(DurableStoreTest, ImmediateCommitPersistsNewestCopy)
     EXPECT_EQ(b, patternByte(8));
 }
 
-TEST(DurableStoreTest, CommitAllPersistsNewestCopy)
+TEST(DurableStoreTest, DrainPersistsNewestCopy)
 {
+    // A second writeback while the first is still buffered: the newer
+    // copy replaces the buffered one, and the drain persists it.
     DurableStore store = storeOverInflightLine();
-    store.commitAll();
+    store.commitLine(0x100, 200, 1500);
+    EXPECT_EQ(store.pendingLines(), 0u);
+    EXPECT_EQ(store.inflightLines(), 1u);
+    store.drainTo(1500);
     EXPECT_EQ(store.inflightLines(), 0u);
     std::uint64_t w = 0;
     store.readDurable(0x100, &w, 8);
     EXPECT_EQ(w, 0x55u);
+    std::uint8_t b = 0;
+    store.readDurable(0x108, &b, 1);
+    EXPECT_EQ(b, patternByte(8));
 }
 
 // ---- Differential test against a map-only reference store --------

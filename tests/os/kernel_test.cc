@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "kindle/microbench.hh"
 #include "os/kernel.hh"
 
@@ -175,6 +177,52 @@ TEST(KernelTest, MremapMoveRelocatesFrames)
     EXPECT_EQ(leaf.frameAddr(), before.frameAddr());
     EXPECT_FALSE(
         rig.kernel.pageTables().readLeaf(proc.ptRoot, a).present());
+}
+
+TEST(KernelTest, MremapOpGrowsAndShrinksThroughDispatch)
+{
+    // The op carries the new length in pages in its flags field.
+    struct Spy : OsEventListener
+    {
+        void
+        onVmaAdded(Process &, const Vma &vma) override
+        {
+            added.push_back(vma.range);
+        }
+        void
+        onVmaRemoved(Process &, const Vma &vma) override
+        {
+            removed.push_back(vma.range);
+        }
+        std::vector<AddrRange> added;
+        std::vector<AddrRange> removed;
+    } spy;
+
+    Rig rig;
+    rig.kernel.addListener(&spy);
+    const Addr base = micro::scriptBase;
+    micro::ScriptBuilder b;
+    b.mmapFixed(base, 2 * pageSize, true);
+    b.touchPages(base, 2 * pageSize);
+    b.mremap(base, 2 * pageSize, 6 * pageSize);
+    b.touchPages(base + 2 * pageSize, 4 * pageSize);
+    b.mremap(base, 6 * pageSize, 3 * pageSize);
+    b.write(base + 2 * pageSize);
+    b.write(base + 3 * pageSize);  // the dropped tail: a segfault
+    b.compute(100);                // never reached
+    rig.kernel.spawn(b.build(), "remapper");
+    rig.kernel.run();
+
+    // Grown in place to six pages, then the three-page tail went.
+    ASSERT_GE(spy.added.size(), 2u);
+    EXPECT_EQ(spy.added[1], AddrRange::withSize(base, 6 * pageSize));
+    ASSERT_GE(spy.removed.size(), 2u);
+    EXPECT_EQ(spy.removed[1],
+              AddrRange(base + 3 * pageSize, base + 6 * pageSize));
+    // Every write inside the mapping succeeded; the one past it did
+    // not.
+    EXPECT_EQ(rig.core.stats().scalarValue("illegalAccesses"), 1);
+    EXPECT_EQ(rig.kernel.stats().scalarValue("syscalls"), 3);
 }
 
 TEST(KernelTest, RoundRobinAlternatesProcesses)
