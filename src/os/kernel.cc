@@ -38,8 +38,11 @@ Kernel::Kernel(const KernelParams &params, sim::Simulation &sim_arg,
       caches(caches_arg),
       cores_(std::move(cores)),
       kernelMem(sim_arg, memory_arg, caches_arg),
-      layout(NvmLayout::standard(memory_arg.nvmRange(),
-                                 params.nvmLayout)),
+      // The BIOS map, not the memory model, tells the OS where NVM
+      // lives (the e820 handoff).
+      layout(NvmLayout::standard(
+          memory_arg.e820().regionOf(mem::E820Type::pmem),
+          params.nvmLayout)),
       statGroup("kernel", "gemOS-like kernel"),
       syscalls(statGroup.addScalar("syscalls", "system calls serviced")),
       contextSwitches(statGroup.addScalar("contextSwitches",
@@ -93,7 +96,7 @@ Kernel::Kernel(const KernelParams &params, sim::Simulation &sim_arg,
     // The bad-frame table is adopted from durable media before any
     // frame can be handed out: retirement is forever, crash or not.
     badFrames_ = std::make_unique<BadFrameTable>(
-        memory.nvmRange(), kernelMem, layout.badFrameBitmap);
+        layout.nvm, kernelMem, layout.badFrameBitmap);
     badFrames_->loadFromNvm();
     nvmAlloc->setBadFrames(badFrames_.get());
 
@@ -1282,7 +1285,7 @@ void
 Kernel::retireNvmFrame(Addr frame, const char *reason)
 {
     const Addr bad = roundDown(frame, pageSize);
-    kindle_assert(memory.nvmRange().contains(bad),
+    kindle_assert(layout.nvm.contains(bad),
                   "retiring non-NVM frame {}", bad);
     if (!badFrames_->retire(bad))
         return;  // already retired; migration already happened

@@ -499,8 +499,8 @@ PersistDomain::checkpointNow()
     // Snapshot every swept context once (host-side; the simulated cost
     // is charged when the slot is written).  The clean-skip decision,
     // the CPU-state log and the per-process sweep all reuse it.  A
-    // process is clean when its serialized context is bit-identical to
-    // what its last sweep committed and no NVM mapping changed in the
+    // process is clean when its context equals (sameContext) what its
+    // last sweep committed and no NVM mapping changed in the
     // interval — nothing about its durable image can differ, so both
     // the redo append and the slot sweep are pure media traffic.
     // Only listed processes can have changed; every other live

@@ -141,10 +141,10 @@ class PersistDomain : public os::OsEventListener
         std::vector<std::pair<bool, MappingEntry>> pending;
 
         /** Clean-skip bookkeeping: the context committed by this
-         *  process's last sweep, and whether any NVM mapping changed
-         *  since — tracked for every scheme, because reclaim can
-         *  demote an idle process's pages without its context ever
-         *  changing. */
+         *  process's last sweep (host form, sized to its VMAs), and
+         *  whether any NVM mapping changed since — tracked for every
+         *  scheme, because reclaim can demote an idle process's pages
+         *  without its context ever changing. */
         bool ctxValid = false;
         bool mapDirty = false;
         SavedContext lastCtx{};

@@ -114,8 +114,8 @@ ConsistentPtWrite::writeEntry(Addr entry_addr, std::uint64_t value)
 }
 
 PtUndoReport
-recoverPtUndoLog(os::KernelMem &kmem, Addr log_base,
-                 std::uint64_t log_bytes)
+recoverPtUndoLog(os::KernelMem &kmem, const AddrRange &nvm,
+                 Addr log_base, std::uint64_t log_bytes)
 {
     PtUndoReport report;
 
@@ -144,7 +144,7 @@ recoverPtUndoLog(os::KernelMem &kmem, Addr log_base,
         // never trust its payload without the checksum, and never
         // dereference an entry address outside the NVM page tables.
         if (rec.checksum != undoChecksum(rec) ||
-            !kmem.mem().nvmRange().contains(rec.entryAddr) ||
+            !nvm.contains(rec.entryAddr) ||
             rec.entryAddr % sizeof(std::uint64_t) != 0) {
             continue;
         }

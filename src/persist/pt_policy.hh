@@ -95,10 +95,11 @@ struct PtUndoReport
  * device), its new value (store completed), or — if the crash cut a
  * writeback mid-line — something else.  Torn entries are rolled back
  * to the recorded old value, restoring a consistent page table before
- * it is adopted.
+ * it is adopted.  @p nvm is the NVM range the OS placed (a record
+ * whose entry lies outside it is never dereferenced).
  */
-PtUndoReport recoverPtUndoLog(os::KernelMem &kmem, Addr log_base,
-                              std::uint64_t log_bytes);
+PtUndoReport recoverPtUndoLog(os::KernelMem &kmem, const AddrRange &nvm,
+                              Addr log_base, std::uint64_t log_bytes);
 
 } // namespace kindle::persist
 

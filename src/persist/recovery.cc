@@ -29,12 +29,11 @@ collectPtFrames(os::Kernel &kernel, Addr table, unsigned level,
                 std::unordered_set<Addr> &live,
                 std::uint64_t &dangling, std::uint64_t *leaves = nullptr)
 {
-    if (!kernel.kmem().mem().nvmRange().contains(table) ||
-        !live.insert(table).second) {
+    const AddrRange &nvm = kernel.nvmLayout().nvm;
+    if (!nvm.contains(table) || !live.insert(table).second) {
         ++dangling;
         return;
     }
-    const auto &mem = kernel.kmem().mem();
     os::PageTableManager::TableEntries entries;
     kernel.pageTables().readTable(table, entries);
     for (unsigned i = 0; i < cpu::ptEntriesPerPage; ++i) {
@@ -45,7 +44,7 @@ collectPtFrames(os::Kernel &kernel, Addr table, unsigned level,
             if (leaves)
                 ++*leaves;
             if (pte.nvmBacked()) {
-                if (mem.nvmRange().contains(pte.frameAddr()))
+                if (nvm.contains(pte.frameAddr()))
                     live.insert(pte.frameAddr());
                 else
                     ++dangling;
@@ -146,7 +145,7 @@ recover(os::Kernel &kernel, PtScheme scheme)
         const os::NvmLayout &layout = kernel.nvmLayout();
         const std::uint64_t half = layout.redoLogBytes / 2;
         const PtUndoReport undo = recoverPtUndoLog(
-            kernel.kmem(), layout.redoLog + half, half);
+            kernel.kmem(), layout.nvm, layout.redoLog + half, half);
         report.tornPtStoresRolledBack = undo.tornStoresRolledBack;
         KINDLE_CRASH_SITE("recover.after_pt_rollback");
     }
@@ -200,11 +199,12 @@ recover(os::Kernel &kernel, PtScheme scheme)
         }
 
         SavedContext ctx;
+        std::uint32_t stored_vmas = 0;
         const ImageStatus ctx_status =
-            slot.readConsistentContext(hdr, ctx);
+            slot.readConsistentContext(hdr, ctx, &stored_vmas);
         if (ctx_status == ImageStatus::badCount) {
             quarantine(RecoveryErrorCode::contextBadCount,
-                       csprintf("context claims {} VMAs", ctx.vmaCount));
+                       csprintf("context claims {} VMAs", stored_vmas));
             continue;
         }
         if (ctx_status != ImageStatus::ok) {
@@ -233,8 +233,7 @@ recover(os::Kernel &kernel, PtScheme scheme)
                            hdr.mappingCount));
                 continue;
             }
-        } else if (!kernel.kmem().mem().nvmRange().contains(
-                       hdr.ptRoot)) {
+        } else if (!kernel.nvmLayout().nvm.contains(hdr.ptRoot)) {
             quarantine(RecoveryErrorCode::danglingMapping,
                        csprintf("pt root {} outside NVM", hdr.ptRoot));
             continue;
@@ -303,7 +302,7 @@ recover(os::Kernel &kernel, PtScheme scheme)
         ++report.processesRecovered;
         KINDLE_TRACE_INSTANT_ARGS(recovery, "recover.restored",
                                   "pid={} vmas={}", proc.pid,
-                                  ctx.vmaCount);
+                                  ctx.vmas.size());
         KINDLE_CRASH_SITE("recover.after_slot_restore");
     }
 

@@ -1,5 +1,6 @@
 #include "persist/saved_state.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "base/checksum.hh"
@@ -15,12 +16,14 @@ namespace
 /** Byte offsets of the two contexts inside a slot. */
 constexpr std::uint64_t contextOffset[2] = {256, 8192};
 
-/** Serialized length of a context's populated prefix. */
+using ContextImage = SavedStateSlot::ContextImage;
+
+/** Serialized length of an image's populated prefix. */
 std::uint64_t
-serializedBytes(const SavedContext &ctx)
+serializedBytes(std::uint32_t vma_count)
 {
-    return offsetof(SavedContext, vmas) +
-           std::uint64_t(ctx.vmaCount) * sizeof(SerializedVma);
+    return offsetof(ContextImage, vmas) +
+           std::uint64_t(vma_count) * sizeof(SerializedVma);
 }
 
 /** Header checksum: FNV-1a with the checksum field zeroed. */
@@ -59,10 +62,10 @@ SavedStateSlot::SavedStateSlot(os::KernelMem &kmem_arg,
 {
     kindle_assert(slot_idx < layout_arg.procSlots,
                   "slot index out of range");
-    static_assert(sizeof(SavedContext) <
+    static_assert(sizeof(ContextImage) <
                       contextOffset[1] - contextOffset[0],
                   "context serialization overflows its slot half");
-    static_assert(contextOffset[1] + sizeof(SavedContext) <
+    static_assert(contextOffset[1] + sizeof(ContextImage) <
                       os::savedStateSlotBytes,
                   "context serialization overflows the slot");
 }
@@ -109,21 +112,26 @@ SavedStateSlot::initialize(Pid pid, const std::string &name,
 }
 
 void
-SavedStateSlot::writeWorkingContext(const SavedContext &ctx_in)
+SavedStateSlot::writeWorkingContext(const SavedContext &ctx)
 {
+    kindle_assert(ctx.vmas.size() <= maxVmasPerContext,
+                  "process has more VMAs than a context can hold");
     const unsigned working = shadow.consistentIdx ^ 1u;
-    SavedContext ctx = ctx_in;
-    ctx.checksum = 0;
     // Only the populated prefix of the VMA array needs to travel.
-    const std::uint64_t bytes = serializedBytes(ctx);
-    ctx.checksum = checksum32(&ctx, bytes);
+    ContextImage img;
+    img.regs = ctx.regs;
+    img.vmaCount = static_cast<std::uint32_t>(ctx.vmas.size());
+    img.faseActive = ctx.faseActive ? 1 : 0;
+    std::copy(ctx.vmas.begin(), ctx.vmas.end(), img.vmas.begin());
+    const std::uint64_t bytes = serializedBytes(img.vmaCount);
+    img.checksum = checksum32(&img, bytes);
 
     // Same timing as one writeBufDurable (write + per-line clwb + one
     // fence), but with a crash site between the two halves of the
     // flush — the working copy is the component most likely to be
     // caught half-written by a real power cut.
     const Addr addr = contextAddr(working);
-    kmem.writeBuf(addr, &ctx, bytes);
+    kmem.writeBuf(addr, &img, bytes);
     const Addr first = roundDown(addr, lineSize);
     const Addr last = roundDown(addr + bytes - 1, lineSize);
     const Addr mid = roundDown(first + (last - first) / 2, lineSize);
@@ -227,17 +235,23 @@ SavedStateSlot::verifyHeader(const SlotHeader &hdr)
 
 ImageStatus
 SavedStateSlot::readConsistentContext(const SlotHeader &hdr,
-                                      SavedContext &out)
+                                      SavedContext &out,
+                                      std::uint32_t *stored_vmas)
 {
-    out = SavedContext{};
-    kmem.readDurableBuf(contextAddr(hdr.consistentIdx & 1u), &out,
-                        sizeof(out));
-    if (out.vmaCount > maxVmasPerContext)
+    ContextImage img;
+    kmem.readDurableBuf(contextAddr(hdr.consistentIdx & 1u), &img,
+                        sizeof(img));
+    if (stored_vmas)
+        *stored_vmas = img.vmaCount;
+    if (img.vmaCount > maxVmasPerContext)
         return ImageStatus::badCount;
-    SavedContext probe = out;
-    probe.checksum = 0;
-    if (out.checksum != checksum32(&probe, serializedBytes(probe)))
+    const std::uint32_t stored_sum = img.checksum;
+    img.checksum = 0;
+    if (stored_sum != checksum32(&img, serializedBytes(img.vmaCount)))
         return ImageStatus::badChecksum;
+    out.regs = img.regs;
+    out.faseActive = img.faseActive != 0;
+    out.vmas.assign(img.vmas.begin(), img.vmas.begin() + img.vmaCount);
     return ImageStatus::ok;
 }
 
@@ -259,33 +273,28 @@ SavedStateSlot::readMappingList(const SlotHeader &hdr,
 bool
 sameContext(const SavedContext &a, const SavedContext &b)
 {
-    if (!(a.regs == b.regs) || a.vmaCount != b.vmaCount ||
-        a.faseActive != b.faseActive) {
-        return false;
-    }
-    for (std::uint32_t i = 0; i < a.vmaCount; ++i) {
-        const SerializedVma &x = a.vmas[i];
-        const SerializedVma &y = b.vmas[i];
-        if (x.start != y.start || x.end != y.end || x.prot != y.prot ||
-            x.nvm != y.nvm || x.areaId != y.areaId) {
-            return false;
-        }
-    }
-    return true;
+    return a.regs == b.regs && a.faseActive == b.faseActive &&
+           std::equal(a.vmas.begin(), a.vmas.end(), b.vmas.begin(),
+                      b.vmas.end(),
+                      [](const SerializedVma &x, const SerializedVma &y) {
+                          return x.start == y.start && x.end == y.end &&
+                                 x.prot == y.prot && x.nvm == y.nvm &&
+                                 x.areaId == y.areaId;
+                      });
 }
 
 SavedContext
 SavedStateSlot::snapshot(const os::Process &proc,
                          const cpu::CpuState &regs)
 {
+    kindle_assert(proc.aspace.count() <= maxVmasPerContext,
+                  "process has more VMAs than a context can hold");
     SavedContext ctx;
     ctx.regs = regs;
-    ctx.faseActive = proc.faseActive ? 1 : 0;
-    ctx.vmaCount = 0;
+    ctx.faseActive = proc.faseActive;
+    ctx.vmas.reserve(proc.aspace.count());
     proc.aspace.forEach([&](const os::Vma &vma) {
-        kindle_assert(ctx.vmaCount < maxVmasPerContext,
-                      "process has more VMAs than a context can hold");
-        SerializedVma &s = ctx.vmas[ctx.vmaCount++];
+        SerializedVma &s = ctx.vmas.emplace_back();
         s.start = vma.range.start();
         s.end = vma.range.end();
         s.prot = vma.prot;
@@ -298,8 +307,7 @@ SavedStateSlot::snapshot(const os::Process &proc,
 void
 SavedStateSlot::restoreAspace(os::Process &proc, const SavedContext &ctx)
 {
-    for (std::uint32_t i = 0; i < ctx.vmaCount; ++i) {
-        const SerializedVma &s = ctx.vmas[i];
+    for (const SerializedVma &s : ctx.vmas) {
         os::Vma vma;
         vma.range = AddrRange(s.start, s.end);
         vma.prot = s.prot;
@@ -307,7 +315,7 @@ SavedStateSlot::restoreAspace(os::Process &proc, const SavedContext &ctx)
         vma.areaId = s.areaId;
         proc.aspace.insert(vma);
     }
-    proc.faseActive = ctx.faseActive != 0;
+    proc.faseActive = ctx.faseActive;
 }
 
 } // namespace kindle::persist

@@ -53,23 +53,20 @@ static_assert(sizeof(SerializedVma) == 32);
 constexpr unsigned maxVmasPerContext = 96;
 
 /**
- * One serialized execution context.  The checksum covers the populated
- * serialized prefix (with the checksum field itself zeroed) so recovery
- * can tell a half-written working copy from a trustworthy one.
+ * Host form of one execution context: registers, the FASE flag and
+ * the process's VMAs (at most maxVmasPerContext).  It costs what the
+ * process holds; only the media image (SavedStateSlot::ContextImage)
+ * has the fixed maxVmasPerContext capacity.
  */
 struct SavedContext
 {
     cpu::CpuState regs;
-    std::uint32_t vmaCount = 0;
-    std::uint32_t faseActive = 0;
-    std::uint32_t checksum = 0;
-    std::uint32_t pad = 0;
-    std::array<SerializedVma, maxVmasPerContext> vmas{};
+    bool faseActive = false;
+    std::vector<SerializedVma> vmas;
 };
 
 /** Field-wise equality of the serialized state: registers, FASE flag
- *  and the populated VMA prefix (padding and the checksum field are
- *  not compared; memcmp would read indeterminate bytes). */
+ *  and every VMA field (the VMA padding word is not compared). */
 bool sameContext(const SavedContext &a, const SavedContext &b);
 
 /**
@@ -129,6 +126,25 @@ static_assert(sizeof(MappingEntry) == 16);
 class SavedStateSlot
 {
   public:
+    /**
+     * Media image of one context: fixed capacity, and only the
+     * populated prefix (everything before vmas, then vmaCount entries)
+     * is written.  The checksum covers that prefix with the checksum
+     * field itself zeroed, so recovery can tell a half-written working
+     * copy from a trustworthy one.  writeWorkingContext() serializes
+     * into it and readConsistentContext() parses out of it; nothing
+     * else on the host holds one.
+     */
+    struct ContextImage
+    {
+        cpu::CpuState regs;
+        std::uint32_t vmaCount = 0;
+        std::uint32_t faseActive = 0;
+        std::uint32_t checksum = 0;
+        std::uint32_t pad = 0;
+        std::array<SerializedVma, maxVmasPerContext> vmas{};
+    };
+
     SavedStateSlot(os::KernelMem &kmem, const os::NvmLayout &layout,
                    unsigned slot_idx);
 
@@ -178,10 +194,14 @@ class SavedStateSlot
 
     /**
      * Read + validate the consistent context named by the header.
-     * @p out is only meaningful when the result is ImageStatus::ok.
+     * @p out is only meaningful when the result is ImageStatus::ok;
+     * @p stored_vmas, when given, receives the VMA count the image
+     * claims whatever the verdict.
      */
     ImageStatus readConsistentContext(const SlotHeader &hdr,
-                                      SavedContext &out);
+                                      SavedContext &out,
+                                      std::uint32_t *stored_vmas =
+                                          nullptr);
 
     /**
      * Read + bounds-check the durable mapping list.  @p out is only
@@ -223,6 +243,11 @@ class SavedStateSlot
     /** Shadow of the durable header for cheap field updates. */
     SlotHeader shadow;
 };
+
+static_assert(sizeof(SavedStateSlot::ContextImage) ==
+                  sizeof(cpu::CpuState) + 16 +
+                      maxVmasPerContext * sizeof(SerializedVma),
+              "the media context image has no hidden padding");
 
 } // namespace kindle::persist
 

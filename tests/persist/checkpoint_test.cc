@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "kindle/kindle.hh"
 #include "kindle/microbench.hh"
 
@@ -177,6 +179,88 @@ TEST(CheckpointTest, DemotionListsIdleProcessForNextSweep)
     EXPECT_EQ(list[0].vpn, cpu::vpnOf(va));
     EXPECT_EQ(list[0].pfn,
               kernel.pageTables().readLeaf(idle.ptRoot, va).pfn());
+}
+
+TEST(CheckpointTest, CleanSkipComparesEveryContextField)
+{
+    // Each case changes one field of a listed process's context and
+    // nothing else, behind the hooks' back.  The next sweep must write
+    // the process (its slot generation moves), not count a clean skip;
+    // an unchanged listed process must still be skipped.
+    KindleSystem sys(configWith(PtScheme::rebuild, oneSec));
+    os::Kernel &kernel = sys.kernel();
+    PersistDomain &persist = *sys.persistence();
+    os::Process &proc = kernel.spawnShell("fields", 3);
+    const Addr va = kernel.sysMmap(proc, micro::scriptBase,
+                                   4 * pageSize, cpu::mapNvm);
+    SavedStateSlot probe(kernel.kmem(), kernel.nvmLayout(), proc.slot);
+    auto generation = [&] { return probe.readHeader().generation; };
+    auto skips = [&] {
+        return persist.stats().hasScalar("cleanSkips")
+                   ? persist.stats().scalarValue("cleanSkips")
+                   : 0.0;
+    };
+
+    persist.checkpointNow();  // first sweep of a new process
+    ASSERT_NE(proc.aspace.find(va), nullptr);
+    // The mapping once its first page is gone.
+    auto vma = [&]() -> os::Vma & {
+        return *proc.aspace.find(va + pageSize);
+    };
+
+    const std::vector<std::pair<const char *, std::function<void()>>>
+        mutations = {
+            {"gpr", [&] { proc.context.gpr[11] ^= 1; }},
+            {"rip", [&] { proc.context.rip += 4; }},
+            {"rsp", [&] { proc.context.rsp -= 8; }},
+            {"rflags", [&] { proc.context.rflags ^= 0x40; }},
+            {"fase on", [&] { proc.faseActive = true; }},
+            {"fase off", [&] { proc.faseActive = false; }},
+            {"vma count",
+             [&] {
+                 os::Vma extra;
+                 extra.range =
+                     AddrRange::withSize(va + 16 * pageSize, pageSize);
+                 proc.aspace.insert(extra);
+             }},
+            {"vma start",
+             [&] {
+                 proc.aspace.removeRange(AddrRange::withSize(va, pageSize));
+             }},
+            {"vma end",
+             [&] {
+                 proc.aspace.removeRange(AddrRange::withSize(
+                     vma().range.end() - pageSize, pageSize));
+             }},
+            {"vma prot", [&] { vma().prot ^= cpu::protWrite; }},
+            {"vma nvm", [&] { vma().nvm = !vma().nvm; }},
+            {"vma areaId", [&] { ++vma().areaId; }},
+        };
+    for (const auto &[name, mutate] : mutations) {
+        SCOPED_TRACE(name);
+        const std::uint64_t gen = generation();
+        const double skipped = skips();
+        persist.onVmaChanging(proc);  // listed, but not changed yet
+        mutate();
+        persist.checkpointNow();
+        EXPECT_EQ(generation(), gen + 1);
+        EXPECT_EQ(skips(), skipped);
+
+        // The sweep published the change.
+        SavedContext durable;
+        ASSERT_EQ(
+            probe.readConsistentContext(probe.readHeader(), durable),
+            ImageStatus::ok);
+        EXPECT_TRUE(sameContext(durable, SavedStateSlot::snapshot(
+                                             proc, kernel.contextOf(proc))));
+    }
+
+    const std::uint64_t gen = generation();
+    const double skipped = skips();
+    persist.onVmaChanging(proc);
+    persist.checkpointNow();
+    EXPECT_EQ(generation(), gen);
+    EXPECT_EQ(skips(), skipped + 1);
 }
 
 TEST(CheckpointTest, PersistentSchemeWalkSeesStoredUnflushedPte)

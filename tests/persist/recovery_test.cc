@@ -190,5 +190,30 @@ TEST(RecoveryTest, RecoveryChargesSimulatedTime)
     EXPECT_GT(report.recoveryTicks, 0u);
 }
 
+TEST(RecoveryTest, ContextClaimingTooManyVmasIsQuarantined)
+{
+    CrashRig rig(PtScheme::rebuild);
+    os::Kernel &kernel = rig.sys.kernel();
+    const unsigned slot = kernel.findProcess(rig.pid)->slot;
+    SavedStateSlot probe(kernel.kmem(), kernel.nvmLayout(), slot);
+    const SlotHeader hdr = probe.readHeader();
+    // The consistent copy sits 256 or 8192 bytes into the slot.
+    const Addr count_at =
+        kernel.nvmLayout().slotAddr(slot) +
+        (hdr.consistentIdx ? 8192 : 256) +
+        offsetof(SavedStateSlot::ContextImage, vmaCount);
+    rig.sys.crash();
+
+    const std::uint32_t over = maxVmasPerContext + 1;
+    rig.sys.memory().writeDataDurable(count_at, &over, sizeof(over));
+    const RecoveryReport report = rig.sys.reboot();
+    EXPECT_EQ(report.processesRecovered, 0u);
+    EXPECT_EQ(report.processesQuarantined, 1u);
+    ASSERT_EQ(report.errors.size(), 1u);
+    EXPECT_EQ(report.errors[0].code, RecoveryErrorCode::contextBadCount);
+    EXPECT_EQ(report.errors[0].slot, slot);
+    EXPECT_EQ(report.errors[0].detail, "context claims 97 VMAs");
+}
+
 } // namespace
 } // namespace kindle::persist

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "base/checksum.hh"
 #include "persist/saved_state.hh"
 
 namespace kindle::persist
@@ -34,10 +37,83 @@ sampleContext()
     SavedContext ctx;
     ctx.regs.rip = 0x1234;
     ctx.regs.gpr[3] = 99;
-    ctx.vmaCount = 2;
-    ctx.vmas[0] = {0x1000, 0x3000, 3, 1, 7, 0};
-    ctx.vmas[1] = {0x10000, 0x20000, 1, 0, 8, 0};
+    ctx.vmas = {{0x1000, 0x3000, 3, 1, 7, 0},
+                {0x10000, 0x20000, 1, 0, 8, 0}};
     return ctx;
+}
+
+/** A context with @p vmas distinct VMAs. */
+SavedContext
+contextWithVmas(unsigned vmas)
+{
+    SavedContext ctx;
+    for (unsigned i = 0; i < 16; ++i)
+        ctx.regs.gpr[i] = 0x100 + i;
+    ctx.regs.rip = 0x400000 + vmas;
+    ctx.regs.rsp = 0x7fff0000;
+    ctx.regs.rflags = 0x246;
+    ctx.faseActive = vmas % 2 == 1;
+    for (unsigned i = 0; i < vmas; ++i) {
+        const std::uint64_t start = 0x100000000ull + i * 0x10000ull;
+        ctx.vmas.push_back({start, start + (i + 1) * 0x1000ull,
+                            i % 8, i % 2, 1000 + i, 0});
+    }
+    return ctx;
+}
+
+/** Durable address of the slot's consistent context copy (the
+ *  contextOffset[] table in saved_state.cc: 256 and 8192 bytes into
+ *  the slot). */
+Addr
+consistentAddr(const os::NvmLayout &layout, unsigned slot,
+               const SlotHeader &hdr)
+{
+    return layout.slotAddr(slot) + (hdr.consistentIdx ? 8192 : 256);
+}
+
+/** The media layout, spelled out: registers, then the VMA count, the
+ *  FASE flag, the checksum and a pad word, then 96 32-byte VMAs. */
+constexpr std::uint64_t imageVmaCountAt = sizeof(cpu::CpuState);
+constexpr std::uint64_t imageFaseAt = imageVmaCountAt + 4;
+constexpr std::uint64_t imageChecksumAt = imageVmaCountAt + 8;
+constexpr std::uint64_t imageVmasAt = imageVmaCountAt + 16;
+constexpr std::uint64_t imageBytes =
+    imageVmasAt + maxVmasPerContext * sizeof(SerializedVma);
+
+using ContextImage = SavedStateSlot::ContextImage;
+static_assert(sizeof(cpu::CpuState) == 152);
+static_assert(offsetof(ContextImage, vmaCount) == imageVmaCountAt);
+static_assert(offsetof(ContextImage, faseActive) == imageFaseAt);
+static_assert(offsetof(ContextImage, checksum) == imageChecksumAt);
+static_assert(offsetof(ContextImage, vmas) == imageVmasAt);
+static_assert(sizeof(ContextImage) == imageBytes && imageBytes == 3240);
+
+// The host form costs what a process holds: its size does not follow
+// the media capacity.
+static_assert(sizeof(SavedContext) <=
+                  sizeof(cpu::CpuState) + sizeof(std::uint64_t) +
+                      sizeof(std::vector<SerializedVma>),
+              "host SavedContext must not embed the VMA capacity");
+
+/** What the fixed layout puts on media for @p ctx: the populated
+ *  prefix with its checksum, zero bytes after it. */
+std::vector<std::uint8_t>
+expectedImage(const SavedContext &ctx)
+{
+    std::vector<std::uint8_t> img(imageBytes, 0);
+    const std::uint32_t count = static_cast<std::uint32_t>(ctx.vmas.size());
+    const std::uint32_t fase = ctx.faseActive ? 1 : 0;
+    std::memcpy(img.data(), &ctx.regs, sizeof(ctx.regs));
+    std::memcpy(img.data() + imageVmaCountAt, &count, 4);
+    std::memcpy(img.data() + imageFaseAt, &fase, 4);
+    if (count > 0) {
+        std::memcpy(img.data() + imageVmasAt, ctx.vmas.data(),
+                    count * sizeof(SerializedVma));
+    }
+    const std::uint32_t sum =
+        checksum32(img.data(), imageVmasAt + count * sizeof(SerializedVma));
+    std::memcpy(img.data() + imageChecksumAt, &sum, 4);
+    return img;
 }
 
 TEST(SavedStateTest, HeaderRoundTripSurvivesCrash)
@@ -118,7 +194,7 @@ TEST(SavedStateTest, ContextCarriesVmas)
     SavedContext ctx;
     ASSERT_EQ(fresh.readConsistentContext(fresh.readHeader(), ctx),
               ImageStatus::ok);
-    ASSERT_EQ(ctx.vmaCount, 2u);
+    ASSERT_EQ(ctx.vmas.size(), 2u);
     EXPECT_EQ(ctx.vmas[0].start, 0x1000u);
     EXPECT_EQ(ctx.vmas[0].nvm, 1u);
     EXPECT_EQ(ctx.vmas[1].areaId, 8u);
@@ -178,9 +254,9 @@ TEST(SavedStateTest, SnapshotCapturesProcessLayout)
     regs.rip = 0xabcd;
     const SavedContext ctx = SavedStateSlot::snapshot(proc, regs);
     EXPECT_EQ(ctx.regs.rip, 0xabcdu);
-    EXPECT_EQ(ctx.vmaCount, 1u);
+    ASSERT_EQ(ctx.vmas.size(), 1u);
     EXPECT_EQ(ctx.vmas[0].start, 0x7000u);
-    EXPECT_EQ(ctx.faseActive, 1u);
+    EXPECT_TRUE(ctx.faseActive);
 
     // Restore into a fresh process: layouts must match.
     os::Process clone(6, "clone", 1);
@@ -232,27 +308,67 @@ TEST(SavedStateTest, CorruptConsistentContextIsClassified)
     slot.commit();
     const SlotHeader hdr = slot.readHeader();
 
-    // The consistent copy's durable address (contextOffset[] in
-    // saved_state.cc: 256 and 8192 bytes into the slot).
-    const Addr consistent =
-        rig.layout.slotAddr(1) + (hdr.consistentIdx ? 8192 : 256);
+    const Addr consistent = consistentAddr(rig.layout, 1, hdr);
 
     // Flip a payload byte: the context no longer checksums.
     const std::uint8_t junk = 0xa5;
     rig.memory.writeDataDurable(
-        consistent + offsetof(SavedContext, vmas), &junk, 1);
+        consistent + offsetof(ContextImage, vmas), &junk, 1);
     SavedContext out;
     EXPECT_EQ(slot.readConsistentContext(hdr, out),
               ImageStatus::badChecksum);
 
-    // An absurd embedded count classifies before any checksum math
-    // touches out-of-range bytes.
-    const std::uint32_t huge = 10000;
-    rig.memory.writeDataDurable(
-        consistent + offsetof(SavedContext, vmaCount), &huge,
-        sizeof(huge));
-    EXPECT_EQ(slot.readConsistentContext(hdr, out),
-              ImageStatus::badCount);
+    // A count past the capacity classifies before any checksum math
+    // touches out-of-range bytes, and the claimed count is reported.
+    for (const std::uint32_t count : {maxVmasPerContext + 1, 10000u}) {
+        rig.memory.writeDataDurable(
+            consistent + offsetof(ContextImage, vmaCount), &count,
+            sizeof(count));
+        std::uint32_t claimed = 0;
+        EXPECT_EQ(slot.readConsistentContext(hdr, out, &claimed),
+                  ImageStatus::badCount);
+        EXPECT_EQ(claimed, count);
+    }
+}
+
+TEST(SavedStateTest, MediaImageKeepsTheFixedLayout)
+{
+    // A host context holds only the VMAs it has; on media it still
+    // lands in the fixed 96-entry layout, byte for byte, and parses
+    // back to the same context.
+    for (const unsigned vmas : {0u, 3u, maxVmasPerContext}) {
+        SCOPED_TRACE(vmas);
+        Rig rig;
+        SavedStateSlot slot(rig.kmem, rig.layout, 2);
+        slot.initialize(4, "media", PtScheme::rebuild);
+        const SavedContext ctx = contextWithVmas(vmas);
+        slot.writeWorkingContext(ctx);
+        slot.commit();
+        rig.memory.drainWrites(maxTick);
+
+        const SlotHeader hdr = slot.readHeader();
+        std::vector<std::uint8_t> raw(imageBytes);
+        rig.memory.readNvmDurable(consistentAddr(rig.layout, 2, hdr),
+                                  raw.data(), raw.size());
+        EXPECT_EQ(raw, expectedImage(ctx));
+
+        SavedContext got;
+        std::uint32_t claimed = ~0u;
+        ASSERT_EQ(slot.readConsistentContext(hdr, got, &claimed),
+                  ImageStatus::ok);
+        EXPECT_EQ(claimed, vmas);
+        EXPECT_TRUE(sameContext(got, ctx));
+        EXPECT_EQ(got.regs, ctx.regs);
+        EXPECT_EQ(got.faseActive, ctx.faseActive);
+        ASSERT_EQ(got.vmas.size(), vmas);
+        for (unsigned i = 0; i < vmas; ++i) {
+            EXPECT_EQ(got.vmas[i].start, ctx.vmas[i].start) << i;
+            EXPECT_EQ(got.vmas[i].end, ctx.vmas[i].end) << i;
+            EXPECT_EQ(got.vmas[i].prot, ctx.vmas[i].prot) << i;
+            EXPECT_EQ(got.vmas[i].nvm, ctx.vmas[i].nvm) << i;
+            EXPECT_EQ(got.vmas[i].areaId, ctx.vmas[i].areaId) << i;
+        }
+    }
 }
 
 TEST(SavedStateTest, MappingListBadCountIsClassified)
