@@ -22,8 +22,9 @@ ZipfianGenerator::ZipfianGenerator(std::uint64_t n_arg, double theta_arg,
 double
 ZipfianGenerator::zeta(std::uint64_t count, double theta_arg) const
 {
-    // Exact sum for small n; sampled harmonic approximation above a
-    // threshold to keep constructor cost bounded for huge key spaces.
+    // Exact sum up to a threshold; above it, the integral of x^-theta
+    // approximates the tail, keeping constructor cost bounded for
+    // huge key spaces.
     constexpr std::uint64_t exactLimit = 1u << 20;
     double sum = 0.0;
     if (count <= exactLimit) {

@@ -87,6 +87,13 @@ class ZipfianGenerator
     /** Draw the next item index in [0, n). */
     std::uint64_t next();
 
+    /**
+     * Restart the draw sequence as if freshly built with @p seed.
+     * The normaliser (zetan, eta, alpha) depends only on (n, theta),
+     * so it is kept rather than summed again.
+     */
+    void reseed(std::uint64_t seed) { rng = Random(seed); }
+
     std::uint64_t items() const { return n; }
     double skew() const { return theta; }
 

@@ -248,9 +248,19 @@ DurableStore::commitLine(Addr line_addr, Tick now, Tick drain_at)
         return;
     }
     const auto it = held(pending, line_addr);
-    inflight[line_addr] = Inflight{it->second, drain_at};
+    if (masks.inflight & bit) {
+        // An older copy is still draining: it stays in the same entry
+        // and reaches media at its own tick, and the new copy lands
+        // after it.
+        Inflight &entry = held(inflight, line_addr)->second;
+        entry.older.push_back({entry.data, entry.drainAt});
+        entry.data = it->second;
+        entry.drainAt = std::max(entry.drainAt, drain_at);
+    } else {
+        inflight[line_addr] = Inflight{{it->second, drain_at}, {}};
+        masks.inflight |= bit;
+    }
     pending.erase(it);
-    masks.inflight |= bit;
     masks.pending &= ~bit;
 }
 
@@ -267,30 +277,44 @@ DurableStore::commitLineImmediate(Addr line_addr)
     // writeback), so it goes to media first and the newest copy wins.
     if (masks.inflight & bit) {
         const auto it = held(inflight, line_addr);
-        durable.write(line_addr, it->second.data.data(), lineSize);
-        if (media)
-            media->onLineWrite(line_addr);
+        for (const Copy &copy : it->second.older)
+            persistLine(line_addr, copy.data);
+        persistLine(line_addr, it->second.data);
         inflight.erase(it);
         masks.inflight &= ~bit;
     }
     if (masks.pending & bit) {
         const auto it = held(pending, line_addr);
-        durable.write(line_addr, it->second.data(), lineSize);
-        if (media)
-            media->onLineWrite(line_addr);
+        persistLine(line_addr, it->second);
         pending.erase(it);
         masks.pending &= ~bit;
     }
 }
 
 void
+DurableStore::persistLine(Addr line_addr, const Line &data)
+{
+    durable.write(line_addr, data.data(), lineSize);
+    if (media)
+        media->onLineWrite(line_addr);
+}
+
+void
+DurableStore::drainOlder(Addr line_addr, Inflight &entry, Tick now)
+{
+    auto done = entry.older.begin();
+    for (; done != entry.older.end() && done->drainAt <= now; ++done)
+        persistLine(line_addr, done->data);
+    entry.older.erase(entry.older.begin(), done);
+}
+
+void
 DurableStore::drainTo(Tick now)
 {
     for (auto it = inflight.begin(); it != inflight.end();) {
+        drainOlder(it->first, it->second, now);
         if (it->second.drainAt <= now) {
-            durable.write(it->first, it->second.data.data(), lineSize);
-            if (media)
-                media->onLineWrite(it->first);
+            persistLine(it->first, it->second.data);
             masksAt(it->first).inflight &= ~lineBit(it->first);
             it = inflight.erase(it);
         } else {
@@ -308,11 +332,10 @@ DurableStore::crash(Tick now, const PowerLossModel &model)
     // media and survive; collect the rest (sorted for determinism).
     std::vector<Addr> lost;
     lost.reserve(inflight.size());
-    for (const auto &[line_addr, entry] : inflight) {
+    for (auto &[line_addr, entry] : inflight) {
+        drainOlder(line_addr, entry, now);
         if (entry.drainAt <= now) {
-            durable.write(line_addr, entry.data.data(), lineSize);
-            if (media)
-                media->onLineWrite(line_addr);
+            persistLine(line_addr, entry.data);
             ++out.linesDrained;
         } else {
             lost.push_back(line_addr);
@@ -332,7 +355,10 @@ DurableStore::crash(Tick now, const PowerLossModel &model)
         for (std::size_t k = 0;
              k < lost.size() && out.tornWords == 0; ++k) {
             const Addr line_addr = lost[(start + k) % lost.size()];
-            const Line &buffered = inflight.at(line_addr).data;
+            // The copy mid-drain is the oldest one still buffered.
+            const Inflight &entry = inflight.at(line_addr);
+            const Line &buffered =
+                entry.older.empty() ? entry.data : entry.older.front().data;
             Line settled{};
             durable.read(line_addr, settled.data(), lineSize);
             std::vector<std::uint64_t> candidates;

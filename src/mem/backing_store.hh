@@ -189,7 +189,9 @@ class DurableStore
      * A writeback/clwb of this line was accepted by the controller at
      * @p now; the device drain completes at @p drain_at.  The line
      * leaves the volatile overlay but only survives a crash whose tick
-     * is >= @p drain_at (or an intervening drainTo / fence).
+     * is >= @p drain_at (or an intervening drainTo / fence).  A copy
+     * of the line still buffered from an earlier writeback keeps its
+     * own drain tick; the new copy lands after it.
      */
     void commitLine(Addr line_addr, Tick now, Tick drain_at);
 
@@ -237,12 +239,29 @@ class DurableStore
     std::size_t inflightLines() const { return inflight.size(); }
 
   private:
-    /** A buffered line draining toward the device. */
-    struct Inflight
+    /** One copy of a line in the controller buffer. */
+    struct Copy
     {
         Line data{};
         Tick drainAt = 0;
     };
+
+    /**
+     * A buffered line draining toward the device: its newest copy,
+     * plus any older copies still in the buffer (oldest first).  The
+     * copies reach media in commit order, each at its own tick, and no
+     * copy's tick is earlier than an older one's.
+     */
+    struct Inflight : Copy
+    {
+        std::vector<Copy> older;
+    };
+
+    /** Write one buffered copy of @p line_addr to media. */
+    void persistLine(Addr line_addr, const Line &data);
+
+    /** Retire @p entry's older copies whose drain completed by @p now. */
+    void drainOlder(Addr line_addr, Inflight &entry, Tick now);
 
     /**
      * Which lines of one frame have a pending / in-flight copy: bit i

@@ -112,8 +112,13 @@ struct TraceStats
 
 /**
  * A pull-based producer of trace records (either a workload generator
- * or a loaded disk image).  reset() rewinds to the beginning; for
- * generators this must reproduce the identical stream.
+ * or a loaded disk image).
+ *
+ * reset() rewinds to the first record and must reproduce the identical
+ * stream.  It only restores cursors and reseeds generators: it rebuilds
+ * no table (a Zipfian normaliser, a layout), so callers may reset
+ * freely (ReplayStream, computeStats, TraceImage::capture and
+ * ImageFile::write each do) without paying set-up cost again.
  */
 class TraceSource
 {
@@ -126,7 +131,7 @@ class TraceSource
     /** Produce the next record; false at end of trace. */
     virtual bool next(TraceRecord &rec) = 0;
 
-    /** Rewind to the first record (deterministic). */
+    /** Rewind to the first record (deterministic; rebuilds no table). */
     virtual void reset() = 0;
 
     /** Human-readable benchmark name. */

@@ -103,7 +103,7 @@ void
 GapbsPrTrace::reset()
 {
     rng = Random(_params.seed);
-    hotNodes = ZipfianGenerator(nodes, 0.8, _params.seed ^ 0x9e37);
+    hotNodes.reseed(_params.seed ^ 0x9e37);
     emitted = 0;
     curNode = 0;
     queue.clear();
@@ -246,11 +246,10 @@ YcsbMemTrace::YcsbMemTrace(const WorkloadParams &params)
     : _params(params),
       records((std::uint64_t(1) << 21) / params.scaleDown),
       recordBytes(128),
-      rng(params.seed)
+      rng(params.seed),
+      keys(records, 0.99, params.seed ^ 0x51ab)
 {
     kindle_assert(records >= 64, "scaleDown too aggressive");
-    keys = std::make_unique<ZipfianGenerator>(records, 0.99,
-                                              params.seed ^ 0x51ab);
     _layout.areas = {
         {0, AreaKind::heap, records * recordBytes, "kvstore"},
         {1, AreaKind::heap, records * 8, "hashindex"},
@@ -262,8 +261,7 @@ void
 YcsbMemTrace::reset()
 {
     rng = Random(_params.seed);
-    keys = std::make_unique<ZipfianGenerator>(records, 0.99,
-                                              _params.seed ^ 0x51ab);
+    keys.reseed(_params.seed ^ 0x51ab);
     emitted = 0;
     queue.clear();
     queueIdx = 0;
@@ -276,7 +274,7 @@ YcsbMemTrace::refillOp()
     queue.clear();
     queueIdx = 0;
 
-    const std::uint64_t key = keys->next();
+    const std::uint64_t key = keys.next();
     // Index probe.
     queue.push_back({clockNs, key * 8, 1, TraceOp::read, 0, 8});
 

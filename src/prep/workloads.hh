@@ -134,7 +134,7 @@ class YcsbMemTrace : public TraceSource
     std::uint64_t records;
     std::uint64_t recordBytes;
     Random rng;
-    std::unique_ptr<ZipfianGenerator> keys;
+    ZipfianGenerator keys;
     std::uint64_t emitted = 0;
     std::vector<TraceRecord> queue;
     std::size_t queueIdx = 0;

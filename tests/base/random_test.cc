@@ -123,5 +123,29 @@ TEST_P(ZipfianParamTest, AllItemsReachableBoundsHold)
 INSTANTIATE_TEST_SUITE_P(Sizes, ZipfianParamTest,
                          ::testing::Values(1, 2, 10, 1000, 1u << 21));
 
+/** Sizes on both sides of zeta()'s 2^20 exact-sum limit: the second
+ *  adds the integral tail. */
+class ZipfianReseedTest
+    : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(ZipfianReseedTest, ReseedMatchesFreshGenerator)
+{
+    const std::uint64_t n = GetParam();
+    ZipfianGenerator z(n, 0.99, 11);
+    for (int i = 0; i < 1000; ++i)
+        z.next();
+    for (const std::uint64_t seed : {11u, 12u}) {
+        z.reseed(seed);
+        ZipfianGenerator fresh(n, 0.99, seed);
+        for (int i = 0; i < 5000; ++i)
+            ASSERT_EQ(z.next(), fresh.next())
+                << "seed " << seed << ", draw " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ZipfianReseedTest,
+                         ::testing::Values(1u << 20, (1u << 20) + 4096));
+
 } // namespace
 } // namespace kindle

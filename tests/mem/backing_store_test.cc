@@ -436,8 +436,8 @@ TEST(DurableStoreTest, ImmediateCommitPersistsNewestCopy)
 
 TEST(DurableStoreTest, DrainPersistsNewestCopy)
 {
-    // A second writeback while the first is still buffered: the newer
-    // copy replaces the buffered one, and the drain persists it.
+    // A second writeback while the first is still buffered: the drain
+    // persists both, the newer copy last.
     DurableStore store = storeOverInflightLine();
     store.commitLine(0x100, 200, 1500);
     EXPECT_EQ(store.pendingLines(), 0u);
@@ -452,14 +452,69 @@ TEST(DurableStoreTest, DrainPersistsNewestCopy)
     EXPECT_EQ(b, patternByte(8));
 }
 
+/** Media holds storeOverInflightLine()'s first, fully buffered copy. */
+void
+expectFirstCopyOnMedia(const DurableStore &store)
+{
+    std::array<std::uint8_t, lineSize> media{};
+    store.readDurable(0x100, media.data(), lineSize);
+    for (unsigned i = 0; i < lineSize; ++i)
+        ASSERT_EQ(media[i], patternByte(i)) << "byte " << i;
+}
+
+TEST(DurableStoreTest, OlderBufferedCopyDrainsAtItsOwnTick)
+{
+    // The buffered copy (drain tick 1000) and a newer one (0x55 over
+    // its first word, drain tick 1500) share the line.
+    for (const bool crash_between : {false, true}) {
+        DurableStore store = storeOverInflightLine();
+        store.commitLine(0x100, 200, 1500);
+        EXPECT_EQ(store.inflightLines(), 1u);
+        store.drainTo(1000);
+        EXPECT_EQ(store.inflightLines(), 1u);
+        EXPECT_EQ(store.readT<std::uint64_t>(0x100), 0x55u);
+        expectFirstCopyOnMedia(store);
+
+        if (crash_between) {
+            // Only the newer copy is lost; the older one had landed.
+            const CrashOutcome out = store.crash(1200, {});
+            EXPECT_EQ(out.linesLost, 1u);
+            expectFirstCopyOnMedia(store);
+            continue;
+        }
+        store.drainTo(1499);
+        EXPECT_EQ(store.inflightLines(), 1u);
+        store.drainTo(1500);
+        EXPECT_EQ(store.inflightLines(), 0u);
+        std::uint64_t w = 0;
+        store.readDurable(0x100, &w, 8);
+        EXPECT_EQ(w, 0x55u);
+        std::uint8_t b = 0;
+        store.readDurable(0x108, &b, 1);
+        EXPECT_EQ(b, patternByte(8));
+    }
+}
+
+TEST(DurableStoreTest, CrashWithoutDrainKeepsOlderCopyDrainedByThen)
+{
+    // No drainTo before the power cut: the crash itself lands the copy
+    // whose tick has passed and loses the newer one.
+    DurableStore store = storeOverInflightLine();
+    store.commitLine(0x100, 200, 1500);
+    const CrashOutcome out = store.crash(1200, {});
+    EXPECT_EQ(out.linesLost, 1u);
+    expectFirstCopyOnMedia(store);
+}
+
 // ---- Differential test against a map-only reference store --------
 
 /**
  * The reference: the overlay and the controller buffer as maps probed
  * on every access, media as one flat byte image, and the newest copy
- * of a line winning wherever two meet.  It drives its own media model
- * through the same calls in the same order, so the two models' seeded
- * draws and counters must agree.
+ * of a line winning wherever two meet.  The buffer keeps every copy of
+ * a line in commit order, and each reaches media at its own tick.  It
+ * drives its own media model through the same calls in the same order,
+ * so the two models' seeded draws and counters must agree.
  */
 class RefStore
 {
@@ -478,7 +533,7 @@ class RefStore
                 Line seed{};
                 if (const auto fit = inflight.find(line);
                     fit != inflight.end()) {
-                    seed = fit->second.data;
+                    seed = fit->second.back().data;
                 } else {
                     seed = mediaLine(line);
                 }
@@ -508,7 +563,8 @@ class RefStore
                 std::memcpy(dst, &it->second[addr - line], chunk);
             else if (const auto fit = inflight.find(line);
                      fit != inflight.end())
-                std::memcpy(dst, &fit->second.data[addr - line], chunk);
+                std::memcpy(dst, &fit->second.back().data[addr - line],
+                            chunk);
             else
                 readDurable(addr, dst, chunk);
             addr += chunk;
@@ -525,16 +581,22 @@ class RefStore
             media->filterRead(addr, dst, n);
     }
 
+    /** A new copy queues behind the line's buffered ones and lands
+     *  no earlier than the newest of them. */
     void
     commitLine(Addr line, Tick now, Tick drain_at)
     {
         drainTo(now);
         if (const auto it = pending.find(line); it != pending.end()) {
-            inflight[line] = Inflight{it->second, drain_at};
+            std::vector<Inflight> &copies = inflight[line];
+            if (!copies.empty())
+                drain_at = std::max(drain_at, copies.back().drainAt);
+            copies.push_back({it->second, drain_at});
             pending.erase(it);
         } else if (const auto fit = inflight.find(line);
                    fit != inflight.end()) {
-            fit->second.drainAt = std::max(fit->second.drainAt, drain_at);
+            Tick &at = fit->second.back().drainAt;
+            at = std::max(at, drain_at);
         }
     }
 
@@ -542,7 +604,8 @@ class RefStore
     commitLineImmediate(Addr line)
     {
         if (const auto it = inflight.find(line); it != inflight.end()) {
-            toMedia(line, it->second.data);
+            for (const Inflight &copy : it->second)
+                toMedia(line, copy.data);
             inflight.erase(it);
         }
         if (const auto it = pending.find(line); it != pending.end()) {
@@ -555,12 +618,10 @@ class RefStore
     drainTo(Tick now)
     {
         for (auto it = inflight.begin(); it != inflight.end();) {
-            if (it->second.drainAt <= now) {
-                toMedia(it->first, it->second.data);
+            if (drainCopies(it->first, it->second, now))
                 it = inflight.erase(it);
-            } else {
+            else
                 ++it;
-            }
         }
     }
 
@@ -568,13 +629,11 @@ class RefStore
     crash(Tick now)
     {
         CrashOutcome out;
-        for (const auto &[line, entry] : inflight) {
-            if (entry.drainAt <= now) {
-                toMedia(line, entry.data);
+        for (auto &[line, copies] : inflight) {
+            if (drainCopies(line, copies, now))
                 ++out.linesDrained;
-            } else {
+            else
                 ++out.linesLost;
-            }
         }
         inflight.clear();
         pending.clear();
@@ -594,6 +653,18 @@ class RefStore
     };
 
     std::uint8_t *at(Addr addr) { return &image[addr - range.start()]; }
+
+    /** Land @p line's copies drained by @p now, oldest first; true
+     *  once none is left. */
+    bool
+    drainCopies(Addr line, std::vector<Inflight> &copies, Tick now)
+    {
+        while (!copies.empty() && copies.front().drainAt <= now) {
+            toMedia(line, copies.front().data);
+            copies.erase(copies.begin());
+        }
+        return copies.empty();
+    }
 
     Line
     mediaLine(Addr line)
@@ -615,7 +686,8 @@ class RefStore
     std::vector<std::uint8_t> image;
     NvmMediaModel *media;
     std::unordered_map<Addr, Line> pending;
-    std::unordered_map<Addr, Inflight> inflight;
+    /** Each line's buffered copies, oldest first. */
+    std::unordered_map<Addr, std::vector<Inflight>> inflight;
 };
 
 void

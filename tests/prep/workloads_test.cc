@@ -49,17 +49,33 @@ TEST(WorkloadsTest, ExactOpCount)
 
 TEST(WorkloadsTest, ResetReproducesIdenticalStream)
 {
-    auto src = makeWorkload(Benchmark::ycsbMem, smallParams(5000));
-    std::vector<TraceRecord> first;
-    TraceRecord rec;
-    while (src->next(rec))
-        first.push_back(rec);
-    src->reset();
-    for (const auto &expect : first) {
-        ASSERT_TRUE(src->next(rec));
-        EXPECT_EQ(rec.areaId, expect.areaId);
-        EXPECT_EQ(rec.offset, expect.offset);
-        EXPECT_EQ(rec.op, expect.op);
+    const auto same = [](const TraceRecord &a, const TraceRecord &b) {
+        return a.period == b.period && a.offset == b.offset &&
+               a.areaId == b.areaId && a.op == b.op && a.size == b.size;
+    };
+    for (auto bench : {Benchmark::gapbsPr, Benchmark::g500Sssp,
+                       Benchmark::ycsbMem}) {
+        auto src = makeWorkload(bench, smallParams(5000));
+        std::vector<TraceRecord> first;
+        TraceRecord rec;
+        while (src->next(rec))
+            first.push_back(rec);
+        ASSERT_EQ(first.size(), 5000u) << benchmarkName(bench);
+
+        // Rewind from the end and replay a third of the stream, then
+        // rewind from there and replay it all: each reset must restart
+        // every generator, the Zipfian ones included.
+        const auto replay = [&](std::size_t count) {
+            src->reset();
+            for (std::size_t i = 0; i < count; ++i) {
+                ASSERT_TRUE(src->next(rec));
+                ASSERT_TRUE(same(rec, first[i]))
+                    << benchmarkName(bench) << " record " << i;
+            }
+        };
+        replay(first.size() / 3);
+        replay(first.size());
+        EXPECT_FALSE(src->next(rec)) << benchmarkName(bench);
     }
 }
 
