@@ -51,16 +51,18 @@ setBit(std::uint64_t val, unsigned n, bool b = true)
              : (val & ~(std::uint64_t(1) << n));
 }
 
-/** Population count. */
+/**
+ * Population count, branch-free (SWAR: sum bits in pairs, nibbles,
+ * bytes, then add the bytes with one multiply).  std::popcount on the
+ * baseline x86-64 target is an out-of-line libgcc call.
+ */
 constexpr unsigned
 popCount(std::uint64_t v)
 {
-    unsigned c = 0;
-    while (v) {
-        v &= v - 1;
-        ++c;
-    }
-    return c;
+    v -= (v >> 1) & 0x5555555555555555ull;
+    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+    v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return static_cast<unsigned>((v * 0x0101010101010101ull) >> 56);
 }
 
 static_assert(mask(0) == 0);
@@ -68,6 +70,8 @@ static_assert(mask(12) == 0xfff);
 static_assert(bits(0xabcd, 15, 12) == 0xa);
 static_assert(insertBits(0, 15, 12, 0xa) == 0xa000);
 static_assert(popCount(0xf0f0) == 8);
+static_assert(popCount(0) == 0);
+static_assert(popCount(~std::uint64_t(0)) == 64);
 static_assert(setBit(0, 3) == 8);
 
 } // namespace kindle

@@ -6,138 +6,131 @@
 namespace kindle::micro
 {
 
+namespace
+{
+
+cpu::Op
+makeOp(cpu::Op::Kind kind, Addr addr = 0, std::uint64_t size = 0,
+       std::uint32_t flags = 0)
+{
+    cpu::Op op;
+    op.kind = kind;
+    op.addr = addr;
+    op.size = size;
+    op.flags = flags;
+    return op;
+}
+
+} // namespace
+
+ScriptBuilder &
+ScriptBuilder::append(const cpu::Op &op, std::uint64_t count, Addr stride)
+{
+    if (count == 0)
+        return *this;
+    if (!runs.empty()) {
+        ScriptStream::Run &open = runs.back();
+        // A one-Op run has no stride yet: what follows it fixes one.
+        const Addr step = open.count > 1 ? open.stride
+                          : count > 1    ? stride
+                                         : op.addr - open.op.addr;
+        if (op.kind == open.op.kind && op.size == open.op.size &&
+            op.flags == open.op.flags && (count == 1 || stride == step) &&
+            op.addr == open.op.addr + open.count * step) {
+            open.count += count;
+            open.stride = step;
+            return *this;
+        }
+    }
+    runs.push_back({op, count, count > 1 ? stride : 0});
+    return *this;
+}
+
 ScriptBuilder &
 ScriptBuilder::mmapFixed(Addr addr, std::uint64_t size, bool nvm)
 {
-    cpu::Op op;
-    op.kind = cpu::Op::Kind::mmap;
-    op.addr = addr;
-    op.size = size;
-    op.flags = cpu::mapFixed;
-    if (nvm)
-        op.flags |= cpu::mapNvm;
-    ops.push_back(op);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::mmap, addr, size,
+                         cpu::mapFixed | (nvm ? cpu::mapNvm : 0u)));
 }
 
 ScriptBuilder &
 ScriptBuilder::munmap(Addr addr, std::uint64_t size)
 {
-    cpu::Op op;
-    op.kind = cpu::Op::Kind::munmap;
-    op.addr = addr;
-    op.size = size;
-    ops.push_back(op);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::munmap, addr, size));
 }
 
 ScriptBuilder &
 ScriptBuilder::mremap(Addr addr, std::uint64_t old_size,
                       std::uint64_t new_size)
 {
-    cpu::Op op;
-    op.kind = cpu::Op::Kind::mremap;
-    op.addr = addr;
-    op.size = old_size;
-    op.flags = static_cast<std::uint32_t>(new_size >> pageShift);
     // The kernel's dispatch interprets flags as the new size in pages
     // for mremap ops (Op has only one spare field wide enough).
-    ops.push_back(op);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::mremap, addr, old_size,
+                         static_cast<std::uint32_t>(new_size >> pageShift)));
 }
 
 ScriptBuilder &
 ScriptBuilder::mprotect(Addr addr, std::uint64_t size,
                         std::uint32_t prot)
 {
-    cpu::Op op;
-    op.kind = cpu::Op::Kind::mprotect;
-    op.addr = addr;
-    op.size = size;
-    op.flags = prot;
-    ops.push_back(op);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::mprotect, addr, size, prot));
 }
 
 ScriptBuilder &
 ScriptBuilder::touchPages(Addr addr, std::uint64_t size)
 {
-    for (Addr a = addr; a < addr + size; a += pageSize)
-        write(a);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::write, addr, 8),
+                  divCeil(size, pageSize), pageSize);
 }
 
 ScriptBuilder &
 ScriptBuilder::readPages(Addr addr, std::uint64_t size)
 {
-    for (Addr a = addr; a < addr + size; a += pageSize)
-        read(a);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::read, addr, 8),
+                  divCeil(size, pageSize), pageSize);
 }
 
 ScriptBuilder &
 ScriptBuilder::read(Addr addr, std::uint64_t size)
 {
-    cpu::Op op;
-    op.kind = cpu::Op::Kind::read;
-    op.addr = addr;
-    op.size = size;
-    ops.push_back(op);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::read, addr, size));
 }
 
 ScriptBuilder &
 ScriptBuilder::write(Addr addr, std::uint64_t size)
 {
-    cpu::Op op;
-    op.kind = cpu::Op::Kind::write;
-    op.addr = addr;
-    op.size = size;
-    ops.push_back(op);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::write, addr, size));
 }
 
 ScriptBuilder &
 ScriptBuilder::compute(Cycles cycles)
 {
-    cpu::Op op;
-    op.kind = cpu::Op::Kind::compute;
-    op.size = cycles;
-    ops.push_back(op);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::compute, 0, cycles));
 }
 
 ScriptBuilder &
 ScriptBuilder::faseStart()
 {
-    cpu::Op op;
-    op.kind = cpu::Op::Kind::faseStart;
-    ops.push_back(op);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::faseStart));
 }
 
 ScriptBuilder &
 ScriptBuilder::faseEnd()
 {
-    cpu::Op op;
-    op.kind = cpu::Op::Kind::faseEnd;
-    ops.push_back(op);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::faseEnd));
 }
 
 ScriptBuilder &
 ScriptBuilder::exit()
 {
-    cpu::Op op;
-    op.kind = cpu::Op::Kind::exit;
-    ops.push_back(op);
-    return *this;
+    return append(makeOp(cpu::Op::Kind::exit));
 }
 
 std::unique_ptr<ScriptStream>
 ScriptBuilder::build()
 {
-    return std::make_unique<ScriptStream>(std::move(ops));
+    return std::unique_ptr<ScriptStream>(
+        new ScriptStream(std::move(runs)));
 }
 
 std::unique_ptr<ScriptStream>

@@ -4,8 +4,11 @@
  * evaluation (§III-A): sequential allocate-and-touch, strided sparse
  * allocation, and the munmap/mmap churn benchmark of Tables III/IV.
  *
- * Programs are pre-scripted Op vectors; ScriptBuilder provides the
- * small DSL used both here and in tests/examples.
+ * Programs are run-length scripts: one record per phase (an Op
+ * repeated at a constant address stride), expanded Op by Op as the
+ * kernel drains the stream, so a script's host footprint follows its
+ * phases, not the pages it touches.  ScriptBuilder provides the small
+ * DSL used both here and in tests/examples.
  */
 
 #ifndef KINDLE_KINDLE_MICROBENCH_HH
@@ -19,31 +22,55 @@
 namespace kindle::micro
 {
 
-/** An OpStream over a pre-built script. */
+/** An OpStream over a run-length script built by ScriptBuilder. */
 class ScriptStream : public cpu::OpStream
 {
   public:
-    explicit ScriptStream(std::vector<cpu::Op> ops)
-        : ops(std::move(ops))
-    {}
+    /** @c count (>= 1) copies of @c op, the i-th at op.addr + i * stride. */
+    struct Run
+    {
+        cpu::Op op;
+        std::uint64_t count = 1;
+        Addr stride = 0;
+    };
 
     bool
     next(cpu::Op &op) override
     {
-        if (cursor >= ops.size())
+        if (cursor >= runs.size())
             return false;
-        op = ops[cursor++];
+        const Run &run = runs[cursor];
+        op = run.op;
+        op.addr += repeat * run.stride;
+        if (++repeat == run.count) {
+            repeat = 0;
+            ++cursor;
+        }
         return true;
     }
 
-    std::size_t size() const { return ops.size(); }
+    /** Stored runs: the script's host footprint, not its Op count. */
+    std::size_t runCount() const { return runs.size(); }
 
   private:
-    std::vector<cpu::Op> ops;
+    friend class ScriptBuilder;
+
+    explicit ScriptStream(std::vector<Run> runs_arg)
+        : runs(std::move(runs_arg))
+    {}
+
+    std::vector<Run> runs;
     std::size_t cursor = 0;
+    /** Ops of runs[cursor] already produced. */
+    std::uint64_t repeat = 0;
 };
 
-/** Fluent builder for scripted programs. */
+/**
+ * Fluent builder for scripted programs.  Each call appends Ops; an Op
+ * of the open run's kind, size and flags whose address continues the
+ * run's stride extends the run instead of starting a new one, so
+ * per-page loops (touchPages, strideAlloc's mmaps) store one record.
+ */
 class ScriptBuilder
 {
   public:
@@ -72,7 +99,11 @@ class ScriptBuilder
     std::unique_ptr<ScriptStream> build();
 
   private:
-    std::vector<cpu::Op> ops;
+    /** Append @p count copies of @p op, @p stride bytes apart. */
+    ScriptBuilder &append(const cpu::Op &op, std::uint64_t count = 1,
+                          Addr stride = 0);
+
+    std::vector<ScriptStream::Run> runs;
 };
 
 /**

@@ -1,9 +1,9 @@
 #include "mem/backing_store.hh"
 
 #include <algorithm>
-#include <bit>
 #include <vector>
 
+#include "base/bitfield.hh"
 #include "base/random.hh"
 #include "mem/nvm_media.hh"
 
@@ -47,8 +47,8 @@ BackingStore::frameFor(Addr addr) const
 std::uint8_t *
 BackingStore::insertLine(FrameLines &f, std::uint64_t bit)
 {
-    const unsigned count = std::popcount(f.mask);
-    const unsigned at = std::popcount(f.mask & (bit - 1));
+    const unsigned count = popCount(f.mask);
+    const unsigned at = popCount(f.mask & (bit - 1));
     if ((count & (count - 1)) == 0) {
         // Full (0, 1, 2, 4, ... lines held): double the capacity and
         // leave a gap at the new line's rank.
@@ -89,7 +89,7 @@ BackingStore::read(Addr addr, void *dst, std::uint64_t size) const
             f = frameFor(addr);
         const std::uint64_t bit = std::uint64_t{1} << (in_page >> lineShift);
         if (f && (f->mask & bit)) {
-            const Line &line = f->lines[std::popcount(f->mask & (bit - 1))];
+            const Line &line = f->lines[popCount(f->mask & (bit - 1))];
             std::memcpy(out, line.data() + in_line, chunk);
         } else {
             std::memset(out, 0, chunk);
@@ -114,7 +114,7 @@ BackingStore::write(Addr addr, const void *src, std::uint64_t size)
         const std::uint64_t bit = std::uint64_t{1} << (in_page >> lineShift);
         std::uint8_t *line = nullptr;
         if (f && (f->mask & bit)) {
-            line = f->lines[std::popcount(f->mask & (bit - 1))].data();
+            line = f->lines[popCount(f->mask & (bit - 1))].data();
         } else if (std::any_of(in, in + chunk,
                                [](std::uint8_t b) { return b != 0; })) {
             if (!f)

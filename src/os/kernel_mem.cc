@@ -1,6 +1,6 @@
 #include "os/kernel_mem.hh"
 
-#include <vector>
+#include <algorithm>
 
 #include "base/intmath.hh"
 #include "base/logging.hh"
@@ -57,7 +57,7 @@ KernelMem::copyPage(Addr dst, Addr src, bool flush_src)
 
     // Functional: move the bytes; a copy landing in NVM via the bulk
     // path is a device-level transfer and therefore durable.
-    std::vector<std::uint8_t> buf(pageSize);
+    std::array<std::uint8_t, pageSize> buf;
     memory.readData(src, buf.data(), pageSize);
     if (memory.typeOf(dst) == mem::MemType::nvm)
         memory.writeDataDurable(dst, buf.data(), pageSize);
@@ -70,13 +70,12 @@ KernelMem::zeroDurable(Addr paddr, std::uint64_t size)
 {
     sim.bump(memory.submit({mem::MemCmd::bulkWrite, paddr, size},
                            sim.now()));
-    const std::vector<std::uint8_t> zeros(pageSize, 0);
     Addr cursor = paddr;
     std::uint64_t remaining = size;
     while (remaining > 0) {
         const std::uint64_t chunk =
             std::min<std::uint64_t>(remaining, pageSize);
-        memory.writeDataDurable(cursor, zeros.data(), chunk);
+        memory.writeDataDurable(cursor, zeroPage.data(), chunk);
         cursor += chunk;
         remaining -= chunk;
     }

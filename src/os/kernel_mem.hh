@@ -13,6 +13,7 @@
 #ifndef KINDLE_OS_KERNEL_MEM_HH
 #define KINDLE_OS_KERNEL_MEM_HH
 
+#include <array>
 #include <cstdint>
 
 #include "base/intmath.hh"
@@ -22,6 +23,9 @@
 
 namespace kindle::os
 {
+
+/** One page of zeros: the source of every zeroing write. */
+inline constexpr std::array<std::uint8_t, pageSize> zeroPage{};
 
 /** Timing+functional gateway for kernel accesses. */
 class KernelMem

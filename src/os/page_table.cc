@@ -46,8 +46,7 @@ PageTableManager::allocTable()
     if (kmem.mem().typeOf(frame) == mem::MemType::nvm) {
         kmem.zeroDurable(frame, pageSize);
     } else {
-        const std::vector<std::uint8_t> zeros(pageSize, 0);
-        kmem.mem().writeData(frame, zeros.data(), pageSize);
+        kmem.mem().writeData(frame, zeroPage.data(), pageSize);
         kmem.simulation().bump(kmem.mem().submit(
             {mem::MemCmd::bulkWrite, frame, pageSize},
             kmem.simulation().now()));

@@ -95,36 +95,38 @@ ReclaimEngine::demoteBatch()
     // Victim processes: anything not resident on a core right now
     // (the only coldness signal the tree maintains) and not inside a
     // failure-atomic section.  Round-robin the start point so one big
-    // sleeper does not absorb every pass.
-    std::vector<Process *> victims;
-    for (const auto &p : kernel.processes()) {
-        if (p->state == ProcState::zombie || p->ptRoot == invalidAddr)
-            continue;
-        if (p->faseActive)
-            continue;
-        bool resident = false;
-        for (CpuId c = 0; c < kernel.numCores(); ++c) {
-            if (kernel.runningOn(c) == p.get()) {
-                resident = true;
-                break;
-            }
+    // sleeper does not absorb every pass: processes() is in ascending
+    // pid order (spawnShell appends nextPid++, reapExited erases
+    // stably), so the walk starts at the first pid above the cursor
+    // and wraps.  Reaping waits for an epoch boundary, so no entry is
+    // erased while the pass runs.
+    const auto &procs = kernel.processes();
+    const std::size_t n = procs.size();
+    const std::size_t start = static_cast<std::size_t>(
+        std::upper_bound(procs.begin(), procs.end(), cursor,
+                         [](Pid pid, const std::unique_ptr<Process> &p) {
+                             return pid < p->pid;
+                         }) -
+        procs.begin());
+    const auto victim = [this](const Process &p) {
+        if (p.state == ProcState::zombie || p.ptRoot == invalidAddr ||
+            p.faseActive) {
+            return false;
         }
-        if (!resident)
-            victims.push_back(p.get());
-    }
-    std::sort(victims.begin(), victims.end(),
-              [](const Process *a, const Process *b) {
-                  return a->pid < b->pid;
-              });
-    const auto pivot = std::find_if(
-        victims.begin(), victims.end(),
-        [this](const Process *p) { return p->pid > cursor; });
-    std::rotate(victims.begin(), pivot, victims.end());
+        for (CpuId c = 0; c < kernel.numCores(); ++c) {
+            if (kernel.runningOn(c) == &p)
+                return false;
+        }
+        return true;
+    };
 
     unsigned demoted = 0;
-    for (Process *proc : victims) {
+    for (std::size_t i = 0; i < n; ++i) {
         if (demoted >= batchPages || dram.freeFrames() >= target)
             break;
+        Process *proc = procs[(start + i) % n].get();
+        if (!victim(*proc))
+            continue;
         // Collect this process's DRAM-backed leaves (the software
         // walk is charged — scanning for victims is real work).
         std::vector<Addr> pages;

@@ -304,5 +304,50 @@ TEST(PressureTest, LiveProcessCountMatchesScanAcrossExitOomAndReap)
     EXPECT_TRUE(saw_reap);
 }
 
+TEST(PressureTest, ProcessTableStaysInPidOrderThroughChurnAndReap)
+{
+    // processes() is in strictly ascending pid order: reclaim's
+    // round-robin walk and the checkpoint sweep rely on it.  Churn it
+    // with spawns between epochs, normal exits, an external kill, an
+    // OOM kill and zombie reaping.
+    KernelParams kp = pressured(64, 16);
+    kp.reapZombies = true;
+    Rig rig(kp);
+    auto ascending = [&] {
+        const auto &procs = rig.kernel.processes();
+        for (std::size_t i = 1; i < procs.size(); ++i) {
+            if (procs[i - 1]->pid >= procs[i]->pid)
+                return false;
+        }
+        return true;
+    };
+    auto quick = [] {
+        micro::ScriptBuilder b;
+        b.compute(1000).exit();
+        return b.build();
+    };
+    rig.kernel.spawn(makeSleeper(32), "sleeper");
+    rig.kernel.spawn(makeToucher(48), "toucher");
+    const Pid victim = rig.kernel.spawn(makeSleeper(4), "victim");
+
+    bool saw_reap = false;
+    std::size_t table = rig.kernel.processes().size();
+    for (int step = 0; step < 100000 && rig.kernel.liveProcessCount() > 0;
+         ++step) {
+        rig.kernel.runUntil(rig.sim.now() + 20 * oneUs);
+        if (step == 3)
+            rig.kernel.exitProcess(*rig.kernel.findProcess(victim));
+        if (step < 40 && step % 4 == 0)
+            rig.kernel.spawn(quick(), "quick");
+        ASSERT_TRUE(ascending()) << "step " << step;
+        saw_reap |= rig.kernel.processes().size() < table;
+        table = rig.kernel.processes().size();
+    }
+    EXPECT_EQ(rig.kernel.liveProcessCount(), 0u);
+    ASSERT_TRUE(rig.kernel.stats().hasScalar("oomKills"));
+    EXPECT_GE(rig.kernel.stats().scalarValue("oomKills"), 1);
+    EXPECT_TRUE(saw_reap);
+}
+
 } // namespace
 } // namespace kindle::os

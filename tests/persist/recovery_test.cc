@@ -182,6 +182,39 @@ TEST(RecoveryTest, MultipleProcessesRecoverIndependently)
     }
 }
 
+TEST(RecoveryTest, RecoveredProcessTableIsInPidOrder)
+{
+    // Slots handed out against pid order, one process exited before
+    // the checkpoint: recovery must still leave processes() in
+    // strictly ascending pid order, and so must a spawn after it.
+    KindleSystem sys(configWith(PtScheme::rebuild));
+    const unsigned slots[] = {3, 1, 2, 0};
+    std::vector<os::Process *> spawned;
+    for (const unsigned slot : slots) {
+        os::Process &proc = sys.kernel().spawnShell(
+            "proc" + std::to_string(slot), slot);
+        const Addr a =
+            sys.kernel().sysMmap(proc, 0, pageSize, cpu::mapNvm);
+        sys.kernel().pageTables().map(proc.ptRoot, a,
+                                      sys.kernel().nvmAllocator().alloc(),
+                                      true, true);
+        spawned.push_back(&proc);
+    }
+    sys.kernel().exitProcess(*spawned[1]);
+    sys.persistence()->checkpointNow();
+    sys.crash();
+    const auto report = sys.reboot();
+    EXPECT_EQ(report.processesRecovered, 3u);
+
+    micro::ScriptBuilder b;
+    b.compute(10).exit();
+    sys.kernel().spawn(b.build(), "after");
+    const auto &procs = sys.kernel().processes();
+    ASSERT_EQ(procs.size(), 4u);
+    for (std::size_t i = 1; i < procs.size(); ++i)
+        EXPECT_LT(procs[i - 1]->pid, procs[i]->pid) << i;
+}
+
 TEST(RecoveryTest, RecoveryChargesSimulatedTime)
 {
     CrashRig rig(PtScheme::rebuild);
