@@ -311,14 +311,23 @@ DurableStore::drainOlder(Addr line_addr, Inflight &entry, Tick now)
 void
 DurableStore::drainTo(Tick now)
 {
-    for (auto it = inflight.begin(); it != inflight.end();) {
-        drainOlder(it->first, it->second, now);
+    // Gather the lines with a copy due by @p now, then retire them in
+    // line-address order, whatever order the map holds them in.
+    due.clear();
+    for (const auto &[line_addr, entry] : inflight) {
+        const Tick first =
+            entry.older.empty() ? entry.drainAt : entry.older.front().drainAt;
+        if (first <= now)
+            due.push_back(line_addr);
+    }
+    std::sort(due.begin(), due.end());
+    for (Addr line_addr : due) {
+        const auto it = held(inflight, line_addr);
+        drainOlder(line_addr, it->second, now);
         if (it->second.drainAt <= now) {
-            persistLine(it->first, it->second.data);
-            masksAt(it->first).inflight &= ~lineBit(it->first);
-            it = inflight.erase(it);
-        } else {
-            ++it;
+            persistLine(line_addr, it->second.data);
+            masksAt(line_addr).inflight &= ~lineBit(line_addr);
+            inflight.erase(it);
         }
     }
 }
@@ -329,18 +338,14 @@ DurableStore::crash(Tick now, const PowerLossModel &model)
     CrashOutcome out;
 
     // Writes the device finished draining before the power cut are on
-    // media and survive; collect the rest (sorted for determinism).
+    // media and survive; the rest are lost (sorted for determinism).
+    const std::size_t buffered = inflight.size();
+    drainTo(now);
+    out.linesDrained = buffered - inflight.size();
     std::vector<Addr> lost;
     lost.reserve(inflight.size());
-    for (auto &[line_addr, entry] : inflight) {
-        drainOlder(line_addr, entry, now);
-        if (entry.drainAt <= now) {
-            persistLine(line_addr, entry.data);
-            ++out.linesDrained;
-        } else {
-            lost.push_back(line_addr);
-        }
-    }
+    for (const auto &kv : inflight)
+        lost.push_back(kv.first);
     std::sort(lost.begin(), lost.end());
     out.linesLost = lost.size();
 

@@ -198,7 +198,10 @@ class DurableStore
     /** Make one cache line durable immediately (device confirmed). */
     void commitLineImmediate(Addr line_addr);
 
-    /** Retire every buffered line whose drain completed by @p now. */
+    /**
+     * Retire every buffered copy whose drain completed by @p now, line
+     * by line in address order (each line's copies oldest first).
+     */
     void drainTo(Tick now);
 
     /**
@@ -320,12 +323,16 @@ class DurableStore
     NvmMediaModel *media = nullptr;
     /**
      * The masks only spare lookups: every insert and erase of these
-     * maps still happens.  drainTo() and crash() retire `inflight` in
-     * its own iteration order, and that order is the order of the
-     * media model's seeded wear draws.
+     * maps still happens.  Neither map's iteration order reaches
+     * simulated state: drainTo() and crash() retire lines in address
+     * order, and that order is the order of the media model's seeded
+     * wear draws.
      */
     std::unordered_map<Addr, Line> pending;
     std::unordered_map<Addr, Inflight> inflight;
+    /** drainTo()'s gather buffer, kept so a drain allocates nothing
+     *  (most commits drain one line). */
+    std::vector<Addr> due;
     std::vector<std::unique_ptr<MaskLeaf>> maskLeaves;
 };
 

@@ -47,8 +47,22 @@ SspCache::write(Addr frame, const SspCacheEntry &entry)
     // Cached store; durability is established by the clwb+fence at
     // the enclosing consistency-interval commit.
     kmem.writeBuf(entryAddr(frame), &entry, sizeof(entry));
-    if (entry.evicted())
-        evictedSet.insert(frame);
+
+    const std::uint64_t index = (frame - frameBase) >> pageShift;
+    Addr slot = 0;
+    if (entry.allocated()) {
+        kindle_assert(entry.shadowFrame != 0 &&
+                          isAligned(entry.shadowFrame, pageSize),
+                      "SSP entry for {} has shadow {}", frame,
+                      entry.shadowFrame);
+        slot = entry.shadowFrame | (entry.evicted() ? evictedBit : 0);
+    }
+    if (index >= slots.size()) {
+        if (slot == 0)
+            return;
+        slots.resize(index + 1);
+    }
+    slots[index] = slot;
 }
 
 void
@@ -73,7 +87,6 @@ SspCache::clearEvicted(Addr frame)
     entry.flags &= ~SspCacheEntry::flagEvicted;
     entry.pendingBits = 0;
     write(frame, entry);
-    evictedSet.erase(frame);
 }
 
 } // namespace kindle::ssp

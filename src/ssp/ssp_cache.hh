@@ -7,13 +7,19 @@
  * Entries are indexed by the NVM frame number of the original page.
  * The area's base address is communicated to the translation hardware
  * through an MSR, mirroring the prototype's design.
+ *
+ * The cache is also the one host record of which pages are tracked:
+ * a slot per entry index mirrors the shadow frame and evicted flag of
+ * the last entry written there, so the engine never keeps a second
+ * index of its own, and every walk over the tracked pages runs in
+ * ascending frame order.
  */
 
 #ifndef KINDLE_SSP_SSP_CACHE_HH
 #define KINDLE_SSP_SSP_CACHE_HH
 
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 #include "base/stats.hh"
 #include "os/kernel_mem.hh"
@@ -71,14 +77,42 @@ class SspCache
     void mergeBits(Addr frame, std::uint64_t updated_bits,
                    bool mark_evicted);
 
-    /** Frames whose entries carry the evicted flag (dirty list). */
-    const std::unordered_set<Addr> &evictedFrames() const
-    {
-        return evictedSet;
-    }
-
     /** Clear the evicted flag after consolidation. */
     void clearEvicted(Addr frame);
+
+    /** Shadow frame of the tracked page at @p frame, or 0. */
+    Addr
+    shadowOf(Addr frame) const
+    {
+        // A frame below the pool wraps to a huge index: untracked.
+        const std::uint64_t index = (frame - frameBase) >> pageShift;
+        return index < slots.size() ? slots[index] & ~evictedBit : 0;
+    }
+
+    /** Call @p fn(frame) for every tracked page, in frame order. */
+    template <typename Fn>
+    void
+    forEachTracked(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            if (slots[i] != 0)
+                fn(frameBase + (Addr(i) << pageShift));
+        }
+    }
+
+    /**
+     * Call @p fn(frame) for every evicted entry, in frame order.
+     * @p fn may rewrite that frame's entry but no later one.
+     */
+    template <typename Fn>
+    void
+    forEachEvicted(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            if (slots[i] & evictedBit)
+                fn(frameBase + (Addr(i) << pageShift));
+        }
+    }
 
     statistics::StatGroup &stats() { return statGroup; }
 
@@ -88,12 +122,18 @@ class SspCache
     std::uint64_t capacity;
     Addr frameBase;  ///< first NVM user frame (index origin)
 
+    /** Bit 0 of a slot: shadow frames are page-aligned, so it is free. */
+    static constexpr Addr evictedBit = 1;
+
     /**
-     * Host-side index of entries with the evicted flag set, standing
-     * in for the dirty-entry queue a real implementation would keep;
-     * the authoritative flags live in the NVM entries themselves.
+     * Per entry index, the shadow frame of the allocated entry last
+     * written there, or-ed with evictedBit while it carries the
+     * evicted flag; 0 when the page is not tracked.  Only write()
+     * updates it, and it grows on demand up to the region's capacity.
+     * It stands in for the dirty-entry scan a real implementation
+     * would run; the authoritative entries live in NVM.
      */
-    std::unordered_set<Addr> evictedSet;
+    std::vector<Addr> slots;
 
     statistics::StatGroup statGroup;
     statistics::Scalar &reads;

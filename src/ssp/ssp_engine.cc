@@ -151,11 +151,11 @@ SspEngine::onTlbFill(cpu::TlbEntry &entry, const cpu::Pte &leaf)
     entry.sspTracked = true;
 
     const Addr frame = leaf.frameAddr();
-    auto it = shadowOf.find(frame);
-    if (it == shadowOf.end()) {
+    Addr shadow = sspCache.shadowOf(frame);
+    if (shadow == 0) {
         // First touch: allocate the supplementary physical page in the
         // page-allocation routine and record the pair in the SSP cache.
-        const Addr shadow = kernel.nvmAllocator().tryAlloc();
+        shadow = kernel.nvmAllocator().tryAlloc();
         if (shadow == invalidAddr) {
             // NVM zone exhausted: the page runs untracked this FASE
             // (writes go straight to the current frame, exactly the
@@ -175,14 +175,13 @@ SspEngine::onTlbFill(cpu::TlbEntry &entry, const cpu::Pte &leaf)
         meta.vpn = entry.vpn;
         meta.pid = entry.pid;
         sspCache.write(frame, meta);
-        it = shadowOf.emplace(frame, shadow).first;
         entry.currentBits = 0;
     } else {
         // Hardware fill: fetch the bitmap fields from the SSP cache.
         const SspCacheEntry meta = sspCache.read(frame);
         entry.currentBits = meta.currentBits;
     }
-    entry.shadowPfn = it->second >> pageShift;
+    entry.shadowPfn = shadow >> pageShift;
     entry.updatedBits = 0;
 }
 
@@ -229,9 +228,9 @@ SspEngine::commitInterval()
     // flushes each inspected metadata line so the SSP cache itself is
     // durable at the commit point (the paper: "the number of metadata
     // inspections and clwb calls ... reduce with a wider consistency
-    // interval").
-    for (const auto &[frame, shadow] : shadowOf) {
-        (void)shadow;
+    // interval").  The walk runs in frame order, so the metadata
+    // region streams in address order.
+    sspCache.forEachTracked([&](Addr frame) {
         const Addr entry_addr = sspCache.entryAddr(frame);
         // The kernel-initiated inspection streams the metadata region
         // non-temporally (it must observe device state, not possibly
@@ -240,7 +239,7 @@ SspEngine::commitInterval()
         kmem.chargeUncachedRead(entry_addr);
         kmem.clwb(entry_addr);
         ++metadataInspections;
-    }
+    });
 
     std::uint64_t flushed = 0;
     for (CpuId c = 0; c < kernel.numCores(); ++c) {
@@ -290,13 +289,11 @@ SspEngine::consolidate()
     const Tick t0 = sim.now();
     ++consolidations;
 
-    // Snapshot: entries marked evicted at this instant.
-    const std::vector<Addr> frames(sspCache.evictedFrames().begin(),
-                                   sspCache.evictedFrames().end());
-    for (Addr frame : frames) {
+    // Every entry marked evicted, in frame order.
+    sspCache.forEachEvicted([&](Addr frame) {
         const SspCacheEntry meta = sspCache.read(frame);
         if (!meta.evicted())
-            continue;
+            return;
         const unsigned diverged = popCount(meta.pendingBits);
         if (diverged > 0) {
             // Merge: stream the diverged lines from the latest copy to
@@ -313,7 +310,7 @@ SspEngine::consolidate()
         }
         sspCache.clearEvicted(frame);
         ++pagesConsolidated;
-    }
+    });
 
     consolidateTicks += static_cast<double>(sim.now() - t0);
 }
@@ -326,15 +323,14 @@ SspEngine::onFrameUnmapped(os::Process &proc, Addr vaddr, Addr frame,
     (void)vaddr;
     if (!nvm)
         return;
-    const auto it = shadowOf.find(frame);
-    if (it == shadowOf.end())
+    const Addr shadow = sspCache.shadowOf(frame);
+    if (shadow == 0)
         return;
     // Release the supplementary page and retire the metadata entry.
-    kernel.nvmAllocator().free(it->second);
+    kernel.nvmAllocator().free(shadow);
     SspCacheEntry dead;
     sspCache.write(frame, dead);
     sspCache.clearEvicted(frame);
-    shadowOf.erase(it);
 }
 
 } // namespace kindle::ssp

@@ -16,9 +16,6 @@
 #ifndef KINDLE_SSP_SSP_ENGINE_HH
 #define KINDLE_SSP_SSP_ENGINE_HH
 
-#include <unordered_map>
-#include <vector>
-
 #include "cpu/core.hh"
 #include "os/kernel.hh"
 #include "ssp/ssp_cache.hh"
@@ -72,7 +69,6 @@ class SspEngine : public cpu::CoreHooks, public os::OsEventListener
     void consolidate();
 
     SspCache &cache() { return sspCache; }
-    bool active() const { return armed; }
 
     std::uint64_t shadowPagesAllocated() const
     {
@@ -99,10 +95,6 @@ class SspEngine : public cpu::CoreHooks, public os::OsEventListener
     bool armed = false;
     Pid armedPid = 0;
     std::uint64_t commitSeq = 0;
-
-    /** Host index of orig-frame → shadow-frame (authoritative copy
-     *  lives in the NVM SSP cache entries). */
-    std::unordered_map<Addr, Addr> shadowOf;
 
     statistics::StatGroup statGroup;
     statistics::Scalar &shadowAllocs;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -506,14 +508,102 @@ TEST(DurableStoreTest, CrashWithoutDrainKeepsOlderCopyDrainedByThen)
     expectFirstCopyOnMedia(store);
 }
 
+/** Media faults on @p range as (line, error bits), in line order. */
+std::vector<std::pair<Addr, unsigned>>
+faultyLines(const NvmMediaModel &media, const AddrRange &range)
+{
+    std::vector<std::pair<Addr, unsigned>> out;
+    media.forEachFaultyLine(range, [&](Addr line, unsigned bits) {
+        out.emplace_back(line, bits);
+    });
+    return out;
+}
+
+/** What retiring one set of buffered lines left on media. */
+struct RetireOutcome
+{
+    std::vector<std::pair<Addr, unsigned>> faults;
+    double lineWrites = 0;
+    double transientFlips = 0;
+    CrashOutcome crash;
+};
+
+/**
+ * Buffer the same 256 lines in the commit order @p order gives, then
+ * retire them with drainTo() or crash().  The media model draws a flip
+ * per retired line in retire order, so its faults fingerprint it.
+ */
+RetireOutcome
+retireInCommitOrder(const std::function<unsigned(unsigned)> &order,
+                    bool by_crash)
+{
+    constexpr unsigned lines = 256;
+    const AddrRange range(3 * oneGiB, 3 * oneGiB + oneMiB);
+    fault::MediaFaultPlan plan;
+    plan.bitFlipRate = 0.5;
+    NvmMediaModel media(range, plan);
+    DurableStore store(range);
+    store.attachMedia(&media);
+    for (unsigned i = 0; i < lines; ++i) {
+        // Every other line of a few frames; even lines drain by 100,
+        // odd ones at 300.
+        const unsigned k = order(i);
+        const Addr line = range.start() + Addr(k) * 2 * lineSize;
+        store.writeVolatileT<std::uint64_t>(line, 0x1000 + k);
+        store.commitLine(line, 0, k % 2 ? 300 : 100);
+    }
+    RetireOutcome out;
+    if (by_crash) {
+        out.crash = store.crash(200, {});
+    } else {
+        store.drainTo(100);
+        store.drainTo(300);
+    }
+    EXPECT_EQ(store.inflightLines(), 0u);
+    out.faults = faultyLines(media, range);
+    out.lineWrites = media.stats().scalarValue("lineWrites");
+    out.transientFlips = media.stats().scalarValue("transientFlips");
+    return out;
+}
+
+void
+expectSameRetireOrder(bool by_crash)
+{
+    const auto ascending =
+        retireInCommitOrder([](unsigned i) { return i; }, by_crash);
+    const auto descending =
+        retireInCommitOrder([](unsigned i) { return 255 - i; }, by_crash);
+    const auto shuffled = retireInCommitOrder(
+        [](unsigned i) { return (i * 97) % 256; }, by_crash);
+    EXPECT_GT(ascending.transientFlips, 0);
+    for (const RetireOutcome *other : {&descending, &shuffled}) {
+        EXPECT_EQ(other->faults, ascending.faults);
+        EXPECT_EQ(other->lineWrites, ascending.lineWrites);
+        EXPECT_EQ(other->transientFlips, ascending.transientFlips);
+        EXPECT_EQ(other->crash.linesDrained, ascending.crash.linesDrained);
+        EXPECT_EQ(other->crash.linesLost, ascending.crash.linesLost);
+    }
+}
+
+TEST(DurableStoreTest, DrainRetiresInAddressOrderWhateverTheCommitOrder)
+{
+    expectSameRetireOrder(false);
+}
+
+TEST(DurableStoreTest, CrashRetiresInAddressOrderWhateverTheCommitOrder)
+{
+    expectSameRetireOrder(true);
+}
+
 // ---- Differential test against a map-only reference store --------
 
 /**
  * The reference: the overlay and the controller buffer as maps probed
  * on every access, media as one flat byte image, and the newest copy
  * of a line winning wherever two meet.  The buffer keeps every copy of
- * a line in commit order, and each reaches media at its own tick.  It
- * drives its own media model through the same calls in the same order,
+ * a line in commit order, and each reaches media at its own tick;
+ * lines drained together reach it in address order.  It drives its
+ * own media model through the same calls in the same order,
  * so the two models' seeded draws and counters must agree.
  */
 class RefStore
@@ -686,8 +776,9 @@ class RefStore
     std::vector<std::uint8_t> image;
     NvmMediaModel *media;
     std::unordered_map<Addr, Line> pending;
-    /** Each line's buffered copies, oldest first. */
-    std::unordered_map<Addr, std::vector<Inflight>> inflight;
+    /** Each line's buffered copies, oldest first; walked in address
+     *  order, the order the store retires lines in. */
+    std::map<Addr, std::vector<Inflight>> inflight;
 };
 
 void

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ssp/ssp_cache.hh"
 
 namespace kindle::ssp
@@ -95,6 +97,24 @@ TEST(SspCacheTest, MergeBitsFlipsCurrentAndAccumulatesPending)
     EXPECT_TRUE(e.evicted());
 }
 
+/** The frames forEachTracked() visits, in visit order. */
+std::vector<Addr>
+tracked(const SspCache &cache)
+{
+    std::vector<Addr> frames;
+    cache.forEachTracked([&](Addr f) { frames.push_back(f); });
+    return frames;
+}
+
+/** The frames forEachEvicted() visits, in visit order. */
+std::vector<Addr>
+evicted(const SspCache &cache)
+{
+    std::vector<Addr> frames;
+    cache.forEachEvicted([&](Addr f) { frames.push_back(f); });
+    return frames;
+}
+
 TEST(SspCacheTest, EvictedSetTracksMarkedFrames)
 {
     Rig rig;
@@ -104,12 +124,56 @@ TEST(SspCacheTest, EvictedSetTracksMarkedFrames)
     rig.cache.write(b, makeEntry(b, rig.poolFrame(21)));
     rig.cache.mergeBits(a, 1, true);
     rig.cache.mergeBits(b, 1, false);
-    EXPECT_EQ(rig.cache.evictedFrames().count(a), 1u);
-    EXPECT_EQ(rig.cache.evictedFrames().count(b), 0u);
+    EXPECT_EQ(evicted(rig.cache), std::vector<Addr>{a});
 
     rig.cache.clearEvicted(a);
-    EXPECT_TRUE(rig.cache.evictedFrames().empty());
+    EXPECT_TRUE(evicted(rig.cache).empty());
     EXPECT_EQ(rig.cache.read(a).pendingBits, 0u);
+    // Clearing the flag keeps the page tracked with its shadow.
+    EXPECT_EQ(rig.cache.shadowOf(a), rig.poolFrame(20));
+    EXPECT_EQ(tracked(rig.cache), (std::vector<Addr>{a, b}));
+}
+
+TEST(SspCacheTest, ShadowOfFollowsTheLastEntryWritten)
+{
+    Rig rig;
+    const Addr frame = rig.poolFrame(3);
+    EXPECT_EQ(rig.cache.shadowOf(frame), 0u);
+    // Below the pool and past every written entry read as untracked.
+    EXPECT_EQ(rig.cache.shadowOf(0x1000), 0u);
+    EXPECT_EQ(rig.cache.shadowOf(rig.poolFrame(1000)), 0u);
+
+    rig.cache.write(frame, makeEntry(frame, rig.poolFrame(40)));
+    EXPECT_EQ(rig.cache.shadowOf(frame), rig.poolFrame(40));
+    rig.cache.mergeBits(frame, 0x3, true);
+    EXPECT_EQ(rig.cache.shadowOf(frame), rig.poolFrame(40));
+
+    // A retired (unallocated) entry untracks the page and its flag.
+    rig.cache.write(frame, SspCacheEntry{});
+    EXPECT_EQ(rig.cache.shadowOf(frame), 0u);
+    EXPECT_TRUE(tracked(rig.cache).empty());
+    EXPECT_TRUE(evicted(rig.cache).empty());
+}
+
+TEST(SspCacheTest, WalksRunInFrameOrder)
+{
+    Rig rig;
+    // Entries written out of frame order, evicted flags likewise.
+    const unsigned order[] = {9, 2, 30, 5, 17, 0};
+    for (unsigned i : order) {
+        rig.cache.write(rig.poolFrame(i),
+                        makeEntry(rig.poolFrame(i), rig.poolFrame(100 + i)));
+    }
+    for (unsigned i : {17u, 0u, 9u})
+        rig.cache.mergeBits(rig.poolFrame(i), 1, true);
+
+    std::vector<Addr> want;
+    for (unsigned i : {0u, 2u, 5u, 9u, 17u, 30u})
+        want.push_back(rig.poolFrame(i));
+    EXPECT_EQ(tracked(rig.cache), want);
+    EXPECT_EQ(evicted(rig.cache),
+              (std::vector<Addr>{rig.poolFrame(0), rig.poolFrame(9),
+                                 rig.poolFrame(17)}));
 }
 
 TEST(SspCacheTest, MergeOnUnallocatedEntryPanics)

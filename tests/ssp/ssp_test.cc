@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "kindle/kindle.hh"
 #include "kindle/microbench.hh"
 
@@ -148,6 +153,171 @@ TEST(SspTest, CommitRecordIsDurable)
     std::uint64_t seq = 0;
     sys.memory().readNvmDurable(commit_addr, &seq, 8);
     EXPECT_GT(seq, 0u);
+}
+
+/** Runs a hook once, as the program hands out its faseEnd op. */
+class HookAtFaseEnd : public cpu::OpStream
+{
+  public:
+    HookAtFaseEnd(std::unique_ptr<cpu::OpStream> inner_arg,
+                  std::function<void()> hook_arg)
+        : inner(std::move(inner_arg)), hook(std::move(hook_arg))
+    {}
+
+    bool
+    next(cpu::Op &op) override
+    {
+        if (!inner->next(op))
+            return false;
+        if (op.kind == cpu::Op::Kind::faseEnd && hook)
+            std::exchange(hook, nullptr)();
+        return true;
+    }
+
+    void
+    onSyscallResult(std::uint64_t value) override
+    {
+        inner->onSyscallResult(value);
+    }
+
+  private:
+    std::unique_ptr<cpu::OpStream> inner;
+    std::function<void()> hook;
+};
+
+/**
+ * @p pages NVM pages faulted in address order, then written once each
+ * inside a FASE in the order @p order gives, so the SSP engine starts
+ * tracking them in that order rather than in frame order.
+ */
+std::unique_ptr<micro::ScriptStream>
+trackInOrder(unsigned pages, const std::function<unsigned(unsigned)> &order)
+{
+    micro::ScriptBuilder b;
+    b.mmapFixed(micro::scriptBase, pages * pageSize, true);
+    b.touchPages(micro::scriptBase, pages * pageSize);
+    b.faseStart();
+    for (unsigned i = 0; i < pages; ++i)
+        b.write(micro::scriptBase + order(i) * pageSize);
+    b.faseEnd();
+    b.munmap(micro::scriptBase, pages * pageSize);
+    b.exit();
+    return b.build();
+}
+
+constexpr unsigned orderPages = 1024;
+
+/** A fixed shuffle of [0, orderPages): 389 is coprime to it. */
+unsigned
+shuffled(unsigned i)
+{
+    return (i * 389u) % orderPages;
+}
+
+double
+pcmStat(KindleSystem &sys, const char *name)
+{
+    return sys.memory().nvmCtrl().device().stats().scalarValue(name);
+}
+
+TEST(SspTest, IntervalCommitInspectsInFrameOrder)
+{
+    KindleSystem sys(sspConfig(oneSec));
+    SspEngine &engine = *sys.sspEngine();
+    double misses = -1;
+    double inspected = 0;
+    std::set<Addr> rows;
+    auto hook = [&] {
+        // The first commit spills every bitmap and writes back the
+        // metadata, so the second one's only device traffic is the
+        // inspection's uncached reads, plus the commit record.
+        engine.commitInterval();
+        const double misses0 = pcmStat(sys, "rowMisses");
+        const double inspected0 =
+            engine.stats().scalarValue("metadataInspections");
+        engine.commitInterval();
+        misses = pcmStat(sys, "rowMisses") - misses0;
+        inspected =
+            engine.stats().scalarValue("metadataInspections") - inspected0;
+        const std::uint64_t row_bytes =
+            sys.memory().nvmCtrl().device().params().rowBytes;
+        engine.cache().forEachTracked([&](Addr frame) {
+            rows.insert(engine.cache().entryAddr(frame) / row_bytes);
+        });
+    };
+    sys.run(std::make_unique<HookAtFaseEnd>(
+                trackInOrder(orderPages, shuffled), hook),
+            "shuffled");
+
+    EXPECT_EQ(inspected, orderPages);
+    ASSERT_GT(rows.size(), 8u) << "entries must span more rows than banks";
+    // In frame order each metadata row is streamed once, start to end:
+    // one row miss per row, and one for the commit record.
+    EXPECT_LE(misses, static_cast<double>(rows.size() + 1));
+}
+
+/** What one consolidation pass cost, from a hook at the FASE's end. */
+struct ConsolidationCost
+{
+    Tick ticks = 0;
+    double rowHits = 0;
+    double rowMisses = 0;
+    double merged = 0;
+};
+
+/**
+ * Mark every tracked page TLB-evicted in the order @p order gives,
+ * start the memory system cold, and run one consolidation pass.
+ */
+ConsolidationCost
+consolidateAfterMarking(const std::function<unsigned(unsigned)> &order)
+{
+    KindleSystem sys(sspConfig(oneSec));
+    SspEngine &engine = *sys.sspEngine();
+    ConsolidationCost cost;
+    auto hook = [&] {
+        engine.commitInterval();
+        std::vector<Addr> frames;
+        engine.cache().forEachTracked(
+            [&](Addr frame) { frames.push_back(frame); });
+        for (unsigned i = 0; i < frames.size(); ++i)
+            engine.cache().mergeBits(frames[order(i)], 1, true);
+        // Write the entries back and forget every cache line and open
+        // row, so only the walk order can tell the two runs apart.
+        sys.caches().flushAll(sys.now());
+        sys.caches().invalidateAll();
+        sys.memory().nvmCtrl().reset();
+        sys.memory().dramCtrl().reset();
+
+        const Tick t0 = sys.now();
+        const double hits0 = pcmStat(sys, "rowHits");
+        const double misses0 = pcmStat(sys, "rowMisses");
+        const double merged0 =
+            engine.stats().scalarValue("pagesConsolidated");
+        engine.consolidate();
+        cost.ticks = sys.now() - t0;
+        cost.rowHits = pcmStat(sys, "rowHits") - hits0;
+        cost.rowMisses = pcmStat(sys, "rowMisses") - misses0;
+        cost.merged =
+            engine.stats().scalarValue("pagesConsolidated") - merged0;
+    };
+    sys.run(std::make_unique<HookAtFaseEnd>(
+                trackInOrder(orderPages, [](unsigned i) { return i; }),
+                hook),
+            "consolidate");
+    return cost;
+}
+
+TEST(SspTest, ConsolidationMergesInFrameOrder)
+{
+    const ConsolidationCost ascending =
+        consolidateAfterMarking([](unsigned i) { return i; });
+    const ConsolidationCost scrambled = consolidateAfterMarking(shuffled);
+    EXPECT_EQ(ascending.merged, orderPages);
+    EXPECT_EQ(scrambled.merged, orderPages);
+    EXPECT_EQ(ascending.ticks, scrambled.ticks);
+    EXPECT_EQ(ascending.rowHits, scrambled.rowHits);
+    EXPECT_EQ(ascending.rowMisses, scrambled.rowMisses);
 }
 
 } // namespace
