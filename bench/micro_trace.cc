@@ -16,10 +16,14 @@
  *                KindleSystem configuration.
  *   - FullSpans: span collection for Chrome export (keeps every
  *                record; the unbounded-growth mode).
+ *
+ * BM_CrashSite is a crash-site probe's cost in a live system's
+ * configuration (ring armed, an observer installed).
  */
 
 #include <benchmark/benchmark.h>
 
+#include "fault/fault.hh"
 #include "trace/trace.hh"
 
 namespace
@@ -110,7 +114,8 @@ BM_SpanArgsMaskedOff(benchmark::State &state)
                           [&clock] { return clock; });
     trace::ProbeScope scope({.sink = &sink});
     std::uint64_t pid = 0;
-    // The payload csprintf must not run when the span is rejected.
+    // The payload's arguments must not be evaluated when the span is
+    // rejected.
     for (auto _ : state) {
         KINDLE_TRACE_SPAN_ARGS(checkpoint, "bench.span",
                                "pid={}", ++pid);
@@ -132,6 +137,64 @@ BM_InstantRingOnly(benchmark::State &state)
     }
 }
 BENCHMARK(BM_InstantRingOnly);
+
+// The default configuration at the hottest argument-carrying sites:
+// redo.append's instant and pt.wrappedStore's span.  The payload is
+// stored, not formatted, so these cost about what their bare forms do.
+
+void
+BM_InstantArgsRingOnly(benchmark::State &state)
+{
+    Tick clock = 0;
+    trace::TraceSink sink(paramsFor(false, 512),
+                          [&clock] { return clock; });
+    trace::ProbeScope scope({.sink = &sink});
+    std::uint64_t seq = 0;
+    for (auto _ : state) {
+        KINDLE_TRACE_INSTANT_ARGS(redo, "bench.instant", "type={} seq={}",
+                                  5u, ++seq);
+        benchmark::DoNotOptimize(++clock);
+    }
+}
+BENCHMARK(BM_InstantArgsRingOnly);
+
+void
+BM_SpanArgsRingOnly(benchmark::State &state)
+{
+    Tick clock = 0;
+    trace::TraceSink sink(paramsFor(false, 512),
+                          [&clock] { return clock; });
+    trace::ProbeScope scope({.sink = &sink});
+    Addr entry = 0;
+    for (auto _ : state) {
+        KINDLE_TRACE_SPAN_ARGS(pt, "bench.span", "entry={}", entry += 8);
+        benchmark::DoNotOptimize(++clock);
+    }
+}
+BENCHMARK(BM_SpanArgsRingOnly);
+
+void
+BM_CrashSite(benchmark::State &state)
+{
+    // A crash-site hit as a live system takes it: ring armed, an
+    // observer installed, the site's name already interned.
+    Tick clock = 0;
+    trace::TraceSink sink(paramsFor(false, 512),
+                          [&clock] { return clock; });
+    fault::CrashInjector injector(fault::FaultPlan{},
+                                  [&clock] { return clock; });
+    injector.activate();
+    std::uint64_t seen = 0;
+    injector.setObserver(
+        [&seen](const std::string &, std::uint64_t) { ++seen; });
+    trace::ProbeScope scope({.sink = &sink, .injector = &injector});
+    for (auto _ : state) {
+        KINDLE_CRASH_SITE("ckpt.after_commit");
+        benchmark::DoNotOptimize(++clock);
+    }
+    benchmark::DoNotOptimize(seen);
+}
+BENCHMARK(BM_CrashSite);
 
 } // namespace
 

@@ -9,6 +9,7 @@ namespace kindle::fault
 CrashInjector::CrashInjector(FaultPlan plan, std::function<Tick()> now_fn)
     : _plan(std::move(plan)),
       nowFn(std::move(now_fn)),
+      aliases(64),
       statGroup("fault", "crash-point fault injection"),
       siteHits(statGroup.addScalar("siteHits",
                                    "named crash-site probes reached")),
@@ -27,18 +28,123 @@ CrashInjector::rearm(FaultPlan plan)
     _fired = false;
     _firedSite.clear();
     _durableWrites = 0;
-    hits.clear();
+    // The names stay interned: ring records still point at them.
+    for (Site &s : sites)
+        s.hits = 0;
     active = true;
 }
 
+namespace
+{
+
+/** Start slot of @p key in a table of @p mask + 1 slots. */
+std::size_t
+slotOf(const char *key, std::size_t mask)
+{
+    const auto bits = reinterpret_cast<std::uintptr_t>(key);
+    return static_cast<std::size_t>((bits * 0x9e3779b97f4a7c15ULL) >> 32) &
+           mask;
+}
+
+} // namespace
+
+CrashInjector::Site &
+CrashInjector::siteFor(const char *name)
+{
+    const std::size_t mask = aliases.size() - 1;
+    for (std::size_t i = slotOf(name, mask);; i = (i + 1) & mask) {
+        Alias &a = aliases[i];
+        if (!a.key)
+            return alias(name);
+        if (a.key == name) {
+            // A buffer reused for another name is that name's alias.
+            if (a.site->name != name)
+                a.site = &intern(name);
+            return *a.site;
+        }
+    }
+}
+
+CrashInjector::Site &
+CrashInjector::intern(const char *name)
+{
+    for (Site &s : sites) {
+        if (s.name == name)
+            return s;
+    }
+    return sites.emplace_back(Site{name, 0});
+}
+
+CrashInjector::Site &
+CrashInjector::alias(const char *name)
+{
+    if (2 * (aliasCount + 1) > aliases.size()) {
+        std::vector<Alias> old(2 * aliases.size());
+        old.swap(aliases);
+        for (const Alias &a : old) {
+            if (!a.key)
+                continue;
+            std::size_t i = slotOf(a.key, aliases.size() - 1);
+            while (aliases[i].key)
+                i = (i + 1) & (aliases.size() - 1);
+            aliases[i] = a;
+        }
+    }
+    Site &site = intern(name);
+    const std::size_t mask = aliases.size() - 1;
+    std::size_t i = slotOf(name, mask);
+    while (aliases[i].key)
+        i = (i + 1) & mask;
+    aliases[i] = {name, &site};
+    ++aliasCount;
+    return site;
+}
+
+std::uint64_t
+CrashInjector::hitsOf(const std::string &name) const
+{
+    for (const Site &s : sites) {
+        if (s.name == name)
+            return s.hits;
+    }
+    return 0;
+}
+
+std::map<std::string, std::uint64_t>
+CrashInjector::allHits() const
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const Site &s : sites) {
+        if (s.hits != 0)
+            out.emplace(s.name, s.hits);
+    }
+    return out;
+}
+
 void
-CrashInjector::fire(const std::string &name)
+CrashInjector::fireAt(const Site &site)
+{
+    // The record keeps the interned name, which outlives the ring.
+    KINDLE_TRACE_INSTANT_ARGS(fault, "crash.fire", "site={}",
+                              site.name.c_str());
+    fire(site.name);
+}
+
+void
+CrashInjector::fireAtDurableWrite()
+{
+    KINDLE_TRACE_INSTANT_ARGS(fault, "crash.fire",
+                              "site=nvm.durable_write#{}", _durableWrites);
+    fire("nvm.durable_write#" + std::to_string(_durableWrites));
+}
+
+void
+CrashInjector::fire(std::string name)
 {
     _fired = true;
     _firedSite = name;
     ++crashesInjected;
-    KINDLE_TRACE_INSTANT_ARGS(fault, "crash.fire", "site={}", name);
-    throw PowerLoss(name, nowFn());
+    throw PowerLoss(std::move(name), nowFn());
 }
 
 void
@@ -46,18 +152,19 @@ CrashInjector::site(const char *name)
 {
     if (!active || _fired)
         return;
+    Site &s = siteFor(name);
     // Every protocol probe doubles as a flight-recorder breadcrumb:
     // the ring's tail is the exact step sequence leading into a crash.
-    KINDLE_TRACE_INSTANT(fault, name);
+    KINDLE_TRACE_INSTANT(fault, s.name.c_str());
     ++siteHits;
-    const std::uint64_t count = ++hits[name];
+    const std::uint64_t count = ++s.hits;
     if (observer)
-        observer(name, count);
+        observer(s.name, count);
     if (_plan.atTick != 0 && nowFn() >= _plan.atTick)
-        fire(name);
-    if (!_plan.site.empty() && _plan.site == name &&
+        fireAt(s);
+    if (!_plan.site.empty() && _plan.site == s.name &&
         count == _plan.occurrence) {
-        fire(name);
+        fireAt(s);
     }
 }
 
@@ -70,10 +177,10 @@ CrashInjector::durableWrite(Tick now)
     ++_durableWrites;
     if (_plan.atNthDurableWrite != 0 &&
         _durableWrites == _plan.atNthDurableWrite) {
-        fire("nvm.durable_write#" + std::to_string(_durableWrites));
+        fireAtDurableWrite();
     }
     if (_plan.atTick != 0 && now >= _plan.atTick)
-        fire("nvm.durable_write#" + std::to_string(_durableWrites));
+        fireAtDurableWrite();
 }
 
 void

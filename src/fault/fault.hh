@@ -24,6 +24,7 @@
 #define KINDLE_FAULT_FAULT_HH
 
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <map>
@@ -206,6 +207,14 @@ class PowerLoss : public std::exception
  * Per-system crash injector.  Counts site hits and durable NVM writes
  * even when no trigger is armed (observe-only mode), which is how the
  * fuzz harness sizes its crash-point space from a golden run.
+ *
+ * A site is named by its text: two buffers holding the same name are
+ * one site.  The injector interns each name once and finds it again
+ * through the caller's pointer (a probe passes the same literal every
+ * time), checking the text, so a hit allocates nothing once its
+ * pointer has been seen.  The interned names live as long as the
+ * injector, and they are what the observer and the flight recorder
+ * see.
  */
 class CrashInjector
 {
@@ -250,21 +259,42 @@ class CrashInjector
     bool fired() const { return _fired; }
     const std::string &firedSite() const { return _firedSite; }
     std::uint64_t durableWrites() const { return _durableWrites; }
-    std::uint64_t
-    hitsOf(const std::string &name) const
-    {
-        const auto it = hits.find(name);
-        return it == hits.end() ? 0 : it->second;
-    }
-    const std::map<std::string, std::uint64_t> &allHits() const
-    {
-        return hits;
-    }
+
+    /** Hits of the site named @p name since the last rearm(). */
+    std::uint64_t hitsOf(const std::string &name) const;
+
+    /** Every site hit since the last rearm(), by name. */
+    std::map<std::string, std::uint64_t> allHits() const;
 
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
-    [[noreturn]] void fire(const std::string &name);
+    /** One named site: its interned name and its hit count. */
+    struct Site
+    {
+        std::string name;
+        std::uint64_t hits = 0;
+    };
+
+    /** One pointer a probe has named a site by. */
+    struct Alias
+    {
+        const char *key = nullptr;
+        Site *site = nullptr;
+    };
+
+    /** The site @p name names: found by pointer, checked by text. */
+    Site &siteFor(const char *name);
+
+    /** The site whose name is @p name's text, interned if new. */
+    Site &intern(const char *name);
+
+    /** First hit through the pointer @p name: remember it. */
+    Site &alias(const char *name);
+
+    [[noreturn]] void fireAt(const Site &site);
+    [[noreturn]] void fireAtDurableWrite();
+    [[noreturn]] void fire(std::string name);
 
     FaultPlan _plan;
     std::function<Tick()> nowFn;
@@ -274,7 +304,14 @@ class CrashInjector
     bool _fired = false;
     std::string _firedSite;
     std::uint64_t _durableWrites = 0;
-    std::map<std::string, std::uint64_t> hits;
+
+    /** Interned sites in first-hit order; a deque keeps each name's
+     *  address stable for the records and the observer holding it. */
+    std::deque<Site> sites;
+    /** Open-addressed pointer → site table (linear probing, a
+     *  power-of-two size, at most half full). */
+    std::vector<Alias> aliases;
+    std::size_t aliasCount = 0;
 
     statistics::StatGroup statGroup;
     statistics::Scalar &siteHits;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "base/str.hh"
 #include "fault/fault.hh"
 #include "trace/profiler.hh"
 #include "trace/trace.hh"
@@ -344,8 +343,8 @@ HsccEngine::migrate()
 
     migTicks += static_cast<double>(sim.now() - t0);
     if (span.active()) {
-        span.setArgs(csprintf("candidates={} migrated={}",
-                              candidates.size(), migrated.value()));
+        span.setArgs("candidates={} migrated={}", candidates.size(),
+                     migrated.value());
     }
 }
 

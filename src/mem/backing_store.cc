@@ -187,7 +187,7 @@ DurableStore::writeVolatile(Addr addr, const void *src, std::uint64_t size)
             // here propagates its damage.
             Line seed{};
             if (masks.inflight & bit) {
-                seed = held(inflight, line_addr)->second.data;
+                seed = newestCopy(line_addr).data;
             } else {
                 durable.read(line_addr, seed.data(), lineSize);
                 if (media)
@@ -217,7 +217,7 @@ DurableStore::read(Addr addr, void *dst, std::uint64_t size) const
             const Line &line = held(pending, line_addr)->second;
             std::memcpy(out, line.data() + in_line, chunk);
         } else if (masks && (masks->inflight & bit)) {
-            const Line &line = held(inflight, line_addr)->second.data;
+            const Line &line = newestCopy(line_addr).data;
             std::memcpy(out, line.data() + in_line, chunk);
         } else {
             durable.read(addr, out, chunk);
@@ -243,23 +243,22 @@ DurableStore::commitLine(Addr line_addr, Tick now, Tick drain_at)
     if (!(masks.pending & bit)) {
         // Nothing volatile for this line; a repeat writeback of an
         // already-buffered line just restarts its drain clock.
-        Tick &at = held(inflight, line_addr)->second.drainAt;
+        Tick &at = newestCopy(line_addr).drainAt;
         at = std::max(at, drain_at);
         return;
     }
     const auto it = held(pending, line_addr);
+    const auto after = afterCopies(line_addr);
     if (masks.inflight & bit) {
-        // An older copy is still draining: it stays in the same entry
-        // and reaches media at its own tick, and the new copy lands
-        // after it.
-        Inflight &entry = held(inflight, line_addr)->second;
-        entry.older.push_back({entry.data, entry.drainAt});
-        entry.data = it->second;
-        entry.drainAt = std::max(entry.drainAt, drain_at);
+        // An older copy is still draining: it reaches media at its own
+        // tick, and the new copy lands after it.
+        drain_at = std::max(drain_at, std::prev(after)->drainAt);
     } else {
-        inflight[line_addr] = Inflight{{it->second, drain_at}, {}};
         masks.inflight |= bit;
+        ++inflightCount;
     }
+    inflight.insert(after, Copy{line_addr, drain_at, it->second});
+    nextDrain = std::min(nextDrain, drain_at);
     pending.erase(it);
     masks.pending &= ~bit;
 }
@@ -273,15 +272,19 @@ DurableStore::commitLineImmediate(Addr line_addr)
     if (!known || !((known->pending | known->inflight) & bit))
         return;
     LineMasks &masks = masksAt(line_addr);
-    // The buffered copy is older than a pending one (a store after the
-    // writeback), so it goes to media first and the newest copy wins.
+    // The buffered copies are older than a pending one (a store after
+    // the writeback), so they go to media first and the newest wins.
     if (masks.inflight & bit) {
-        const auto it = held(inflight, line_addr);
-        for (const Copy &copy : it->second.older)
-            persistLine(line_addr, copy.data);
-        persistLine(line_addr, it->second.data);
-        inflight.erase(it);
+        const auto after = afterCopies(line_addr);
+        auto first = after;
+        while (first != inflight.begin() &&
+               std::prev(first)->line == line_addr)
+            --first;
+        for (auto c = first; c != after; ++c)
+            persistLine(line_addr, c->data);
+        inflight.erase(first, after);
         masks.inflight &= ~bit;
+        --inflightCount;
     }
     if (masks.pending & bit) {
         const auto it = held(pending, line_addr);
@@ -300,36 +303,32 @@ DurableStore::persistLine(Addr line_addr, const Line &data)
 }
 
 void
-DurableStore::drainOlder(Addr line_addr, Inflight &entry, Tick now)
-{
-    auto done = entry.older.begin();
-    for (; done != entry.older.end() && done->drainAt <= now; ++done)
-        persistLine(line_addr, done->data);
-    entry.older.erase(entry.older.begin(), done);
-}
-
-void
 DurableStore::drainTo(Tick now)
 {
-    // Gather the lines with a copy due by @p now, then retire them in
-    // line-address order, whatever order the map holds them in.
-    due.clear();
-    for (const auto &[line_addr, entry] : inflight) {
-        const Tick first =
-            entry.older.empty() ? entry.drainAt : entry.older.front().drainAt;
-        if (first <= now)
-            due.push_back(line_addr);
-    }
-    std::sort(due.begin(), due.end());
-    for (Addr line_addr : due) {
-        const auto it = held(inflight, line_addr);
-        drainOlder(line_addr, it->second, now);
-        if (it->second.drainAt <= now) {
-            persistLine(line_addr, it->second.data);
-            masksAt(line_addr).inflight &= ~lineBit(line_addr);
-            inflight.erase(it);
+    if (now < nextDrain)
+        return;
+    // One pass in buffer order retires the due copies and closes the
+    // gaps they leave.  A line's due copies are the oldest ones, so
+    // its newest copy retiring means the line has left the buffer.
+    Tick next = maxTick;
+    auto kept = inflight.begin();
+    for (auto c = inflight.begin(); c != inflight.end(); ++c) {
+        if (c->drainAt > now) {
+            next = std::min(next, c->drainAt);
+            if (kept != c)
+                *kept = *c;
+            ++kept;
+            continue;
+        }
+        persistLine(c->line, c->data);
+        if (std::next(c) == inflight.end() ||
+            std::next(c)->line != c->line) {
+            masksAt(c->line).inflight &= ~lineBit(c->line);
+            --inflightCount;
         }
     }
+    inflight.erase(kept, inflight.end());
+    nextDrain = next;
 }
 
 CrashOutcome
@@ -338,15 +337,17 @@ DurableStore::crash(Tick now, const PowerLossModel &model)
     CrashOutcome out;
 
     // Writes the device finished draining before the power cut are on
-    // media and survive; the rest are lost (sorted for determinism).
-    const std::size_t buffered = inflight.size();
+    // media and survive; the rest are lost.  @c lost holds each lost
+    // line's oldest copy, in address order.
+    const std::size_t buffered = inflightCount;
     drainTo(now);
-    out.linesDrained = buffered - inflight.size();
-    std::vector<Addr> lost;
-    lost.reserve(inflight.size());
-    for (const auto &kv : inflight)
-        lost.push_back(kv.first);
-    std::sort(lost.begin(), lost.end());
+    out.linesDrained = buffered - inflightCount;
+    std::vector<const Copy *> lost;
+    lost.reserve(inflightCount);
+    for (std::size_t i = 0; i < inflight.size(); ++i) {
+        if (i == 0 || inflight[i].line != inflight[i - 1].line)
+            lost.push_back(&inflight[i]);
+    }
     out.linesLost = lost.size();
 
     if (model.tornStore && !lost.empty()) {
@@ -359,11 +360,10 @@ DurableStore::crash(Tick now, const PowerLossModel &model)
         const std::size_t start = rng.uniform(lost.size());
         for (std::size_t k = 0;
              k < lost.size() && out.tornWords == 0; ++k) {
-            const Addr line_addr = lost[(start + k) % lost.size()];
             // The copy mid-drain is the oldest one still buffered.
-            const Inflight &entry = inflight.at(line_addr);
-            const Line &buffered =
-                entry.older.empty() ? entry.data : entry.older.front().data;
+            const Copy &oldest = *lost[(start + k) % lost.size()];
+            const Addr line_addr = oldest.line;
+            const Line &buffered = oldest.data;
             Line settled{};
             durable.read(line_addr, settled.data(), lineSize);
             std::vector<std::uint64_t> candidates;
@@ -387,6 +387,8 @@ DurableStore::crash(Tick now, const PowerLossModel &model)
     }
 
     inflight.clear();
+    inflightCount = 0;
+    nextDrain = maxTick;
     pending.clear();
     for (auto &leaf : maskLeaves)
         leaf.reset();

@@ -24,10 +24,13 @@
 #ifndef KINDLE_MEM_BACKING_STORE_HH
 #define KINDLE_MEM_BACKING_STORE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <memory_resource>
 #include <unordered_map>
 #include <vector>
 
@@ -239,38 +242,57 @@ class DurableStore
     std::size_t pendingLines() const { return pending.size(); }
 
     /** Lines sitting in the controller's posted-write buffer. */
-    std::size_t inflightLines() const { return inflight.size(); }
+    std::size_t inflightLines() const { return inflightCount; }
 
   private:
-    /** One copy of a line in the controller buffer. */
+    /**
+     * One copy of a line in the controller buffer.  The buffer keeps
+     * its copies in line-address order, each line's copies oldest
+     * first: they reach media in that order, each at its own tick, and
+     * no copy's tick is earlier than an older copy's of its line.
+     */
     struct Copy
     {
-        Line data{};
+        Addr line = 0;
         Tick drainAt = 0;
-    };
-
-    /**
-     * A buffered line draining toward the device: its newest copy,
-     * plus any older copies still in the buffer (oldest first).  The
-     * copies reach media in commit order, each at its own tick, and no
-     * copy's tick is earlier than an older one's.
-     */
-    struct Inflight : Copy
-    {
-        std::vector<Copy> older;
+        Line data{};
     };
 
     /** Write one buffered copy of @p line_addr to media. */
     void persistLine(Addr line_addr, const Line &data);
 
-    /** Retire @p entry's older copies whose drain completed by @p now. */
-    void drainOlder(Addr line_addr, Inflight &entry, Tick now);
+    /** The first buffered copy after @p line_addr's copies. */
+    std::vector<Copy>::iterator
+    afterCopies(Addr line_addr)
+    {
+        return std::upper_bound(
+            inflight.begin(), inflight.end(), line_addr,
+            [](Addr a, const Copy &c) { return a < c.line; });
+    }
+
+    /** The newest buffered copy of @p line_addr, which must exist. */
+    Copy &
+    newestCopy(Addr line_addr)
+    {
+        const auto it = afterCopies(line_addr);
+        kindle_assert(it != inflight.begin() &&
+                          std::prev(it)->line == line_addr,
+                      "line mask set for {} but the line is not buffered",
+                      line_addr);
+        return *std::prev(it);
+    }
+
+    const Copy &
+    newestCopy(Addr line_addr) const
+    {
+        return const_cast<DurableStore *>(this)->newestCopy(line_addr);
+    }
 
     /**
      * Which lines of one frame have a pending / in-flight copy: bit i
-     * stands for line i.  A set bit mirrors a key in the matching map,
-     * so the per-access paths probe a map only for a line that is in
-     * it.
+     * stands for line i.  A set bit mirrors a key of the overlay or a
+     * line in the buffer, so the per-access paths search only for a
+     * line that is there.
      */
     struct LineMasks
     {
@@ -306,7 +328,7 @@ class DurableStore
                    linesPerPage);
     }
 
-    /** The entry of @p map that a set mask bit stands for. */
+    /** The overlay entry that a set pending bit stands for. */
     template <typename Map>
     static auto
     held(Map &map, Addr line_addr)
@@ -322,17 +344,22 @@ class DurableStore
     AddrRange _range;
     NvmMediaModel *media = nullptr;
     /**
-     * The masks only spare lookups: every insert and erase of these
-     * maps still happens.  Neither map's iteration order reaches
-     * simulated state: drainTo() and crash() retire lines in address
-     * order, and that order is the order of the media model's seeded
-     * wear draws.
+     * The overlay's nodes come from a pool, so a line that leaves it
+     * hands its node to the next line to arrive (held by pointer so a
+     * moved store keeps it).  Its iteration order never reaches
+     * simulated state: crash() drops it whole.
      */
-    std::unordered_map<Addr, Line> pending;
-    std::unordered_map<Addr, Inflight> inflight;
-    /** drainTo()'s gather buffer, kept so a drain allocates nothing
-     *  (most commits drain one line). */
-    std::vector<Addr> due;
+    std::unique_ptr<std::pmr::unsynchronized_pool_resource> pendingPool =
+        std::make_unique<std::pmr::unsynchronized_pool_resource>();
+    std::pmr::unordered_map<Addr, Line> pending{pendingPool.get()};
+    /** The controller buffer, in Copy's order; drainTo() and crash()
+     *  walk it front to back, which is the order of the media model's
+     *  seeded wear draws. */
+    std::vector<Copy> inflight;
+    /** Distinct lines in the buffer. */
+    std::size_t inflightCount = 0;
+    /** No buffered copy drains before this tick. */
+    Tick nextDrain = maxTick;
     std::vector<std::unique_ptr<MaskLeaf>> maskLeaves;
 };
 

@@ -1,6 +1,7 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
+#include <sstream>
 
 #include "base/json.hh"
 #include "base/logging.hh"
@@ -53,41 +54,82 @@ TraceSink::setCategories(std::string_view names)
         mask.fill(false);
 }
 
-void
-TraceSink::push(TraceRecord &&rec)
+std::string
+TracePayload::format() const
 {
-    rec.seq = totalSeen++;
-    if (_params.ringDepth > 0) {
-        ring[ringNext] = _params.spans ? rec : std::move(rec);
-        ringNext = (ringNext + 1) % _params.ringDepth;
+    if (!fmt)
+        return {};
+    // csprintf's rules (base/str.hh): each argument fills the next
+    // "{}"; a surplus one is appended after a space, and a surplus
+    // placeholder stays verbatim.
+    std::ostringstream os;
+    std::string_view rest = fmt;
+    for (unsigned i = 0; i < count; ++i) {
+        const auto pos = rest.find("{}");
+        if (pos == std::string_view::npos) {
+            os << rest << ' ';
+            rest = {};
+        } else {
+            os << rest.substr(0, pos);
+            rest = rest.substr(pos + 2);
+        }
+        print(os, i);
     }
-    if (_params.spans)
-        _records.push_back(std::move(rec));
+    os << rest;
+    return os.str();
+}
+
+void
+TracePayload::print(std::ostream &os, unsigned i) const
+{
+    const Value &v = values[i];
+    switch (kinds[i]) {
+      case Kind::u64: os << v.u; break;
+      case Kind::i64: os << v.i; break;
+      case Kind::boolean: os << v.b; break;
+      case Kind::f64: os << v.d; break;
+      case Kind::str: os << v.s; break;
+    }
+}
+
+void
+TraceSink::record(Flag cat, const char *name, Tick start, Tick dur,
+                  bool instant, const TracePayload &payload)
+{
+    // Filled in place: the ring slot, else the span vector's next one.
+    // Building a record and copying it in doubles a ring-only probe's
+    // cost (micro_trace's RingOnly cases).
+    TraceRecord *rec = &unkept;
+    if (_params.ringDepth > 0) {
+        rec = &ring[ringNext];
+        ringNext = (ringNext + 1) % _params.ringDepth;
+    } else if (_params.spans) {
+        rec = &_records.emplace_back();
+    }
+    rec->start = start;
+    rec->dur = dur;
+    rec->cat = cat;
+    rec->instant = instant;
+    rec->name = name;
+    rec->payload = payload;
+    rec->seq = totalSeen++;
+    if (_params.spans && _params.ringDepth > 0)
+        _records.push_back(*rec);
 }
 
 void
 TraceSink::complete(Flag cat, const char *name, Tick start, Tick end,
-                    std::string args)
+                    const TracePayload &payload)
 {
-    TraceRecord rec;
-    rec.start = start;
-    rec.dur = end >= start ? end - start : 0;
-    rec.cat = cat;
-    rec.name = name;
-    rec.args = std::move(args);
-    push(std::move(rec));
+    record(cat, name, start, end >= start ? end - start : 0, false,
+           payload);
 }
 
 void
-TraceSink::instant(Flag cat, const char *name, std::string args)
+TraceSink::instant(Flag cat, const char *name,
+                   const TracePayload &payload)
 {
-    TraceRecord rec;
-    rec.start = nowFn();
-    rec.cat = cat;
-    rec.name = name;
-    rec.args = std::move(args);
-    rec.instant = true;
-    push(std::move(rec));
+    record(cat, name, nowFn(), 0, true, payload);
 }
 
 std::size_t
@@ -125,8 +167,8 @@ writeEventArgs(json::Writer &w, const TraceRecord &rec)
     w.key("args");
     w.beginObject();
     w.keyValue("cat", flagName(rec.cat));
-    if (!rec.args.empty())
-        w.keyValue("detail", rec.args);
+    if (const std::string detail = rec.detail(); !detail.empty())
+        w.keyValue("detail", detail);
     w.endObject();
 }
 
@@ -247,8 +289,8 @@ TraceSink::writeFlightRecorder(std::ostream &os,
             w.keyValue("dur", static_cast<std::uint64_t>(rec.dur));
         w.keyValue("cat", flagName(rec.cat));
         w.keyValue("name", rec.name);
-        if (!rec.args.empty())
-            w.keyValue("detail", rec.args);
+        if (const std::string detail = rec.detail(); !detail.empty())
+            w.keyValue("detail", detail);
         w.endObject();
     }
     w.endArray();

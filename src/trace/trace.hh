@@ -23,11 +23,13 @@
  *    category, nesting by time containment.
  *
  *  - Flight recorder (TraceParams::ringDepth): a fixed ring of the
- *    last N records, cheap enough to leave on for every run.  When a
- *    crash injector fires, recovery reports errors, or the fuzz
- *    oracle diverges, writeFlightRecorder() turns the ring plus the
- *    fault plan and crash site into a self-contained JSON timeline of
- *    the moments before the failure.
+ *    last N records, cheap enough to leave on for every run: a probe
+ *    stores its format literal and scalar arguments by value, and
+ *    nothing is formatted or allocated until a dump.  When a crash
+ *    injector fires, recovery reports errors, or the fuzz oracle
+ *    diverges, writeFlightRecorder() turns the ring plus the fault
+ *    plan and crash site into a self-contained JSON timeline of the
+ *    moments before the failure.
  *
  * The sink carries a category mask (default all-on), so
  * "--trace-flags=checkpoint,redo" narrows capture to those probes.
@@ -45,10 +47,10 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "base/logging.hh"
-#include "base/str.hh"
 #include "base/types.hh"
 
 namespace kindle::fault
@@ -166,19 +168,114 @@ class ProbeScope
     Probes installed;
 };
 
+/** Most arguments one payload carries. */
+inline constexpr unsigned maxTraceArgs = 4;
+
+/**
+ * A record's "k=v" payload, kept unformatted: a static format literal
+ * and up to maxTraceArgs scalar arguments by value (unsigned, signed,
+ * bool, double or a static C string).  format() renders it exactly as
+ * csprintf would have at the probe, so a probe allocates nothing and
+ * pays for text only when a dump asks for it.
+ */
+class TracePayload
+{
+  public:
+    /** No payload: format() is empty. */
+    TracePayload() = default;
+
+    /** @p text's "{}" placeholders take @p args in order. */
+    template <std::size_t N, typename... Args>
+    explicit TracePayload(const char (&text)[N], const Args &...args)
+        : fmt(text), count(sizeof...(Args))
+    {
+        static_assert(sizeof...(Args) <= maxTraceArgs,
+                      "a trace payload carries at most 4 arguments");
+        unsigned i = 0;
+        (store(i++, args), ...);
+    }
+
+    /** The payload as csprintf(fmt, args...) renders it. */
+    std::string format() const;
+
+  private:
+    enum class Kind : std::uint8_t
+    {
+        u64,
+        i64,
+        boolean,
+        f64,
+        str
+    };
+
+    union Value
+    {
+        std::uint64_t u;
+        std::int64_t i;
+        bool b;
+        double d;
+        const char *s;
+    };
+
+    template <typename T>
+    void
+    store(unsigned i, const T &v)
+    {
+        using D = std::decay_t<T>;
+        static_assert(!std::is_same_v<D, char> &&
+                          !std::is_same_v<D, signed char> &&
+                          !std::is_same_v<D, unsigned char>,
+                      "a char argument would print as a character");
+        if constexpr (std::is_same_v<D, bool>) {
+            kinds[i] = Kind::boolean;
+            values[i].b = v;
+        } else if constexpr (std::is_integral_v<D> &&
+                             std::is_unsigned_v<D>) {
+            kinds[i] = Kind::u64;
+            values[i].u = v;
+        } else if constexpr (std::is_integral_v<D>) {
+            kinds[i] = Kind::i64;
+            values[i].i = v;
+        } else if constexpr (std::is_floating_point_v<D>) {
+            kinds[i] = Kind::f64;
+            values[i].d = v;
+        } else {
+            // Kept by pointer until a dump: only a string of static
+            // duration (a literal, an interned name) may be passed.
+            static_assert(std::is_same_v<D, const char *> ||
+                              std::is_same_v<D, char *>,
+                          "trace arguments are scalars or static C "
+                          "strings, never an owning string");
+            kinds[i] = Kind::str;
+            values[i].s = v;
+        }
+    }
+
+    void print(std::ostream &os, unsigned i) const;
+
+    /** Static format literal; null means no payload. */
+    const char *fmt = nullptr;
+    std::array<Value, maxTraceArgs> values{};
+    std::array<Kind, maxTraceArgs> kinds{};
+    std::uint8_t count = 0;
+};
+
 /** One captured span or instant. */
 struct TraceRecord
 {
     Tick start = 0;
     Tick dur = 0;
     Flag cat = Flag::event;
+    bool instant = false;
     /** Static-duration string (macro call sites pass literals). */
     const char *name = "";
-    /** Optional preformatted "k=v" payload. */
-    std::string args;
+    /** Optional "k=v" payload, formatted only by detail(). */
+    TracePayload payload;
     /** Per-sink emission sequence — total order within one system. */
     std::uint64_t seq = 0;
-    bool instant = false;
+
+    /** The payload text ("" when the record has none). */
+    std::string detail() const { return payload.format(); }
 };
 
 /** Capture configuration, carried inside KindleConfig. */
@@ -237,10 +334,11 @@ class TraceSink
 
     /** Record a completed span [@p start, @p end). */
     void complete(Flag cat, const char *name, Tick start, Tick end,
-                  std::string args);
+                  const TracePayload &payload);
 
     /** Record an instantaneous event at the current tick. */
-    void instant(Flag cat, const char *name, std::string args = {});
+    void instant(Flag cat, const char *name,
+                 const TracePayload &payload = {});
 
     const TraceParams &params() const { return _params; }
 
@@ -270,7 +368,9 @@ class TraceSink
                              const FlightContext &ctx) const;
 
   private:
-    void push(TraceRecord &&rec);
+    /** Store one record in each mode that keeps it. */
+    void record(Flag cat, const char *name, Tick start, Tick dur,
+                bool instant, const TracePayload &payload);
 
     TraceParams _params;
     std::function<Tick()> nowFn;
@@ -281,6 +381,8 @@ class TraceSink
     std::vector<TraceRecord> _records;
     std::vector<TraceRecord> ring;
     std::size_t ringNext = 0;
+    /** Where record() writes a record that neither mode keeps. */
+    TraceRecord unkept;
     std::uint64_t totalSeen = 0;
 };
 
@@ -314,25 +416,28 @@ class TraceSpan
         this->cat = cat;
         this->name = name;
         start = sink->now();
-        new (&args) std::string();
+        new (&payload) TracePayload();
     }
 
     ~TraceSpan()
     {
-        if (!sink)
-            return;
-        sink->complete(cat, name, start, sink->now(), std::move(args));
-        args.~basic_string();
+        if (sink)
+            sink->complete(cat, name, start, sink->now(), payload);
     }
 
     TraceSpan(const TraceSpan &) = delete;
     TraceSpan &operator=(const TraceSpan &) = delete;
 
-    /** True when this span will be recorded (guard arg formatting). */
+    /** True when this span will be recorded (guard arg evaluation). */
     bool active() const { return sink != nullptr; }
 
-    /** Attach a preformatted "k=v" payload (only while active()). */
-    void setArgs(std::string a) { args = std::move(a); }
+    /** Attach a "k=v" payload (only while active()); see TracePayload. */
+    template <std::size_t N, typename... Args>
+    void
+    setArgs(const char (&fmt)[N], const Args &...args)
+    {
+        payload = TracePayload(fmt, args...);
+    }
 
   private:
     TraceSink *sink;
@@ -341,7 +446,7 @@ class TraceSpan
     Tick start;
     union
     {
-        std::string args;  ///< alive only while sink is non-null
+        TracePayload payload;  ///< set up only while sink is non-null
     };
 };
 
@@ -355,8 +460,10 @@ class TraceSpan
  *   KINDLE_TRACE_INSTANT(redo, "redo.append");
  *
  * The first two declare an anonymous RAII span covering the rest of
- * the enclosing block; the _ARGS forms format their payload only when
- * the record is actually captured.
+ * the enclosing block.  The _ARGS forms evaluate their arguments only
+ * when the record is actually captured, and store them unformatted
+ * (TracePayload): the format must be a literal and each argument a
+ * scalar or a static C string.
  */
 #define KINDLE_TRACE_CAT2_(a, b) a##b
 #define KINDLE_TRACE_CAT_(a, b) KINDLE_TRACE_CAT2_(a, b)
@@ -368,8 +475,7 @@ class TraceSpan
 #define KINDLE_TRACE_SPAN_ARGS(cat, name, ...)                          \
     KINDLE_TRACE_SPAN(cat, name);                                       \
     if (KINDLE_TRACE_CAT_(kindleSpan_, __LINE__).active())              \
-        KINDLE_TRACE_CAT_(kindleSpan_, __LINE__)                        \
-            .setArgs(::kindle::csprintf(__VA_ARGS__))
+        KINDLE_TRACE_CAT_(kindleSpan_, __LINE__).setArgs(__VA_ARGS__)
 
 #define KINDLE_TRACE_INSTANT(cat, name)                                 \
     do {                                                                \
@@ -382,8 +488,9 @@ class TraceSpan
     do {                                                                \
         if (::kindle::trace::TraceSink *kindleSink_ =                   \
                 ::kindle::trace::sinkFor(::kindle::trace::Flag::cat))   \
-            kindleSink_->instant(::kindle::trace::Flag::cat, name,      \
-                                 ::kindle::csprintf(__VA_ARGS__));      \
+            kindleSink_->instant(                                       \
+                ::kindle::trace::Flag::cat, name,                       \
+                ::kindle::trace::TracePayload(__VA_ARGS__));            \
     } while (0)
 
 #endif // KINDLE_TRACE_TRACE_HH

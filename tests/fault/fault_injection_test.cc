@@ -6,8 +6,14 @@
  */
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -129,6 +135,121 @@ TEST(FaultInjectionTest, ObserverSeesEveryHitIncludingTheFatalOne)
     inj->site("slot.commit_pre_fence");
     EXPECT_THROW(inj->site("slot.commit_pre_fence"), PowerLoss);
     EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST(CrashSiteTableTest, BuffersWithOneTextShareOneSite)
+{
+    // Two distinct buffers holding one name: a probe may pass either.
+    char first[] = "dup.site";
+    char second[] = "dup.site";
+    ASSERT_NE(static_cast<void *>(first), static_cast<void *>(second));
+
+    FaultPlan plan;
+    plan.site = "dup.site";
+    plan.occurrence = 4;
+    auto inj = makeInjector(plan);
+    std::set<const std::string *> names;
+    std::vector<std::uint64_t> counts;
+    inj->setObserver([&](const std::string &name, std::uint64_t count) {
+        if (name == "dup.site") {
+            names.insert(&name);
+            counts.push_back(count);
+        }
+    });
+
+    inj->site(first);
+    inj->site(second);
+    inj->site("other.site");
+    inj->site(second);
+    EXPECT_FALSE(inj->fired());
+    EXPECT_EQ(inj->hitsOf("dup.site"), 3u);
+    // The plan counts hits through both buffers: the fourth fires.
+    EXPECT_THROW(inj->site(first), PowerLoss);
+    EXPECT_EQ(inj->firedSite(), "dup.site");
+    EXPECT_EQ(counts, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+    // One interned name reaches the observer on every hit.
+    EXPECT_EQ(names.size(), 1u);
+
+    static_assert(std::is_same_v<decltype(inj->allHits()),
+                                 std::map<std::string, std::uint64_t>>);
+    EXPECT_EQ(inj->allHits(),
+              (std::map<std::string, std::uint64_t>{{"dup.site", 4},
+                                                    {"other.site", 1}}));
+
+    // rearm() clears the counts, not the sites.
+    inj->rearm(FaultPlan{});
+    EXPECT_EQ(inj->hitsOf("dup.site"), 0u);
+    EXPECT_TRUE(inj->allHits().empty());
+    inj->site(second);
+    EXPECT_EQ(inj->allHits(),
+              (std::map<std::string, std::uint64_t>{{"dup.site", 1}}));
+    EXPECT_EQ(names.size(), 1u);
+
+    // A buffer rewritten with another name counts for that name.
+    std::strcpy(first, "new.site");
+    inj->site(first);
+    EXPECT_EQ(inj->hitsOf("new.site"), 1u);
+    EXPECT_EQ(inj->hitsOf("dup.site"), 1u);
+}
+
+TEST(CrashSiteTableTest, ManyPointersGrowTheTable)
+{
+    auto inj = makeInjector(FaultPlan{});
+    std::vector<std::string> names;
+    for (int i = 0; i < 300; ++i)
+        names.push_back("grow.site." + std::to_string(i % 100));
+    for (int round = 0; round < 2; ++round)
+        for (const std::string &n : names)
+            inj->site(n.c_str());
+    const auto hits = inj->allHits();
+    ASSERT_EQ(hits.size(), 100u);
+    for (const auto &[name, count] : hits)
+        EXPECT_EQ(count, 6u) << name;
+}
+
+TEST(CrashSiteTableTest, RingRecordsOutliveTheNamesTheyWereFiredWith)
+{
+    // The names come from heap buffers freed right after each probe,
+    // and the injector is rearmed between the two crashes; dumping the
+    // ring afterwards must read no freed storage (ASan checks this).
+    Tick clock = 10;
+    trace::TraceParams params;
+    params.ringDepth = 16;
+    trace::TraceSink sink(params, [&clock] { return clock; });
+    FaultPlan plan;
+    plan.site = "heap.site.named.past.the.small.string.buffer";
+    CrashInjector inj(plan, [&clock] { return clock; });
+    inj.activate();
+    trace::ProbeScope scope({.sink = &sink, .injector = &inj});
+
+    {
+        const auto name = std::make_unique<std::string>(plan.site);
+        EXPECT_THROW(crashSite(name->c_str()), PowerLoss);
+    }
+    FaultPlan second;
+    second.atNthDurableWrite = 2;
+    inj.rearm(second);
+    {
+        const auto name = std::make_unique<std::string>(
+            "another.heap.site.named.past.the.small.string.buffer");
+        crashSite(name->c_str());
+    }
+    onDurableNvmWrite(clock);
+    EXPECT_THROW(onDurableNvmWrite(clock), PowerLoss);
+
+    std::ostringstream os;
+    sink.writeFlightRecorder(os, trace::FlightContext{});
+    const std::string out = os.str();
+    for (const char *want :
+         {"\"name\": \"heap.site.named.past.the.small.string.buffer\"",
+          "\"detail\": \"site=heap.site.named.past.the.small.string."
+          "buffer\"",
+          "\"name\": \"another.heap.site.named.past.the.small.string."
+          "buffer\"",
+          "\"detail\": \"site=nvm.durable_write#2\""}) {
+        EXPECT_NE(out.find(want), std::string::npos) << want;
+    }
+    EXPECT_EQ(sink.ringSize(), 4u);
 }
 
 TEST(FaultRoutingTest, ScopeRoutesProbesAndUnwinds)

@@ -715,15 +715,41 @@ class RefStore
         }
     }
 
+    /** Torn mode: a seeded lost line that differs from media in
+     *  some word lands a 1–7 byte prefix of one such word. */
     CrashOutcome
-    crash(Tick now)
+    crash(Tick now, const PowerLossModel &model = {})
     {
         CrashOutcome out;
+        std::vector<Addr> lost;
         for (auto &[line, copies] : inflight) {
-            if (drainCopies(line, copies, now))
+            if (drainCopies(line, copies, now)) {
                 ++out.linesDrained;
-            else
+            } else {
                 ++out.linesLost;
+                lost.push_back(line);
+            }
+        }
+        if (model.tornStore && !lost.empty()) {
+            Random rng(model.seed);
+            const std::size_t start = rng.uniform(lost.size());
+            for (std::size_t k = 0; k < lost.size() && !out.tornWords; ++k) {
+                const Addr line = lost[(start + k) % lost.size()];
+                const Line &oldest = inflight.at(line).front().data;
+                std::vector<std::uint64_t> words;
+                for (std::uint64_t off = 0; off < lineSize; off += 8) {
+                    if (std::memcmp(oldest.data() + off, at(line + off), 8))
+                        words.push_back(off);
+                }
+                if (words.empty())
+                    continue;
+                const std::uint64_t off = words[rng.uniform(words.size())];
+                std::memcpy(at(line + off), oldest.data() + off,
+                            1 + rng.uniform(7));
+                if (media)
+                    media->onLineWrite(line);
+                ++out.tornWords;
+            }
         }
         inflight.clear();
         pending.clear();
@@ -871,6 +897,110 @@ runDurableDifferential(bool with_media, std::uint64_t seed)
         EXPECT_GT(want_media.stats().scalarValue("lineWrites"), 1000);
         EXPECT_GT(want_media.stats().scalarValue("uncorrectableReads"), 0);
     }
+}
+
+/**
+ * A clwb storm: thousands of lines in flight at once, several copies
+ * of some, drain ticks far ahead of the commits.  Partial drains, then
+ * a torn crash mid-drain, must leave media, wear and the torn victim
+ * exactly as the reference does.  (The benchmark never buffers more
+ * than a few lines, so only this test covers a large buffer.)
+ */
+void
+runDurableStorm(std::uint64_t seed)
+{
+    const AddrRange range(3 * oneGiB, 3 * oneGiB + 16 * oneMiB);
+    fault::MediaFaultPlan plan;
+    plan.bitFlipRate = 0.02;
+    plan.writeEndurance = 6;
+    plan.seed = seed;
+    NvmMediaModel got_media(range, plan);
+    NvmMediaModel want_media(range, plan);
+    DurableStore store(range);
+    RefStore ref(range, &want_media);
+    store.attachMedia(&got_media);
+
+    Random rng(seed);
+    // 6000 lines scattered over the whole range, a few hundred of
+    // them hot enough to be committed again while still buffered.
+    std::vector<Addr> lines;
+    for (int i = 0; i < 6000; ++i)
+        lines.push_back(range.start() +
+                        rng.uniform(range.size() / lineSize) * lineSize);
+    std::vector<std::uint8_t> got(lineSize), want(lineSize);
+    Tick now = 0;
+    std::uint64_t max_inflight = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (int op = 0; op < 12000; ++op) {
+            now += rng.uniform(3);
+            const Addr line = rng.uniform(4) == 0
+                                  ? lines[rng.uniform(300)]
+                                  : lines[rng.uniform(lines.size())];
+            const unsigned kind = static_cast<unsigned>(rng.uniform(100));
+            if (kind < 55) {
+                const std::uint64_t off = rng.uniform(lineSize - 8);
+                for (std::uint64_t i = 0; i < 8; ++i)
+                    got[i] = static_cast<std::uint8_t>(rng.next());
+                store.writeVolatile(line + off, got.data(), 8);
+                ref.writeVolatile(line + off, got.data(), 8);
+                // Drains land far ahead: nothing retires for a while.
+                const Tick drain_at = now + 40000 + rng.uniform(20000);
+                store.commitLine(line, now, drain_at);
+                ref.commitLine(line, now, drain_at);
+            } else if (kind < 80) {
+                store.read(line, got.data(), lineSize);
+                ref.read(line, want.data(), lineSize);
+                ASSERT_EQ(got, want) << "round " << round << " op " << op;
+            } else if (kind < 83) {
+                store.commitLineImmediate(line);
+                ref.commitLineImmediate(line);
+            } else {
+                // A repeat writeback restarts a buffered line's clock.
+                const Tick drain_at = now + rng.uniform(60000);
+                store.commitLine(line, now, drain_at);
+                ref.commitLine(line, now, drain_at);
+            }
+            ASSERT_EQ(store.inflightLines(), ref.inflightLines())
+                << "round " << round << " op " << op;
+            max_inflight = std::max<std::uint64_t>(max_inflight,
+                                                   store.inflightLines());
+        }
+        ASSERT_EQ(store.pendingLines(), ref.pendingLines());
+        // Retire part of the buffer, then lose power mid-drain.
+        now += 45000;
+        store.drainTo(now);
+        ref.drainTo(now);
+        ASSERT_EQ(store.inflightLines(), ref.inflightLines());
+        now += 5000;
+        const PowerLossModel torn{true, seed + round};
+        const CrashOutcome a = store.crash(now, torn);
+        const CrashOutcome b = ref.crash(now, torn);
+        EXPECT_EQ(a.linesDrained, b.linesDrained) << "round " << round;
+        EXPECT_EQ(a.linesLost, b.linesLost) << "round " << round;
+        EXPECT_EQ(a.tornWords, 1u) << "round " << round;
+        EXPECT_EQ(b.tornWords, 1u) << "round " << round;
+        EXPECT_GT(a.linesLost, 100u) << "round " << round;
+        for (const Addr line : lines) {
+            store.readDurable(line, got.data(), lineSize);
+            ref.readDurable(line, want.data(), lineSize);
+            ASSERT_EQ(got, want) << "media at " << line << ", round "
+                                 << round;
+        }
+    }
+    EXPECT_GT(max_inflight, 2000u);
+    for (const char *stat :
+         {"lineWrites", "transientFlips", "stuckBits", "demandCorrections",
+          "uncorrectableReads", "framesExhausted"}) {
+        EXPECT_EQ(got_media.stats().scalarValue(stat),
+                  want_media.stats().scalarValue(stat))
+            << stat;
+    }
+    EXPECT_GT(want_media.stats().scalarValue("framesExhausted"), 0);
+}
+
+TEST(DurableStoreDifferentialTest, ClwbStormMatchesMapReference)
+{
+    runDurableStorm(33);
 }
 
 TEST(DurableStoreDifferentialTest, MatchesMapReference)

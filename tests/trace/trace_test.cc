@@ -3,7 +3,9 @@
  * Tests of the tracing substrate: span capture and nesting, category
  * masking, probe routing, the flight-recorder ring, Chrome-JSON export
  * order and metadata, converted instants on a live system, and the
- * checkpoint-decomposition guarantee.  The exported files' full shape
+ * checkpoint-decomposition guarantee, deferred payloads (rendered as
+ * csprintf renders them) and byte-identical crash-point dumps.  The
+ * exported files' full shape
  * (well-formed JSON, event order, flight-dump bookkeeping) is checked
  * by scripts/check_trace_json.py on a traced experiments sweep.
  */
@@ -12,11 +14,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "base/stats.hh"
+#include "base/str.hh"
 #include "fault/fault.hh"
 #include "kindle/kindle.hh"
 #include "kindle/microbench.hh"
@@ -423,7 +428,7 @@ TEST(TraceTest, ConvertedInstantLandsInTheRingUnderItsCategory)
             if (std::strcmp(rec.name, "fault.nvmDegraded") == 0) {
                 EXPECT_EQ(rec.cat, Flag::syscall);
                 EXPECT_TRUE(rec.instant);
-                EXPECT_NE(rec.args.find("pid="), std::string::npos);
+                EXPECT_NE(rec.detail().find("pid="), std::string::npos);
                 ++n;
             }
         }
@@ -452,6 +457,226 @@ TEST(TraceTest, ConvertedInstantLandsInTheRingUnderItsCategory)
     KINDLE_TRACE_INSTANT_ARGS(checkpoint, "kept", "v={}", touch());
     EXPECT_TRUE(evaluated);
 }
+
+// ---- Deferred payloads -------------------------------------------
+
+/**
+ * A probe's payload, stored in a ring record and rendered by detail(),
+ * reads exactly as csprintf on the same format and arguments.
+ */
+template <std::size_t N, typename... Args>
+void
+expectLikeCsprintf(const char (&fmt)[N], const Args &...args)
+{
+    Tick clock = 0;
+    TraceSink sink(paramsFor(false, 2), [&clock] { return clock; });
+    sink.instant(Flag::fault, "payload", TracePayload(fmt, args...));
+    ASSERT_EQ(sink.ringSize(), 1u);
+    EXPECT_EQ(sink.ringAt(0).detail(), csprintf(fmt, args...)) << fmt;
+}
+
+TEST(TracePayloadTest, EveryArgumentKindRendersLikeCsprintf)
+{
+    // Unsigned, whatever their width.
+    expectLikeCsprintf("u16={} u32={} u64={} size={}", std::uint16_t{7},
+                       42u, std::numeric_limits<std::uint64_t>::max(),
+                       std::size_t{0});
+    // Signed.
+    expectLikeCsprintf("int={} i64={} short={} long={}", -1,
+                       std::numeric_limits<std::int64_t>::min(),
+                       static_cast<short>(-3), 5L);
+    // Bool streams as 1/0, as csprintf leaves it.
+    expectLikeCsprintf("t={} f={}", true, false);
+    // Doubles at the stream's default precision, floats widened.
+    expectLikeCsprintf("{} {} {} {}", 0.1, 1.0 / 3, 1e300, -0.0);
+    expectLikeCsprintf("{} {} {} {}", 3.0, 12345678.9, 1.5f,
+                       std::numeric_limits<double>::infinity());
+    // Static C strings, const or not.
+    static char mutable_name[] = "scrub";
+    expectLikeCsprintf("frame={} reason={}", Addr{0x1000}, "patrol");
+    expectLikeCsprintf("reason={}", static_cast<char *>(mutable_name));
+
+    // hscc.migrate's payload: a size and a stat's double value.
+    statistics::StatGroup group("hscc", "payload test");
+    statistics::Scalar &migrated =
+        group.addScalar("pagesMigrated", "pages migrated");
+    for (int i = 0; i < 37; ++i)
+        ++migrated;
+    expectLikeCsprintf("candidates={} migrated={}", std::size_t{41},
+                       migrated.value());
+    migrated += 0.25;
+    expectLikeCsprintf("candidates={} migrated={}", std::size_t{41},
+                       migrated.value());
+}
+
+TEST(TracePayloadTest, SurplusArgumentsAndPlaceholdersRenderLikeCsprintf)
+{
+    // Surplus arguments are appended after a space each.
+    expectLikeCsprintf("a={}", 1, 2u, "three", true);
+    expectLikeCsprintf("no placeholder", 1.5, -2);
+    expectLikeCsprintf("", 7);
+    // Surplus placeholders stay verbatim.
+    expectLikeCsprintf("{} and {} and {}", 1);
+    expectLikeCsprintf("{}{}");
+    expectLikeCsprintf("plain text");
+    // Only "{}" is a placeholder.
+    expectLikeCsprintf("{{}} {x} {", 5);
+}
+
+TEST(TracePayloadTest, RecordWithoutPayloadHasNoDetail)
+{
+    Tick clock = 0;
+    TraceSink sink(paramsFor(true, 4), [&clock] { return clock; });
+    ProbeScope scope({.sink = &sink});
+    KINDLE_TRACE_INSTANT(fault, "bare");
+    {
+        KINDLE_TRACE_SPAN_ARGS(checkpoint, "span", "pid={}", 9);
+    }
+    ASSERT_EQ(sink.ringSize(), 2u);
+    EXPECT_EQ(sink.ringAt(0).detail(), "");
+    EXPECT_EQ(sink.ringAt(1).detail(), "pid=9");
+
+    std::ostringstream flight;
+    sink.writeFlightRecorder(flight, FlightContext{});
+    std::ostringstream chrome;
+    sink.writeChromeJson(chrome);
+    for (const std::string &out : {flight.str(), chrome.str()}) {
+        const std::size_t first = out.find("\"detail\"");
+        ASSERT_NE(first, std::string::npos);
+        EXPECT_EQ(out.find("\"detail\"", first + 1), std::string::npos);
+        EXPECT_NE(out.find("\"detail\": \"pid=9\""), std::string::npos);
+    }
+}
+
+/** FNV-1a over a dump's bytes. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** One crash point, and what the run's dumps held before payloads
+ *  were deferred (captured from that build). */
+struct DumpCase
+{
+    const char *label;
+    persist::PtScheme scheme;
+    /** Crash at this site's third hit, or (null) at durable write 500. */
+    const char *site;
+    std::uint64_t flightHash;
+    std::uint64_t chromeHash;
+    /** The ring's last (up to 12) records that carry a payload, as
+     *  {name, detail}. */
+    std::vector<std::pair<std::string, std::string>> tail;
+};
+
+class CrashDumpTest : public ::testing::TestWithParam<DumpCase>
+{};
+
+TEST_P(CrashDumpTest, DumpsMatchTheCapturedBytes)
+{
+    const DumpCase &c = GetParam();
+    KindleConfig cfg;
+    cfg.memory.dramBytes = 64 * oneMiB;
+    cfg.memory.nvmBytes = 128 * oneMiB;
+    cfg.persistence = persist::PersistParams{c.scheme, oneMs / 4};
+    cfg.trace.spans = true;
+    cfg.fault = fault::FaultPlan{};
+    if (c.site) {
+        cfg.fault->site = c.site;
+        cfg.fault->occurrence = 3;
+    } else {
+        cfg.fault->atNthDurableWrite = 500;
+    }
+    KindleSystem sys(cfg);
+    EXPECT_THROW(sys.run(micro::churnBench(2 * oneMiB, oneMiB, 2, 1, true),
+                         "flight"),
+                 fault::PowerLoss);
+
+    std::vector<std::pair<std::string, std::string>> tail;
+    const TraceSink &sink = sys.traceSink();
+    for (std::size_t i = sink.ringSize(); i-- > 0 && tail.size() < 12;) {
+        const TraceRecord &rec = sink.ringAt(i);
+        if (const std::string detail = rec.detail(); !detail.empty())
+            tail.insert(tail.begin(), {rec.name, detail});
+    }
+    EXPECT_EQ(tail, c.tail);
+
+    std::ostringstream flight;
+    sys.dumpFlightRecorder(flight, "power-loss");
+    std::ostringstream chrome;
+    sys.writeTrace(chrome);
+    EXPECT_EQ(fnv1a(flight.str()), c.flightHash);
+    EXPECT_EQ(fnv1a(chrome.str()), c.chromeHash);
+}
+
+// A change that moves simulated output moves these too: re-capture
+// them from the run above and say why they moved.
+INSTANTIATE_TEST_SUITE_P(
+    BothSchemes, CrashDumpTest,
+    ::testing::Values(
+        DumpCase{"rebuild_site", persist::PtScheme::rebuild,
+                 "ckpt.after_commit", 0x121a0d60450a95cbULL,
+                 0x4dcfba191fa80706ULL,
+                 {{"redo.append", "type=1 seq=0"},
+                  {"os.mmap", "pid=1 [17179869184, 17181966336) nvm=1"},
+                  {"redo.append", "type=3 seq=1"},
+                  {"redo.append", "type=5 seq=2"},
+                  {"ckpt.process", "pid=1"},
+                  {"redo.append", "type=5 seq=0"},
+                  {"ckpt.process", "pid=1"},
+                  {"redo.append", "type=5 seq=0"},
+                  {"crash.fire", "site=ckpt.after_commit"},
+                  {"ckpt.process", "pid=1"}}},
+        DumpCase{"persistent_site", persist::PtScheme::persistent,
+                 "ckpt.after_commit", 0x51f3c12647350fbdULL,
+                 0x83f2e22254e3c414ULL,
+                 {{"pt.wrappedStore", "entry=185885520"},
+                  {"pt.wrappedStore", "entry=185885528"},
+                  {"pt.wrappedStore", "entry=185885536"},
+                  {"pt.wrappedStore", "entry=185885544"},
+                  {"pt.wrappedStore", "entry=185885552"},
+                  {"pt.wrappedStore", "entry=185885560"},
+                  {"pt.wrappedStore", "entry=185885568"},
+                  {"pt.wrappedStore", "entry=185885576"},
+                  {"pt.wrappedStore", "entry=185885584"},
+                  {"redo.append", "type=5 seq=0"},
+                  {"crash.fire", "site=ckpt.after_commit"},
+                  {"ckpt.process", "pid=1"}}},
+        DumpCase{"rebuild_durable_write", persist::PtScheme::rebuild,
+                 nullptr, 0xcfe111fdbe9d347dULL, 0x980e03ba502cd0e9ULL,
+                 {{"redo.append", "type=1 seq=0"},
+                  {"os.mmap", "pid=1 [17179869184, 17181966336) nvm=1"},
+                  {"redo.append", "type=3 seq=1"},
+                  {"redo.append", "type=5 seq=2"},
+                  {"ckpt.process", "pid=1"},
+                  {"redo.append", "type=5 seq=0"},
+                  {"ckpt.process", "pid=1"},
+                  {"redo.append", "type=5 seq=0"},
+                  {"crash.fire", "site=nvm.durable_write#500"},
+                  {"ckpt.process", "pid=1"}}},
+        DumpCase{"persistent_durable_write", persist::PtScheme::persistent,
+                 nullptr, 0x0fe30960a4ecd39dULL, 0xa0c00eb9219ea313ULL,
+                 {{"pt.wrappedStore", "entry=185885520"},
+                  {"pt.wrappedStore", "entry=185885528"},
+                  {"pt.wrappedStore", "entry=185885536"},
+                  {"pt.wrappedStore", "entry=185885544"},
+                  {"pt.wrappedStore", "entry=185885552"},
+                  {"pt.wrappedStore", "entry=185885560"},
+                  {"pt.wrappedStore", "entry=185885568"},
+                  {"pt.wrappedStore", "entry=185885576"},
+                  {"pt.wrappedStore", "entry=185885584"},
+                  {"redo.append", "type=5 seq=0"},
+                  {"crash.fire", "site=nvm.durable_write#500"},
+                  {"ckpt.process", "pid=1"}}}),
+    [](const ::testing::TestParamInfo<DumpCase> &info) {
+        return std::string(info.param.label);
+    });
 
 } // namespace
 } // namespace kindle::trace
