@@ -23,12 +23,15 @@
 #ifndef KINDLE_FAULT_FAULT_HH
 #define KINDLE_FAULT_FAULT_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/stats.hh"
@@ -184,6 +187,103 @@ struct FaultPlan
     }
 };
 
+/** One entry of the crash-site catalog: name + what the protocol has
+ *  (and has not) done when the probe fires. */
+struct CrashSiteInfo
+{
+    const char *name;
+    const char *description;
+};
+
+/**
+ * Every named crash site in the tree, with a one-line description per
+ * site (drives --list-crash-sites and the generated DESIGN.md table).
+ * This is the only place a site is named: a probe names its site by
+ * text, and KINDLE_CRASH_SITE resolves that text to an index here at
+ * compile time, so a name outside this table does not build.  The
+ * crash-site parameterized test crashes at each entry and asserts its
+ * probe actually fired.
+ */
+inline constexpr auto crashSites = std::to_array<CrashSiteInfo>({
+    {"ckpt.before_cpu_log", "checkpoint: before CPU redo record"},
+    {"ckpt.after_log_append", "checkpoint: CPU record durable"},
+    {"ckpt.after_replay", "checkpoint: metadata log replayed"},
+    {"ckpt.after_working_write", "checkpoint: working context written"},
+    {"ckpt.after_mapping_update", "checkpoint: mapping list / pt root"},
+    {"ckpt.after_commit", "checkpoint: slot flipped consistent"},
+    {"ckpt.complete", "checkpoint: log reset + undo retire"},
+    {"redo.after_append", "redo log: record fully durable"},
+    {"redo.append_pre_fence", "redo log: record clwb'd, unfenced"},
+    {"pt.after_undo_append", "pt policy: undo record durable"},
+    {"pt.after_store", "pt policy: PTE stored, not flushed"},
+    {"pt.after_clwb", "pt policy: PTE clwb'd, unfenced"},
+    {"slot.mid_working_write", "saved state: context half-flushed"},
+    {"slot.commit_pre_fence", "saved state: header clwb'd, unfenced"},
+    {"alloc.bitmap_pre_fence", "frame alloc: bitmap clwb'd, unfenced"},
+    {"hscc.after_copy", "hscc: page copied, PTE not remapped"},
+    {"badframe.retire_pre_fence", "bad-frame table: bit clwb'd, unfenced"},
+    {"recover.after_bitmap", "recovery: allocator bitmap adopted"},
+    {"recover.after_log_audit", "recovery: redo log audited"},
+    {"recover.after_pt_rollback", "recovery: torn PT stores undone"},
+    {"recover.after_slot_restore", "recovery: one slot restored"},
+    {"recover.after_quarantine", "recovery: one slot fenced off"},
+    {"recover.before_reclaim", "recovery: leak reclaim starting"},
+    {"recover.complete", "recovery: procedure finished"},
+    {"redo.pre_wrap", "redo log: tail about to fold forward"},
+    {"redo.pre_truncate", "redo log: backpressure epoch bump next"},
+    {"reclaim.pre_demote", "reclaim: NVM frame held, page not moved"},
+    {"oom.pre_kill", "oom: victim chosen, teardown next"},
+    {"core.pre_offline", "hotplug: core declared dead, teardown next"},
+    {"ipi.pre_retry", "shootdown: ack timed out, resend next"},
+});
+
+/** A crash site: its index in crashSites. */
+using SiteId = std::size_t;
+
+/** The index of the site named @p name, if the catalog has one. */
+constexpr std::optional<SiteId>
+findSite(std::string_view name)
+{
+    for (SiteId id = 0; id < crashSites.size(); ++id) {
+        if (name == crashSites[id].name)
+            return id;
+    }
+    return std::nullopt;
+}
+
+static_assert(
+    [] {
+        for (SiteId id = 0; id < crashSites.size(); ++id) {
+            if (findSite(crashSites[id].name) != id)
+                return false;
+        }
+        return true;
+    }(),
+    "every crash-site name must be unique");
+
+/** Not constexpr: a compile-time siteId() that reaches it fails. */
+inline void
+notInCrashSiteCatalog()
+{}
+
+/** The index of the site named @p name, resolved at compile time; a
+ *  name outside crashSites does not compile. */
+consteval SiteId
+siteId(std::string_view name)
+{
+    const std::optional<SiteId> id = findSite(name);
+    if (!id)
+        notInCrashSiteCatalog();
+    return *id;
+}
+
+/** The crash-site catalog, in declaration order. */
+constexpr const auto &
+crashSiteCatalog()
+{
+    return crashSites;
+}
+
 /** Thrown when an armed trigger fires; unwinds out of run(). */
 class PowerLoss : public std::exception
 {
@@ -208,13 +308,10 @@ class PowerLoss : public std::exception
  * even when no trigger is armed (observe-only mode), which is how the
  * fuzz harness sizes its crash-point space from a golden run.
  *
- * A site is named by its text: two buffers holding the same name are
- * one site.  The injector interns each name once and finds it again
- * through the caller's pointer (a probe passes the same literal every
- * time), checking the text, so a hit allocates nothing once its
- * pointer has been seen.  The interned names live as long as the
- * injector, and they are what the observer and the flight recorder
- * see.
+ * A hit names its site by catalog index, so counting it is an array
+ * increment.  A plan names its site by text; the injector resolves it
+ * once, when it is built or re-armed, and a name outside the catalog
+ * is fatal there.
  */
 class CrashInjector
 {
@@ -239,14 +336,15 @@ class CrashInjector
      */
     void rearm(FaultPlan plan);
 
-    /** Probe: a named crash site was reached. */
-    void site(const char *name);
+    /** Probe: the crash site @p id was reached. */
+    void site(SiteId id);
     /** Probe: a durable write was accepted by the NVM controller. */
     void durableWrite(Tick now);
 
     /**
      * Observer called on every site hit with (name, hit-count), before
-     * any trigger evaluation.  The fuzz harness uses it to snapshot its
+     * any trigger evaluation.  The name is one string per site, built
+     * once from the catalog.  The fuzz harness uses it to snapshot its
      * oracle at protocol boundaries.
      */
     void
@@ -260,7 +358,8 @@ class CrashInjector
     const std::string &firedSite() const { return _firedSite; }
     std::uint64_t durableWrites() const { return _durableWrites; }
 
-    /** Hits of the site named @p name since the last rearm(). */
+    /** Hits of the site named @p name since the last rearm(); fatal if
+     *  the catalog has no such site. */
     std::uint64_t hitsOf(const std::string &name) const;
 
     /** Every site hit since the last rearm(), by name. */
@@ -269,34 +368,16 @@ class CrashInjector
     statistics::StatGroup &stats() { return statGroup; }
 
   private:
-    /** One named site: its interned name and its hit count. */
-    struct Site
-    {
-        std::string name;
-        std::uint64_t hits = 0;
-    };
+    /** Take @p plan as the plan, resolving its site to an index. */
+    void setPlan(FaultPlan plan);
 
-    /** One pointer a probe has named a site by. */
-    struct Alias
-    {
-        const char *key = nullptr;
-        Site *site = nullptr;
-    };
-
-    /** The site @p name names: found by pointer, checked by text. */
-    Site &siteFor(const char *name);
-
-    /** The site whose name is @p name's text, interned if new. */
-    Site &intern(const char *name);
-
-    /** First hit through the pointer @p name: remember it. */
-    Site &alias(const char *name);
-
-    [[noreturn]] void fireAt(const Site &site);
+    [[noreturn]] void fireAt(SiteId id);
     [[noreturn]] void fireAtDurableWrite();
     [[noreturn]] void fire(std::string name);
 
     FaultPlan _plan;
+    /** The catalog index of _plan.site, if it names one. */
+    std::optional<SiteId> planSite;
     std::function<Tick()> nowFn;
     std::function<void(const std::string &, std::uint64_t)> observer;
 
@@ -305,13 +386,8 @@ class CrashInjector
     std::string _firedSite;
     std::uint64_t _durableWrites = 0;
 
-    /** Interned sites in first-hit order; a deque keeps each name's
-     *  address stable for the records and the observer holding it. */
-    std::deque<Site> sites;
-    /** Open-addressed pointer → site table (linear probing, a
-     *  power-of-two size, at most half full). */
-    std::vector<Alias> aliases;
-    std::size_t aliasCount = 0;
+    /** Hits per catalog site since the last rearm(). */
+    std::array<std::uint64_t, crashSites.size()> hits{};
 
     statistics::StatGroup statGroup;
     statistics::Scalar &siteHits;
@@ -321,25 +397,14 @@ class CrashInjector
 
 /** Probe entry points used by instrumented code; they feed the
  *  injector registered on this thread, if any. */
-void crashSite(const char *name);
+void crashSite(SiteId id);
 void onDurableNvmWrite(Tick now);
-
-/** One entry of the crash-site inventory: name + what the protocol
- *  has (and has not) done when the probe fires. */
-struct CrashSiteInfo
-{
-    const char *name;
-    const char *description;
-};
-
-/** Inventory of every named crash site compiled into the tree, with
- *  a one-line description per site (drives --list-crash-sites and the
- *  generated DESIGN.md table). */
-const std::vector<CrashSiteInfo> &crashSiteCatalog();
 
 } // namespace kindle::fault
 
-/** Probe macro — reads as a labelled no-op at the instrumented line. */
-#define KINDLE_CRASH_SITE(name) ::kindle::fault::crashSite(name)
+/** Probe macro — reads as a labelled no-op at the instrumented line;
+ *  @p name must be a literal naming a site in fault::crashSites. */
+#define KINDLE_CRASH_SITE(name)                                             \
+    ::kindle::fault::crashSite(::kindle::fault::siteId(name))
 
 #endif // KINDLE_FAULT_FAULT_HH

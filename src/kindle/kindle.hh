@@ -106,7 +106,7 @@ struct KindleConfig
     std::optional<mem::ScrubParams> scrub;
 
     /**
-     * Telemetry capture (see trace::TraceParams).  The flight-recorder
+     * Trace capture (see trace::TraceParams).  The flight-recorder
      * ring is on by default; span collection for Chrome-JSON export is
      * opt-in because it keeps every record of the run.
      */

@@ -75,7 +75,8 @@ BadFrameTable::retire(Addr addr)
     std::uint64_t word = 0;
     kmem.readDurableBuf(word_addr, &word, 8);
     word |= std::uint64_t(1) << (index % 64);
-    kmem.writeBufDurable(word_addr, &word, 8, "badframe.retire_pre_fence");
+    kmem.writeBufDurable(word_addr, &word, 8,
+                         fault::siteId("badframe.retire_pre_fence"));
     return true;
 }
 

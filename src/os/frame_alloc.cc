@@ -53,7 +53,8 @@ FrameAllocator::persistBit(std::uint64_t index)
         word |= (std::uint64_t(1) << (index % 64));
     else
         word &= ~(std::uint64_t(1) << (index % 64));
-    kmem.writeBufDurable(word_addr, &word, 8, "alloc.bitmap_pre_fence");
+    kmem.writeBufDurable(word_addr, &word, 8,
+                         fault::siteId("alloc.bitmap_pre_fence"));
 }
 
 bool

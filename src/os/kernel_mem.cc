@@ -28,7 +28,7 @@ KernelMem::readBuf(Addr paddr, void *dst, std::uint64_t size)
 void
 KernelMem::writeBufDurable(Addr paddr, const void *src,
                            std::uint64_t size,
-                           const char *pre_fence_site)
+                           std::optional<fault::SiteId> pre_fence_site)
 {
     memory.writeData(paddr, src, size);
     sim.bump(caches.access(mem::MemCmd::write, paddr, size, sim.now())
@@ -38,7 +38,7 @@ KernelMem::writeBufDurable(Addr paddr, const void *src,
     for (Addr line = first; line <= last; line += lineSize)
         clwb(line);
     if (pre_fence_site)
-        KINDLE_CRASH_SITE(pre_fence_site);
+        fault::crashSite(*pre_fence_site);
     sfence();
 }
 

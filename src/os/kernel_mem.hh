@@ -15,9 +15,11 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 
 #include "base/intmath.hh"
 #include "cache/hierarchy.hh"
+#include "fault/fault.hh"
 #include "mem/hybrid_memory.hh"
 #include "sim/simulation.hh"
 
@@ -92,12 +94,12 @@ class KernelMem
     /**
      * Durable buffer write: write + clwb each line + one fence.
      * The data is guaranteed crash-safe when the call returns.  When
-     * @p pre_fence_site is non-null a crash-site probe fires between
+     * @p pre_fence_site names a crash site, its probe fires between
      * the clwbs and the fence — the window where the lines sit in the
      * controller's write buffer and a power cut loses them.
      */
     void writeBufDurable(Addr paddr, const void *src, std::uint64_t size,
-                         const char *pre_fence_site = nullptr);
+                         std::optional<fault::SiteId> pre_fence_site = {});
 
     /** Read the crash-surviving NVM image (recovery path). */
     void

@@ -98,7 +98,7 @@ RedoLog::append(RedoRecord rec)
     rec.checksum = 0;
     rec.checksum = recordChecksum(rec);
     kmem.writeBufDurable(recordAddr(seq), &rec, sizeof(rec),
-                         "redo.append_pre_fence");
+                         fault::siteId("redo.append_pre_fence"));
     KINDLE_TRACE_INSTANT_ARGS(redo, "redo.append",
                               "type={} seq={}",
                               static_cast<std::uint32_t>(rec.type),

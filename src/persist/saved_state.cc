@@ -89,7 +89,7 @@ SavedStateSlot::mappingBase() const
 }
 
 void
-SavedStateSlot::writeHeader(const char *pre_fence_site)
+SavedStateSlot::writeHeader(std::optional<fault::SiteId> pre_fence_site)
 {
     shadow.checksum = 0;
     shadow.checksum = checksum32(&shadow, sizeof(shadow));
@@ -148,7 +148,7 @@ SavedStateSlot::commit()
 {
     shadow.consistentIdx ^= 1u;
     ++shadow.generation;
-    writeHeader("slot.commit_pre_fence");
+    writeHeader(fault::siteId("slot.commit_pre_fence"));
 }
 
 void

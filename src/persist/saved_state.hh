@@ -17,9 +17,11 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cpu/core.hh"
+#include "fault/fault.hh"
 #include "os/kernel_mem.hh"
 #include "os/nvm_layout.hh"
 #include "os/process.hh"
@@ -235,7 +237,7 @@ class SavedStateSlot
      * Recompute the shadow checksum and write the header durably; an
      * optional crash site fires between the clwb and the fence.
      */
-    void writeHeader(const char *pre_fence_site = nullptr);
+    void writeHeader(std::optional<fault::SiteId> pre_fence_site = {});
 
     os::KernelMem &kmem;
     const os::NvmLayout &layout;

@@ -147,8 +147,8 @@ runnerFlags(Options &o)
          "shootdown ack timeout before an IPI resend (default 2000)",
          setNanoseconds(o.ipiTimeout)},
         {"--sample-interval", "NS",
-         "telemetry sampling period; 0 disables the sampler "
-         "(default off)",
+         "sampling period of the --telemetry-out series; fatal "
+         "without it (default 1000000)",
          setNanoseconds(o.sampleInterval)},
         {"--telemetry-out", "P",
          "write per-scenario TELEM_* time-series here; implies a 1 ms "
@@ -197,10 +197,16 @@ parseOptions(int argc, char **argv, const std::vector<FlagTable> &extra)
     std::vector<FlagTable> tables{runnerFlags(opts)};
     tables.insert(tables.end(), extra.begin(), extra.end());
     parseFlags(argc, argv, tables);
-    // An export destination with no explicit period would record
-    // nothing; default to one sample per simulated millisecond.
-    if (!opts.telemetryOut.empty() && opts.sampleInterval == 0)
+    // The sampler's series is only ever read to export it: sampling
+    // with no destination would pay a stat snapshot per sample for
+    // nothing.  A destination with no explicit period samples once
+    // per simulated millisecond.
+    if (opts.telemetryOut.empty()) {
+        if (opts.sampleInterval != 0)
+            kindle_fatal("--sample-interval needs --telemetry-out");
+    } else if (opts.sampleInterval == 0) {
         opts.sampleInterval = oneMs;
+    }
     return opts;
 }
 

@@ -65,7 +65,8 @@ struct Options
     /** Shootdown ack timeout override in ticks (0 = kernel default). */
     Tick ipiTimeout = 0;
 
-    /** Telemetry sampling period in ticks (0 = sampler off). */
+    /** Telemetry sampling period in ticks (0 = sampler off); the
+     *  parsed flags set it only together with telemetryOut. */
     Tick sampleInterval = 0;
 
     /** Sampler series destination, routed like traceOut (a ".csv"

@@ -6,9 +6,9 @@
  */
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/logging.hh"
 #include "fault/fault.hh"
 #include "trace/trace.hh"
 
@@ -49,6 +50,29 @@ TEST(FaultPlanTest, ArmedRequiresATrigger)
     EXPECT_TRUE(by_tick.armed());
 }
 
+TEST(FaultPlanTest, NamesOutsideTheCatalogAreFatal)
+{
+    EXPECT_EQ(findSite("no.such.site"), std::nullopt);
+    EXPECT_EQ(findSite("ckpt"), std::nullopt);  // a prefix is no name
+    EXPECT_EQ(findSite("ckpt.after_commit"), siteId("ckpt.after_commit"));
+
+    setErrorsThrow(true);
+    FaultPlan unknown;
+    unknown.site = "no.such.site";
+    EXPECT_THROW(CrashInjector(unknown, [] { return Tick{0}; }), SimError);
+
+    auto inj = makeInjector(FaultPlan{});
+    EXPECT_THROW(inj->rearm(unknown), SimError);
+    EXPECT_THROW(inj->hitsOf("no.such.site"), SimError);
+    EXPECT_THROW(inj->hitsOf(""), SimError);
+    EXPECT_THROW(inj->site(crashSites.size()), SimError);
+    setErrorsThrow(false);
+
+    // An empty site is "no site trigger", not an unknown name.
+    inj->rearm(FaultPlan{});
+    EXPECT_EQ(inj->hitsOf("ckpt.after_commit"), 0u);
+}
+
 TEST(FaultInjectionTest, SiteTriggerFiresAtNthOccurrence)
 {
     FaultPlan plan;
@@ -56,12 +80,12 @@ TEST(FaultInjectionTest, SiteTriggerFiresAtNthOccurrence)
     plan.occurrence = 3;
     auto inj = makeInjector(plan);
 
-    inj->site("redo.after_append");
-    inj->site("some.other_site");
-    inj->site("redo.after_append");
+    inj->site(siteId("redo.after_append"));
+    inj->site(siteId("ckpt.after_commit"));
+    inj->site(siteId("redo.after_append"));
     EXPECT_FALSE(inj->fired());
     try {
-        inj->site("redo.after_append");
+        inj->site(siteId("redo.after_append"));
         FAIL() << "third occurrence must fire";
     } catch (const PowerLoss &loss) {
         EXPECT_EQ(loss.site(), "redo.after_append");
@@ -70,7 +94,7 @@ TEST(FaultInjectionTest, SiteTriggerFiresAtNthOccurrence)
     EXPECT_TRUE(inj->fired());
     EXPECT_EQ(inj->firedSite(), "redo.after_append");
     // A fired injector is spent: further probes are inert.
-    inj->site("redo.after_append");
+    inj->site(siteId("redo.after_append"));
     EXPECT_EQ(inj->hitsOf("redo.after_append"), 3u);
 }
 
@@ -91,19 +115,19 @@ TEST(FaultInjectionTest, TickTriggerFiresAtFirstProbeAtOrAfter)
     plan.atTick = 1000;
     CrashInjector early(plan, [] { return Tick{999}; });
     early.activate();
-    early.site("a");
+    early.site(siteId("ckpt.complete"));
     EXPECT_FALSE(early.fired());
 
     CrashInjector late(plan, [] { return Tick{1000}; });
     late.activate();
-    EXPECT_THROW(late.site("a"), PowerLoss);
+    EXPECT_THROW(late.site(siteId("ckpt.complete")), PowerLoss);
 }
 
 TEST(FaultInjectionTest, UnarmedInjectorObservesWithoutFiring)
 {
     auto inj = makeInjector(FaultPlan{});
     for (int i = 0; i < 5; ++i)
-        inj->site("pt.after_store");
+        inj->site(siteId("pt.after_store"));
     inj->durableWrite(1);
     EXPECT_FALSE(inj->fired());
     EXPECT_EQ(inj->hitsOf("pt.after_store"), 5u);
@@ -114,11 +138,11 @@ TEST(FaultInjectionTest, UnarmedInjectorObservesWithoutFiring)
 TEST(FaultInjectionTest, InactiveInjectorIgnoresProbes)
 {
     FaultPlan plan;
-    plan.site = "x";
+    plan.site = "hscc.after_copy";
     CrashInjector inj(plan, [] { return Tick{0}; });
-    inj.site("x");
+    inj.site(siteId("hscc.after_copy"));
     EXPECT_FALSE(inj.fired());
-    EXPECT_EQ(inj.hitsOf("x"), 0u);
+    EXPECT_EQ(inj.hitsOf("hscc.after_copy"), 0u);
 }
 
 TEST(FaultInjectionTest, ObserverSeesEveryHitIncludingTheFatalOne)
@@ -132,108 +156,80 @@ TEST(FaultInjectionTest, ObserverSeesEveryHitIncludingTheFatalOne)
         if (name == "slot.commit_pre_fence")
             seen.push_back(count);
     });
-    inj->site("slot.commit_pre_fence");
-    EXPECT_THROW(inj->site("slot.commit_pre_fence"), PowerLoss);
+    inj->site(siteId("slot.commit_pre_fence"));
+    EXPECT_THROW(inj->site(siteId("slot.commit_pre_fence")), PowerLoss);
     EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2}));
 }
 
-TEST(CrashSiteTableTest, BuffersWithOneTextShareOneSite)
+TEST(CrashSiteTableTest, EachSiteHasOneCountAndOneName)
 {
-    // Two distinct buffers holding one name: a probe may pass either.
-    char first[] = "dup.site";
-    char second[] = "dup.site";
-    ASSERT_NE(static_cast<void *>(first), static_cast<void *>(second));
-
     FaultPlan plan;
-    plan.site = "dup.site";
+    plan.site = "redo.pre_wrap";
     plan.occurrence = 4;
     auto inj = makeInjector(plan);
     std::set<const std::string *> names;
     std::vector<std::uint64_t> counts;
     inj->setObserver([&](const std::string &name, std::uint64_t count) {
-        if (name == "dup.site") {
+        if (name == "redo.pre_wrap") {
             names.insert(&name);
             counts.push_back(count);
         }
     });
 
-    inj->site(first);
-    inj->site(second);
-    inj->site("other.site");
-    inj->site(second);
+    inj->site(siteId("redo.pre_wrap"));
+    inj->site(siteId("oom.pre_kill"));
+    inj->site(siteId("redo.pre_wrap"));
     EXPECT_FALSE(inj->fired());
-    EXPECT_EQ(inj->hitsOf("dup.site"), 3u);
-    // The plan counts hits through both buffers: the fourth fires.
-    EXPECT_THROW(inj->site(first), PowerLoss);
-    EXPECT_EQ(inj->firedSite(), "dup.site");
+    EXPECT_EQ(inj->hitsOf("redo.pre_wrap"), 2u);
+    {
+        // The macro and a direct call name one site.
+        trace::ProbeScope scope({.injector = inj.get()});
+        KINDLE_CRASH_SITE("redo.pre_wrap");
+        EXPECT_EQ(inj->hitsOf("redo.pre_wrap"), 3u);
+        EXPECT_THROW(KINDLE_CRASH_SITE("redo.pre_wrap"), PowerLoss);
+    }
+    EXPECT_EQ(inj->firedSite(), "redo.pre_wrap");
     EXPECT_EQ(counts, (std::vector<std::uint64_t>{1, 2, 3, 4}));
-    // One interned name reaches the observer on every hit.
+    // One string per site reaches the observer on every hit.
     EXPECT_EQ(names.size(), 1u);
 
     static_assert(std::is_same_v<decltype(inj->allHits()),
                                  std::map<std::string, std::uint64_t>>);
     EXPECT_EQ(inj->allHits(),
-              (std::map<std::string, std::uint64_t>{{"dup.site", 4},
-                                                    {"other.site", 1}}));
+              (std::map<std::string, std::uint64_t>{{"oom.pre_kill", 1},
+                                                    {"redo.pre_wrap", 4}}));
 
-    // rearm() clears the counts, not the sites.
+    // rearm() clears the counts.
     inj->rearm(FaultPlan{});
-    EXPECT_EQ(inj->hitsOf("dup.site"), 0u);
+    EXPECT_EQ(inj->hitsOf("redo.pre_wrap"), 0u);
     EXPECT_TRUE(inj->allHits().empty());
-    inj->site(second);
+    inj->site(siteId("redo.pre_wrap"));
     EXPECT_EQ(inj->allHits(),
-              (std::map<std::string, std::uint64_t>{{"dup.site", 1}}));
+              (std::map<std::string, std::uint64_t>{{"redo.pre_wrap", 1}}));
     EXPECT_EQ(names.size(), 1u);
-
-    // A buffer rewritten with another name counts for that name.
-    std::strcpy(first, "new.site");
-    inj->site(first);
-    EXPECT_EQ(inj->hitsOf("new.site"), 1u);
-    EXPECT_EQ(inj->hitsOf("dup.site"), 1u);
-}
-
-TEST(CrashSiteTableTest, ManyPointersGrowTheTable)
-{
-    auto inj = makeInjector(FaultPlan{});
-    std::vector<std::string> names;
-    for (int i = 0; i < 300; ++i)
-        names.push_back("grow.site." + std::to_string(i % 100));
-    for (int round = 0; round < 2; ++round)
-        for (const std::string &n : names)
-            inj->site(n.c_str());
-    const auto hits = inj->allHits();
-    ASSERT_EQ(hits.size(), 100u);
-    for (const auto &[name, count] : hits)
-        EXPECT_EQ(count, 6u) << name;
 }
 
 TEST(CrashSiteTableTest, RingRecordsOutliveTheNamesTheyWereFiredWith)
 {
-    // The names come from heap buffers freed right after each probe,
-    // and the injector is rearmed between the two crashes; dumping the
-    // ring afterwards must read no freed storage (ASan checks this).
+    // The injector is rearmed between the two crashes, one at a site
+    // and one at a durable write; dumping the ring afterwards must
+    // read no freed storage (ASan checks this).
     Tick clock = 10;
     trace::TraceParams params;
     params.ringDepth = 16;
     trace::TraceSink sink(params, [&clock] { return clock; });
     FaultPlan plan;
-    plan.site = "heap.site.named.past.the.small.string.buffer";
+    plan.site = "recover.after_slot_restore";
     CrashInjector inj(plan, [&clock] { return clock; });
     inj.activate();
     trace::ProbeScope scope({.sink = &sink, .injector = &inj});
 
-    {
-        const auto name = std::make_unique<std::string>(plan.site);
-        EXPECT_THROW(crashSite(name->c_str()), PowerLoss);
-    }
+    EXPECT_THROW(KINDLE_CRASH_SITE("recover.after_slot_restore"),
+                 PowerLoss);
     FaultPlan second;
     second.atNthDurableWrite = 2;
     inj.rearm(second);
-    {
-        const auto name = std::make_unique<std::string>(
-            "another.heap.site.named.past.the.small.string.buffer");
-        crashSite(name->c_str());
-    }
+    KINDLE_CRASH_SITE("recover.after_quarantine");
     onDurableNvmWrite(clock);
     EXPECT_THROW(onDurableNvmWrite(clock), PowerLoss);
 
@@ -241,11 +237,9 @@ TEST(CrashSiteTableTest, RingRecordsOutliveTheNamesTheyWereFiredWith)
     sink.writeFlightRecorder(os, trace::FlightContext{});
     const std::string out = os.str();
     for (const char *want :
-         {"\"name\": \"heap.site.named.past.the.small.string.buffer\"",
-          "\"detail\": \"site=heap.site.named.past.the.small.string."
-          "buffer\"",
-          "\"name\": \"another.heap.site.named.past.the.small.string."
-          "buffer\"",
+         {"\"name\": \"recover.after_slot_restore\"",
+          "\"detail\": \"site=recover.after_slot_restore\"",
+          "\"name\": \"recover.after_quarantine\"",
           "\"detail\": \"site=nvm.durable_write#2\""}) {
         EXPECT_NE(out.find(want), std::string::npos) << want;
     }
@@ -255,17 +249,18 @@ TEST(CrashSiteTableTest, RingRecordsOutliveTheNamesTheyWereFiredWith)
 TEST(FaultRoutingTest, ScopeRoutesProbesAndUnwinds)
 {
     EXPECT_EQ(trace::probes().injector, nullptr);
-    crashSite("free.floating");  // probes without a scope are no-ops
+    KINDLE_CRASH_SITE("core.pre_offline");  // no scope: a no-op
 
     auto inj = makeInjector(FaultPlan{});
     {
         trace::ProbeScope scope({.injector = inj.get()});
         EXPECT_EQ(trace::probes().injector, inj.get());
-        crashSite("a.site");
+        KINDLE_CRASH_SITE("pt.after_clwb");
         onDurableNvmWrite(7);
     }
     EXPECT_EQ(trace::probes().injector, nullptr);
-    EXPECT_EQ(inj->hitsOf("a.site"), 1u);
+    EXPECT_EQ(inj->hitsOf("pt.after_clwb"), 1u);
+    EXPECT_EQ(inj->hitsOf("core.pre_offline"), 0u);
     EXPECT_EQ(inj->durableWrites(), 1u);
 }
 
@@ -276,19 +271,19 @@ TEST(FaultRoutingTest, NewestScopeWinsAndNullShadows)
     trace::ProbeScope outer_scope({.injector = outer.get()});
     {
         trace::ProbeScope inner_scope({.injector = inner.get()});
-        crashSite("s");
+        KINDLE_CRASH_SITE("oom.pre_kill");
         EXPECT_EQ(trace::probes().injector, inner.get());
     }
     {
         // A system without fault config registers no injector,
         // shadowing the outer one instead of leaking probes to it.
         trace::ProbeScope null_scope({});
-        crashSite("s");
+        KINDLE_CRASH_SITE("oom.pre_kill");
         EXPECT_EQ(trace::probes().injector, nullptr);
     }
-    crashSite("s");
-    EXPECT_EQ(outer->hitsOf("s"), 1u);
-    EXPECT_EQ(inner->hitsOf("s"), 1u);
+    KINDLE_CRASH_SITE("oom.pre_kill");
+    EXPECT_EQ(outer->hitsOf("oom.pre_kill"), 1u);
+    EXPECT_EQ(inner->hitsOf("oom.pre_kill"), 1u);
 }
 
 TEST(FaultInventoryTest, KnownSitesCoverTheInstrumentedProtocols)

@@ -206,6 +206,20 @@ TEST_F(OptionsTest, TelemetryOutImpliesOneMsSampling)
               500 * oneNs);
 }
 
+TEST_F(OptionsTest, SampleIntervalWithoutTelemetryOutIsFatal)
+{
+    // Nothing reads a series that is never exported.
+    EXPECT_THROW(parse({"--sample-interval", "500"}), SimError);
+    EXPECT_THROW(parse({"--sample-interval=1000000", "--jobs", "2"}),
+                 SimError);
+    // 0 is the default: the sampler stays off and nothing is paid.
+    EXPECT_EQ(parse({"--sample-interval", "0"}).sampleInterval, 0u);
+    EXPECT_EQ(parse({"--sample-interval", "500", "--telemetry-out",
+                     "t.csv"})
+                  .sampleInterval,
+              500 * oneNs);
+}
+
 TEST_F(OptionsTest, UsageNamesEveryRegisteredRow)
 {
     Options opts;

@@ -90,7 +90,7 @@ persistRound(mem::DurableStore &store, Tick &clock, unsigned i)
     {
         KINDLE_TRACE_SPAN_ARGS(pt, "pt.wrappedStore", "entry={}",
                                Addr{0x1000} + 8 * i);
-        fault::crashSite("pt.after_store");
+        KINDLE_CRASH_SITE("pt.after_store");
     }
     {
         trace::TraceSpan span(trace::Flag::hscc, "hscc.migrate");
@@ -102,7 +102,7 @@ persistRound(mem::DurableStore &store, Tick &clock, unsigned i)
                               -1, Addr{0}, Addr{4096}, i % 2 == 0);
     KINDLE_TRACE_INSTANT_ARGS(vma, "os.retireFrame", "reason={}",
                               "patrol");
-    fault::crashSite("redo.after_append");
+    KINDLE_CRASH_SITE("redo.after_append");
     fault::onDurableNvmWrite(clock);
 
     // A clwb of a few lines, then a drain: the buffer's usual load.
@@ -130,8 +130,8 @@ TEST(ProbeAllocationTest, ArmedPersistProbesAllocateNothing)
     mem::DurableStore store(AddrRange(3 * oneGiB, 3 * oneGiB + oneMiB));
     trace::ProbeScope scope({.sink = &sink, .injector = &injector});
 
-    // Warm-up: intern the sites, fill the ring and grow every buffer
-    // to its working size.
+    // Warm-up: build the observer's site names, fill the ring and grow
+    // every buffer to its working size.
     for (unsigned i = 0; i < 1024; ++i)
         persistRound(store, clock, i);
 

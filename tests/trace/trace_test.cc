@@ -165,7 +165,7 @@ TEST(ProbeRoutingTest, NewestRegistrationWinsNullShadowsUnwindRestores)
         TraceSpan orphan(Flag::checkpoint, "orphan");
         EXPECT_FALSE(orphan.active());
         KINDLE_PROF_SCOPE(cache);
-        fault::crashSite("free.floating");
+        KINDLE_CRASH_SITE("core.pre_offline");
     }
 
     Tick clock = 0;
@@ -187,13 +187,13 @@ TEST(ProbeRoutingTest, NewestRegistrationWinsNullShadowsUnwindRestores)
     const auto fire = [] {
         KINDLE_TRACE_INSTANT(redo, "probe");
         KINDLE_PROF_SCOPE(cache);
-        fault::crashSite("probe.site");
+        KINDLE_CRASH_SITE("ckpt.after_commit");
     };
     const auto counts = [](const Probes &p) {
         return std::vector<double>{
             static_cast<double>(p.sink->records().size()),
             p.profiler->categoryCalls(Flag::cache),
-            static_cast<double>(p.injector->hitsOf("probe.site"))};
+            static_cast<double>(p.injector->hitsOf("ckpt.after_commit"))};
     };
 
     ProbeScope outer_scope(outer);
@@ -564,8 +564,11 @@ fnv1a(const std::string &text)
  *  were deferred (captured from that build). */
 struct DumpCase
 {
-    const char *label;
+    /** First, so the leading byte of the parameter that gtest prints
+     *  into the test's listed name is the scheme, not a byte of a
+     *  string literal's address that moves with the binary's layout. */
     persist::PtScheme scheme;
+    const char *label;
     /** Crash at this site's third hit, or (null) at durable write 500. */
     const char *site;
     std::uint64_t flightHash;
@@ -620,7 +623,7 @@ TEST_P(CrashDumpTest, DumpsMatchTheCapturedBytes)
 INSTANTIATE_TEST_SUITE_P(
     BothSchemes, CrashDumpTest,
     ::testing::Values(
-        DumpCase{"rebuild_site", persist::PtScheme::rebuild,
+        DumpCase{persist::PtScheme::rebuild, "rebuild_site",
                  "ckpt.after_commit", 0x121a0d60450a95cbULL,
                  0x4dcfba191fa80706ULL,
                  {{"redo.append", "type=1 seq=0"},
@@ -633,7 +636,7 @@ INSTANTIATE_TEST_SUITE_P(
                   {"redo.append", "type=5 seq=0"},
                   {"crash.fire", "site=ckpt.after_commit"},
                   {"ckpt.process", "pid=1"}}},
-        DumpCase{"persistent_site", persist::PtScheme::persistent,
+        DumpCase{persist::PtScheme::persistent, "persistent_site",
                  "ckpt.after_commit", 0x51f3c12647350fbdULL,
                  0x83f2e22254e3c414ULL,
                  {{"pt.wrappedStore", "entry=185885520"},
@@ -648,7 +651,7 @@ INSTANTIATE_TEST_SUITE_P(
                   {"redo.append", "type=5 seq=0"},
                   {"crash.fire", "site=ckpt.after_commit"},
                   {"ckpt.process", "pid=1"}}},
-        DumpCase{"rebuild_durable_write", persist::PtScheme::rebuild,
+        DumpCase{persist::PtScheme::rebuild, "rebuild_durable_write",
                  nullptr, 0xcfe111fdbe9d347dULL, 0x980e03ba502cd0e9ULL,
                  {{"redo.append", "type=1 seq=0"},
                   {"os.mmap", "pid=1 [17179869184, 17181966336) nvm=1"},
@@ -660,7 +663,7 @@ INSTANTIATE_TEST_SUITE_P(
                   {"redo.append", "type=5 seq=0"},
                   {"crash.fire", "site=nvm.durable_write#500"},
                   {"ckpt.process", "pid=1"}}},
-        DumpCase{"persistent_durable_write", persist::PtScheme::persistent,
+        DumpCase{persist::PtScheme::persistent, "persistent_durable_write",
                  nullptr, 0x0fe30960a4ecd39dULL, 0xa0c00eb9219ea313ULL,
                  {{"pt.wrappedStore", "entry=185885520"},
                   {"pt.wrappedStore", "entry=185885528"},
