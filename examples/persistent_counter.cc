@@ -77,10 +77,15 @@ main()
     resume.exit();
     back->program = resume.build();
     sys.kernel().makeReady(*back);
+    const Pid pid = back->pid;
     sys.runAll();
+    // An exited process's PCB is reaped, so completion shows as its
+    // pid no longer resolving; `back` may dangle from here on.
+    const os::Process *after = sys.kernel().findProcess(pid);
     std::printf("recovered process resumed and re-read its state "
                 "without a single page fault re-allocation: %s\n",
-                back->state == os::ProcState::zombie ? "done"
-                                                     : "still going");
+                !after || after->state == os::ProcState::zombie
+                    ? "done"
+                    : "still going");
     return 0;
 }

@@ -12,6 +12,7 @@
 #define KINDLE_BASE_CHECKSUM_HH
 
 #include <cstdint>
+#include <type_traits>
 
 namespace kindle
 {
@@ -27,6 +28,19 @@ checksum32(const void *data, std::uint64_t size)
         h *= 0x01000193u;
     }
     return h;
+}
+
+/**
+ * The value a durable record's own @c checksum field must hold: FNV-1a
+ * over the record's bytes with that field zeroed.
+ */
+template <typename T>
+std::uint32_t
+selfChecksum32(T rec)
+{
+    static_assert(std::is_trivially_copyable_v<T>);
+    rec.checksum = 0;
+    return checksum32(&rec, sizeof(rec));
 }
 
 } // namespace kindle

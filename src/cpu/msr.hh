@@ -10,22 +10,26 @@
 #ifndef KINDLE_CPU_MSR_HH
 #define KINDLE_CPU_MSR_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-
-#include "base/types.hh"
 
 namespace kindle::cpu
 {
 
-/** Well-known Kindle MSR numbers (vendor-specific range). */
-enum class MsrId : std::uint32_t
+/**
+ * Kindle's MSRs, numbered densely.  The architectural numbers sit in
+ * the vendor-specific range: 0xc0000100-0xc0000103 for the SSP
+ * registers, 0xc0000110 for hsccEnable.
+ */
+enum class MsrId : std::uint8_t
 {
-    sspNvmRangeStart = 0xc0000100,
-    sspNvmRangeEnd = 0xc0000101,
-    sspCacheBase = 0xc0000102,
-    sspEnable = 0xc0000103,
-    hsccEnable = 0xc0000110,
+    sspNvmRangeStart,
+    sspNvmRangeEnd,
+    sspCacheBase,
+    sspEnable,
+    hsccEnable,
+    count,
 };
 
 /** A small MSR file; unwritten MSRs read as zero. */
@@ -35,21 +39,21 @@ class MsrFile
     std::uint64_t
     read(MsrId id) const
     {
-        const auto it = regs.find(static_cast<std::uint32_t>(id));
-        return it == regs.end() ? 0 : it->second;
+        return regs[static_cast<std::size_t>(id)];
     }
 
     void
     write(MsrId id, std::uint64_t value)
     {
-        regs[static_cast<std::uint32_t>(id)] = value;
+        regs[static_cast<std::size_t>(id)] = value;
     }
 
     /** Volatile: cleared by crash/reboot. */
-    void reset() { regs.clear(); }
+    void reset() { regs.fill(0); }
 
   private:
-    std::unordered_map<std::uint32_t, std::uint64_t> regs;
+    std::array<std::uint64_t, static_cast<std::size_t>(MsrId::count)>
+        regs{};
 };
 
 } // namespace kindle::cpu

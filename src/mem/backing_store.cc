@@ -136,8 +136,8 @@ DurableStore::DurableStore(AddrRange range)
                          BackingStore::leafFrames))
 {}
 
-DurableStore::LineMasks &
-DurableStore::masksAt(Addr line_addr)
+std::uint64_t &
+DurableStore::pendingMaskAt(Addr line_addr)
 {
     kindle_assert(_range.contains(line_addr),
                   "durable-store access at {} outside range", line_addr);
@@ -147,6 +147,15 @@ DurableStore::masksAt(Addr line_addr)
     if (!leaf)
         leaf = std::make_unique<MaskLeaf>();
     return (*leaf)[fn % BackingStore::leafFrames];
+}
+
+std::size_t
+DurableStore::inflightLines() const
+{
+    std::size_t lines = 0;
+    for (std::size_t i = 0; i < inflight.size(); ++i)
+        lines += i == 0 || inflight[i].line != inflight[i - 1].line;
+    return lines;
 }
 
 void
@@ -173,10 +182,10 @@ DurableStore::writeVolatile(Addr addr, const void *src, std::uint64_t size)
         const Addr line_addr = roundDown(addr, lineSize);
         const std::uint64_t in_line = addr - line_addr;
         const std::uint64_t chunk = std::min(size, lineSize - in_line);
-        LineMasks &masks = masksAt(line_addr);
+        std::uint64_t &mask = pendingMaskAt(line_addr);
         const std::uint64_t bit = lineBit(line_addr);
         Line *line;
-        if (masks.pending & bit) {
+        if (mask & bit) {
             line = &held(pending, line_addr)->second;
         } else {
             // First volatile touch of this line: seed the overlay with
@@ -186,15 +195,15 @@ DurableStore::writeVolatile(Addr addr, const void *src, std::uint64_t size)
             // through ECC, so an uncorrectable line read-modify-written
             // here propagates its damage.
             Line seed{};
-            if (masks.inflight & bit) {
-                seed = newestCopy(line_addr).data;
+            if (const Copy *copy = newestCopy(line_addr)) {
+                seed = copy->data;
             } else {
                 durable.read(line_addr, seed.data(), lineSize);
                 if (media)
                     media->filterRead(line_addr, seed.data(), lineSize);
             }
             line = &pending.emplace(line_addr, seed).first->second;
-            masks.pending |= bit;
+            mask |= bit;
         }
         std::memcpy(line->data() + in_line, in, chunk);
         addr += chunk;
@@ -211,14 +220,11 @@ DurableStore::read(Addr addr, void *dst, std::uint64_t size) const
         const Addr line_addr = roundDown(addr, lineSize);
         const std::uint64_t in_line = addr - line_addr;
         const std::uint64_t chunk = std::min(size, lineSize - in_line);
-        const LineMasks *masks = masksOf(line_addr);
-        const std::uint64_t bit = lineBit(line_addr);
-        if (masks && (masks->pending & bit)) {
+        if (pendingMask(line_addr) & lineBit(line_addr)) {
             const Line &line = held(pending, line_addr)->second;
             std::memcpy(out, line.data() + in_line, chunk);
-        } else if (masks && (masks->inflight & bit)) {
-            const Line &line = newestCopy(line_addr).data;
-            std::memcpy(out, line.data() + in_line, chunk);
+        } else if (const Copy *copy = newestCopy(line_addr)) {
+            std::memcpy(out, copy->data.data() + in_line, chunk);
         } else {
             durable.read(addr, out, chunk);
             if (media)
@@ -235,46 +241,37 @@ DurableStore::commitLine(Addr line_addr, Tick now, Tick drain_at)
 {
     drainTo(now);
     line_addr = roundDown(line_addr, lineSize);
-    const LineMasks *known = masksOf(line_addr);
     const std::uint64_t bit = lineBit(line_addr);
-    if (!known || !((known->pending | known->inflight) & bit))
-        return;
-    LineMasks &masks = masksAt(line_addr);
-    if (!(masks.pending & bit)) {
+    if (!(pendingMask(line_addr) & bit)) {
         // Nothing volatile for this line; a repeat writeback of an
         // already-buffered line just restarts its drain clock.
-        Tick &at = newestCopy(line_addr).drainAt;
-        at = std::max(at, drain_at);
+        if (Copy *newest = newestCopy(line_addr))
+            newest->drainAt = std::max(newest->drainAt, drain_at);
         return;
     }
-    const auto it = held(pending, line_addr);
+    // An older copy still draining reaches media at its own tick, and
+    // the new copy lands after it.
     const auto after = afterCopies(line_addr);
-    if (masks.inflight & bit) {
-        // An older copy is still draining: it reaches media at its own
-        // tick, and the new copy lands after it.
+    if (after != inflight.begin() && std::prev(after)->line == line_addr)
         drain_at = std::max(drain_at, std::prev(after)->drainAt);
-    } else {
-        masks.inflight |= bit;
-        ++inflightCount;
-    }
+    const auto it = held(pending, line_addr);
     inflight.insert(after, Copy{line_addr, drain_at, it->second});
     nextDrain = std::min(nextDrain, drain_at);
     pending.erase(it);
-    masks.pending &= ~bit;
+    pendingMaskAt(line_addr) &= ~bit;
 }
 
 void
 DurableStore::commitLineImmediate(Addr line_addr)
 {
     line_addr = roundDown(line_addr, lineSize);
-    const LineMasks *known = masksOf(line_addr);
     const std::uint64_t bit = lineBit(line_addr);
-    if (!known || !((known->pending | known->inflight) & bit))
+    const bool is_pending = pendingMask(line_addr) & bit;
+    if (!is_pending && inflight.empty())
         return;
-    LineMasks &masks = masksAt(line_addr);
     // The buffered copies are older than a pending one (a store after
     // the writeback), so they go to media first and the newest wins.
-    if (masks.inflight & bit) {
+    if (!inflight.empty()) {
         const auto after = afterCopies(line_addr);
         auto first = after;
         while (first != inflight.begin() &&
@@ -283,14 +280,12 @@ DurableStore::commitLineImmediate(Addr line_addr)
         for (auto c = first; c != after; ++c)
             persistLine(line_addr, c->data);
         inflight.erase(first, after);
-        masks.inflight &= ~bit;
-        --inflightCount;
     }
-    if (masks.pending & bit) {
+    if (is_pending) {
         const auto it = held(pending, line_addr);
         persistLine(line_addr, it->second);
         pending.erase(it);
-        masks.pending &= ~bit;
+        pendingMaskAt(line_addr) &= ~bit;
     }
 }
 
@@ -308,8 +303,7 @@ DurableStore::drainTo(Tick now)
     if (now < nextDrain)
         return;
     // One pass in buffer order retires the due copies and closes the
-    // gaps they leave.  A line's due copies are the oldest ones, so
-    // its newest copy retiring means the line has left the buffer.
+    // gaps they leave.
     Tick next = maxTick;
     auto kept = inflight.begin();
     for (auto c = inflight.begin(); c != inflight.end(); ++c) {
@@ -321,11 +315,6 @@ DurableStore::drainTo(Tick now)
             continue;
         }
         persistLine(c->line, c->data);
-        if (std::next(c) == inflight.end() ||
-            std::next(c)->line != c->line) {
-            masksAt(c->line).inflight &= ~lineBit(c->line);
-            --inflightCount;
-        }
     }
     inflight.erase(kept, inflight.end());
     nextDrain = next;
@@ -339,16 +328,15 @@ DurableStore::crash(Tick now, const PowerLossModel &model)
     // Writes the device finished draining before the power cut are on
     // media and survive; the rest are lost.  @c lost holds each lost
     // line's oldest copy, in address order.
-    const std::size_t buffered = inflightCount;
+    const std::size_t buffered = inflightLines();
     drainTo(now);
-    out.linesDrained = buffered - inflightCount;
     std::vector<const Copy *> lost;
-    lost.reserve(inflightCount);
     for (std::size_t i = 0; i < inflight.size(); ++i) {
         if (i == 0 || inflight[i].line != inflight[i - 1].line)
             lost.push_back(&inflight[i]);
     }
     out.linesLost = lost.size();
+    out.linesDrained = buffered - out.linesLost;
 
     if (model.tornStore && !lost.empty()) {
         // Pick one lost line (seeded) that actually changes a 64-bit
@@ -387,7 +375,6 @@ DurableStore::crash(Tick now, const PowerLossModel &model)
     }
 
     inflight.clear();
-    inflightCount = 0;
     nextDrain = maxTick;
     pending.clear();
     for (auto &leaf : maskLeaves)

@@ -241,8 +241,9 @@ class DurableStore
     /** Lines currently volatile (not yet crash-safe). */
     std::size_t pendingLines() const { return pending.size(); }
 
-    /** Lines sitting in the controller's posted-write buffer. */
-    std::size_t inflightLines() const { return inflightCount; }
+    /** Distinct lines sitting in the controller's posted-write
+     *  buffer. */
+    std::size_t inflightLines() const;
 
   private:
     /**
@@ -270,56 +271,53 @@ class DurableStore
             [](Addr a, const Copy &c) { return a < c.line; });
     }
 
-    /** The newest buffered copy of @p line_addr, which must exist. */
-    Copy &
+    /**
+     * The newest buffered copy of @p line_addr, or null.  The buffer
+     * holds a few lines at most and is empty on almost every access,
+     * so it is searched only when it holds something.
+     */
+    Copy *
     newestCopy(Addr line_addr)
     {
+        if (inflight.empty())
+            return nullptr;
         const auto it = afterCopies(line_addr);
-        kindle_assert(it != inflight.begin() &&
-                          std::prev(it)->line == line_addr,
-                      "line mask set for {} but the line is not buffered",
-                      line_addr);
-        return *std::prev(it);
+        return it != inflight.begin() && std::prev(it)->line == line_addr
+                   ? &*std::prev(it)
+                   : nullptr;
     }
 
-    const Copy &
+    const Copy *
     newestCopy(Addr line_addr) const
     {
         return const_cast<DurableStore *>(this)->newestCopy(line_addr);
     }
 
     /**
-     * Which lines of one frame have a pending / in-flight copy: bit i
-     * stands for line i.  A set bit mirrors a key of the overlay or a
-     * line in the buffer, so the per-access paths search only for a
-     * line that is there.
+     * Which lines of one frame have a pending copy: bit i stands for
+     * line i.  A set bit mirrors a key of the overlay, so the
+     * per-access paths probe the overlay only for a line that is
+     * there.
      */
-    struct LineMasks
-    {
-        std::uint64_t pending = 0;
-        std::uint64_t inflight = 0;
-    };
+    using MaskLeaf = std::array<std::uint64_t, BackingStore::leafFrames>;
 
-    /** The masks of BackingStore::leafFrames consecutive frames. */
-    using MaskLeaf = std::array<LineMasks, BackingStore::leafFrames>;
-
-    /** Masks of @p line_addr's frame, or null if never touched. */
-    const LineMasks *
-    masksOf(Addr line_addr) const
+    /** Pending mask of @p line_addr's frame (0 if never touched). */
+    std::uint64_t
+    pendingMask(Addr line_addr) const
     {
         // An address below the range wraps to a huge frame number, so
         // one bound check covers both ends; BackingStore then panics.
         const std::uint64_t fn = (line_addr - _range.start()) >> pageShift;
         const std::uint64_t leaf = fn / BackingStore::leafFrames;
         if (leaf >= maskLeaves.size() || !maskLeaves[leaf])
-            return nullptr;
-        return &(*maskLeaves[leaf])[fn % BackingStore::leafFrames];
+            return 0;
+        return (*maskLeaves[leaf])[fn % BackingStore::leafFrames];
     }
 
-    /** Masks of @p line_addr's frame, allocating its leaf. */
-    LineMasks &masksAt(Addr line_addr);
+    /** Pending mask of @p line_addr's frame, allocating its leaf. */
+    std::uint64_t &pendingMaskAt(Addr line_addr);
 
-    /** @p line_addr's bit within its frame's masks. */
+    /** @p line_addr's bit within its frame's mask. */
     std::uint64_t
     lineBit(Addr line_addr) const
     {
@@ -356,8 +354,6 @@ class DurableStore
      *  walk it front to back, which is the order of the media model's
      *  seeded wear draws. */
     std::vector<Copy> inflight;
-    /** Distinct lines in the buffer. */
-    std::size_t inflightCount = 0;
     /** No buffered copy drains before this tick. */
     Tick nextDrain = maxTick;
     std::vector<std::unique_ptr<MaskLeaf>> maskLeaves;

@@ -259,7 +259,6 @@ Kernel::spawnShell(std::string name, unsigned slot, bool create_pt)
     proc->state = ProcState::ready;
     Process &ref = *proc;
     procs.push_back(std::move(proc));
-    pidIndex.emplace(ref.pid, &ref);
     enqueue(ref, placementFor(ref));
     for (auto *l : listeners)
         l->onProcessCreated(ref);
@@ -269,8 +268,12 @@ Kernel::spawnShell(std::string name, unsigned slot, bool create_pt)
 Process *
 Kernel::findProcess(Pid pid)
 {
-    const auto it = pidIndex.find(pid);
-    return it == pidIndex.end() ? nullptr : it->second;
+    const auto it = std::lower_bound(
+        procs.begin(), procs.end(), pid,
+        [](const std::unique_ptr<Process> &p, Pid want) {
+            return p->pid < want;
+        });
+    return it != procs.end() && (*it)->pid == pid ? it->get() : nullptr;
 }
 
 const cpu::CpuState &
@@ -486,7 +489,7 @@ Kernel::runUntil(Tick deadline)
         KINDLE_PROF_SCOPE(sched);
         if (coreFaultArmed_)
             watchdogPass();
-        if (_params.reapZombies && zombieCount > 0)
+        if (zombieCount > 0)
             reapExited();
         const Tick epoch_start = sim.now();
         Tick epoch_end = epoch_start;
@@ -1423,11 +1426,8 @@ Kernel::reapExited()
             return p->state == ProcState::zombie;
         });
     }
-    std::erase_if(procs, [this](const std::unique_ptr<Process> &p) {
-        if (p->state != ProcState::zombie)
-            return false;
-        pidIndex.erase(p->pid);
-        return true;
+    std::erase_if(procs, [](const std::unique_ptr<Process> &p) {
+        return p->state == ProcState::zombie;
     });
     zombieCount = 0;
 }

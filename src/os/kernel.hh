@@ -24,7 +24,6 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/random.hh"
@@ -73,16 +72,6 @@ struct KernelParams
      */
     NvmLayoutParams nvmLayout{};
 
-    /**
-     * Erase zombie PCBs at scheduling-epoch boundaries instead of
-     * letting `procs` grow for the life of the machine.  Off by
-     * default (zombies stay visible to findProcess() and the stat
-     * ordering of long-lived tests is preserved); fleet churn turns
-     * it on — thousands of exited tenants would otherwise put an
-     * O(all processes ever) scan inside every checkpoint, OOM-victim
-     * search and reclaim pass.
-     */
-    bool reapZombies = false;
     /**
      * Keep this many NVM frames in reserve for retirement migrations;
      * MAP_NVM demand faults degrade to DRAM once the free pool dips
@@ -144,6 +133,12 @@ class Kernel : public cpu::FaultHandler
     Process &spawnShell(std::string name, unsigned slot,
                         bool create_pt = true);
 
+    /**
+     * The PCB of @p pid, or null once it is reaped.  An exited process
+     * stays a zombie until the next scheduling-epoch boundary, where
+     * the kernel erases it; code that outlives a run observes an exit
+     * as findProcess() returning null.
+     */
     Process *findProcess(Pid pid);
     const std::vector<std::unique_ptr<Process>> &processes() const
     {
@@ -427,8 +422,8 @@ class Kernel : public cpu::FaultHandler
     void markSlotUsed(unsigned slot);
     void markSlotFree(unsigned slot);
 
-    /** Drop zombie PCBs (reapZombies mode; epoch-boundary only —
-     *  no live Process reference may be held across this). */
+    /** Drop zombie PCBs (epoch-boundary only — no live Process
+     *  reference may be held across this). */
     void reapExited();
 
     /**
@@ -458,6 +453,9 @@ class Kernel : public cpu::FaultHandler
 
     std::unique_ptr<PageTableManager> ptMgr;
 
+    /** Every unreaped PCB, in ascending pid order: spawnShell()
+     *  appends nextPid++ and reaping erases in place, so findProcess()
+     *  binary-searches it. */
     std::vector<std::unique_ptr<Process>> procs;
     std::vector<CpuSlot> cpus;
     CpuId activeCpu_ = 0;
@@ -475,11 +473,7 @@ class Kernel : public cpu::FaultHandler
     /** Lowest word that may contain a free slot bit. */
     unsigned slotSearchHint = 0;
 
-    /** pid → PCB for O(1) findProcess at fleet scale; zombies stay
-     *  indexed until reaped, matching the linear scan's behaviour. */
-    std::unordered_map<Pid, Process *> pidIndex;
-    /** Zombies in `procs`: awaiting an epoch-boundary reap in
-     *  reapZombies mode, kept for good otherwise. */
+    /** Zombies in `procs`, awaiting the next epoch-boundary reap. */
     unsigned zombieCount = 0;
 
     std::vector<OsEventListener *> listeners;

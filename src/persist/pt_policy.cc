@@ -24,13 +24,6 @@ struct UndoHeader
     static constexpr std::uint32_t magicValue = 0x50544844;  // "PTHD"
 };
 
-std::uint32_t
-undoChecksum(PtUndoRecord rec)
-{
-    rec.checksum = 0;
-    return checksum32(&rec, sizeof(rec));
-}
-
 } // namespace
 
 ConsistentPtWrite::ConsistentPtWrite(os::KernelMem &kmem_arg,
@@ -90,7 +83,7 @@ ConsistentPtWrite::writeEntry(Addr entry_addr, std::uint64_t value)
     rec.oldValue = old_value;
     rec.newValue = value;
     rec.seq = nextSeq;
-    rec.checksum = undoChecksum(rec);
+    rec.checksum = selfChecksum32(rec);
     const Addr rec_addr =
         logBase + lineSize +
         (nextSeq % logRecords) * sizeof(PtUndoRecord);
@@ -143,7 +136,7 @@ recoverPtUndoLog(os::KernelMem &kmem, const AddrRange &nvm,
         // A record can itself be torn (the crash can land mid-append):
         // never trust its payload without the checksum, and never
         // dereference an entry address outside the NVM page tables.
-        if (rec.checksum != undoChecksum(rec) ||
+        if (rec.checksum != selfChecksum32(rec) ||
             !nvm.contains(rec.entryAddr) ||
             rec.entryAddr % sizeof(std::uint64_t) != 0) {
             continue;

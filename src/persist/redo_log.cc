@@ -24,20 +24,6 @@ struct LogHeader
     static constexpr std::uint32_t magicValue = 0x4c474844;  // "LGHD"
 };
 
-std::uint32_t
-logHeaderChecksum(LogHeader hdr)
-{
-    hdr.checksum = 0;
-    return checksum32(&hdr, sizeof(hdr));
-}
-
-std::uint32_t
-recordChecksum(RedoRecord rec)
-{
-    rec.checksum = 0;
-    return checksum32(&rec, sizeof(rec));
-}
-
 } // namespace
 
 RedoLog::RedoLog(os::KernelMem &kmem_arg, Addr base_arg,
@@ -56,13 +42,13 @@ RedoLog::RedoLog(os::KernelMem &kmem_arg, Addr base_arg,
     LogHeader hdr{};
     kmem.mem().readNvmDurable(base, &hdr, sizeof(hdr));
     if (hdr.magic == LogHeader::magicValue &&
-        hdr.checksum == logHeaderChecksum(hdr)) {
+        hdr.checksum == selfChecksum32(hdr)) {
         epoch = hdr.epoch;
     } else {
         hdr = LogHeader{};
         hdr.magic = LogHeader::magicValue;
         hdr.epoch = epoch;
-        hdr.checksum = logHeaderChecksum(hdr);
+        hdr.checksum = selfChecksum32(hdr);
         kmem.writeBufDurable(base, &hdr, sizeof(hdr));
     }
 }
@@ -96,7 +82,7 @@ RedoLog::append(RedoRecord rec)
     rec.epoch = epoch;
     rec.seq = seq;
     rec.checksum = 0;
-    rec.checksum = recordChecksum(rec);
+    rec.checksum = selfChecksum32(rec);
     kmem.writeBufDurable(recordAddr(seq), &rec, sizeof(rec),
                          fault::siteId("redo.append_pre_fence"));
     KINDLE_TRACE_INSTANT_ARGS(redo, "redo.append",
@@ -143,7 +129,7 @@ RedoLog::reset()
     wrapped = false;
     ++resets;
     LogHeader hdr{LogHeader::magicValue, epoch, 0, 0};
-    hdr.checksum = logHeaderChecksum(hdr);
+    hdr.checksum = selfChecksum32(hdr);
     kmem.writeBufDurable(base, &hdr, sizeof(hdr));
 }
 
@@ -157,7 +143,7 @@ RedoLog::audit(os::KernelMem &kmem, Addr base, std::uint64_t capacity)
     LogHeader hdr{};
     kmem.mem().readNvmDurable(base, &hdr, sizeof(hdr));
     if (hdr.magic != LogHeader::magicValue ||
-        hdr.checksum != logHeaderChecksum(hdr)) {
+        hdr.checksum != selfChecksum32(hdr)) {
         // Without a trustworthy epoch the whole log is unreadable;
         // recovery falls back to the last consistent checkpoint.
         scan.headerCorrupt = true;
@@ -179,7 +165,7 @@ RedoLog::audit(os::KernelMem &kmem, Addr base, std::uint64_t capacity)
             // A record from an earlier epoch: clean logical end.
             break;
         }
-        if (rec.seq != i || rec.checksum != recordChecksum(rec)) {
+        if (rec.seq != i || rec.checksum != selfChecksum32(rec)) {
             // In-epoch record that fails its own validation: a torn
             // append or scribbled line.  Stop before it.
             scan.truncatedTail = true;

@@ -26,14 +26,6 @@ serializedBytes(std::uint32_t vma_count)
            std::uint64_t(vma_count) * sizeof(SerializedVma);
 }
 
-/** Header checksum: FNV-1a with the checksum field zeroed. */
-std::uint32_t
-headerChecksum(SlotHeader hdr)
-{
-    hdr.checksum = 0;
-    return checksum32(&hdr, sizeof(hdr));
-}
-
 } // namespace
 
 const char *
@@ -91,8 +83,7 @@ SavedStateSlot::mappingBase() const
 void
 SavedStateSlot::writeHeader(std::optional<fault::SiteId> pre_fence_site)
 {
-    shadow.checksum = 0;
-    shadow.checksum = checksum32(&shadow, sizeof(shadow));
+    shadow.checksum = selfChecksum32(shadow);
     kmem.writeBufDurable(headerAddr(), &shadow, sizeof(shadow),
                          pre_fence_site);
 }
@@ -224,7 +215,7 @@ SavedStateSlot::verifyHeader(const SlotHeader &hdr)
         hdr.valid == SlotHeader::validDead) {
         return ImageStatus::empty;
     }
-    if (hdr.checksum != headerChecksum(hdr))
+    if (hdr.checksum != selfChecksum32(hdr))
         return ImageStatus::badChecksum;
     if (hdr.valid == SlotHeader::validQuarantined)
         return ImageStatus::quarantined;

@@ -1,5 +1,7 @@
 #include "prep/replay.hh"
 
+#include <algorithm>
+
 #include "base/intmath.hh"
 #include "base/logging.hh"
 
@@ -16,23 +18,30 @@ ReplayStream::ReplayStream(TraceSource &source_arg,
     Addr cursor = config.baseVaddr;
     for (const AreaInfo &a : source.layout().areas) {
         const std::uint64_t len = roundUp(a.sizeBytes, pageSize);
-        bases[a.areaId] = cursor;
-        plan.emplace_back(cursor, len);
-        planIds.push_back(a.areaId);
         const bool nvm = (a.kind == AreaKind::stack)
                              ? config.stacksInNvm
                              : config.heapsInNvm;
-        planNvm.push_back(nvm);
+        plan.push_back(PlannedArea{a.areaId, cursor, len, a.sizeBytes, nvm});
         cursor += roundUp(len, 2 * oneMiB) + 2 * oneMiB;
     }
+}
+
+const ReplayStream::PlannedArea &
+ReplayStream::area(std::uint32_t area_id) const
+{
+    // A layout has a handful of areas: a scan beats any index.
+    const auto it =
+        std::find_if(plan.begin(), plan.end(), [&](const PlannedArea &a) {
+            return a.id == area_id;
+        });
+    kindle_assert(it != plan.end(), "unknown area id {}", area_id);
+    return *it;
 }
 
 Addr
 ReplayStream::areaBase(std::uint32_t area_id) const
 {
-    const auto it = bases.find(area_id);
-    kindle_assert(it != bases.end(), "unknown area id {}", area_id);
-    return it->second;
+    return area(area_id).base;
 }
 
 bool
@@ -42,10 +51,10 @@ ReplayStream::next(cpu::Op &op)
       case Phase::setup:
         if (setupIdx < plan.size()) {
             op.kind = cpu::Op::Kind::mmap;
-            op.addr = plan[setupIdx].first;
-            op.size = plan[setupIdx].second;
+            op.addr = plan[setupIdx].base;
+            op.size = plan[setupIdx].len;
             op.flags = cpu::mapFixed;
-            if (planNvm[setupIdx])
+            if (plan[setupIdx].nvm)
                 op.flags |= cpu::mapNvm;
             ++setupIdx;
             return true;
@@ -76,18 +85,16 @@ ReplayStream::next(cpu::Op &op)
         }
         ++replayed;
         ++sinceCompute;
-        const AreaInfo *area = source.layout().find(rec.areaId);
-        kindle_assert(area != nullptr, "record for unknown area {}",
-                      rec.areaId);
+        const PlannedArea &target = area(rec.areaId);
         std::uint64_t off = rec.offset;
-        if (off + rec.size > area->sizeBytes) {
-            off = area->sizeBytes -
-                  std::min<std::uint64_t>(rec.size, area->sizeBytes);
+        if (off + rec.size > target.sizeBytes) {
+            off = target.sizeBytes -
+                  std::min<std::uint64_t>(rec.size, target.sizeBytes);
         }
         op = cpu::Op{};
         op.kind = rec.op == TraceOp::read ? cpu::Op::Kind::read
                                           : cpu::Op::Kind::write;
-        op.addr = areaBase(rec.areaId) + off;
+        op.addr = target.base + off;
         op.size = rec.size == 0 ? 1 : rec.size;
         return true;
       }
@@ -102,8 +109,8 @@ ReplayStream::next(cpu::Op &op)
         if (teardownIdx < plan.size()) {
             op = cpu::Op{};
             op.kind = cpu::Op::Kind::munmap;
-            op.addr = plan[teardownIdx].first;
-            op.size = plan[teardownIdx].second;
+            op.addr = plan[teardownIdx].base;
+            op.size = plan[teardownIdx].len;
             ++teardownIdx;
             return true;
         }

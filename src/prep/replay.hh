@@ -15,7 +15,7 @@
 #define KINDLE_PREP_REPLAY_HH
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "cpu/op.hh"
 #include "prep/trace.hh"
@@ -62,13 +62,24 @@ class ReplayStream : public cpu::OpStream
         done,
     };
 
+    /** One captured area's placement. */
+    struct PlannedArea
+    {
+        std::uint32_t id = 0;
+        Addr base = 0;
+        std::uint64_t len = 0;        ///< mapped bytes (page-rounded)
+        std::uint64_t sizeBytes = 0;  ///< the captured size
+        bool nvm = false;             ///< mapped MAP_NVM
+    };
+
+    /** The planned area of @p area_id; fatal when unknown. */
+    const PlannedArea &area(std::uint32_t area_id) const;
+
     TraceSource &source;
     ReplayConfig config;
 
-    std::unordered_map<std::uint32_t, Addr> bases;
-    std::vector<std::pair<Addr, std::uint64_t>> plan;  ///< addr,size
-    std::vector<std::uint32_t> planIds;
-    std::vector<bool> planNvm;
+    /** Every area of the layout, in layout order. */
+    std::vector<PlannedArea> plan;
 
     Phase phase = Phase::setup;
     std::size_t setupIdx = 0;

@@ -32,9 +32,6 @@ makeFleetConfig(const FleetOptions &opts, unsigned cores)
         roundUp(list_bytes, pageSize);
     // Checkpoint storms over the whole population between truncations.
     cfg.kernel.nvmLayout.redoLogBytes = 32 * oneMiB;
-    // Thousands of exited tenants must not leave an O(all processes
-    // ever) scan inside every checkpoint and reclaim pass.
-    cfg.kernel.reapZombies = true;
     // Short quanta keep many tenants genuinely time-shared per
     // checkpoint interval.
     cfg.kernel.timeslice = 50 * oneUs;

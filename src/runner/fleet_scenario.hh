@@ -2,8 +2,7 @@
  * @file
  * Runner wiring for the multi-tenant fleet workload (src/fleet): the
  * fleet system configuration (thousands of saved-state slots,
- * right-sized mapping lists, zombie reaping, checkpoint storms, memory
- * pressure), and the churn-driving Scenario whose drive loop respawns
+ * right-sized mapping lists, checkpoint storms, memory pressure), and the churn-driving Scenario whose drive loop respawns
  * exited tenants through the crash-consistent spawn/exit paths.  The
  * fleet_storm experiment row (bench/experiments.cc) sweeps it.
  */
@@ -27,7 +26,7 @@ struct FleetOptions
  * A KindleConfig sized for the fleet: saved-state slots for every
  * concurrent tenant (plus headroom), mapping lists sized to the
  * largest tenant heap instead of the historical per-process 4 MiB,
- * zombie reaping on, short timeslices, 2 ms rebuild checkpoints, and a
+ * short timeslices, 2 ms rebuild checkpoints, and a
  * pressure plan that reclaim and the OOM killer must work against at
  * steady state.
  */

@@ -1,5 +1,7 @@
 #include "sim/event.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "sim/simulation.hh"
 
@@ -60,6 +62,16 @@ PeriodicEvent::process()
         sim.eventq().schedule(this, sim.now() + period);
 }
 
+bool
+EventQueue::before(const Event *a, const Event *b)
+{
+    if (a->_when != b->_when)
+        return a->_when < b->_when;
+    if (a->_priority != b->_priority)
+        return a->_priority < b->_priority;
+    return a->_seq < b->_seq;
+}
+
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
@@ -70,73 +82,55 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->_when = when;
     ev->_seq = nextSeq++;
     ev->_queue = this;
-    live.insert(ev->_seq);
-    heap.push(Entry{when, static_cast<int>(ev->priority()), ev->_seq, ev});
+    events.push_back(ev);
+    if (!head || before(ev, head)) {
+        head = ev;
+        headWhen = when;
+    }
 }
 
 void
 EventQueue::deschedule(Event *ev)
 {
-    // Lazy removal: mark the event unscheduled and retire its seq; the
-    // heap entry becomes stale and is dropped (without touching the
-    // event again) when it reaches the top.
-    if (ev && ev->_scheduled) {
-        ev->_scheduled = false;
-        live.erase(ev->_seq);
-    }
+    if (ev && ev->_scheduled)
+        remove(ev);
 }
 
 void
-EventQueue::skipStale(Tick)
+EventQueue::remove(Event *ev)
 {
-    // Stale entries are recognised by seq alone: their Event* may
-    // already dangle (owner destroyed after descheduling).
-    while (!heap.empty() && live.find(heap.top().seq) == live.end())
-        heap.pop();
-}
-
-Tick
-EventQueue::nextTick() const
-{
-    // const_cast-free variant: scan by copying is too costly; instead
-    // maintain the invariant that callers use popDue() which skips
-    // stale entries.  Here we conservatively look through a copy of
-    // the top only.
-    auto &self = const_cast<EventQueue &>(*this);
-    self.skipStale(0);
-    return heap.empty() ? maxTick : heap.top().when;
-}
-
-Event *
-EventQueue::popDue(Tick now)
-{
-    // The top is the earliest entry, stale or not, so when it is not
-    // due nothing is: return before the live-set probe.  A stale entry
-    // therefore waits in the heap until its tick comes.
-    if (heap.empty() || heap.top().when > now)
-        return nullptr;
-    skipStale(now);
-    if (heap.empty() || heap.top().when > now)
-        return nullptr;
-    Event *ev = heap.top().ev;
-    live.erase(heap.top().seq);
-    heap.pop();
     ev->_scheduled = false;
-    return ev;
+    // Order within the list does not matter: swap with the back.
+    auto it = std::find(events.begin(), events.end(), ev);
+    kindle_assert(it != events.end(), "event '{}' not on this queue",
+                  ev->name());
+    *it = events.back();
+    events.pop_back();
+    if (ev == head)
+        findHead();
+}
+
+void
+EventQueue::findHead()
+{
+    head = nullptr;
+    for (Event *ev : events) {
+        if (!head || before(ev, head))
+            head = ev;
+    }
+    headWhen = head ? head->_when : maxTick;
 }
 
 void
 EventQueue::clear()
 {
-    // Live entries point at alive events (a scheduled event
-    // deschedules itself on destruction), so resetting their flag is
-    // safe; stale entries are dropped without being dereferenced.
-    while (!heap.empty()) {
-        if (live.find(heap.top().seq) != live.end())
-            heap.top().ev->_scheduled = false;
-        heap.pop();
-    }
-    live.clear();
+    // Every listed event is alive (a scheduled event deschedules
+    // itself on destruction), so resetting its flag is safe.
+    for (Event *ev : events)
+        ev->_scheduled = false;
+    events.clear();
+    head = nullptr;
+    headWhen = maxTick;
 }
 
 } // namespace kindle::sim

@@ -15,10 +15,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "base/types.hh"
@@ -31,8 +28,7 @@ class Simulation;
 
 /**
  * An occurrence scheduled on the EventQueue.  Subclass and implement
- * process(), or use CallbackEvent for one-off lambdas and
- * PeriodicEvent for timers.
+ * process(), or use PeriodicEvent for timers.
  */
 class Event
 {
@@ -85,21 +81,6 @@ class Event
     EventQueue *_queue = nullptr;
 };
 
-/** A one-shot event wrapping a callable. */
-class CallbackEvent : public Event
-{
-  public:
-    CallbackEvent(std::string name, std::function<void()> fn,
-                  Priority prio = Priority::deflt)
-        : Event(std::move(name), prio), callback(std::move(fn))
-    {}
-
-    void process() override { callback(); }
-
-  private:
-    std::function<void()> callback;
-};
-
 /**
  * A periodic timer: each firing runs the body and then, if the timer
  * is still running, re-arms itself one period later.  The period is
@@ -141,6 +122,13 @@ class PeriodicEvent : public Event
  * A time-ordered queue of events.  The queue does not own events;
  * owners must keep them alive while scheduled (the usual pattern is a
  * member Event inside the scheduling component).
+ *
+ * A machine schedules a handful of events at once (its timers plus
+ * one IPI doorbell per core), so the queue is an unsorted list of
+ * the scheduled events and a cached earliest one.  Scheduling
+ * compares against the cached event, removing the earliest event
+ * rescans the list, and a popDue() with nothing due is one compare
+ * against the cached tick.
  */
 class EventQueue
 {
@@ -162,60 +150,48 @@ class EventQueue
     void deschedule(Event *ev);
 
     /** Earliest due tick, or maxTick when empty. */
-    Tick nextTick() const;
+    Tick nextTick() const { return headWhen; }
 
-    /**
-     * True when no events are pending.  Counts live entries, not heap
-     * entries: lazily-descheduled events leave stale heap entries
-     * behind that must not make the queue look busy.
-     */
-    bool empty() const { return live.empty(); }
+    /** True when no events are pending. */
+    bool empty() const { return events.empty(); }
 
-    /** Number of pending (live) events. */
-    std::size_t size() const { return live.size(); }
+    /** Number of pending events. */
+    std::size_t size() const { return events.size(); }
 
     /**
      * Pop the earliest event if it is due at or before @p now.
      * Returns nullptr when nothing is due.
      */
-    Event *popDue(Tick now);
+    Event *
+    popDue(Tick now)
+    {
+        if (now < headWhen || !head)
+            return nullptr;
+        Event *ev = head;
+        remove(ev);
+        return ev;
+    }
 
     /** Drop every pending event (used by crash handling). */
     void clear();
 
   private:
-    struct Entry
-    {
-        Tick when;
-        int prio;
-        std::uint64_t seq;
-        Event *ev;
+    /** Fires @p a before @p b: (when, priority, schedule order). */
+    static bool before(const Event *a, const Event *b);
 
-        /** std::priority_queue is a max-heap; invert the order. */
-        bool
-        operator<(const Entry &o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            if (prio != o.prio)
-                return prio > o.prio;
-            return seq > o.seq;
-        }
-    };
+    /** Take @p ev off the list (it must be on it). */
+    void remove(Event *ev);
 
-    /** Drop stale heap entries for descheduled/rescheduled events. */
-    void skipStale(Tick now);
+    /** Recompute the earliest event after the list changed. */
+    void findHead();
 
-    std::priority_queue<Entry> heap;
+    /** The scheduled events, in no particular order. */
+    std::vector<Event *> events;
+    /** The earliest scheduled event, or null when empty. */
+    Event *head = nullptr;
+    /** head's due tick, or maxTick when empty. */
+    Tick headWhen = maxTick;
     std::uint64_t nextSeq = 0;
-
-    /**
-     * Sequence numbers of entries whose event is still scheduled.
-     * Stale entries (descheduled or superseded) are identified by seq
-     * alone, so the queue never dereferences an Event* it cannot prove
-     * alive.
-     */
-    std::unordered_set<std::uint64_t> live;
 };
 
 } // namespace kindle::sim

@@ -95,5 +95,25 @@ TEST(Checksum, SingleBitFlipChangesSum)
     }
 }
 
+TEST(Checksum, SelfChecksumZeroesOnlyTheChecksumField)
+{
+    // A durable record's checksum covers its bytes with the checksum
+    // field read as zero, whatever that field holds.
+    struct Record
+    {
+        std::uint32_t magic = 0x4c474844;
+        std::uint32_t checksum = 0;
+        std::uint64_t payload = 0x0123456789abcdefULL;
+    };
+    Record rec;
+    const std::uint32_t zeroed = checksum32(&rec, sizeof(rec));
+    EXPECT_EQ(selfChecksum32(rec), zeroed);
+    rec.checksum = 0xdeadbeef;
+    EXPECT_EQ(selfChecksum32(rec), zeroed);
+    EXPECT_EQ(rec.checksum, 0xdeadbeefu);  // taken by value
+    rec.payload ^= 1;
+    EXPECT_NE(selfChecksum32(rec), zeroed);
+}
+
 } // namespace
 } // namespace kindle

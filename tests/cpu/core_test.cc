@@ -5,6 +5,8 @@
 #include "cpu/core.hh"
 #include "sim/simulation.hh"
 
+#include "../sim/callback_event.hh"
+
 namespace kindle::cpu
 {
 namespace

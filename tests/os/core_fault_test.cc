@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "default_tree.hh"
+#include "exit_log.hh"
 #include "kindle/kindle.hh"
 #include "kindle/microbench.hh"
 #include "os/kernel.hh"
@@ -158,14 +159,16 @@ TEST(CoreFaultTest, WatchdogOfflinesFailStoppedCoreAndWorkCompletes)
 TEST(CoreFaultTest, PinnedToDeadCoreBreaksPinAndCompletesElsewhere)
 {
     FaultRig rig(2, paramsWithFault(failStopAtTick(1, 1)));
+    test::ExitLog exits(*rig.kernel);
     const Pid pid = rig.kernel->spawn(
         busyProgram(micro::scriptBase, 3), "pinned");
     ASSERT_TRUE(
         rig.kernel->setAffinity(*rig.kernel->findProcess(pid), 1));
     rig.kernel->run();
-    Process &proc = *rig.kernel->findProcess(pid);
-    EXPECT_EQ(proc.state, ProcState::zombie);
-    EXPECT_EQ(proc.pinnedCpu, -1);
+    // It completed (and was reaped) with its pin broken.
+    EXPECT_EQ(rig.kernel->findProcess(pid), nullptr);
+    ASSERT_NE(exits.of(pid), nullptr);
+    EXPECT_EQ(exits.of(pid)->pinnedCpu, -1);
     EXPECT_EQ(rig.kernel->stats().scalarValue("affinityBroken"), 1);
     EXPECT_EQ(rig.kernel->stats().scalarValue("coresOfflined"), 1);
     // All the work ran on the survivor.
@@ -176,6 +179,7 @@ TEST(CoreFaultTest, PinnedToDeadCoreBreaksPinAndCompletesElsewhere)
 TEST(CoreFaultTest, SetAffinityToOfflinedCoreFailsCleanly)
 {
     FaultRig rig(2, paramsWithFault(failStopAtTick(1, 1)));
+    test::ExitLog exits(*rig.kernel);
     rig.kernel->spawn(busyProgram(micro::scriptBase, 1), "warm");
     rig.kernel->run();
     ASSERT_FALSE(rig.kernel->coreOnline(1));
@@ -188,8 +192,8 @@ TEST(CoreFaultTest, SetAffinityToOfflinedCoreFailsCleanly)
     // Pinning to a live core still works, and the process runs.
     EXPECT_TRUE(rig.kernel->setAffinity(proc, 0));
     rig.kernel->run();
-    EXPECT_EQ(proc.state, ProcState::zombie);
-    EXPECT_EQ(proc.lastCpu, 0);
+    ASSERT_NE(exits.of(pid), nullptr);
+    EXPECT_EQ(exits.of(pid)->lastCpu, 0u);
 }
 
 TEST(CoreFaultTest, MidSliceDeathKillsOccupantCrashConsistently)

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "default_tree.hh"
+#include "exit_log.hh"
 #include "kindle/microbench.hh"
 #include "os/kernel.hh"
 #include "os/reclaim.hh"
@@ -172,11 +175,9 @@ TEST(PressureTest, OomKillsLargestRssAndSparesRequester)
     EXPECT_EQ(rig.kernel.stats().scalarValue("oomKills"), 1);
     EXPECT_GE(rig.kernel.stats().scalarValue("oomPagesFreed"), 24);
     // The sleeper (largest RSS, off-core) died; the requester ran to
-    // normal completion — no ENOMEM ever surfaced.
-    EXPECT_EQ(rig.kernel.findProcess(sleeper)->state,
-              ProcState::zombie);
-    EXPECT_EQ(rig.kernel.findProcess(toucher)->state,
-              ProcState::zombie);
+    // normal completion — no ENOMEM ever surfaced.  Both are reaped.
+    EXPECT_EQ(rig.kernel.findProcess(sleeper), nullptr);
+    EXPECT_EQ(rig.kernel.findProcess(toucher), nullptr);
     EXPECT_FALSE(rig.kernel.stats().hasScalar("enomemFaults"));
 }
 
@@ -205,7 +206,7 @@ TEST(PressureTest, InjectedFailuresExhaustRetriesDeterministically)
     const Pid pid = rig.kernel.spawn(b.build(), "doomed");
     rig.kernel.run();
 
-    EXPECT_EQ(rig.kernel.findProcess(pid)->state, ProcState::zombie);
+    EXPECT_EQ(rig.kernel.findProcess(pid), nullptr);
     EXPECT_EQ(rig.kernel.stats().scalarValue("allocFailuresInjected"),
               1 + Kernel::allocMaxRetries);
     EXPECT_EQ(rig.kernel.stats().scalarValue("allocRetries"),
@@ -233,6 +234,7 @@ TEST(PressureTest, PinnedProcessesAreExemptFromOom)
 TEST(PressureTest, ResidentPagesTracksMapAndUnmap)
 {
     Rig rig(pressured(0, 0));  // pressure off: plain accounting
+    test::ExitLog exits(rig.kernel);
     micro::ScriptBuilder b;
     b.mmapFixed(toucherBase, 8 * pageSize, false);
     b.touchPages(toucherBase, 8 * pageSize);
@@ -240,7 +242,9 @@ TEST(PressureTest, ResidentPagesTracksMapAndUnmap)
     b.compute(1);
     const Pid pid = rig.kernel.spawn(b.build(), "counted");
     rig.kernel.run();
-    EXPECT_EQ(rig.kernel.findProcess(pid)->residentPages, 0u);
+    EXPECT_EQ(rig.kernel.findProcess(pid), nullptr);
+    ASSERT_NE(exits.of(pid), nullptr);
+    EXPECT_EQ(exits.of(pid)->residentPages, 0u);
 }
 
 TEST(PressureTest, ResidentPagesPeaksWhileMapped)
@@ -263,7 +267,6 @@ TEST(PressureTest, LiveProcessCountMatchesScanAcrossExitOomAndReap)
     // the process table through normal exit, an external kill (twice:
     // the second is a no-op), an OOM kill, and zombie reaping.
     KernelParams kp = pressured(64, 16);
-    kp.reapZombies = true;
     Rig rig(kp);
     auto scanned = [&] {
         unsigned n = 0;
@@ -311,7 +314,6 @@ TEST(PressureTest, ProcessTableStaysInPidOrderThroughChurnAndReap)
     // with spawns between epochs, normal exits, an external kill, an
     // OOM kill and zombie reaping.
     KernelParams kp = pressured(64, 16);
-    kp.reapZombies = true;
     Rig rig(kp);
     auto ascending = [&] {
         const auto &procs = rig.kernel.processes();
@@ -347,6 +349,87 @@ TEST(PressureTest, ProcessTableStaysInPidOrderThroughChurnAndReap)
     ASSERT_TRUE(rig.kernel.stats().hasScalar("oomKills"));
     EXPECT_GE(rig.kernel.stats().scalarValue("oomKills"), 1);
     EXPECT_TRUE(saw_reap);
+}
+
+/**
+ * findProcess() against a linear scan of the process table through
+ * spawns between epochs, normal exits, an external kill, an OOM kill
+ * and reaping, on @p cores cores: a pid is found exactly while its PCB
+ * is in the table, and a reaped pid never comes back.
+ */
+void
+findProcessTracksTheTable(unsigned cores)
+{
+    KindleConfig cfg;
+    cfg.memory.dramBytes = 256 * oneMiB;
+    cfg.memory.nvmBytes = 256 * oneMiB;
+    cfg.numCores = cores;
+    cfg.kernel = pressured(64, 16);
+    KindleSystem sys(cfg);
+    Kernel &kernel = sys.kernel();
+    auto quick = [] {
+        micro::ScriptBuilder b;
+        b.compute(1000).exit();
+        return b.build();
+    };
+    auto scan = [&](Pid pid) -> Process * {
+        for (const auto &p : kernel.processes())
+            if (p->pid == pid)
+                return p.get();
+        return nullptr;
+    };
+    std::vector<Pid> pids;
+    pids.push_back(kernel.spawn(makeSleeper(32), "sleeper"));
+    pids.push_back(kernel.spawn(makeToucher(48), "toucher"));
+    const Pid victim = kernel.spawn(makeSleeper(4), "victim");
+    pids.push_back(victim);
+    std::vector<bool> reaped(pids.size());
+
+    const auto check = [&] {
+        EXPECT_EQ(kernel.findProcess(0), nullptr);
+        EXPECT_EQ(kernel.findProcess(pids.back() + 1), nullptr);
+        for (std::size_t i = 0; i < pids.size(); ++i) {
+            Process *found = kernel.findProcess(pids[i]);
+            ASSERT_EQ(found, scan(pids[i])) << "pid " << pids[i];
+            ASSERT_FALSE(reaped[i] && found) << "pid " << pids[i];
+            reaped[i] = found == nullptr;
+        }
+    };
+    for (int step = 0; step < 100000 && kernel.liveProcessCount() > 0;
+         ++step) {
+        kernel.runUntil(sys.simulation().now() + 20 * oneUs);
+        if (step == 3) {
+            if (Process *p = kernel.findProcess(victim))
+                kernel.exitProcess(*p);
+        }
+        if (step < 40 && step % 4 == 0) {
+            pids.push_back(kernel.spawn(quick(), "quick"));
+            reaped.push_back(false);
+        }
+        check();
+        if (testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_EQ(kernel.liveProcessCount(), 0u);
+    ASSERT_TRUE(kernel.stats().hasScalar("oomKills"));
+    EXPECT_GE(kernel.stats().scalarValue("oomKills"), 1);
+    EXPECT_GT(std::count(reaped.begin(), reaped.end(), true), 0);
+    // One more epoch reaps the last exits: no pid is left to find.
+    kernel.runUntil(sys.simulation().now() + 20 * oneUs);
+    check();
+    EXPECT_TRUE(kernel.processes().empty());
+    for (const Pid pid : pids)
+        EXPECT_EQ(kernel.findProcess(pid), nullptr) << "pid " << pid;
+}
+
+TEST(PressureTest, FindProcessTracksTheTableThroughChurnOneCore)
+{
+    findProcessTracksTheTable(1);
+}
+
+TEST(PressureTest, FindProcessTracksTheTableThroughChurnFourCores)
+{
+    findProcessTracksTheTable(4);
 }
 
 } // namespace

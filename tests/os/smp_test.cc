@@ -18,6 +18,9 @@
 #include "kindle/microbench.hh"
 #include "os/kernel.hh"
 
+#include "../sim/callback_event.hh"
+#include "exit_log.hh"
+
 namespace kindle::os
 {
 namespace
@@ -83,13 +86,16 @@ shortProgram(Addr base)
 TEST(SmpSchedulerTest, PlacementSpreadsAcrossCores)
 {
     SmpRig rig(2);
+    test::ExitLog exits(*rig.kernel);
     const Pid a = rig.kernel->spawn(
         busyProgram(micro::scriptBase, 2), "a");
     const Pid b = rig.kernel->spawn(
         busyProgram(micro::scriptBase + oneGiB, 2), "b");
     rig.kernel->run();
-    EXPECT_EQ(rig.kernel->findProcess(a)->lastCpu, 0);
-    EXPECT_EQ(rig.kernel->findProcess(b)->lastCpu, 1);
+    ASSERT_NE(exits.of(a), nullptr);
+    ASSERT_NE(exits.of(b), nullptr);
+    EXPECT_EQ(exits.of(a)->lastCpu, 0u);
+    EXPECT_EQ(exits.of(b)->lastCpu, 1u);
     // Both cores retired instructions.
     EXPECT_GT(rig.core(0).stats().scalarValue("computeOps"), 0);
     EXPECT_GT(rig.core(1).stats().scalarValue("computeOps"), 0);
@@ -98,11 +104,13 @@ TEST(SmpSchedulerTest, PlacementSpreadsAcrossCores)
 TEST(SmpSchedulerTest, PinnedProcessRunsOnlyOnItsCore)
 {
     SmpRig rig(2);
+    test::ExitLog exits(*rig.kernel);
     const Pid pid = rig.kernel->spawn(
         busyProgram(micro::scriptBase, 3), "pinned");
     rig.kernel->setAffinity(*rig.kernel->findProcess(pid), 1);
     rig.kernel->run();
-    EXPECT_EQ(rig.kernel->findProcess(pid)->lastCpu, 1);
+    ASSERT_NE(exits.of(pid), nullptr);
+    EXPECT_EQ(exits.of(pid)->lastCpu, 1u);
     EXPECT_EQ(rig.core(0).stats().scalarValue("computeOps"), 0);
     EXPECT_GT(rig.core(1).stats().scalarValue("computeOps"), 0);
     // Re-routing the initial placement counts as a migration.
@@ -170,10 +178,14 @@ TEST(SmpSchedulerTest, ContextOfTracksResidencyAcrossCores)
         EXPECT_EQ(rig.kernel->runningOn(0), &proc);
     });
     rig.sim.eventq().schedule(&probe, rig.sim.now() + oneMs / 2);
+    test::ExitLog exits(*rig.kernel);
     rig.kernel->run();
     EXPECT_EQ(mid_slice, &rig.core(0).state());
-    // After exit the saved context is authoritative again.
-    EXPECT_EQ(&rig.kernel->contextOf(proc), &proc.context);
+    // At exit the saved context is authoritative again; the PCB is
+    // reaped after that.
+    ASSERT_NE(exits.of(pid), nullptr);
+    EXPECT_TRUE(exits.of(pid)->savedContext);
+    EXPECT_EQ(rig.kernel->findProcess(pid), nullptr);
 }
 
 // ---- TLB shootdowns ---------------------------------------------

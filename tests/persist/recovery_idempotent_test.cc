@@ -16,6 +16,7 @@
  */
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -92,6 +93,14 @@ struct Combo
     persist::PtScheme scheme;
     const char *site;
 };
+
+/** Print a case as its scheme and site, so the listed test name holds
+ *  no bytes of the site literal's address. */
+void
+PrintTo(const Combo &combo, std::ostream *os)
+{
+    *os << persist::ptSchemeName(combo.scheme) << ' ' << combo.site;
+}
 
 std::string
 comboName(const ::testing::TestParamInfo<Combo> &info)

@@ -166,5 +166,89 @@ TEST(ReplayTest, AreaBasesAreDisjointAndAligned)
     }
 }
 
+TEST(ReplayTest, SparseOutOfOrderAreaIdsMapToTheirOwnAreas)
+{
+    // Area ids need be neither dense nor sorted: each record lands in
+    // the area its id names, clamped to that area's captured size.
+    MemoryLayout layout;
+    layout.areas = {
+        AreaInfo{42, AreaKind::heap, 3 * pageSize + 100, "heap42"},
+        AreaInfo{7, AreaKind::stack, pageSize, "stack7"},
+        AreaInfo{3, AreaKind::global, 2 * pageSize, "global3"},
+    };
+    std::vector<TraceRecord> records;
+    const auto rec = [&](std::uint32_t id, std::uint64_t off, TraceOp op,
+                         std::uint16_t size) {
+        TraceRecord r;
+        r.areaId = id;
+        r.offset = off;
+        r.op = op;
+        r.size = size;
+        records.push_back(r);
+    };
+    rec(3, 16, TraceOp::read, 8);
+    rec(42, 3 * pageSize + 96, TraceOp::write, 8);  // clamped to 92
+    rec(7, 0, TraceOp::write, 0);                     // a 1-byte access
+    rec(42, 0, TraceOp::read, 64);
+    rec(7, pageSize, TraceOp::read, 8);               // clamped to 4088
+    TraceImage image("sparse", layout, records);
+
+    ReplayConfig cfg;
+    cfg.stacksInNvm = false;
+    cfg.computePerRecord = 0;
+    ReplayStream replay(image, cfg);
+    const Addr b42 = replay.areaBase(42);
+    const Addr b7 = replay.areaBase(7);
+    const Addr b3 = replay.areaBase(3);
+    EXPECT_EQ(b42, cfg.baseVaddr);
+    EXPECT_LT(b42, b7);
+    EXPECT_LT(b7, b3);
+
+    cpu::Op op;
+    // Setup maps the areas in layout order.
+    const struct
+    {
+        Addr base;
+        std::uint64_t len;
+        bool nvm;
+    } maps[] = {{b42, 4 * pageSize, true},
+                {b7, pageSize, false},
+                {b3, 2 * pageSize, true}};
+    for (const auto &m : maps) {
+        ASSERT_TRUE(replay.next(op));
+        ASSERT_EQ(op.kind, cpu::Op::Kind::mmap);
+        EXPECT_EQ(op.addr, m.base);
+        EXPECT_EQ(op.size, m.len);
+        EXPECT_EQ((op.flags & cpu::mapNvm) != 0, m.nvm);
+    }
+    const struct
+    {
+        cpu::Op::Kind kind;
+        Addr addr;
+        std::uint64_t size;
+    } body[] = {{cpu::Op::Kind::read, b3 + 16, 8},
+                {cpu::Op::Kind::write, b42 + 3 * pageSize + 92, 8},
+                {cpu::Op::Kind::write, b7, 1},
+                {cpu::Op::Kind::read, b42, 64},
+                {cpu::Op::Kind::read, b7 + pageSize - 8, 8}};
+    for (const auto &b : body) {
+        ASSERT_TRUE(replay.next(op));
+        EXPECT_EQ(op.kind, b.kind);
+        EXPECT_EQ(op.addr, b.addr);
+        EXPECT_EQ(op.size, b.size);
+    }
+    // Teardown unmaps the same areas in the same order, then exits.
+    for (const auto &m : maps) {
+        ASSERT_TRUE(replay.next(op));
+        ASSERT_EQ(op.kind, cpu::Op::Kind::munmap);
+        EXPECT_EQ(op.addr, m.base);
+        EXPECT_EQ(op.size, m.len);
+    }
+    ASSERT_TRUE(replay.next(op));
+    EXPECT_EQ(op.kind, cpu::Op::Kind::exit);
+    EXPECT_FALSE(replay.next(op));
+    EXPECT_EQ(replay.recordsReplayed(), records.size());
+}
+
 } // namespace
 } // namespace kindle::prep

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/random.hh"
 #include "sim/clocked.hh"
 #include "sim/event.hh"
 #include "sim/simulation.hh"
+
+#include "callback_event.hh"
 
 namespace kindle::sim
 {
@@ -154,9 +159,9 @@ TEST(EventQueueTest, NextTickSkipsStaleEntries)
 
 TEST(EventQueueTest, SizeAndEmptyCountLiveEntriesOnly)
 {
-    // Lazy deschedule leaves stale heap entries behind; size() and
-    // empty() must report the live set, or callers polling "is
-    // anything pending?" would spin on ghosts.
+    // size() and empty() must report the scheduled set after every
+    // deschedule, or callers polling "is anything pending?" would
+    // spin on ghosts.
     Simulation sim;
     CallbackEvent e1("e1", [] {});
     CallbackEvent e2("e2", [] {});
@@ -166,8 +171,7 @@ TEST(EventQueueTest, SizeAndEmptyCountLiveEntriesOnly)
     sim.eventq().deschedule(&e1);
     EXPECT_EQ(sim.eventq().size(), 1u);
     EXPECT_FALSE(sim.eventq().empty());
-    // Deschedule + reschedule leaves a stale heap entry behind but
-    // must not inflate the live count.
+    // Deschedule + reschedule must not inflate the count.
     sim.eventq().deschedule(&e2);
     sim.eventq().schedule(&e2, 30);
     EXPECT_EQ(sim.eventq().size(), 1u);
@@ -178,9 +182,8 @@ TEST(EventQueueTest, SizeAndEmptyCountLiveEntriesOnly)
 
 TEST(EventQueueTest, DescheduledFarFutureEventNeverFires)
 {
-    // popDue() returns before dropping stale entries while the top is
-    // not due, so a cancelled far-future entry stays in the heap until
-    // its tick: it must neither fire nor count as pending meanwhile.
+    // A cancelled far-future event must neither fire at its old tick
+    // nor count as pending meanwhile.
     Simulation sim;
     int far_fired = 0, near_fired = 0;
     CallbackEvent far("far", [&] { ++far_fired; });
@@ -194,7 +197,7 @@ TEST(EventQueueTest, DescheduledFarFutureEventNeverFires)
     sim.bump(500);
     sim.service();
     EXPECT_EQ(sim.eventq().size(), 1u);
-    sim.bump(1000);  // past the stale entry, before the live one
+    sim.bump(1000);  // past the cancelled tick, before the live one
     sim.service();
     EXPECT_EQ(far_fired, 0);
     EXPECT_EQ(near_fired, 0);
@@ -254,6 +257,127 @@ TEST(EventQueueTest, EventOutlivesItsDestroyedQueue)
         q.schedule(&still, 10);
     }
     EXPECT_FALSE(still.scheduled());
+}
+
+TEST(EventQueueTest, MatchesAReferenceOrderUnderRandomChurn)
+{
+    // Differential check against a reference set ordered by (when,
+    // priority, schedule order): a seeded mix of schedule, deschedule,
+    // timer start/stop/fireNow, destroy-while-scheduled, clear and
+    // pops over 16 events whose ticks and priorities collide.  After
+    // every operation the pop order, nextTick() and size() must match.
+    constexpr std::size_t slots = 16;
+    const Event::Priority prios[] = {Event::Priority::ckpt,
+                                     Event::Priority::sched,
+                                     Event::Priority::deflt};
+    // (when, priority, seq, slot)
+    using Key = std::tuple<Tick, int, std::uint64_t, std::size_t>;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        Simulation sim;
+        EventQueue &q = sim.eventq();
+        Random rng(seed);
+        std::set<Key> ref;
+        std::uint64_t seq = 0;
+        std::vector<std::unique_ptr<PeriodicEvent>> evs(slots);
+        std::vector<Key> keyOf(slots);
+        std::vector<bool> queued(slots), running(slots);
+        const auto prioOf = [&](std::size_t s) { return prios[s % 3]; };
+        const auto make = [&](std::size_t s) {
+            evs[s] = std::make_unique<PeriodicEvent>(
+                "e" + std::to_string(s), prioOf(s), sim, [] {});
+            queued[s] = running[s] = false;
+        };
+        const auto refAdd = [&](std::size_t s, Tick when) {
+            keyOf[s] = Key{when, static_cast<int>(prioOf(s)), seq++, s};
+            ref.insert(keyOf[s]);
+            queued[s] = true;
+        };
+        const auto refDrop = [&](std::size_t s) {
+            if (queued[s])
+                ref.erase(keyOf[s]);
+            queued[s] = false;
+        };
+        for (std::size_t s = 0; s < slots; ++s)
+            make(s);
+
+        for (int step = 0; step < 2000; ++step) {
+            SCOPED_TRACE(step);
+            const std::size_t s = rng.uniform(slots);
+            PeriodicEvent &ev = *evs[s];
+            switch (rng.uniform(8)) {
+              case 0:
+              case 1:
+                if (!queued[s]) {
+                    const Tick when = sim.now() + rng.uniform(4);
+                    q.schedule(&ev, when);
+                    refAdd(s, when);
+                }
+                break;
+              case 2:
+                q.deschedule(&ev);
+                refDrop(s);
+                break;
+              case 3:
+                if (!running[s] && !queued[s]) {
+                    const Tick period = 1 + rng.uniform(3);
+                    ev.start(period);
+                    running[s] = true;
+                    refAdd(s, sim.now() + period);
+                }
+                break;
+              case 4:
+                if (running[s]) {
+                    ev.fireNow();
+                    refDrop(s);
+                    refAdd(s, sim.now());
+                } else {
+                    ev.stop();
+                    EXPECT_FALSE(ev.running());
+                }
+                break;
+              case 5:
+                if (running[s]) {
+                    ev.stop();
+                    running[s] = false;
+                    refDrop(s);
+                }
+                break;
+              case 6:
+                if (rng.uniform(16) == 0) {
+                    q.clear();
+                    ref.clear();
+                    queued.assign(slots, false);
+                } else {
+                    evs[s].reset();  // deschedules itself
+                    refDrop(s);
+                    make(s);
+                }
+                break;
+              case 7:
+                sim.bump(rng.uniform(3));
+                while (Event *popped = q.popDue(sim.now())) {
+                    ASSERT_FALSE(ref.empty());
+                    const Key first = *ref.begin();
+                    ASSERT_LE(std::get<0>(first), sim.now());
+                    ASSERT_EQ(popped->name(),
+                              evs[std::get<3>(first)]->name());
+                    EXPECT_FALSE(popped->scheduled());
+                    ref.erase(ref.begin());
+                    queued[std::get<3>(first)] = false;
+                }
+                ASSERT_TRUE(ref.empty() ||
+                            std::get<0>(*ref.begin()) > sim.now());
+                break;
+            }
+            ASSERT_EQ(q.size(), ref.size());
+            ASSERT_EQ(q.empty(), ref.empty());
+            ASSERT_EQ(q.nextTick(),
+                      ref.empty() ? maxTick : std::get<0>(*ref.begin()));
+            for (std::size_t i = 0; i < slots; ++i)
+                ASSERT_EQ(evs[i]->scheduled(), queued[i]) << i;
+        }
+    }
 }
 
 TEST(PeriodicEventTest, RearmsOnePeriodAfterTheBodyEnds)
