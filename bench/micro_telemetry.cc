@@ -95,9 +95,9 @@ BENCHMARK(BM_SamplerSnapshot);
 void
 BM_ChannelLookup(benchmark::State &state)
 {
-    // Per-channel cost on top of the snapshot: one O(1) lookup in the
-    // snapshot's lazily built name index (the same path fuzz oracles
-    // take through StatSnapshot::getOr).
+    // Per-channel cost on top of the snapshot: one search of the
+    // snapshot's sorted map (the same path fuzz oracles take through
+    // StatSnapshot::getOr).
     KindleSystem sys{KindleConfig{}};
     const statistics::StatSnapshot snap = sys.snapshotStats();
     const std::string path = "kernel.dramAlloc.framesInUse";

@@ -30,6 +30,22 @@ run_fuzz() {
     rm -f FLIGHT_*.json
 }
 
+echo "=== Hash-container audit ==="
+# Every file under src/ that names a std::unordered_map/set is one of
+# the five DESIGN.md §9 lists under *Hash containers*, each with why it
+# stays; a new hash container needs an audit entry there and here.
+AUDITED="src/hscc/dram_pool.hh
+src/mem/backing_store.hh
+src/mem/nvm_media.hh
+src/os/page_table.hh
+src/persist/checkpoint.hh"
+FOUND=$(grep -rlE 'unordered_(map|set)' src | LC_ALL=C sort || true)
+if [[ "${FOUND}" != "${AUDITED}" ]]; then
+    echo "hash containers outside the DESIGN.md §9 audit:" >&2
+    diff <(echo "${AUDITED}") <(echo "${FOUND}") >&2 || true
+    exit 1
+fi
+
 echo "=== ASan/UBSan build + full test suite ==="
 # -Werror on top of the tree's -Wall -Wextra: a new warning fails CI.
 cmake -B build-asan -S . -G Ninja \

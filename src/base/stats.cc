@@ -244,14 +244,8 @@ StatSnapshot::Builder::visitHistogram(const std::string &name,
 const double *
 StatSnapshot::find(const std::string &path) const
 {
-    if (index.size() != values.size()) {
-        index.clear();
-        index.reserve(values.size());
-        for (const auto &[k, v] : values)
-            index.emplace(std::string_view(k), &v);
-    }
-    const auto it = index.find(std::string_view(path));
-    return it == index.end() ? nullptr : it->second;
+    const auto it = values.find(path);
+    return it == values.end() ? nullptr : &it->second;
 }
 
 bool

@@ -23,8 +23,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -379,21 +377,6 @@ class StatGroup
 class StatSnapshot
 {
   public:
-    StatSnapshot() = default;
-
-    // The lookup index views into `values` map nodes, so copies must
-    // not carry it over; moves may (node addresses survive a move).
-    StatSnapshot(const StatSnapshot &other) : values(other.values) {}
-    StatSnapshot &
-    operator=(const StatSnapshot &other)
-    {
-        values = other.values;
-        index.clear();
-        return *this;
-    }
-    StatSnapshot(StatSnapshot &&) = default;
-    StatSnapshot &operator=(StatSnapshot &&) = default;
-
     /** Capture @p root and everything below it. */
     static StatSnapshot capture(const StatGroup &root);
 
@@ -475,22 +458,10 @@ class StatSnapshot
     }
 
   private:
-    /** &values[path] via the O(1) index, or nullptr if absent. */
+    /** &values[path], or nullptr if absent. */
     const double *find(const std::string &path) const;
 
     std::map<std::string, double> values;
-
-    /**
-     * Lazy O(1) path→value index behind has/get/getOr.  Oracles and
-     * the telemetry sampler probe the same few paths once per
-     * checkpoint or sample over snapshots with hundreds of entries;
-     * hashing beats walking the map every time.  Keys view into the
-     * `values` node keys (node addresses are stable under insert and
-     * move).  Nothing ever erases an entry — set() and the Builder
-     * only insert or overwrite in place — so `index.size() !=
-     * values.size()` is a complete staleness test.
-     */
-    mutable std::unordered_map<std::string_view, const double *> index;
 };
 
 } // namespace kindle::statistics

@@ -173,6 +173,7 @@ class Core
 
     Tlb &tlb() { return dtlb; }
     MsrFile &msrs() { return msrFile; }
+    const MsrFile &msrs() const { return msrFile; }
     PageWalker &walker() { return ptWalker; }
     const sim::ClockDomain &clock() const { return clockDomain; }
 

@@ -104,8 +104,6 @@ DramPool::select()
     sel.dramFrame = e.dramFrame;
     sel.displacedNvm = e.nvmHome;
     sel.displaced = e.mapping;
-    if (e.nvmHome != invalidAddr)
-        byNvmHome.erase(e.nvmHome);
     e.nvmHome = invalidAddr;
     setState(e, PoolState::free);
     return sel;
@@ -120,19 +118,15 @@ DramPool::bind(unsigned index, Addr nvm_home, const PageMapping &at)
     e.nvmHome = nvm_home;
     e.mapping = at;
     setState(e, PoolState::clean);
-    byNvmHome[nvm_home] = index;
     freshList.push_back(index);
 }
 
 void
-DramPool::release(Addr nvm_home)
+DramPool::release(unsigned index)
 {
-    const auto it = byNvmHome.find(nvm_home);
-    if (it == byNvmHome.end())
+    PoolEntry &e = entries.at(index);
+    if (e.state == PoolState::free)
         return;
-    const unsigned index = it->second;
-    byNvmHome.erase(it);
-    PoolEntry &e = entries[index];
     e.nvmHome = invalidAddr;
     setState(e, PoolState::free);
     // Lists are rebuilt wholesale at refreshLists(); drop lazily by
@@ -141,12 +135,9 @@ DramPool::release(Addr nvm_home)
 }
 
 void
-DramPool::markDirty(Addr nvm_home)
+DramPool::markDirty(unsigned index)
 {
-    const auto it = byNvmHome.find(nvm_home);
-    if (it == byNvmHome.end())
-        return;
-    PoolEntry &e = entries[it->second];
+    PoolEntry &e = entries.at(index);
     if (e.state == PoolState::clean)
         setState(e, PoolState::dirty);
 }
@@ -171,13 +162,6 @@ DramPool::refreshLists()
             break;
         }
     }
-}
-
-const PoolEntry *
-DramPool::entryFor(Addr nvm_home) const
-{
-    const auto it = byNvmHome.find(nvm_home);
-    return it == byNvmHome.end() ? nullptr : &entries[it->second];
 }
 
 unsigned

@@ -81,18 +81,16 @@ class DramPool
     /** Bind @p nvm_home, mapped @p at, to the selected slot. */
     void bind(unsigned index, Addr nvm_home, const PageMapping &at);
 
-    /** Release the slot caching @p nvm_home (page unmapped). */
-    void release(Addr nvm_home);
+    /** Free slot @p index (its page was unmapped); a free slot is
+     *  left alone. */
+    void release(unsigned index);
 
-    /** A store hit the DRAM copy of @p nvm_home: a clean slot turns
-     *  dirty. */
-    void markDirty(Addr nvm_home);
+    /** A store hit slot @p index's DRAM copy: a clean slot turns
+     *  dirty, a free one is left alone. */
+    void markDirty(unsigned index);
 
     /** Interval start: re-derive the three lists. */
     void refreshLists();
-
-    /** Pool entry caching @p nvm_home, or nullptr. */
-    const PoolEntry *entryFor(Addr nvm_home) const;
 
     /** Slot owning @p dram_frame, or size() for a frame outside the
      *  pool. */
@@ -104,7 +102,8 @@ class DramPool
 
   private:
     std::vector<PoolEntry> entries;
-    std::unordered_map<Addr, unsigned> byNvmHome;
+    /** Pool frames come off the allocator's LIFO free stack, so they
+     *  are not in address order: slotOf() needs an index. */
     std::unordered_map<Addr, unsigned> slotByFrame;
     std::deque<unsigned> freeList;
     std::deque<unsigned> cleanList;

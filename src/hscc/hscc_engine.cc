@@ -15,6 +15,10 @@ using cpu::Pte;
 namespace
 {
 
+/** Bounds of the fetch threshold under HsccParams::dynamicThreshold. */
+constexpr unsigned minDynamicThreshold = 2;
+constexpr unsigned maxDynamicThreshold = 512;
+
 /** @p pages, once that pool and its mapping table fit in @p dram. */
 unsigned
 poolPagesThatFit(unsigned pages, const os::FrameAllocator &dram)
@@ -152,10 +156,9 @@ HsccEngine::onDataWrite(cpu::TlbEntry &entry, Addr vaddr,
     // Every store to a DRAM-cached page looks its home up with one
     // timed table read; the first store after the bind marks the
     // slot dirty.
-    const Addr home =
-        mapTable.nvmAt(dramPool.slotOf(entry.pfn << pageShift));
-    if (home != invalidAddr)
-        dramPool.markDirty(home);
+    const unsigned slot = dramPool.slotOf(entry.pfn << pageShift);
+    if (mapTable.nvmAt(slot) != invalidAddr)
+        dramPool.markDirty(slot);
 }
 
 void
@@ -329,14 +332,12 @@ HsccEngine::migrate()
     // Dynamic threshold adjustment (extension; see HsccParams).
     if (_params.dynamicThreshold) {
         if (candidates.size() > dramPool.size() &&
-            curThreshold < _params.maxThreshold) {
-            curThreshold = std::min(_params.maxThreshold,
-                                    curThreshold * 2);
+            curThreshold < maxDynamicThreshold) {
+            curThreshold = std::min(maxDynamicThreshold, curThreshold * 2);
             ++thresholdRaises;
         } else if (candidates.size() < dramPool.size() / 4 &&
-                   curThreshold > _params.minThreshold) {
-            curThreshold =
-                std::max(_params.minThreshold, curThreshold / 2);
+                   curThreshold > minDynamicThreshold) {
+            curThreshold = std::max(minDynamicThreshold, curThreshold / 2);
             ++thresholdDrops;
         }
     }
@@ -354,11 +355,12 @@ HsccEngine::resolveRemappedFrame(os::Process &proc, Addr vaddr,
 {
     (void)proc;
     (void)vaddr;
-    const Addr home = mapTable.nvmAt(dramPool.slotOf(mapped_frame));
+    const unsigned slot = dramPool.slotOf(mapped_frame);
+    const Addr home = mapTable.nvmAt(slot);
     if (home == invalidAddr)
         return false;
     // Reclaim the pool slot; the DRAM frame stays pool-owned.
-    dramPool.release(home);
+    dramPool.release(slot);
     *home_out = home;
     return true;
 }

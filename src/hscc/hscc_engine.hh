@@ -44,11 +44,9 @@ struct HsccParams
      * threshold to static values): adjust the fetch threshold each
      * interval from pool pressure, as the original HSCC proposes.
      * Candidates flooding past the pool double the threshold;
-     * sustained underutilization halves it.
+     * sustained underutilization halves it, within 2..512.
      */
     bool dynamicThreshold = false;
-    unsigned minThreshold = 2;
-    unsigned maxThreshold = 512;
 };
 
 /** The engine. */

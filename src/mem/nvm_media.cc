@@ -86,7 +86,7 @@ NvmMediaModel::onLineWrite(Addr line_addr)
             addBit(lf, bit, true);
             if (lf.stuck.size() > before)
                 ++stuckBits;
-            if (exhausted.insert(frame).second) {
+            if (n == plan.writeEndurance + 1) {
                 ++framesExhausted;
                 newlyExhausted.push_back(_range.start() + frame * pageSize);
             }

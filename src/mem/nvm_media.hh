@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/addr_range.hh"
@@ -153,8 +152,9 @@ class NvmMediaModel
 
     /** Ordered so scrub walks and reports are deterministic. */
     std::map<Addr, LineFaults> faults;
+    /** Writes per frame index; a frame is exhausted from write
+     *  writeEndurance + 1 on. */
     std::unordered_map<std::uint64_t, std::uint64_t> writes;
-    std::unordered_set<std::uint64_t> exhausted;
     std::vector<Addr> newlyExhausted;
 
     statistics::StatGroup statGroup;

@@ -263,6 +263,7 @@ class Kernel : public cpu::FaultHandler
 
     /** Core @p cpu of the machine. */
     cpu::Core &core(CpuId cpu) { return *cores_.at(cpu); }
+    const cpu::Core &core(CpuId cpu) const { return *cores_.at(cpu); }
     unsigned numCores() const
     {
         return static_cast<unsigned>(cores_.size());

@@ -1,7 +1,5 @@
 #include "persist/recovery.hh"
 
-#include <unordered_set>
-
 #include "base/logging.hh"
 #include "base/str.hh"
 #include "cpu/pagetable_defs.hh"
@@ -18,6 +16,13 @@ namespace kindle::persist
 namespace
 {
 
+/** Bit of NVM frame @p frame in a one-bit-per-NVM-frame set. */
+std::size_t
+bitOf(const AddrRange &nvm, Addr frame)
+{
+    return (frame - nvm.start()) >> pageShift;
+}
+
 /**
  * Collect all NVM frames reachable from a persistent page table.
  * Never trusts a durable pointer: a frame address outside the NVM
@@ -26,14 +31,15 @@ namespace
  */
 void
 collectPtFrames(os::Kernel &kernel, Addr table, unsigned level,
-                std::unordered_set<Addr> &live,
-                std::uint64_t &dangling, std::uint64_t *leaves = nullptr)
+                std::vector<bool> &live, std::uint64_t &dangling,
+                std::uint64_t *leaves = nullptr)
 {
     const AddrRange &nvm = kernel.nvmLayout().nvm;
-    if (!nvm.contains(table) || !live.insert(table).second) {
+    if (!nvm.contains(table) || live[bitOf(nvm, table)]) {
         ++dangling;
         return;
     }
+    live[bitOf(nvm, table)] = true;
     os::PageTableManager::TableEntries entries;
     kernel.pageTables().readTable(table, entries);
     for (unsigned i = 0; i < cpu::ptEntriesPerPage; ++i) {
@@ -45,7 +51,7 @@ collectPtFrames(os::Kernel &kernel, Addr table, unsigned level,
                 ++*leaves;
             if (pte.nvmBacked()) {
                 if (nvm.contains(pte.frameAddr()))
-                    live.insert(pte.frameAddr());
+                    live[bitOf(nvm, pte.frameAddr())] = true;
                 else
                     ++dangling;
             }
@@ -105,16 +111,17 @@ recover(os::Kernel &kernel, PtScheme scheme)
     //    (The kernel constructor already loaded it; re-reading here
     //    keeps recovery self-contained and idempotent.)
     os::BadFrameTable &bad = kernel.badFrameTable();
-    std::unordered_set<Addr> allocated;
+    os::FrameAllocator &nvmAlloc = kernel.nvmAllocator();
     {
         KINDLE_TRACE_SPAN(recovery, "recover.bitmap");
         bad.loadFromNvm();
         report.retiredFrames = bad.retiredCount();
 
         // 1. Frame allocator state survives in the durable bitmap.
-        kernel.nvmAllocator().recoverFromBitmap();
-        kernel.nvmAllocator().forEachAllocated(
-            [&](Addr frame) { allocated.insert(frame); });
+        //    Nothing allocates or frees an NVM frame before step 4
+        //    (the rebuild scheme's page tables live in DRAM), so the
+        //    allocator answers for the bitmap as recovered.
+        nvmAlloc.recoverFromBitmap();
     }
     KINDLE_CRASH_SITE("recover.after_bitmap");
 
@@ -150,7 +157,9 @@ recover(os::Kernel &kernel, PtScheme scheme)
         KINDLE_CRASH_SITE("recover.after_pt_rollback");
     }
 
-    std::unordered_set<Addr> live_frames;
+    const AddrRange &nvm = kernel.nvmLayout().nvm;
+    // One bit per NVM frame: set for each frame recovery reaches.
+    std::vector<bool> live_frames(nvm.size() >> pageShift);
 
     // 2-3. Scan the directory in salvage mode: validate every durable
     // byte of a slot before acting on it; quarantine what fails.
@@ -272,7 +281,8 @@ recover(os::Kernel &kernel, PtScheme scheme)
                 std::uint64_t{1} << (48 - pageShift);
             for (const MappingEntry &m : mappings) {
                 const Addr frame = m.pfn << pageShift;
-                if (m.vpn >= maxVpn || !allocated.count(frame)) {
+                if (m.vpn >= maxVpn || !nvmAlloc.zone().contains(frame) ||
+                    !nvmAlloc.isAllocated(frame)) {
                     fail(RecoveryErrorCode::danglingMapping, idx,
                          csprintf("vpn {} -> pfn {}", m.vpn,
                                 m.pfn));
@@ -293,7 +303,7 @@ recover(os::Kernel &kernel, PtScheme scheme)
                     proc.ptRoot, m.vpn << pageShift, frame,
                     /*writable=*/true, /*nvm_backed=*/true);
                 ++proc.residentPages;
-                live_frames.insert(frame);
+                live_frames[bitOf(nvm, frame)] = true;
                 ++report.mappingsRestored;
             }
         }
@@ -314,12 +324,12 @@ recover(os::Kernel &kernel, PtScheme scheme)
     {
         KINDLE_TRACE_SPAN(recovery, "recover.reclaim");
         std::vector<Addr> leaked;
-        kernel.nvmAllocator().forEachAllocated([&](Addr frame) {
-            if (!live_frames.count(frame))
+        nvmAlloc.forEachAllocated([&](Addr frame) {
+            if (!live_frames[bitOf(nvm, frame)])
                 leaked.push_back(frame);
         });
         for (Addr frame : leaked)
-            kernel.nvmAllocator().free(frame);
+            nvmAlloc.free(frame);
         report.framesReclaimed = leaked.size();
     }
 

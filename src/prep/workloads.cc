@@ -8,6 +8,9 @@ namespace kindle::prep
 namespace
 {
 
+/** Threads whose stacks a capture records (SniP), one area each. */
+constexpr unsigned stackThreads = 4;
+
 /** Per-thread stack area size. */
 constexpr std::uint64_t stackBytes = 64 * oneKiB;
 
@@ -16,10 +19,9 @@ constexpr double stackFraction = 0.01;
 
 /** Append the per-thread stack areas to @p layout. */
 void
-addStacks(MemoryLayout &layout, unsigned threads,
-          std::uint32_t first_id)
+addStacks(MemoryLayout &layout, std::uint32_t first_id)
 {
-    for (unsigned t = 0; t < threads; ++t) {
+    for (unsigned t = 0; t < stackThreads; ++t) {
         AreaInfo a;
         a.areaId = first_id + t;
         a.kind = AreaKind::stack;
@@ -31,15 +33,15 @@ addStacks(MemoryLayout &layout, unsigned threads,
 
 /** Emit an occasional stack access (returns true if one was made). */
 bool
-maybeStackOp(Random &rng, unsigned threads, std::uint32_t first_id,
-             std::uint64_t clock_ns, std::vector<TraceRecord> &queue)
+maybeStackOp(Random &rng, std::uint32_t first_id, std::uint64_t clock_ns,
+             std::vector<TraceRecord> &queue)
 {
     if (!rng.chance(stackFraction))
         return false;
     TraceRecord rec;
     rec.period = clock_ns;
     rec.areaId = first_id + static_cast<std::uint32_t>(
-                                rng.uniform(threads));
+                                rng.uniform(stackThreads));
     rec.offset = rng.uniform(stackBytes - 8) & ~std::uint64_t(7);
     rec.op = rng.chance(0.5) ? TraceOp::read : TraceOp::write;
     rec.size = 8;
@@ -96,7 +98,7 @@ GapbsPrTrace::GapbsPrTrace(const WorkloadParams &params)
         {2, AreaKind::heap, nodes * 8, "ranks"},
         {3, AreaKind::heap, nodes * 8, "ranks_next"},
     };
-    addStacks(_layout, params.threads, 4);
+    addStacks(_layout, 4);
 }
 
 void
@@ -138,7 +140,7 @@ GapbsPrTrace::refillNode()
     // write ranks_next[u] — sequential.
     queue.push_back({clockNs, u * 8, 3, TraceOp::write, 0, 8});
 
-    maybeStackOp(rng, _params.threads, 4, clockNs, queue);
+    maybeStackOp(rng, 4, clockNs, queue);
     clockNs += 2 + queue.size();
 }
 
@@ -173,7 +175,7 @@ G500SsspTrace::G500SsspTrace(const WorkloadParams &params)
         {2, AreaKind::heap, (8 * oneMiB) / params.scaleDown,
          "frontier"},
     };
-    addStacks(_layout, params.threads, 3);
+    addStacks(_layout, 3);
 }
 
 void
@@ -221,7 +223,7 @@ G500SsspTrace::refillStep()
         }
     }
 
-    maybeStackOp(rng, _params.threads, 3, clockNs, queue);
+    maybeStackOp(rng, 3, clockNs, queue);
     clockNs += 2 + queue.size();
 }
 
@@ -254,7 +256,7 @@ YcsbMemTrace::YcsbMemTrace(const WorkloadParams &params)
         {0, AreaKind::heap, records * recordBytes, "kvstore"},
         {1, AreaKind::heap, records * 8, "hashindex"},
     };
-    addStacks(_layout, params.threads, 2);
+    addStacks(_layout, 2);
 }
 
 void
@@ -293,7 +295,7 @@ YcsbMemTrace::refillOp()
             {clockNs, rec_off + 64, 0, TraceOp::read, 0, 8});
     }
 
-    maybeStackOp(rng, _params.threads, 2, clockNs, queue);
+    maybeStackOp(rng, 2, clockNs, queue);
     clockNs += 2 + queue.size();
 }
 

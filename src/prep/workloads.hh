@@ -37,7 +37,6 @@ struct WorkloadParams
 {
     std::uint64_t ops = 10000000;  ///< paper: 10 M per benchmark
     std::uint64_t seed = 42;
-    unsigned threads = 4;          ///< stack areas (SniP capture)
     /**
      * Footprint divisor for quick tests: 1 = paper-scale footprints
      * (~100-250 MiB), larger values shrink every area proportionally.

@@ -84,8 +84,7 @@ SspEngine::inTrackedRange(Pid pid, Addr vaddr) const
         return false;
     // The SSP MSRs are written identically on every core; read the
     // canonical copy on core 0.
-    const auto &msrs =
-        const_cast<os::Kernel &>(kernel).core(0).msrs();
+    const auto &msrs = kernel.core(0).msrs();
     return msrs.read(cpu::MsrId::sspEnable) != 0 &&
            vaddr >= msrs.read(cpu::MsrId::sspNvmRangeStart) &&
            vaddr < msrs.read(cpu::MsrId::sspNvmRangeEnd);

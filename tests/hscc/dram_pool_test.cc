@@ -62,19 +62,23 @@ TEST(DramPoolTest, BindMakesClean)
     pool.refreshLists();
     EXPECT_EQ(pool.count(PoolState::clean), 1u);
     EXPECT_EQ(pool.count(PoolState::free), 3u);
-    ASSERT_NE(pool.entryFor(0x123000), nullptr);
-    EXPECT_EQ(pool.entryFor(0x123000)->dramFrame, sel.dramFrame);
+    const PoolEntry &e = pool.allEntries()[sel.index];
+    EXPECT_EQ(e.nvmHome, 0x123000u);
+    EXPECT_EQ(e.dramFrame, sel.dramFrame);
+    EXPECT_EQ(pool.slotOf(sel.dramFrame), sel.index);
 }
 
 TEST(DramPoolTest, ExhaustedPoolDisplacesCleanFirst)
 {
     Rig rig;
     DramPool pool(2, rig.alloc);
+    unsigned slots[2];
     for (int i = 0; i < 2; ++i) {
         const auto s = pool.select();
         pool.bind(s.index, 0x100000 + Addr(i) * pageSize, {});
+        slots[i] = s.index;
     }
-    pool.markDirty(0x100000);  // slot 0 dirty, slot 1 clean
+    pool.markDirty(slots[0]);  // first bound dirty, second clean
     pool.refreshLists();
 
     const auto s = pool.select();
@@ -88,7 +92,7 @@ TEST(DramPoolTest, DirtyDisplacementNeedsCopyBack)
     DramPool pool(1, rig.alloc);
     const auto s0 = pool.select();
     pool.bind(s0.index, 0x200000, {});
-    pool.markDirty(0x200000);
+    pool.markDirty(s0.index);
     pool.refreshLists();
 
     const auto s1 = pool.select();
@@ -103,30 +107,44 @@ TEST(DramPoolTest, ReleaseFreesSlot)
     DramPool pool(2, rig.alloc);
     const auto s = pool.select();
     pool.bind(s.index, 0x300000, {});
-    pool.release(0x300000);
+    pool.release(s.index);
     EXPECT_EQ(pool.count(PoolState::free), 2u);
-    EXPECT_EQ(pool.entryFor(0x300000), nullptr);
+    EXPECT_EQ(pool.allEntries()[s.index].nvmHome, invalidAddr);
+
+    // Releasing a free slot again changes nothing.
+    pool.release(s.index);
+    EXPECT_EQ(pool.count(PoolState::free), 2u);
+    EXPECT_EQ(pool.stats().gaugeValue("freePages"), 2);
 }
 
 TEST(DramPoolTest, MarkDirtyUnknownHomeIsNoop)
 {
+    // A free slot caches no home: a store reaching it marks nothing,
+    // before any bind and after its page was released.
     Rig rig;
     DramPool pool(2, rig.alloc);
-    pool.markDirty(0xdead000);
+    pool.markDirty(0);
+    const auto s = pool.select();
+    pool.bind(s.index, 0x500000, {});
+    pool.release(s.index);
+    pool.markDirty(s.index);
     pool.refreshLists();
     EXPECT_EQ(pool.count(PoolState::dirty), 0u);
+    EXPECT_EQ(pool.count(PoolState::free), 2u);
 }
 
 TEST(DramPoolTest, RefreshRebuildsAfterStateChanges)
 {
     Rig rig;
     DramPool pool(3, rig.alloc);
+    unsigned slots[3];
     for (int i = 0; i < 3; ++i) {
         const auto s = pool.select();
         pool.bind(s.index, 0x400000 + Addr(i) * pageSize, {});
+        slots[i] = s.index;
     }
-    pool.markDirty(0x400000);
-    pool.markDirty(0x401000);
+    pool.markDirty(slots[0]);
+    pool.markDirty(slots[1]);
     pool.refreshLists();
     EXPECT_EQ(pool.count(PoolState::dirty), 2u);
     EXPECT_EQ(pool.count(PoolState::clean), 1u);
@@ -138,25 +156,30 @@ TEST(DramPoolTest, GaugesMatchARecountUnderSeededChurn)
     Rig rig;
     DramPool pool(16, rig.alloc);
     Random rng(5);
-    std::vector<Addr> homes;
+    std::vector<unsigned> bound;  // slots caching a page
     Addr next_home = 0x800000;
     for (int op = 0; op < 4000; ++op) {
         const unsigned kind = static_cast<unsigned>(rng.uniform(100));
         if (kind < 45) {
             const Selection sel = pool.select();
             if (sel.displacedNvm != invalidAddr) {
-                homes.erase(std::find(homes.begin(), homes.end(),
-                                      sel.displacedNvm));
+                bound.erase(
+                    std::find(bound.begin(), bound.end(), sel.index));
             }
             pool.bind(sel.index, next_home, {});
-            homes.push_back(next_home);
+            bound.push_back(sel.index);
             next_home += pageSize;
-        } else if (!homes.empty() && kind < 80) {
-            pool.markDirty(homes[rng.uniform(homes.size())]);
-        } else if (!homes.empty() && kind < 90) {
-            const std::size_t i = rng.uniform(homes.size());
-            pool.release(homes[i]);
-            homes.erase(homes.begin() + static_cast<long>(i));
+        } else if (kind < 80) {
+            // Any slot: a free one must stay free.
+            pool.markDirty(
+                static_cast<unsigned>(rng.uniform(pool.size())));
+        } else if (kind < 90) {
+            const unsigned slot =
+                static_cast<unsigned>(rng.uniform(pool.size()));
+            pool.release(slot);
+            const auto it = std::find(bound.begin(), bound.end(), slot);
+            if (it != bound.end())
+                bound.erase(it);
         } else {
             pool.refreshLists();
         }
@@ -164,6 +187,7 @@ TEST(DramPoolTest, GaugesMatchARecountUnderSeededChurn)
         unsigned counts[3] = {0, 0, 0};
         for (const PoolEntry &e : pool.allEntries())
             ++counts[static_cast<unsigned>(e.state)];
+        ASSERT_EQ(counts[1] + counts[2], bound.size()) << "op " << op;
         const auto &st = pool.stats();
         ASSERT_EQ(st.gaugeValue("freePages"), counts[0]) << "op " << op;
         ASSERT_EQ(st.gaugeValue("cleanPages"), counts[1]) << "op " << op;

@@ -137,6 +137,14 @@ TEST(NvmMediaModel, EnduranceExhaustionDevelopsStuckBit)
         {frame, frame + pageSize},
         [&](Addr, unsigned bits) { afflicted += bits; });
     EXPECT_GE(afflicted, 1u);
+
+    // Every later write is past the budget too, but the frame was
+    // already reported: nothing new to retire, the count stays 1.
+    for (int i = 0; i < 8; ++i) {
+        media.onLineWrite(frame + Addr(i) * lineSize);
+        EXPECT_TRUE(media.takeExhaustedFrames().empty()) << i;
+    }
+    EXPECT_EQ(media.stats().scalarValue("framesExhausted"), 1);
 }
 
 TEST(NvmMediaModel, TargetedPlanFaultsAppliedAtConstruction)

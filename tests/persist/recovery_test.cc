@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "kindle/kindle.hh"
 #include "kindle/microbench.hh"
 
@@ -117,6 +119,66 @@ TEST(RecoveryTest, PostCheckpointAllocationsAreReclaimed)
     EXPECT_GE(report.framesReclaimed, 5u);
     for (const Addr f : leaked)
         EXPECT_FALSE(rig.sys.kernel().nvmAllocator().isAllocated(f));
+}
+
+TEST(RecoveryTest, MappingsToFreeOrOutOfZoneFramesAreDropped)
+{
+    CrashRig rig(PtScheme::rebuild);
+    os::Kernel &kernel = rig.sys.kernel();
+    os::Process *proc = kernel.findProcess(rig.pid);
+    const unsigned slot = proc->slot;
+
+    // Page 3 is unmapped after the last checkpoint: its frame returns
+    // to the allocator, but the durable mapping list still names it.
+    kernel.sysMunmap(*proc, rig.vaddr + 3 * pageSize, pageSize);
+    ASSERT_FALSE(kernel.nvmAllocator().isAllocated(rig.frames[3]));
+
+    // Page 5's entry is doctored to name an NVM frame below the
+    // allocator's zone.
+    SavedStateSlot probe(kernel.kmem(), kernel.nvmLayout(), slot);
+    std::vector<MappingEntry> list;
+    ASSERT_EQ(probe.readMappingList(probe.readHeader(), list),
+              ImageStatus::ok);
+    ASSERT_EQ(list.size(), 32u);
+    const auto doctored = std::find_if(
+        list.begin(), list.end(), [&](const MappingEntry &m) {
+            return m.pfn << pageShift == rig.frames[5];
+        });
+    ASSERT_NE(doctored, list.end());
+    const Addr outside = kernel.nvmAllocator().zone().start() - pageSize;
+    ASSERT_TRUE(kernel.nvmLayout().nvm.contains(outside));
+    const MappingEntry bogus{doctored->vpn, outside >> pageShift};
+    const Addr bogus_at = kernel.nvmLayout().mappingListAddr(slot) +
+                          (doctored - list.begin()) * sizeof(MappingEntry);
+    rig.sys.crash();
+    rig.sys.memory().writeDataDurable(bogus_at, &bogus, sizeof(bogus));
+
+    const RecoveryReport report = rig.sys.reboot();
+    EXPECT_EQ(report.processesRecovered, 1u);
+    EXPECT_EQ(report.mappingsDropped, 2u);
+    EXPECT_EQ(report.mappingsRestored, 30u);
+    ASSERT_EQ(report.errors.size(), 2u);
+    for (const RecoveryError &e : report.errors) {
+        EXPECT_EQ(e.code, RecoveryErrorCode::danglingMapping);
+        EXPECT_EQ(e.slot, slot);
+    }
+
+    // The 30 others are mapped as before; page 5's frame, reachable
+    // from nothing now, went back to the allocator.
+    os::Process *back = rig.sys.kernel().findProcess(1);
+    ASSERT_NE(back, nullptr);
+    for (unsigned i = 0; i < 32; ++i) {
+        const auto leaf = rig.sys.kernel().pageTables().readLeaf(
+            back->ptRoot, rig.vaddr + i * pageSize);
+        if (i == 3 || i == 5) {
+            EXPECT_FALSE(leaf.present()) << i;
+            continue;
+        }
+        ASSERT_TRUE(leaf.present()) << i;
+        EXPECT_EQ(leaf.frameAddr(), rig.frames[i]) << i;
+    }
+    EXPECT_FALSE(
+        rig.sys.kernel().nvmAllocator().isAllocated(rig.frames[5]));
 }
 
 TEST(RecoveryTest, ChangesAfterLastCheckpointAreLost)
